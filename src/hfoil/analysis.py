@@ -290,7 +290,18 @@ class QueryPool:
     level_filter (a design_lowpass kernel, or True for the default one)
     folds a grid-noise lowpass into the radial weights: answers are then
     samples of the filtered field, at the same polynomial order.
+
+    Wanted levels are written in place into a ring of 2*npts rows per
+    queried field.  Every npts steps one flush answers all queries whose
+    window has closed since the last flush; a query can wait up to
+    npts - 1 levels past its window, hence two windows of rows.
+    result(), unresolved() and assert_resolved() flush whatever is
+    still pending up to the last streamed level.
     """
+
+    # gathered window values per contraction (1 MiB of float64): a cap
+    # on the transient memory of one flush
+    _CHUNK_VALUES = 1 << 17
 
     def __init__(self, grid, parity=None, npts: int = 10,
                  level_filter=None):
@@ -299,26 +310,33 @@ class QueryPool:
         if level_filter is None:
             self.kernel = None
             self.halo = 0
+            self._shift = None
         else:
             self.kernel = (design_lowpass() if level_filter is True
                            else np.asarray(level_filter, dtype=float))
-            self.halo = (len(self.kernel) - 1) // 2
+            M = self.halo = (len(self.kernel) - 1) // 2
+            # the lowpass acts on the radial weights: filtered weights
+            # are Wr @ shift, row i of shift being the kernel at column i
+            self._shift = np.zeros((self.npts, self.npts + 2 * M))
+            for i in range(self.npts):
+                self._shift[i, i:i + 2 * M + 1] = self.kernel
         self.parity = {"u": EVEN, "v": EVEN}
         if parity:
             self.parity.update(parity)
         self._pts = {"u": [], "v": []}
         self._count = {"u": 0, "v": 0}
         self.results = {}
-        self._levels = {}
+        self._ring = None
+        self._missing = set()       # (step, field) absent before the plan
         self._plan = None
-        self._by_target = None
-        self._stash_targets = None
+        self._targets = None
         self._t0 = None
         self._dt = None
+        self._last_step = None
         self.last_t = None
 
     def add(self, field: str, t, r):
-        if self._plan is not None:
+        if self._ring is not None:
             raise FoliationError("query pool already streaming, cannot add")
         t = np.ravel(np.asarray(t, dtype=float)).copy()
         r = np.ravel(np.asarray(r, dtype=float)).copy()
@@ -333,11 +351,13 @@ class QueryPool:
         field, start, size = handle
         if field not in self.results:
             raise FoliationError("no levels streamed through the pool yet")
+        self._flush(self._last_step)
         return self.results[field][start:start + size]
 
     def unresolved(self) -> int:
         if not self.results:
             return sum(self._count.values())
+        self._flush(self._last_step)
         return int(sum(np.isnan(res).sum() for res in self.results.values()))
 
     def assert_resolved(self):
@@ -353,6 +373,10 @@ class QueryPool:
 
     def on_level(self, t, step, u, v):
         self.last_t = t
+        self._last_step = step
+        if self._ring is None:
+            self._ring = {f: np.zeros((2 * self.npts, self.grid.n))
+                          for f in ("u", "v") if self._count[f]}
         if self._t0 is None:
             self._t0 = t
         elif self._dt is None and step == 1:
@@ -361,38 +385,33 @@ class QueryPool:
         fields = {"u": u, "v": v}
         if self._plan is None:
             # dt unknown until the second level; keep everything so far
-            self._levels[step] = {f: w.copy() for f, w in fields.items()
-                                  if w is not None}
+            for f, ring in self._ring.items():
+                if fields[f] is None:
+                    self._missing.add((step, f))
+                else:
+                    ring[step % len(ring)] = fields[f]
             return
         if self._want_level(step):
-            self._levels[step] = {}
-            for f in self._plan:
+            for f, ring in self._ring.items():
                 if fields[f] is None:
                     raise FoliationError(
                         f"queries registered for field {f!r} but the run "
                         "does not produce it")
-                self._levels[step][f] = fields[f].copy()
-        for key in [k for k in self._levels if k < step - self.npts]:
-            del self._levels[key]
-        batch = self._by_target.get(step)
-        if batch:
-            for field, idx in batch.items():
-                self._eval_batch(field, idx, step)
+                ring[step % len(ring)] = fields[f]
+        if (step + 1) % self.npts == 0:
+            self._flush(step)
 
     def _want_level(self, step: int) -> bool:
-        i = np.searchsorted(self._stash_targets, step)
-        return (i < len(self._stash_targets)
-                and self._stash_targets[i] <= step + self.npts - 1)
+        i = np.searchsorted(self._targets, step)
+        return (i < len(self._targets)
+                and self._targets[i] <= step + self.npts - 1)
 
     def _start(self):
-        npts, dx, n = self.npts, self.grid.dx, self.grid.n
+        npts, dx, n, M = self.npts, self.grid.dx, self.grid.n, self.halo
         lead = npts // 2 - 1
         self._plan = {}
         targets = []
-        self._by_target = {}
-        for field in ("u", "v"):
-            if not self._count[field]:
-                continue
+        for field in self._ring:
             t = np.concatenate([p[0] for p in self._pts[field]])
             r = np.concatenate([p[1] for p in self._pts[field]])
             t_idx = (t - self._t0) / self._dt
@@ -404,70 +423,68 @@ class QueryPool:
             base = np.maximum(np.floor(t_idx).astype(np.int64) - lead, 0)
             r_idx = r / dx
             j0 = np.floor(r_idx).astype(np.int64) - lead
-            top = int(np.max(np.maximum(j0 + npts - 1 + self.halo,
-                                        self.halo - j0), initial=0))
+            top = int(np.max(np.maximum(j0 + npts - 1 + M, M - j0),
+                             initial=0))
             if top > n - 1:
                 raise SliceCoverageError(
                     "query columns leave the grid",
                     needed=top * dx, available=self.grid.r_max)
             target = base + npts - 1
-            self._plan[field] = {"t_idx": t_idx, "r_idx": r_idx,
-                                 "base": base, "j0": j0}
+            order = np.argsort(target, kind="stable")
+            # everything a flush reads, in target order; frac_* are the
+            # query offsets inside the time and radial windows
+            self._plan[field] = {
+                "order": order,
+                "target": target[order],
+                "base": base[order],
+                "frac_t": t_idx[order] - (base[order] + lead),
+                "frac_r": r_idx[order] - (j0[order] + lead),
+                "col0": j0[order] - M,
+                "done": 0}
             self.results[field] = np.full(t.size, np.nan)
             targets.append(target)
-            order = np.argsort(target, kind="stable")
-            bounds = np.searchsorted(target[order],
-                                     np.unique(target))
-            uniq = np.unique(target)
-            split = np.split(order, bounds[1:])
-            for tg, idx in zip(uniq, split):
-                self._by_target.setdefault(int(tg), {})[field] = idx
         if targets:
-            self._stash_targets = np.unique(np.concatenate(targets))
+            self._targets = np.unique(np.concatenate(targets))
         else:
-            self._stash_targets = np.zeros(0, dtype=np.int64)
-        # levels 0 and 1 were stashed blind; trim them to plan fields
-        for step in list(self._levels):
-            if not self._want_level(step):
-                del self._levels[step]
-                continue
-            kept = {}
-            for f in self._plan:
-                if f not in self._levels[step]:
-                    raise FoliationError(
-                        f"queries registered for field {f!r} but the run "
-                        "does not produce it")
-                kept[f] = self._levels[step][f]
-            self._levels[step] = kept
+            self._targets = np.zeros(0, dtype=np.int64)
+        for step, f in sorted(self._missing):
+            if self._want_level(step):
+                raise FoliationError(
+                    f"queries registered for field {f!r} but the run "
+                    "does not produce it")
 
-    def _eval_batch(self, field, idx, target):
-        npts = self.npts
-        plan = self._plan[field]
-        k0 = target - npts + 1
-        A = np.stack([self._levels[k][field] for k in range(k0, target + 1)])
+    def _flush(self, step):
+        """Answer every pending query whose target level is <= step."""
+        if self._plan is None:
+            return
+        chunk = max(self._CHUNK_VALUES
+                    // (self.npts * (self.npts + 2 * self.halo)), 1)
+        for field, plan in self._plan.items():
+            lo = plan["done"]
+            hi = int(np.searchsorted(plan["target"], step, side="right"))
+            for a in range(lo, hi, chunk):
+                self._eval(field, plan, a, min(a + chunk, hi))
+            plan["done"] = max(lo, hi)
+
+    def _eval(self, field, plan, lo, hi):
+        npts, M = self.npts, self.halo
+        ring = self._ring[field]
+        width = npts + 2 * M
+        Wt = lagrange_weights(plan["frac_t"][lo:hi], npts)
+        Wr = lagrange_weights(plan["frac_r"][lo:hi], npts)
+        if M:
+            # convolving the weights == filtering the (extended) level
+            # before sampling it
+            Wr = Wr @ self._shift
+        cols = plan["col0"][lo:hi, None] + np.arange(width)
         parity = float(self.parity[field])
-        out = self.results[field]
-        M = self.halo
-        for lo in range(0, idx.size, 8192):
-            sel = idx[lo:lo + 8192]
-            frac_t = plan["t_idx"][sel] - (k0 + npts // 2 - 1)
-            Wt = lagrange_weights(frac_t, npts)
-            j0 = plan["j0"][sel]
-            Wr = lagrange_weights(plan["r_idx"][sel] - (j0 + npts // 2 - 1),
-                                  npts)
-            if M:
-                # convolving the weights == filtering the (extended)
-                # level before sampling it
-                wide = np.zeros((sel.size, npts + 2 * M))
-                for i in range(npts):
-                    wide[:, i:i + 2 * M + 1] += (Wr[:, i, None]
-                                                 * self.kernel[None, :])
-                Wr = wide
-            cols = (j0 - M)[:, None] + np.arange(npts + 2 * M)
-            sign = np.where(cols < 0, parity, 1.0)
-            G = A[:, np.abs(cols)]
-            out[sel] = np.einsum("bi,ibj,bj->b", Wt, G, Wr * sign,
-                                 optimize=True)
+        folds = plan["col0"][lo:hi] < 0
+        if parity != 1.0 and folds.any():
+            Wr[folds] *= np.where(cols[folds] < 0, parity, 1.0)
+        rows = (plan["base"][lo:hi, None] + np.arange(npts)) % len(ring)
+        G = ring[rows[:, :, None], np.abs(cols)[:, None, :]]  # (b, npts, width)
+        self.results[field][plan["order"][lo:hi]] = np.einsum(
+            "bi,bi->b", np.einsum("bij,bj->bi", G, Wr), Wt)
 
 
 # === derivative tables on one slice ===

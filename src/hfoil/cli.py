@@ -42,8 +42,9 @@ Command line flags override config fields (``--resolution``,
 subcommand always wins over the ``scenario`` key.  Every run writes
 ``config.echo.txt`` (the fully resolved config), ``report.json`` and a
 human-readable ``report.txt`` next to its data tables; with
-``--deterministic`` the wall-time field is omitted so two runs of the
-same config produce byte-identical trees.
+``--deterministic`` the wall-time field is omitted and data-parallel
+loops run on one worker thread, so two runs of the same config produce
+byte-identical trees.
 """
 from __future__ import annotations
 
@@ -588,8 +589,19 @@ def run_scenario(cfg: RunConfig) -> ReportSummary:
     exactly when summary.passed is false (criterion failure or an
     evolution error, which lands in summary.error).
     """
+    saved = os.environ.get("HFOIL_THREADS")
     if cfg.deterministic:
         os.environ["HFOIL_THREADS"] = "1"
+    try:
+        return _run_scenario(cfg)
+    finally:
+        if saved is None:
+            os.environ.pop("HFOIL_THREADS", None)
+        else:
+            os.environ["HFOIL_THREADS"] = saved
+
+
+def _run_scenario(cfg: RunConfig) -> ReportSummary:
     echo = config_text(cfg)
     sha = config_sha256(cfg)
     out = Path(cfg.out_dir if cfg.out_dir else
@@ -1123,7 +1135,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--until-s", type=float, dest="until_s",
                        help="last hyperboloidal slice, overrides [run]")
         p.add_argument("--deterministic", action="store_true",
-                       help="sequential reductions, no wall-time fields")
+                       help="one worker thread and no wall-time fields, "
+                       "so repeated runs write byte-identical trees")
         p.add_argument("--out", help="output directory, overrides [output]")
     return top
 

@@ -211,10 +211,12 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
     u0 = np.asarray(data.u0(r), dtype=float)
     guard0 = np.max(np.abs(u0)) * hn
     if guard0 >= COEFF_GUARD:
+        i = int(np.argmax(np.abs(u0)))
         raise StabilityError("initial data already violates the coefficient "
                              "guard", report={"kind": "coefficient", "t": t0,
-                                              "step": 0, "location": 0.0,
-                                              "value": guard0})
+                                              "step": 0,
+                                              "location": float(r[i]),
+                                              "value": float(guard0)})
     # quasilinear signal speed at start; dt is then held fixed and guarded
     denom = 1.0 + u0 * h00
     speed2 = np.max((1.0 - u0 * hs) / denom)
@@ -284,10 +286,11 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
         sp2 = np.max((1.0 - u_cur * hs) / denom)
         # leapfrog is stable for Courant numbers below one
         if np.sqrt(max(sp2, 0.0)) * dt / dx >= 1.0:
+            i = int(np.argmax((1.0 - u_cur * hs) / denom))
             raise StabilityError(
                 "quasilinear signal speed exceeded the step budget",
                 report={"kind": "cfl", "t": t_k, "step": k,
-                        "location": 0.0, "value": float(np.sqrt(sp2))})
+                        "location": float(r[i]), "value": float(np.sqrt(sp2))})
 
         # Klein-Gordon first, mass term averaged over the stencil ends
         A = denom * inv_dt2 + 0.5 * c2
@@ -401,6 +404,15 @@ def _second_cross_box(a: np.ndarray, ax1: int, ax2: int, dx: float) -> np.ndarra
     return _grad_box(_grad_box(a, ax1, dx), ax2, dx)
 
 
+def _box_location(ax, bad: np.ndarray) -> dict:
+    """Report fields for the cell where `bad` peaks: its distance from
+    the origin (the radial runs' location) and the point itself."""
+    idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    point = [float(ax[a][i]) for a, i in enumerate(idx)]
+    return {"location": float(np.sqrt(sum(x * x for x in point))),
+            "point": point}
+
+
 def evolve_model_box(params: ModelParams, grid: BoxGrid, data: InitialData,
                      t0: float = 2.0, t_end: float = 4.0, cfl: float = 0.4,
                      observers: Sequence = (), record=None,
@@ -483,7 +495,8 @@ def evolve_model_box(params: ModelParams, grid: BoxGrid, data: InitialData,
             raise StabilityError(
                 "quasilinear coefficient guard tripped",
                 report={"kind": "coefficient", "t": t_k, "step": k,
-                        "location": 0.0, "value": float(guard)})
+                        **_box_location(ax, np.abs(u_cur)),
+                        "value": float(guard)})
         denom = 1.0 + u_cur * H[0, 0]
         A = denom * inv_dt2 + 0.5 * c2
         base = (denom * (2.0 * v_cur - v_prev) * inv_dt2
@@ -510,10 +523,12 @@ def evolve_model_box(params: ModelParams, grid: BoxGrid, data: InitialData,
 
         worst = max(np.max(np.abs(u_next)), np.max(np.abs(v_next)))
         if not np.isfinite(worst) or worst > BLOWUP_GUARD:
+            bad = np.maximum(np.abs(u_next), np.abs(v_next))
+            bad = np.where(np.isfinite(bad), bad, np.inf)
             raise StabilityError(
                 "field amplitude blew up",
                 report={"kind": "blowup", "t": t_k + dt, "step": k + 1,
-                        "location": 0.0, "value": float(worst)})
+                        **_box_location(ax, bad), "value": float(worst)})
 
         u_prev, u_cur = u_cur, u_next
         v_prev, v_cur = v_cur, v_next
@@ -566,9 +581,11 @@ def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
         W_next[0] = 0.0
         W_next[-1] = 0.0
         if not np.isfinite(W_next[1:]).all():
+            i = int(np.argmin(np.isfinite(W_next)))
             raise StabilityError("linear wave run lost finiteness",
                                  report={"kind": "blowup", "t": t_k + dt,
-                                         "step": k + 1, "location": 0.0,
+                                         "step": k + 1,
+                                         "location": float(r[i]),
                                          "value": float("inf")})
         W_prev, W_cur = W_cur, W_next
         emit(t0 + (k + 1) * dt, k + 1, W_cur)
@@ -595,9 +612,10 @@ def solve_linear_kg_curved(grid: RadialGrid, h00: Callable, mass: float,
     dW = r * np.asarray(data.v1(r), dtype=float)
     h0 = np.asarray(h00(t0, r), dtype=float)
     if np.min(1.0 + h0) <= 0.1:
+        i = int(np.argmin(np.broadcast_to(h0, r.shape)))
         raise StabilityError("metric perturbation too large",
                              report={"kind": "coefficient", "t": t0, "step": 0,
-                                     "location": 0.0,
+                                     "location": float(r[i]),
                                      "value": float(np.min(1.0 + h0))})
     rhs0 = _d2_odd(W, dx) - c2 * W
     if source is not None:
@@ -623,9 +641,10 @@ def solve_linear_kg_curved(grid: RadialGrid, h00: Callable, mass: float,
         h = np.asarray(h00(t_k, r), dtype=float)
         denom = 1.0 + h
         if np.min(denom) <= 0.1:
+            i = int(np.argmin(np.broadcast_to(denom, r.shape)))
             raise StabilityError("metric perturbation too large",
                                  report={"kind": "coefficient", "t": t_k,
-                                         "step": k, "location": 0.0,
+                                         "step": k, "location": float(r[i]),
                                          "value": float(np.min(denom))})
         A = denom * inv_dt2 + 0.5 * c2
         rhs = (denom * (2.0 * W_cur - W_prev) * inv_dt2

@@ -57,20 +57,37 @@ class ConfigError(FoliationError):
 
 # === finite-difference weights ===
 
-def _exact_solve(A, b):
-    # Gaussian elimination over Fractions; stencil systems are tiny.
-    n = len(b)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1, 1) / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
+@lru_cache(maxsize=None)
+def _fornberg_table(offsets: tuple) -> tuple:
+    """Exact weights of every derivative order 0..n-1 at x = 0 on the
+    integer `offsets`, as rows of Fractions.
+
+    One pass of Fornberg's recursion (Math. Comp. 51 (1988) 699): node i
+    is added to the stencil of nodes 0..i-1 by updating the weights of
+    all orders at once.
+    """
+    x = [Fraction(o) for o in offsets]
+    n = len(x)
+    if len(set(x)) != n:
+        raise ValueError(f"stencil offsets {offsets} are not distinct")
+    c = [[Fraction(0)] * n for _ in range(n)]   # c[order][node]
+    c[0][0] = Fraction(1)
+    c1 = Fraction(1)
+    for i in range(1, n):
+        c2 = Fraction(1)
+        for j in range(i):
+            c2 *= x[i] - x[j]
+        # the new node first, from node i-1 as it stood on nodes 0..i-1
+        for k in range(i, 0, -1):
+            c[k][i] = c1 * (k * c[k - 1][i - 1] - x[i - 1] * c[k][i - 1]) / c2
+        c[0][i] = -c1 * x[i - 1] * c[0][i - 1] / c2
+        for j in range(i):
+            c3 = x[i] - x[j]
+            for k in range(i, 0, -1):
+                c[k][j] = (x[i] * c[k][j] - k * c[k - 1][j]) / c3
+            c[0][j] = x[i] * c[0][j] / c3
+        c1 = c2
+    return tuple(tuple(row) for row in c)
 
 
 @lru_cache(maxsize=None)
@@ -78,21 +95,15 @@ def fd_weights(order: int, offsets: tuple) -> np.ndarray:
     """Exact finite-difference weights for d^order/dx^order on integer
     `offsets` at unit spacing.  Divide by h**order for spacing h.
 
-    Solves the Vandermonde moment system in rational arithmetic, so the
-    returned float weights are correctly rounded.
+    The weights of all orders on one stencil come from a single exact
+    rational Fornberg pass, so the returned float weights are correctly
+    rounded.
     """
     n = len(offsets)
     if order >= n:
         raise StencilRangeError(
             f"{n}-point stencil cannot produce derivative order {order}")
-    A = [[Fraction(p) ** j for p in offsets] for j in range(n)]
-    b = [Fraction(0)] * n
-    fact = 1
-    for k in range(2, order + 1):
-        fact *= k
-    b[order] = Fraction(fact)
-    w = _exact_solve(A, b)
-    return np.array([float(x) for x in w])
+    return np.array([float(w) for w in _fornberg_table(offsets)[order]])
 
 
 def central_offsets(order: int) -> tuple:

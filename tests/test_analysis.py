@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hfoil.fields import ODD, BoxGrid, RadialGrid, sample_history
+from hfoil.fields import EVEN, ODD, BoxGrid, RadialGrid, sample_history
 from hfoil.analysis import (CoeffPoly, QueryPool, SliceDerivativeTable,
                             SliceEnergySuite, SliceValueProbe, SupTracker,
                             apply_dt, apply_dr, chart_nodes, combo_expansion,
@@ -18,7 +18,7 @@ from hfoil.analysis import (CoeffPoly, QueryPool, SliceDerivativeTable,
 from hfoil.geometry import interpolate_to_slice, make_chart
 from hfoil.solver import (InitialData, ModelParams, evolve_model,
                           grid_for_run)
-from hfoil.util import FoliationError, SliceCoverageError
+from hfoil.util import FoliationError, SliceCoverageError, lagrange_weights
 
 sympy = pytest.importorskip("sympy")
 
@@ -227,6 +227,83 @@ def test_pool_filter_rejects_grid_ripple():
     err_f = np.abs(filt.result(h_f) - smooth(tq, rq)).max()
     assert err_raw > 5e-4
     assert err_f < 1e-6
+
+
+def reference_pool_values(levels, t0, dt, dx, tq, rq, npts, kernel,
+                          parity):
+    """The pool's formula, one query at a time, over the full list of
+    streamed levels: npts x npts Lagrange weights (window one-sided at
+    the first levels), radial weights convolved with the lowpass
+    kernel, columns below r = 0 folded with the parity."""
+    lead = npts // 2 - 1
+    M = 0 if kernel is None else (len(kernel) - 1) // 2
+    out = np.full(len(tq), np.nan)
+    for q, (t, r) in enumerate(zip(tq, rq)):
+        t_idx = max((t - t0) / dt, 0.0)
+        base = max(int(math.floor(t_idx)) - lead, 0)
+        if base + npts > len(levels):
+            continue
+        j0 = int(math.floor(r / dx)) - lead
+        Wt = lagrange_weights(np.array([t_idx - (base + lead)]), npts)[0]
+        Wr = lagrange_weights(np.array([r / dx - (j0 + lead)]), npts)[0]
+        if M:
+            Wr = np.convolve(Wr, kernel)
+        cols = j0 - M + np.arange(npts + 2 * M)
+        Wr = Wr * np.where(cols < 0, float(parity), 1.0)
+        A = np.stack([levels[base + i][np.abs(cols)] for i in range(npts)])
+        out[q] = Wt @ (A @ Wr)
+    return out
+
+
+@pytest.mark.parametrize("npts", [6, 10])
+@pytest.mark.parametrize("level_filter", [None, True])
+@pytest.mark.parametrize("parity", [EVEN, ODD])
+def test_pool_matches_per_query_reference(npts, level_filter, parity):
+    grid = RadialGrid(dx=0.05, n=240)
+    t0, dt, steps = 3.0, 0.03, 57      # last level is off the flush cadence
+
+    def fn(t, r):
+        smooth = (np.sin(0.6 * t + 0.2) * np.exp(-r ** 2 / 9.0)
+                  * (r if parity == ODD else 1.0))
+        ripple = 5e-3 * np.cos(1.8 * r / grid.dx) * np.cos(41.0 * t + 0.3)
+        return smooth + ripple
+
+    rng = np.random.default_rng(npts)
+    t_last = t0 + (steps - 1) * dt
+    lead = npts // 2 - 1
+    # targets spread over the whole run, level-0 queries, queries whose
+    # target is the final level (answered by the flush on read), points
+    # folding through the origin, and one point the run never covers
+    tq = np.concatenate([rng.uniform(t0, t_last - (npts - lead) * dt, 300),
+                         [t0, t0, t0 + 0.4 * dt],
+                         t_last - (npts - lead - 1) * dt
+                         + rng.uniform(0.05, 0.95, 4) * dt,
+                         [3.4, 3.7], [t_last + dt]])
+    rq = np.concatenate([rng.uniform(0.0, 9.0, 300), [0.0, 4.3, 7.7],
+                         rng.uniform(0.0, 9.0, 4), [-0.12, 0.37], [2.0]])
+    pool = QueryPool(grid, parity={"u": parity}, npts=npts,
+                     level_filter=level_filter)
+    h = pool.add("u", tq[:150], rq[:150])
+    h2 = pool.add("u", tq[150:], rq[150:])
+    levels = []
+    r = grid.r(0, grid.n)
+    for k in range(steps):
+        levels.append(fn(t0 + k * dt, r))
+        pool.on_level(t0 + k * dt, k, levels[-1], None)
+        if k == steps // 2:
+            pool.unresolved()           # a read mid-run flushes early
+    with pytest.raises(FoliationError):
+        pool.add("u", [4.0], [1.0])     # already streaming
+    got = np.concatenate([pool.result(h), pool.result(h2)])
+    kernel = None if level_filter is None else pool.kernel
+    want = reference_pool_values(levels, t0, dt, grid.dx, tq, rq, npts,
+                                 kernel, parity)
+    assert np.isnan(got[-1]) and np.isnan(want[-1])
+    assert pool.unresolved() == 1
+    with pytest.raises(SliceCoverageError):
+        pool.assert_resolved()
+    scale = np.abs(want[:-1]).max()
+    assert np.abs(got[:-1] - want[:-1]).max() <= 1e-12 * scale
 
 
 # === derivative tables on a slice ===

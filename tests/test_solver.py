@@ -241,6 +241,102 @@ def test_boundary_guard_catches_undersized_grid():
     assert ei.value.report["kind"] == "boundary"
 
 
+# --- guard reports carry the offending location ---
+
+def shifted_data(amp_u, center, width=0.1):
+    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
+    bump = lambda r: amp_u * np.exp(-(np.asarray(r) - center) ** 2 / width)
+    return InitialData(u0=bump, u1=zero, v0=zero, v1=zero,
+                       support_radius=center + 1.0)
+
+
+def test_coefficient_guard_on_initial_data_reports_location():
+    g = RadialGrid(dx=0.05, n=100)
+    with pytest.raises(StabilityError) as ei:
+        evolve_model(ModelParams.isotropic(), g, shifted_data(0.9, 2.0),
+                     t0=2.0, t_end=3.0)
+    rep = ei.value.report
+    assert rep["kind"] == "coefficient" and rep["step"] == 0
+    assert rep["location"] == pytest.approx(2.0, abs=0.05)
+
+
+def test_cfl_guard_reports_location():
+    # a negative wave bump speeds the Klein-Gordon characteristics up
+    # locally; the fastest cell sits on the bump
+    g = grid_for_run(0.05, 2.0, 6.0, support_radius=4.0)
+    with pytest.raises(StabilityError) as ei:
+        evolve_model(ModelParams.isotropic(), g, shifted_data(-0.3, 3.0),
+                     t0=2.0, t_end=6.0, cfl=1.15)
+    rep = ei.value.report
+    assert rep["kind"] == "cfl"
+    assert rep["location"] == pytest.approx(3.0, abs=0.1)
+
+
+def test_linear_wave_finiteness_guard_reports_location():
+    g = grid_for_run(0.05, 2.0, 4.0)
+    hot = lambda t, r: np.where((t > 2.2) & (np.abs(r - 2.5) < 0.01),
+                                np.inf, 0.0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(StabilityError) as ei:
+            solve_linear_wave_sourced(g, hot, t0=2.0, t_end=4.0)
+    rep = ei.value.report
+    assert rep["kind"] == "blowup"
+    assert rep["location"] == pytest.approx(2.5, abs=0.01)
+    assert rep["t"] > 2.2
+
+
+@pytest.mark.parametrize("t_on", [None, 2.3])
+def test_kg_metric_floor_guards_report_location(t_on):
+    # t_on None: the floor is violated by the initial metric; else the
+    # dip switches on mid-run and the step guard catches it
+    def h00(t, r):
+        dip = -0.95 * np.exp(-(r - 2.0) ** 2 / 0.05)
+        return dip if t_on is None or t > t_on else 0.0 * r
+
+    g = grid_for_run(0.05, 2.0, 3.0)
+    with pytest.raises(StabilityError) as ei:
+        solve_linear_kg_curved(g, h00, 1.0, InitialData.bump(0.0, 0.01),
+                               t0=2.0, t_end=3.0)
+    rep = ei.value.report
+    assert rep["kind"] == "coefficient"
+    assert (rep["step"] == 0) == (t_on is None)
+    assert rep["location"] == pytest.approx(2.0, abs=0.05)
+
+
+def test_box_coefficient_guard_reports_location():
+    g = BoxGrid(dx=0.1, half=1.0)
+    zero = lambda x1, x2, x3: 0.0 * (x1 + x2 + x3)
+    bump = lambda x1, x2, x3: 0.6 * np.exp(
+        -((x1 - 0.5) ** 2 + x2 ** 2 + x3 ** 2) / 0.05)
+    data = InitialData(u0=bump, u1=zero, v0=zero, v1=zero)
+    with pytest.raises(StabilityError) as ei:
+        evolve_model_box(ModelParams.isotropic(), g, data, t0=2.0, t_end=2.5)
+    rep = ei.value.report
+    assert rep["kind"] == "coefficient"
+    assert rep["location"] == pytest.approx(0.5, abs=1e-9)
+    assert rep["point"] == pytest.approx([0.5, 0.0, 0.0], abs=1e-9)
+
+
+def test_box_blowup_guard_reports_location():
+    g = BoxGrid(dx=0.1, half=1.0)
+    zero = lambda x1, x2, x3: 0.0 * (x1 + x2 + x3)
+    data = InitialData(u0=zero, u1=zero, v0=zero, v1=zero)
+
+    def hot(t, x1, x2, x3):
+        near = (np.abs(x1 - 0.3) < 0.01) & (np.abs(x2 + 0.4) < 0.01) \
+            & (np.abs(x3) < 0.01)
+        return np.where((t > 2.05) & near, np.inf, 0.0)
+
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(StabilityError) as ei:
+            evolve_model_box(ModelParams.free(), g, data, t0=2.0, t_end=2.5,
+                             sources=(None, hot))
+    rep = ei.value.report
+    assert rep["kind"] == "blowup"
+    assert rep["point"] == pytest.approx([0.3, -0.4, 0.0], abs=1e-9)
+    assert rep["location"] == pytest.approx(0.5, abs=1e-9)
+
+
 # --- observers ---
 
 def test_observers_see_every_level_with_exact_times():

@@ -1,11 +1,39 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hfoil.util import (ConfigError, central_offsets, central_weights,
-                        fd_weights, lagrange_weights, reduce_sum, smoothstep,
-                        smoothstep_d, trapezoid_weights, worker_count)
+from hfoil.util import (ConfigError, StencilRangeError, central_offsets,
+                        central_weights, fd_weights, lagrange_weights,
+                        reduce_sum, smoothstep, smoothstep_d,
+                        trapezoid_weights, worker_count)
+
+
+def _exact_solve(A, b):
+    # Gaussian elimination over Fractions; stencil systems are tiny.
+    n = len(b)
+    M = [row[:] + [b[i]] for i, row in enumerate(A)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if M[r][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        inv = Fraction(1, 1) / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    return [M[i][n] for i in range(n)]
+
+
+def vandermonde_weights(order, offsets):
+    """Reference weights: the exact moment system sum_i w_i x_i^j =
+    order! [j == order], solved in rational arithmetic."""
+    n = len(offsets)
+    A = [[Fraction(p) ** j for p in offsets] for j in range(n)]
+    b = [Fraction(0)] * n
+    b[order] = Fraction(math.factorial(order))
+    return np.array([float(x) for x in _exact_solve(A, b)])
 
 
 def test_central_second_derivative_is_three_point():
@@ -43,6 +71,24 @@ def test_fd_weights_exactness_on_polynomials():
             exact = float(math.factorial(k)) if k == order else 0.0
             got = sum(wi * (o ** k) for wi, o in zip(w, offs))
             assert got == pytest.approx(exact, abs=1e-9)
+
+
+def test_fd_weights_fornberg_matches_vandermonde_reference():
+    # every shift of the 11-point window the slice tables use, from
+    # fully one-sided on the left to fully one-sided on the right
+    for shift in range(-5, 6):
+        offs = tuple(range(-5 + shift, 6 + shift))
+        for order in range(11):
+            assert np.array_equal(fd_weights(order, offs),
+                                  vandermonde_weights(order, offs))
+    offs = (-3, 0, 1, 4, 9)
+    for order in range(5):
+        assert np.array_equal(fd_weights(order, offs),
+                              vandermonde_weights(order, offs))
+    with pytest.raises(StencilRangeError):
+        fd_weights(5, offs)
+    with pytest.raises(ValueError):
+        fd_weights(1, (0, 1, 1))
 
 
 def test_lagrange_weights_reproduce_nodes():
