@@ -541,11 +541,17 @@ class SliceDerivativeTable:
 
         self._Ws = np.stack([fd_weights(p, tuple(off_s)) / h_s ** p
                              for p in range(K + 1)])
+        # nodes share a few chi stencils: one weight lookup per stencil
+        by_shift = {}
         Wc = np.empty((chi.size, K + 1, m))
         for i in range(chi.size):
-            offs = tuple(int(o) for o in off_c[i])
-            for q in range(K + 1):
-                Wc[i, q] = fd_weights(q, offs) / h_chi[i] ** q
+            sh = int(shift[i])
+            if sh not in by_shift:
+                offs = tuple(int(o) for o in off_c[i])
+                by_shift[sh] = np.stack([fd_weights(q, offs)
+                                         for q in range(K + 1)])
+            scale = np.array([h_chi[i] ** q for q in range(K + 1)])
+            Wc[i] = by_shift[sh] / scale[:, None]
         self._Wc = Wc
 
     def tables(self) -> np.ndarray:
@@ -705,7 +711,7 @@ class SliceEnergySuite:
                     dens = (Wt / ch) ** 2 + (Wl / (s * ch)) ** 2
                     if field == "v":
                         dens = dens + (self.mass * W) ** 2
-                    E = reduce_sum(dmu * dens, "tree")
+                    E = reduce_sum(dmu * dens)
                     self._values[(field, s, it, ir, j)] = W
                     self._energies.append(
                         {"field": field, "it": it, "ir": ir, "j": j,

@@ -106,11 +106,32 @@ ZERO_METRIC = MetricPerturb(lambda t, r: np.zeros_like(np.asarray(r, float)),
                             dr=lambda t, r: np.zeros_like(np.asarray(r, float)))
 
 
+def _on_support(t, r, lo):
+    """(t, r, q, on): t and r as float arrays (a scalar t stays 0-d),
+    q = t - r, and the mask on = q > lo outside which a profile switched
+    on over a band starting at lo vanishes."""
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
+    q = t - r
+    return t, r, q, q > lo
+
+
+def _restrict(a, on):
+    """a on the support mask, leaving a 0-d a as it is."""
+    if a.ndim == 0:
+        return a
+    if a.shape != on.shape:
+        a = np.broadcast_to(a, on.shape)
+    return a[on]
+
+
 def metric_pull(amp: float = 0.1, band=(1.0, 1.5)) -> MetricPerturb:
     """h = amp*(s/t) switched on over the band in t-r.
 
     s/t is constant along rays, so the ray derivative comes entirely
     from the switch; the ramp is C^2 so perp h exists classically.
+    The value is evaluated only on its support t - r > band[0] and is
+    zero elsewhere.
     """
     lo, wid = float(band[0]), float(band[1]) - float(band[0])
 
@@ -123,8 +144,14 @@ def metric_pull(amp: float = 0.1, band=(1.0, 1.5)) -> MetricPerturb:
         return t, r, g, cut
 
     def value(t, r):
-        _, _, g, cut = parts(t, r)
-        return amp * g * cut
+        t, r, q, on = _on_support(t, r, lo)
+        out = np.zeros(on.shape)
+        tt, rr = _restrict(t, on), _restrict(r, on)
+        cut = smoothstep((q[on] - lo) / wid)
+        with np.errstate(invalid="ignore"):
+            g = np.sqrt(np.maximum(1.0 - (rr / tt) ** 2, 0.0))
+        out[on] = amp * g * cut
+        return out
 
     def dt(t, r):
         t, r, g, cut = parts(t, r)
@@ -148,19 +175,19 @@ def wave_source(mu: float, nu: float, amp: float = 1.0,
     """f = amp * t^-(2+nu) * (t-r)^(mu-1), switched on over the band.
 
     The switch keeps the support inside the cone and regularizes the
-    (t-r) power at the tip; past the band the profile is exact.
+    (t-r) power at the tip; past the band the profile is exact.  f is
+    evaluated only on its support t - r > band[0] and is zero elsewhere.
     """
     lo, wid = float(band[0]), float(band[1]) - float(band[0])
 
     def f(t, r):
-        t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
-        q = t - r
-        cut = smoothstep((q - lo) / wid)
-        on = cut > 0.0
-        qq = np.where(on, q, 1.0)        # keep the power off the q <= 0 side
-        return np.where(on, amp * cut * t ** (-(2.0 + nu)) * qq ** (mu - 1.0),
-                        0.0)
+        t, r, q, on = _on_support(t, r, lo)
+        out = np.zeros(on.shape)
+        qs = q[on]
+        cut = smoothstep((qs - lo) / wid)
+        out[on] = amp * cut * _restrict(t, on) ** (-(2.0 + nu)) \
+            * qs ** (mu - 1.0)
+        return out
 
     return f
 

@@ -131,29 +131,87 @@ def grid_for_run(dx: float, t0: float, t_end: float,
 
 
 # === radial helpers ===
+#
+# Each helper writes into a caller-owned `out` (never aliasing its input),
+# so the radial loops step in preallocated buffers.  The ufunc sequences
+# here and in the loops follow the evaluation order of the plain array
+# expressions they stand for, so the results match those bit for bit.
 
-def _over_r(W: np.ndarray, r: np.ndarray, dx: float) -> np.ndarray:
+def _over_r(W: np.ndarray, r: np.ndarray, dx: float,
+            out: np.ndarray) -> np.ndarray:
     """W/r for odd W, with the centered limit at the axis."""
-    out = np.empty_like(W)
-    out[1:] = W[1:] / r[1:]
+    np.divide(W[1:], r[1:], out=out[1:])
     out[0] = W[1] / dx
     return out
 
 
-def _ddr_even(a: np.ndarray, dx: float) -> np.ndarray:
+def _ddr_even(a: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
     """Centered d_r of an even array; zero at the axis by symmetry."""
-    out = np.empty_like(a)
-    out[1:-1] = (a[2:] - a[:-2]) / (2.0 * dx)
+    mid = out[1:-1]
+    np.subtract(a[2:], a[:-2], out=mid)
+    np.divide(mid, 2.0 * dx, out=mid)
     out[0] = 0.0
     out[-1] = (a[-1] - a[-2]) / dx
     return out
 
 
-def _d2_odd(W: np.ndarray, dx: float) -> np.ndarray:
+def _d2_odd(W: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
     """Second difference of an odd array pinned to zero at both ends."""
-    out = np.zeros_like(W)
-    out[1:-1] = (W[2:] - 2.0 * W[1:-1] + W[:-2]) / (dx * dx)
+    mid = out[1:-1]
+    np.multiply(W[1:-1], 2.0, out=mid)
+    np.subtract(W[2:], mid, out=mid)
+    np.add(mid, W[:-2], out=mid)
+    np.divide(mid, dx * dx, out=mid)
+    out[0] = 0.0
+    out[-1] = 0.0
     return out
+
+
+def _wave_update(W_prev, W_cur, S, r, dx, dt2, out, lap, work):
+    """out = 2 W_cur - W_prev + dt2 (d2 W_cur + r S), pinned at both ends.
+    lap and work are scratch; S is only read."""
+    np.multiply(W_cur, 2.0, out=out)
+    np.subtract(out, W_prev, out=out)
+    _d2_odd(W_cur, dx, lap)
+    np.multiply(r, S, out=work)
+    np.add(lap, work, out=lap)
+    np.multiply(lap, dt2, out=lap)
+    np.add(out, lap, out=out)
+    out[0] = 0.0
+    out[-1] = 0.0
+    return out
+
+
+def _guard_level(t, step, r, levels, scratch, scale):
+    """Blow-up and boundary guards on a freshly stepped level.
+
+    levels are the new W arrays; each gets one |W| pass into `scratch`,
+    which yields both its peak and its outer-three-cell leak.  The leak
+    is compared with the running scale, the largest |W| of the run so
+    far, this level included; the updated scale is returned.
+    """
+    peaks, edges = [], []
+    for W in levels:
+        a = np.abs(W, out=scratch)
+        peak = a.max()
+        if not peak <= BLOWUP_GUARD:            # NaN fails this too
+            i = int(np.argmax(np.where(np.isfinite(a), a, np.inf)))
+            raise StabilityError(
+                "field amplitude blew up",
+                report={"kind": "blowup", "t": t, "step": step,
+                        "location": float(r[i]), "value": float(peak)})
+        peaks.append(peak)
+        edges.append(a[-3:].max())
+    scale = max(scale, *peaks)
+    edge = max(edges)
+    if edge > BOUNDARY_GUARD * scale:
+        W = levels[edges.index(edge)]
+        i = len(r) - 3 + int(np.argmax(np.abs(W[-3:])))
+        raise StabilityError(
+            "signal reached the outer boundary",
+            report={"kind": "boundary", "t": t, "step": step,
+                    "location": float(r[i]), "value": float(edge)})
+    return scale
 
 
 class _Recorder:
@@ -195,8 +253,8 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
     """March the coupled system from t0 to t_end on a radial grid.
 
     observers : objects with on_level(t, step, u, v); called at every time
-        level including the two start levels.  Arrays are views and must
-        be copied if kept.
+        level including the two start levels.  u and v are reused
+        buffers, valid only during the call: copy them to keep them.
     record : (t_lo, t_hi, every) to collect FieldHistories of u and v.
     sources : optional (fu(t, r), fv(t, r)) added to the two equations,
         used for manufactured solutions.
@@ -232,20 +290,25 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
     dWv = r * np.asarray(data.v1(r), dtype=float)
 
     # second time derivatives at t0 from the equations, for the Taylor start
-    v0 = _over_r(Wv, r, dx)
-    dtv0 = _over_r(dWv, r, dx)
-    drv0 = _ddr_even(v0, dx)
+    buf = lambda: np.empty(n)
+    v0 = _over_r(Wv, r, dx, buf())
+    dtv0 = _over_r(dWv, r, dx, buf())
+    drv0 = _ddr_even(v0, dx, buf())
     Nu0 = p00 * dtv0 ** 2 + ps * drv0 ** 2 + rcoef * v0 ** 2
     if fu is not None:
         Nu0 = Nu0 + fu(t0, r)
-    ddWu = _d2_odd(Wu, dx) + r * Nu0
-    rhs_v = (1.0 - u0 * hs) * _d2_odd(Wv, dx) - c2 * Wv
+    ddWu = _d2_odd(Wu, dx, buf()) + r * Nu0
+    rhs_v = (1.0 - u0 * hs) * _d2_odd(Wv, dx, buf()) - c2 * Wv
     if fv is not None:
         rhs_v = rhs_v + r * fv(t0, r)
     ddWv = rhs_v / (1.0 + u0 * h00)
 
     Wu_prev, Wu_cur = Wu, Wu + dt * dWu + 0.5 * dt * dt * ddWu
     Wv_prev, Wv_cur = Wv, Wv + dt * dWv + 0.5 * dt * dt * ddWv
+    Wu_next, Wv_next = buf(), buf()
+    # the emitted levels, and per-step scratch
+    u_lvl, v_lvl = buf(), buf()
+    denom, cs, A, dtv, drv, N, lap, work = (buf() for _ in range(8))
 
     rec_u = _Recorder(record, grid, EVEN) if record else None
     rec_v = _Recorder(record, grid, EVEN) if record else None
@@ -254,18 +317,21 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
     scale = max(np.max(np.abs(Wu)), np.max(np.abs(Wv)), 1e-300)
 
     def emit(t, step, Wu_l, Wv_l):
-        u_l = _over_r(Wu_l, r, dx)
-        v_l = _over_r(Wv_l, r, dx)
-        result.max_abs_u = max(result.max_abs_u, float(np.max(np.abs(u_l))))
-        result.max_abs_v = max(result.max_abs_v, float(np.max(np.abs(v_l))))
+        """u, v of a level into u_lvl, v_lvl; returns max |u|."""
+        _over_r(Wu_l, r, dx, u_lvl)
+        _over_r(Wv_l, r, dx, v_lvl)
+        peak_u = np.abs(u_lvl, out=work).max()
+        result.max_abs_u = max(result.max_abs_u, float(peak_u))
+        result.max_abs_v = max(result.max_abs_v,
+                               float(np.abs(v_lvl, out=work).max()))
         if rec_u is not None:
-            rec_u.offer(t, step, u_l)
-            rec_v.offer(t, step, v_l)
-        _notify(observers, t, step, u_l, v_l)
-        return u_l, v_l
+            rec_u.offer(t, step, u_lvl)
+            rec_v.offer(t, step, v_lvl)
+        _notify(observers, t, step, u_lvl, v_lvl)
+        return peak_u
 
     emit(t0, 0, Wu_prev, Wv_prev)
-    u_cur, _ = emit(t0 + dt, 1, Wu_cur, Wv_cur)
+    peak_u = emit(t0 + dt, 1, Wu_cur, Wv_cur)
 
     n_steps = int(np.ceil((t_end - t0) / dt - 1e-9))
     snap_step = None
@@ -273,69 +339,70 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
         snap_step = max(1, int(np.ceil((snapshot_at - t0) / dt - 1e-9)))
 
     inv_dt2 = 1.0 / (dt * dt)
+    dt2 = dt * dt
+    half_c2 = 0.5 * c2
     for k in range(1, n_steps):
+        # u_lvl, v_lvl hold level k
         t_k = t0 + k * dt
-        guard = np.max(np.abs(u_cur)) * hn
+        guard = peak_u * hn
         if guard >= COEFF_GUARD:
-            i = int(np.argmax(np.abs(u_cur)))
+            i = int(np.argmax(np.abs(u_lvl)))
             raise StabilityError(
                 "quasilinear coefficient guard tripped",
                 report={"kind": "coefficient", "t": t_k, "step": k,
                         "location": float(r[i]), "value": float(guard)})
-        denom = 1.0 + u_cur * h00
-        sp2 = np.max((1.0 - u_cur * hs) / denom)
+        np.multiply(u_lvl, h00, out=denom)
+        np.add(denom, 1.0, out=denom)
+        np.multiply(u_lvl, hs, out=cs)
+        np.subtract(1.0, cs, out=cs)
+        np.divide(cs, denom, out=work)
+        sp2 = work.max()
         # leapfrog is stable for Courant numbers below one
         if np.sqrt(max(sp2, 0.0)) * dt / dx >= 1.0:
-            i = int(np.argmax((1.0 - u_cur * hs) / denom))
+            i = int(np.argmax(work))
             raise StabilityError(
                 "quasilinear signal speed exceeded the step budget",
                 report={"kind": "cfl", "t": t_k, "step": k,
                         "location": float(r[i]), "value": float(np.sqrt(sp2))})
 
         # Klein-Gordon first, mass term averaged over the stencil ends
-        A = denom * inv_dt2 + 0.5 * c2
-        rhs = (denom * (2.0 * Wv_cur - Wv_prev) * inv_dt2
-               + (1.0 - u_cur * hs) * _d2_odd(Wv_cur, dx)
-               - 0.5 * c2 * Wv_prev)
+        np.multiply(denom, inv_dt2, out=A)
+        np.add(A, half_c2, out=A)
+        np.multiply(Wv_cur, 2.0, out=Wv_next)
+        np.subtract(Wv_next, Wv_prev, out=Wv_next)
+        np.multiply(denom, Wv_next, out=Wv_next)
+        np.multiply(Wv_next, inv_dt2, out=Wv_next)
+        np.multiply(cs, _d2_odd(Wv_cur, dx, lap), out=lap)
+        np.add(Wv_next, lap, out=Wv_next)
+        np.multiply(Wv_prev, half_c2, out=lap)
+        np.subtract(Wv_next, lap, out=Wv_next)
         if fv is not None:
-            rhs = rhs + r * fv(t_k, r)
-        Wv_next = rhs / A
+            np.multiply(r, fv(t_k, r), out=lap)
+            np.add(Wv_next, lap, out=Wv_next)
+        np.divide(Wv_next, A, out=Wv_next)
         Wv_next[0] = 0.0
         Wv_next[-1] = 0.0
 
         # wave source at level k with a centered time derivative of v
-        v_cur = _over_r(Wv_cur, r, dx)
-        dtv = _over_r((Wv_next - Wv_prev) / (2.0 * dt), r, dx)
-        drv = _ddr_even(v_cur, dx)
-        N = p00 * dtv ** 2 + ps * drv ** 2 + rcoef * v_cur ** 2
+        np.subtract(Wv_next, Wv_prev, out=work)
+        np.divide(work, 2.0 * dt, out=work)
+        _over_r(work, r, dx, dtv)
+        _ddr_even(v_lvl, dx, drv)
+        np.multiply(np.square(dtv, out=N), p00, out=N)
+        np.multiply(np.square(drv, out=work), ps, out=work)
+        np.add(N, work, out=N)
+        np.multiply(np.square(v_lvl, out=work), rcoef, out=work)
+        np.add(N, work, out=N)
         if fu is not None:
-            N = N + fu(t_k, r)
-        Wu_next = (2.0 * Wu_cur - Wu_prev
-                   + dt * dt * (_d2_odd(Wu_cur, dx) + r * N))
-        Wu_next[0] = 0.0
-        Wu_next[-1] = 0.0
+            np.add(N, fu(t_k, r), out=N)
+        _wave_update(Wu_prev, Wu_cur, N, r, dx, dt2, Wu_next, lap, work)
 
-        worst = max(np.max(np.abs(Wu_next)), np.max(np.abs(Wv_next)))
-        if not np.isfinite(worst) or worst > BLOWUP_GUARD:
-            arr = Wu_next if np.max(np.abs(Wu_next)) >= np.max(np.abs(Wv_next)) else Wv_next
-            bad = np.abs(arr)
-            bad = np.where(np.isfinite(bad), bad, np.inf)
-            i = int(np.argmax(bad))
-            raise StabilityError(
-                "field amplitude blew up",
-                report={"kind": "blowup", "t": t_k + dt, "step": k + 1,
-                        "location": float(r[i]), "value": float(worst)})
-        edge = max(np.max(np.abs(Wu_next[-3:])), np.max(np.abs(Wv_next[-3:])))
-        if edge > BOUNDARY_GUARD * scale:
-            raise StabilityError(
-                "signal reached the outer boundary",
-                report={"kind": "boundary", "t": t_k + dt, "step": k + 1,
-                        "location": float(r[-1]), "value": float(edge)})
-        scale = max(scale, np.max(np.abs(Wu_next)), np.max(np.abs(Wv_next)))
+        scale = _guard_level(t_k + dt, k + 1, r, (Wu_next, Wv_next), work,
+                             scale)
 
-        Wu_prev, Wu_cur = Wu_cur, Wu_next
-        Wv_prev, Wv_cur = Wv_cur, Wv_next
-        u_cur, _ = emit(t0 + (k + 1) * dt, k + 1, Wu_cur, Wv_cur)
+        Wu_prev, Wu_cur, Wu_next = Wu_cur, Wu_next, Wu_prev
+        Wv_prev, Wv_cur, Wv_next = Wv_cur, Wv_next, Wv_prev
+        peak_u = emit(t0 + (k + 1) * dt, k + 1, Wu_cur, Wv_cur)
 
         if snap_step is not None and k + 1 == snap_step and snapshot_path:
             save_snapshot(snapshot_path, {
@@ -549,7 +616,12 @@ def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
                               cfl: float = 0.5, observers: Sequence = (),
                               record=None,
                               data: Optional[InitialData] = None) -> RunResult:
-    """-box u = f(t, r) with compactly supported data (zero by default)."""
+    """-box u = f(t, r) with compactly supported data (zero by default).
+
+    Observers get on_level(t, step, u, None); u is a reused buffer, valid
+    only during the call.  The blow-up and boundary guards of
+    :func:`evolve_model` apply.
+    """
     dx = grid.dx
     n = grid.n
     r = grid.r(0, n)
@@ -558,36 +630,32 @@ def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
         data = InitialData.zero()
     W = r * np.asarray(data.u0(r), dtype=float)
     dW = r * np.asarray(data.u1(r), dtype=float)
-    ddW = _d2_odd(W, dx) + r * source(t0, r)
+    ddW = _d2_odd(W, dx, np.empty(n)) + r * source(t0, r)
     W_prev, W_cur = W, W + dt * dW + 0.5 * dt * dt * ddW
+    W_next, u_lvl, lap, work = (np.empty(n) for _ in range(4))
 
     rec = _Recorder(record, grid, EVEN) if record else None
     result = RunResult(grid=grid, t0=t0, dt=dt, steps=0, t_final=t0)
+    scale = max(np.max(np.abs(W)), 1e-300)
 
     def emit(t, step, W_l):
-        u_l = _over_r(W_l, r, dx)
-        result.max_abs_u = max(result.max_abs_u, float(np.max(np.abs(u_l))))
+        _over_r(W_l, r, dx, u_lvl)
+        result.max_abs_u = max(result.max_abs_u,
+                               float(np.abs(u_lvl, out=work).max()))
         if rec is not None:
-            rec.offer(t, step, u_l)
-        _notify(observers, t, step, u_l, None)
+            rec.offer(t, step, u_lvl)
+        _notify(observers, t, step, u_lvl, None)
 
     emit(t0, 0, W_prev)
     emit(t0 + dt, 1, W_cur)
     n_steps = int(np.ceil((t_end - t0) / dt - 1e-9))
+    dt2 = dt * dt
     for k in range(1, n_steps):
         t_k = t0 + k * dt
-        W_next = (2.0 * W_cur - W_prev
-                  + dt * dt * (_d2_odd(W_cur, dx) + r * source(t_k, r)))
-        W_next[0] = 0.0
-        W_next[-1] = 0.0
-        if not np.isfinite(W_next[1:]).all():
-            i = int(np.argmin(np.isfinite(W_next)))
-            raise StabilityError("linear wave run lost finiteness",
-                                 report={"kind": "blowup", "t": t_k + dt,
-                                         "step": k + 1,
-                                         "location": float(r[i]),
-                                         "value": float("inf")})
-        W_prev, W_cur = W_cur, W_next
+        _wave_update(W_prev, W_cur, source(t_k, r), r, dx, dt2, W_next,
+                     lap, work)
+        scale = _guard_level(t_k + dt, k + 1, r, (W_next,), work, scale)
+        W_prev, W_cur, W_next = W_cur, W_next, W_prev
         emit(t0 + (k + 1) * dt, k + 1, W_cur)
     result.steps = n_steps
     result.t_final = t0 + n_steps * dt
@@ -602,7 +670,12 @@ def solve_linear_kg_curved(grid: RadialGrid, h00: Callable, mass: float,
                            observers: Sequence = (), record=None,
                            source: Optional[Callable] = None) -> RunResult:
     """(1 + h00(t, r)) d_t^2 v = Lap v - mass^2 v + f on a radial grid;
-    h00 is a prescribed metric perturbation profile."""
+    h00 is a prescribed metric perturbation profile (array or scalar).
+
+    Observers get on_level(t, step, None, v); v is a reused buffer, valid
+    only during the call.  Besides the metric floor, the blow-up and
+    boundary guards of :func:`evolve_model` apply.
+    """
     dx = grid.dx
     n = grid.n
     r = grid.r(0, n)
@@ -617,44 +690,55 @@ def solve_linear_kg_curved(grid: RadialGrid, h00: Callable, mass: float,
                              report={"kind": "coefficient", "t": t0, "step": 0,
                                      "location": float(r[i]),
                                      "value": float(np.min(1.0 + h0))})
-    rhs0 = _d2_odd(W, dx) - c2 * W
+    rhs0 = _d2_odd(W, dx, np.empty(n)) - c2 * W
     if source is not None:
         rhs0 = rhs0 + r * source(t0, r)
     W_prev, W_cur = W, W + dt * dW + 0.5 * dt * dt * rhs0 / (1.0 + h0)
+    W_next, v_lvl, denom, A, lap, work = (np.empty(n) for _ in range(6))
 
     rec = _Recorder(record, grid, EVEN) if record else None
     result = RunResult(grid=grid, t0=t0, dt=dt, steps=0, t_final=t0)
+    scale = max(np.max(np.abs(W)), 1e-300)
 
     def emit(t, step, W_l):
-        v_l = _over_r(W_l, r, dx)
-        result.max_abs_v = max(result.max_abs_v, float(np.max(np.abs(v_l))))
+        _over_r(W_l, r, dx, v_lvl)
+        result.max_abs_v = max(result.max_abs_v,
+                               float(np.abs(v_lvl, out=work).max()))
         if rec is not None:
-            rec.offer(t, step, v_l)
-        _notify(observers, t, step, None, v_l)
+            rec.offer(t, step, v_lvl)
+        _notify(observers, t, step, None, v_lvl)
 
     emit(t0, 0, W_prev)
     emit(t0 + dt, 1, W_cur)
     n_steps = int(np.ceil((t_end - t0) / dt - 1e-9))
     inv_dt2 = 1.0 / (dt * dt)
+    half_c2 = 0.5 * c2
     for k in range(1, n_steps):
         t_k = t0 + k * dt
-        h = np.asarray(h00(t_k, r), dtype=float)
-        denom = 1.0 + h
-        if np.min(denom) <= 0.1:
-            i = int(np.argmin(np.broadcast_to(denom, r.shape)))
+        np.add(np.asarray(h00(t_k, r), dtype=float), 1.0, out=denom)
+        if denom.min() <= 0.1:
+            i = int(np.argmin(denom))
             raise StabilityError("metric perturbation too large",
                                  report={"kind": "coefficient", "t": t_k,
                                          "step": k, "location": float(r[i]),
-                                         "value": float(np.min(denom))})
-        A = denom * inv_dt2 + 0.5 * c2
-        rhs = (denom * (2.0 * W_cur - W_prev) * inv_dt2
-               + _d2_odd(W_cur, dx) - 0.5 * c2 * W_prev)
+                                         "value": float(denom[i])})
+        np.multiply(denom, inv_dt2, out=A)
+        np.add(A, half_c2, out=A)
+        np.multiply(W_cur, 2.0, out=W_next)
+        np.subtract(W_next, W_prev, out=W_next)
+        np.multiply(denom, W_next, out=W_next)
+        np.multiply(W_next, inv_dt2, out=W_next)
+        np.add(W_next, _d2_odd(W_cur, dx, lap), out=W_next)
+        np.multiply(W_prev, half_c2, out=lap)
+        np.subtract(W_next, lap, out=W_next)
         if source is not None:
-            rhs = rhs + r * source(t_k, r)
-        W_next = rhs / A
+            np.multiply(r, source(t_k, r), out=lap)
+            np.add(W_next, lap, out=W_next)
+        np.divide(W_next, A, out=W_next)
         W_next[0] = 0.0
         W_next[-1] = 0.0
-        W_prev, W_cur = W_cur, W_next
+        scale = _guard_level(t_k + dt, k + 1, r, (W_next,), work, scale)
+        W_prev, W_cur, W_next = W_cur, W_next, W_prev
         emit(t0 + (k + 1) * dt, k + 1, W_cur)
     result.steps = n_steps
     result.t_final = t0 + n_steps * dt

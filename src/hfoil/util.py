@@ -188,20 +188,13 @@ def smoothstep_d(x):
 
 # === reductions ===
 
-def reduce_sum(values, mode: str = "sequential") -> float:
-    """Sum with a reproducible reduction order.
-
-    'sequential' runs strictly left to right; 'tree' uses pairwise
-    summation.  The two may differ by O(1e-16) relative rounding.
-    """
+def reduce_sum(values) -> float:
+    """Pairwise sum, whose reduction order is fixed by the length of
+    `values`, so repeated sums are bit-identical."""
     a = np.asarray(values, dtype=float).ravel()
     if a.size == 0:
         return 0.0
-    if mode == "sequential":
-        return float(np.cumsum(a)[-1])
-    if mode == "tree":
-        return float(np.sum(a))
-    raise ValueError(f"unknown reduction mode {mode!r}")
+    return float(np.sum(a))
 
 
 def trapezoid_weights(x) -> np.ndarray:

@@ -10,6 +10,7 @@ from hfoil.bounds import (BoundParams, MetricPerturb, RayCoords, ZERO_METRIC,
                           refinement_delta, wave_bound_margin,
                           wave_bound_value, wave_source)
 from hfoil.solver import InitialData, grid_for_run
+from hfoil.util import smoothstep
 
 
 P = BoundParams(C=10.0, mass=1.0, dlam=0.01, s0=2.0)
@@ -225,6 +226,88 @@ def test_wave_source_profile():
     assert out[2] == pytest.approx(2.0 * 10.0 ** -2.5 * 5.0 ** -0.5)
     assert out[0] == pytest.approx(2.0 * 10.0 ** -2.5 * 10.0 ** -0.5)
     assert np.all(f(2.0, np.linspace(0.0, 3.0, 7)) >= 0.0)
+
+
+# === support-limited profiles against the full-grid formulas ===
+#
+# The profiles evaluate only where t - r > band[0]; the reference
+# formulas below evaluate everywhere, in the same operation order.
+
+
+def full_grid_wave_source(mu, nu, amp=1.0, band=(1.0, 1.5)):
+    lo, wid = float(band[0]), float(band[1]) - float(band[0])
+
+    def f(t, r):
+        t = np.asarray(t, dtype=float)
+        r = np.asarray(r, dtype=float)
+        q = t - r
+        cut = smoothstep((q - lo) / wid)
+        on = cut > 0.0
+        qq = np.where(on, q, 1.0)
+        return np.where(on, amp * cut * t ** (-(2.0 + nu)) * qq ** (mu - 1.0),
+                        0.0)
+
+    return f
+
+
+def full_grid_metric_value(amp=0.1, band=(1.0, 1.5)):
+    lo, wid = float(band[0]), float(band[1]) - float(band[0])
+
+    def value(t, r):
+        t = np.asarray(t, dtype=float)
+        r = np.asarray(r, dtype=float)
+        cut = smoothstep((t - r - lo) / wid)
+        with np.errstate(invalid="ignore"):
+            g = np.sqrt(np.maximum(1.0 - (r / t) ** 2, 0.0))
+        return amp * g * cut
+
+    return value
+
+
+def support_probe_points(band):
+    """(t, r) pairs with t - r below, at and above band[0], through the
+    smoothstep interior and past the band, for scalar and array t."""
+    lo, hi = band
+    rng = np.random.default_rng(5)
+    r = np.concatenate([np.linspace(0.0, 40.0, 4001),
+                        rng.uniform(0.0, 40.0, 500)])
+    cases = [(t, r) for t in (2.0, lo + 1e-9, 7.25, 23.0, 41.5)]
+    # points exactly at, just below and just above t - r = band[0]
+    t = 9.0
+    edge = np.array([t - lo, np.nextafter(t - lo, 0.0),
+                     np.nextafter(t - lo, 1e3), t - lo - 1e-12,
+                     t - 0.5 * (lo + hi), t - hi, t - hi - 1e-3])
+    cases.append((t, edge))
+    tt = rng.uniform(1.0, 45.0, r.size)
+    cases.append((tt, r))                           # array t
+    cases.append((tt[:, None], r[None, :50]))      # broadcast t and r
+    cases.append((5.0, 3.8))                       # both scalar, on support
+    cases.append((5.0, 4.2))                       # both scalar, off
+    return cases
+
+
+@pytest.mark.parametrize("band", [(1.0, 1.5), (0.25, 2.0)])
+@pytest.mark.parametrize("mu,nu,amp", [(0.5, 0.5, 1.0), (0.5, -0.25, 0.97),
+                                       (0.3, 0.2, 2.5)])
+def test_wave_source_matches_full_grid_formula(band, mu, nu, amp):
+    got_f = wave_source(mu, nu, amp, band=band)
+    want_f = full_grid_wave_source(mu, nu, amp, band=band)
+    for t, r in support_probe_points(band):
+        got, want = got_f(t, r), want_f(t, r)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("band", [(1.0, 1.5), (0.25, 2.0)])
+@pytest.mark.parametrize("amp", [0.1, 0.45])
+def test_metric_pull_value_matches_full_grid_formula(band, amp):
+    got_h = metric_pull(amp, band=band)
+    want_h = full_grid_metric_value(amp, band=band)
+    for t, r in support_probe_points(band):
+        got, want = got_h(t, r), want_h(t, r)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_h.value(t, r), want)
 
 
 # === margin checks on tiny runs ===

@@ -44,16 +44,28 @@ def test_thread_setting_restored_after_failed_run(monkeypatch, tmp_path):
     assert "HFOIL_THREADS" not in os.environ
 
 
-def test_deterministic_runs_are_byte_identical(monkeypatch, tmp_path):
-    # order 8 by default, so this takes the filtered query path
-    argv = ["model-evolution", "--until-s", "5", "--resolution", "0.1",
-            "--deterministic"]
+def deterministic_trees(monkeypatch, tmp_path, argv):
+    """Output trees of two --deterministic runs of argv."""
     trees = []
     for name in ("a", "b"):
         work = tmp_path / name
         work.mkdir()
         monkeypatch.chdir(work)
-        assert cli.main(argv) == 0
+        assert cli.main(argv + ["--deterministic"]) == 0
         trees.append(tree_bytes(work))
     assert "report.json" in {k.rsplit("/", 1)[-1] for k in trees[0]}
+    return trees
+
+
+def test_deterministic_runs_are_byte_identical(monkeypatch, tmp_path):
+    # order 8 by default, so this takes the filtered query path
+    argv = ["model-evolution", "--until-s", "5", "--resolution", "0.1"]
+    trees = deterministic_trees(monkeypatch, tmp_path, argv)
+    assert trees[0] == trees[1]
+
+
+def test_deterministic_envelope_runs_are_byte_identical(monkeypatch,
+                                                        tmp_path):
+    trees = deterministic_trees(monkeypatch, tmp_path, ["linear-wave-bound"])
+    assert any(k.endswith(".csv") for k in trees[0])
     assert trees[0] == trees[1]
