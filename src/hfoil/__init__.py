@@ -15,8 +15,7 @@ from .geometry import (BoxSliceChart, ConeWindow, RadialSliceChart,
                        dalembertian_frame, hyperbolic_radius, in_cone,
                        interpolate_to_slice, make_chart, slice_radius_cap)
 from .solver import (InitialData, ModelParams, RunResult, evolve_model,
-                     evolve_model_box, grid_for_run, load_snapshot,
-                     save_snapshot, solve_linear_kg_curved,
+                     grid_for_run, solve_linear_kg_curved,
                      solve_linear_wave_sourced)
 from .analysis import (PowerFit, QueryPool, SliceDerivativeTable,
                        SliceEnergySuite, SliceValueProbe, SupTracker,
@@ -42,8 +41,7 @@ __all__ = [
     "dalembertian_frame", "hyperbolic_radius", "in_cone",
     "interpolate_to_slice", "make_chart", "slice_radius_cap",
     "InitialData", "ModelParams", "RunResult", "evolve_model",
-    "evolve_model_box", "grid_for_run", "load_snapshot", "save_snapshot",
-    "solve_linear_kg_curved", "solve_linear_wave_sourced",
+    "grid_for_run", "solve_linear_kg_curved", "solve_linear_wave_sourced",
     "PowerFit", "QueryPool", "SliceDerivativeTable", "SliceEnergySuite",
     "SliceValueProbe", "SupTracker", "combo_expansion", "design_lowpass",
     "filter_level", "fit_power_law", "hierarchy_check", "hierarchy_combos",

@@ -17,14 +17,15 @@ Section headers are bracketed names; keys live in the section above
 them.  Unknown sections or keys, duplicate keys, malformed values and
 cross-field conflicts all raise :class:`~hfoil.util.ConfigError` with
 the offending line number.  An empty file is a valid config: every key
-has a default (see ``_SCHEMA`` below, or the README table).
+has a default (see ``_SCHEMA`` below).
 
 Sections and keys:
 
 ``[run]``
-    scenario, seed, deterministic, until_s, until_t
+    scenario, deterministic, until_s, until_t
 ``[grid]``
-    mode (radial | box), resolution, cfl, box_half (box only), pad_cells
+    resolution, cfl (at most 0.9), box_half (frame-identity-suite),
+    pad_cells
 ``[model]``
     mass, p00, ps, rcoef, h00, hs
 ``[data]``
@@ -42,16 +43,14 @@ Command line flags override config fields (``--resolution``,
 subcommand always wins over the ``scenario`` key.  Every run writes
 ``config.echo.txt`` (the fully resolved config), ``report.json`` and a
 human-readable ``report.txt`` next to its data tables; with
-``--deterministic`` the wall-time field is omitted and data-parallel
-loops run on one worker thread, so two runs of the same config produce
-byte-identical trees.
+``--deterministic`` the wall-time field is omitted, so two runs of the
+same config produce byte-identical trees.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
@@ -92,6 +91,7 @@ SERIES_SCHEMAS = {
 }
 
 TINY = 1e-300
+CFL_CAP = 0.9   # the radial leapfrog is stable for Courant numbers below 1
 
 
 # === configuration ===
@@ -169,13 +169,11 @@ class _Opt:
 _SCHEMA = {
     "run": {
         "scenario": _Opt("scenario", _choice(*SCENARIOS), "model-evolution"),
-        "seed": _Opt("seed", _to_int, 0, _nonneg),
         "deterministic": _Opt("deterministic", _to_bool, False),
         "until_s": _Opt("until_s", _to_float, None, _positive),
         "until_t": _Opt("until_t", _to_float, None, _positive),
     },
     "grid": {
-        "mode": _Opt("mode", _choice("radial", "box"), "radial"),
         "resolution": _Opt("resolution", _to_float, None, _positive),
         "cfl": _Opt("cfl", _to_float, 0.5, _positive),
         "box_half": _Opt("box_half", _to_float, None, _positive),
@@ -234,11 +232,9 @@ class RunConfig:
     cross-field checks and scenario defaults consult.
     """
     scenario: str = "model-evolution"
-    seed: int = 0
     deterministic: bool = False
     until_s: Optional[float] = None
     until_t: Optional[float] = None
-    mode: str = "radial"
     resolution: Optional[float] = None
     cfl: float = 0.5
     box_half: Optional[float] = None
@@ -288,15 +284,10 @@ class RunConfig:
 
 def _cross_validate(cfg: RunConfig, lines: dict) -> None:
     """Checks that need more than one field; lines maps attr -> line no."""
-    if cfg.box_half is not None and cfg.mode == "radial":
+    if cfg.cfl > CFL_CAP:
         raise ConfigError(
-            "box_half applies only to mode = box (grid mode is radial)",
-            line=lines.get("box_half"), field="box_half")
-    cap = 0.5 if cfg.mode == "box" else 0.9
-    if cfg.cfl > cap:
-        raise ConfigError(
-            f"cfl = {cfg.cfl:g} exceeds the {cfg.mode}-mode stability "
-            f"cap {cap:g}", line=lines.get("cfl"), field="cfl")
+            f"cfl = {cfg.cfl:g} exceeds the stability cap {CFL_CAP:g}",
+            line=lines.get("cfl"), field="cfl")
     if (cfg.mu is None) != (cfg.nu is None):
         which = "mu" if cfg.mu is not None else "nu"
         raise ConfigError("mu and nu must be set together",
@@ -537,7 +528,6 @@ def _write_report(out: Path, cfg: RunConfig, summary: ReportSummary,
         "exponents": summary.exponents,
         "config_sha256": summary.config_sha256,
         "config_text": echo,
-        "seed": cfg.seed,
         "deterministic": cfg.deterministic,
     }
     if summary.error is not None:
@@ -589,19 +579,6 @@ def run_scenario(cfg: RunConfig) -> ReportSummary:
     exactly when summary.passed is false (criterion failure or an
     evolution error, which lands in summary.error).
     """
-    saved = os.environ.get("HFOIL_THREADS")
-    if cfg.deterministic:
-        os.environ["HFOIL_THREADS"] = "1"
-    try:
-        return _run_scenario(cfg)
-    finally:
-        if saved is None:
-            os.environ.pop("HFOIL_THREADS", None)
-        else:
-            os.environ["HFOIL_THREADS"] = saved
-
-
-def _run_scenario(cfg: RunConfig) -> ReportSummary:
     echo = config_text(cfg)
     sha = config_sha256(cfg)
     out = Path(cfg.out_dir if cfg.out_dir else
@@ -686,14 +663,7 @@ def _hierarchy_lines(rows, delta: float, order: int):
     return lines
 
 
-def _need_radial(cfg: RunConfig) -> None:
-    if cfg.mode != "radial":
-        raise ConfigError(f"{cfg.scenario} evolves radially; "
-                          "set [grid] mode = radial", field="mode")
-
-
 def _scn_model_evolution(cfg: RunConfig, out: Path):
-    _need_radial(cfg)
     dx = cfg.dx()
     s_top = cfg.until_s if cfg.until_s is not None else 10.0
     eps_u, eps_v = cfg.amplitudes()
@@ -721,9 +691,7 @@ def _scn_model_evolution(cfg: RunConfig, out: Path):
     trk_v = SupTracker("v", grid=grid, level_filter=True)
 
     result = evolve_model(params, grid, data, t0=2.0, t_end=t_end,
-                          cfl=cfg.cfl, observers=(suite, trk_u, trk_v),
-                          snapshot_at=0.5 * (2.0 + t_end),
-                          snapshot_path=str(out / "state.snap"))
+                          cfl=cfg.cfl, observers=(suite, trk_u, trk_v))
 
     rows = suite.energies()
     emit_series(energy_csv_rows(rows), "energy/v1", out / "energies.csv")
@@ -782,7 +750,6 @@ def _scn_model_evolution(cfg: RunConfig, out: Path):
 
 
 def _scn_linear_kg_bound(cfg: RunConfig, out: Path):
-    _need_radial(cfg)
     dx = cfg.dx()
     s_max = cfg.until_s if cfg.until_s is not None else 8.0
     params = cfg.bound_params()
@@ -845,7 +812,6 @@ def _pair_tag(mu: float, nu: float) -> str:
 
 
 def _scn_linear_wave_bound(cfg: RunConfig, out: Path):
-    _need_radial(cfg)
     dx = cfg.dx()
     t_hi = cfg.until_t if cfg.until_t is not None else 60.0
     if cfg.mu is not None:
@@ -975,7 +941,7 @@ def _drift_data(eps: float, radius: float = 0.8) -> InitialData:
 def _energy_drift(dx: float, cfg: RunConfig) -> tuple:
     """Free-wave run, order-0 slice energies over s in [2, 10].
 
-    Runs at the radial Courant cap 0.9 regardless of cfg.cfl: in W-form
+    Runs at the Courant cap CFL_CAP regardless of cfg.cfl: in W-form
     the free radial wave is exactly the 1d d'Alembert equation and the
     leapfrog truncation scales like dx^2 (1 - lambda^2), so the cap cuts
     the solver error about 4x versus lambda = 0.5.  The suite steps are
@@ -990,7 +956,7 @@ def _energy_drift(dx: float, cfg: RunConfig) -> tuple:
         fields=("u",), mass=cfg.mass,
         chi_step=0.01, h_chi_u=0.02, h_s=0.05)
     evolve_model(ModelParams.free(cfg.mass), grid, data, t0=2.0,
-                 t_end=t_need, cfl=0.9, observers=(suite,))
+                 t_end=t_need, cfl=CFL_CAP, observers=(suite,))
     E = [row["value"] for row in suite.energies()]
     drift = max(abs(e / E[0] - 1.0) for e in E)
     return drift, list(zip(s_vals, E))
@@ -1078,7 +1044,6 @@ def _mms_error(dx: float, cfg: RunConfig) -> float:
 
 
 def _scn_convergence_suite(cfg: RunConfig, out: Path):
-    _need_radial(cfg)
     dx = cfg.dx()
 
     drift_c, table_c = _energy_drift(dx, cfg)
@@ -1135,8 +1100,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--until-s", type=float, dest="until_s",
                        help="last hyperboloidal slice, overrides [run]")
         p.add_argument("--deterministic", action="store_true",
-                       help="one worker thread and no wall-time fields, "
-                       "so repeated runs write byte-identical trees")
+                       help="leave out wall-time fields, so repeated "
+                       "runs write byte-identical trees")
         p.add_argument("--out", help="output directory, overrides [output]")
     return top
 

@@ -5,32 +5,28 @@
 
 on uniform Cartesian time levels.  Spherically symmetric runs evolve
 W = r * field on a radial grid (odd in r, so the axis column is pinned
-at zero and u = W/r stays regular); box runs evolve the fields directly
-on a cube.
+at zero and u = W/r stays regular).
 
 The scheme is leapfrog with the mass term averaged over the t-stencil
 ends, the quasilinear coefficient frozen at the center level, and the
 Klein-Gordon field updated first so the wave source can use a centered
 time derivative of v.  Everything is second order; starts are built
-from a Taylor step using the equations at the initial time.
+from a Taylor step using the equations at the initial time.  The coupled
+model and the two linear solvers share one leapfrog loop, `_march`.
 """
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import EVEN, ODD, BoxGrid, FieldHistory, RadialGrid
-from .util import StabilityError, worker_count
+from .fields import EVEN, FieldHistory, RadialGrid
+from .util import StabilityError
 
 COEFF_GUARD = 0.5        # evolution aborts when |u| * |H| reaches this
 BLOWUP_GUARD = 1.0e6
 BOUNDARY_GUARD = 1.0e-7  # outer-cell amplitude relative to the run scale
-
-SNAPSHOT_MAGIC = b"HFOL"
-SNAPSHOT_VERSION = 1
 
 
 # === model description ===
@@ -79,7 +75,7 @@ class ModelParams:
 @dataclass(frozen=True)
 class InitialData:
     """Cauchy data at the start time: values and time derivatives of both
-    fields, as callables of r (radial) or of (x1, x2, x3) (box)."""
+    fields, as callables of r."""
     u0: Callable
     u1: Callable
     v0: Callable
@@ -182,6 +178,44 @@ def _wave_update(W_prev, W_cur, S, r, dx, dt2, out, lap, work):
     return out
 
 
+def _kg_update(W_prev, W_cur, denom, cs, S, r, dx, inv_dt2, half_c2, out,
+               A, lap):
+    """Klein-Gordon leapfrog step with the mass term averaged over the
+    stencil ends: out = (denom (2 W_cur - W_prev) / dt^2 + cs d2 W_cur
+    - c^2/2 W_prev + r S) / (denom / dt^2 + c^2/2), pinned at both ends.
+    cs None skips that multiply and S None the source; A and lap are
+    scratch."""
+    np.multiply(denom, inv_dt2, out=A)
+    np.add(A, half_c2, out=A)
+    np.multiply(W_cur, 2.0, out=out)
+    np.subtract(out, W_prev, out=out)
+    np.multiply(denom, out, out=out)
+    np.multiply(out, inv_dt2, out=out)
+    _d2_odd(W_cur, dx, lap)
+    if cs is not None:
+        np.multiply(cs, lap, out=lap)
+    np.add(out, lap, out=out)
+    np.multiply(W_prev, half_c2, out=lap)
+    np.subtract(out, lap, out=out)
+    if S is not None:
+        np.multiply(r, S, out=lap)
+        np.add(out, lap, out=out)
+    np.divide(out, A, out=out)
+    out[0] = 0.0
+    out[-1] = 0.0
+    return out
+
+
+def _coefficient_guard(detail, t, step, r, u, peak, hn):
+    """Trips when max|u| (peak) times the norm of H reaches COEFF_GUARD."""
+    guard = peak * hn
+    if guard >= COEFF_GUARD:
+        i = int(np.argmax(np.abs(u)))
+        raise StabilityError(detail, report={
+            "kind": "coefficient", "t": t, "step": step,
+            "location": float(r[i]), "value": float(guard)})
+
+
 def _guard_level(t, step, r, levels, scratch, scale):
     """Blow-up and boundary guards on a freshly stepped level.
 
@@ -215,10 +249,9 @@ def _guard_level(t, step, r, levels, scratch, scale):
 
 
 class _Recorder:
-    def __init__(self, spec, grid, parity):
+    def __init__(self, spec, grid):
         self.t_lo, self.t_hi, self.every = spec
         self.grid = grid
-        self.parity = parity
         self.values = []
         self.times = []
 
@@ -230,26 +263,71 @@ class _Recorder:
     def history(self):
         if len(self.values) < 2:
             return None
-        if self.grid.mode == "radial":
-            return FieldHistory(np.stack(self.values), np.array(self.times),
-                                self.grid, parity=self.parity)
         return FieldHistory(np.stack(self.values), np.array(self.times),
-                            self.grid)
+                            self.grid, parity=EVEN)
 
 
-def _notify(observers, t, step, u, v):
-    for obs in observers:
-        obs.on_level(t, step, u, v)
+def _march(grid, fields, starts, t0, t_end, dt, advance, observers,
+           record) -> RunResult:
+    """The leapfrog loop shared by the radial solvers.
+
+    fields names the stepped fields, ("u",), ("v",) or ("u", "v"), and
+    starts gives each its W at t0 and at t0 + dt; only those fields get
+    buffers.  Step k calls advance(k, t_k, prev, cur, nxt, lvl, peak),
+    which writes level k + 1 of every field into nxt from levels k - 1
+    and k (prev, cur); lvl holds the emitted u or v of level k and peak
+    its max |.|.  The loop then trips the blow-up and boundary guards,
+    rotates the buffers and emits the new level to the recorders and
+    observers (None for a field that is not stepped).
+    """
+    n, dx = grid.n, grid.dx
+    r = grid.r(0, n)
+    prev = [W0 for W0, _ in starts]
+    cur = [W1 for _, W1 in starts]
+    nxt = [np.empty(n) for _ in fields]
+    lvl = [np.empty(n) for _ in fields]
+    work = np.empty(n)
+    u_out = lvl[fields.index("u")] if "u" in fields else None
+    v_out = lvl[fields.index("v")] if "v" in fields else None
+    recs = [_Recorder(record, grid) for _ in fields] if record else None
+    peak = [0.0] * len(fields)
+    top = [0.0] * len(fields)
+    scale = max(*(np.max(np.abs(W)) for W in prev), 1e-300)
+
+    def emit(t, step, levels):
+        for i, W in enumerate(levels):
+            _over_r(W, r, dx, lvl[i])
+            peak[i] = np.abs(lvl[i], out=work).max()
+            top[i] = max(top[i], float(peak[i]))
+            if recs is not None:
+                recs[i].offer(t, step, lvl[i])
+        for obs in observers:
+            obs.on_level(t, step, u_out, v_out)
+
+    emit(t0, 0, prev)
+    emit(t0 + dt, 1, cur)
+    n_steps = int(np.ceil((t_end - t0) / dt - 1e-9))
+    for k in range(1, n_steps):
+        t_k = t0 + k * dt
+        advance(k, t_k, prev, cur, nxt, lvl, peak)
+        scale = _guard_level(t_k + dt, k + 1, r, nxt, work, scale)
+        prev, cur, nxt = cur, nxt, prev
+        emit(t0 + (k + 1) * dt, k + 1, cur)
+
+    top = dict(zip(fields, top))
+    hist = dict(zip(fields, (rec.history() for rec in recs or ())))
+    return RunResult(grid=grid, t0=t0, dt=dt, steps=n_steps,
+                     t_final=t0 + n_steps * dt, u_hist=hist.get("u"),
+                     v_hist=hist.get("v"), max_abs_u=top.get("u", 0.0),
+                     max_abs_v=top.get("v", 0.0))
 
 
-# === the coupled model, radial mode ===
+# === the coupled model ===
 
 def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
                  t0: float = 2.0, t_end: float = 10.0, cfl: float = 0.5,
                  observers: Sequence = (), record=None,
-                 sources: Optional[tuple] = None,
-                 snapshot_at: Optional[float] = None,
-                 snapshot_path: Optional[str] = None) -> RunResult:
+                 sources: Optional[tuple] = None) -> RunResult:
     """March the coupled system from t0 to t_end on a radial grid.
 
     observers : objects with on_level(t, step, u, v); called at every time
@@ -267,14 +345,8 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
     r = grid.r(0, n)
 
     u0 = np.asarray(data.u0(r), dtype=float)
-    guard0 = np.max(np.abs(u0)) * hn
-    if guard0 >= COEFF_GUARD:
-        i = int(np.argmax(np.abs(u0)))
-        raise StabilityError("initial data already violates the coefficient "
-                             "guard", report={"kind": "coefficient", "t": t0,
-                                              "step": 0,
-                                              "location": float(r[i]),
-                                              "value": float(guard0)})
+    _coefficient_guard("initial data already violates the coefficient "
+                       "guard", t0, 0, r, u0, np.max(np.abs(u0)), hn)
     # quasilinear signal speed at start; dt is then held fixed and guarded
     denom = 1.0 + u0 * h00
     speed2 = np.max((1.0 - u0 * hs) / denom)
@@ -303,54 +375,18 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
         rhs_v = rhs_v + r * fv(t0, r)
     ddWv = rhs_v / (1.0 + u0 * h00)
 
-    Wu_prev, Wu_cur = Wu, Wu + dt * dWu + 0.5 * dt * dt * ddWu
-    Wv_prev, Wv_cur = Wv, Wv + dt * dWv + 0.5 * dt * dt * ddWv
-    Wu_next, Wv_next = buf(), buf()
-    # the emitted levels, and per-step scratch
-    u_lvl, v_lvl = buf(), buf()
+    starts = ((Wu, Wu + dt * dWu + 0.5 * dt * dt * ddWu),
+              (Wv, Wv + dt * dWv + 0.5 * dt * dt * ddWv))
     denom, cs, A, dtv, drv, N, lap, work = (buf() for _ in range(8))
-
-    rec_u = _Recorder(record, grid, EVEN) if record else None
-    rec_v = _Recorder(record, grid, EVEN) if record else None
-    result = RunResult(grid=grid, t0=t0, dt=dt, steps=0, t_final=t0)
-
-    scale = max(np.max(np.abs(Wu)), np.max(np.abs(Wv)), 1e-300)
-
-    def emit(t, step, Wu_l, Wv_l):
-        """u, v of a level into u_lvl, v_lvl; returns max |u|."""
-        _over_r(Wu_l, r, dx, u_lvl)
-        _over_r(Wv_l, r, dx, v_lvl)
-        peak_u = np.abs(u_lvl, out=work).max()
-        result.max_abs_u = max(result.max_abs_u, float(peak_u))
-        result.max_abs_v = max(result.max_abs_v,
-                               float(np.abs(v_lvl, out=work).max()))
-        if rec_u is not None:
-            rec_u.offer(t, step, u_lvl)
-            rec_v.offer(t, step, v_lvl)
-        _notify(observers, t, step, u_lvl, v_lvl)
-        return peak_u
-
-    emit(t0, 0, Wu_prev, Wv_prev)
-    peak_u = emit(t0 + dt, 1, Wu_cur, Wv_cur)
-
-    n_steps = int(np.ceil((t_end - t0) / dt - 1e-9))
-    snap_step = None
-    if snapshot_at is not None:
-        snap_step = max(1, int(np.ceil((snapshot_at - t0) / dt - 1e-9)))
-
     inv_dt2 = 1.0 / (dt * dt)
     dt2 = dt * dt
     half_c2 = 0.5 * c2
-    for k in range(1, n_steps):
-        # u_lvl, v_lvl hold level k
-        t_k = t0 + k * dt
-        guard = peak_u * hn
-        if guard >= COEFF_GUARD:
-            i = int(np.argmax(np.abs(u_lvl)))
-            raise StabilityError(
-                "quasilinear coefficient guard tripped",
-                report={"kind": "coefficient", "t": t_k, "step": k,
-                        "location": float(r[i]), "value": float(guard)})
+
+    def advance(k, t_k, prev, cur, nxt, lvl, peak):
+        (Wu_prev, Wv_prev), (Wu_cur, Wv_cur) = prev, cur
+        (Wu_next, Wv_next), (u_lvl, v_lvl) = nxt, lvl
+        _coefficient_guard("quasilinear coefficient guard tripped", t_k, k,
+                           r, u_lvl, peak[0], hn)
         np.multiply(u_lvl, h00, out=denom)
         np.add(denom, 1.0, out=denom)
         np.multiply(u_lvl, hs, out=cs)
@@ -366,22 +402,9 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
                         "location": float(r[i]), "value": float(np.sqrt(sp2))})
 
         # Klein-Gordon first, mass term averaged over the stencil ends
-        np.multiply(denom, inv_dt2, out=A)
-        np.add(A, half_c2, out=A)
-        np.multiply(Wv_cur, 2.0, out=Wv_next)
-        np.subtract(Wv_next, Wv_prev, out=Wv_next)
-        np.multiply(denom, Wv_next, out=Wv_next)
-        np.multiply(Wv_next, inv_dt2, out=Wv_next)
-        np.multiply(cs, _d2_odd(Wv_cur, dx, lap), out=lap)
-        np.add(Wv_next, lap, out=Wv_next)
-        np.multiply(Wv_prev, half_c2, out=lap)
-        np.subtract(Wv_next, lap, out=Wv_next)
-        if fv is not None:
-            np.multiply(r, fv(t_k, r), out=lap)
-            np.add(Wv_next, lap, out=Wv_next)
-        np.divide(Wv_next, A, out=Wv_next)
-        Wv_next[0] = 0.0
-        Wv_next[-1] = 0.0
+        _kg_update(Wv_prev, Wv_cur, denom, cs,
+                   None if fv is None else fv(t_k, r), r, dx, inv_dt2,
+                   half_c2, Wv_next, A, lap)
 
         # wave source at level k with a centered time derivative of v
         np.subtract(Wv_next, Wv_prev, out=work)
@@ -397,219 +420,11 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
             np.add(N, fu(t_k, r), out=N)
         _wave_update(Wu_prev, Wu_cur, N, r, dx, dt2, Wu_next, lap, work)
 
-        scale = _guard_level(t_k + dt, k + 1, r, (Wu_next, Wv_next), work,
-                             scale)
-
-        Wu_prev, Wu_cur, Wu_next = Wu_cur, Wu_next, Wu_prev
-        Wv_prev, Wv_cur, Wv_next = Wv_cur, Wv_next, Wv_prev
-        peak_u = emit(t0 + (k + 1) * dt, k + 1, Wu_cur, Wv_cur)
-
-        if snap_step is not None and k + 1 == snap_step and snapshot_path:
-            save_snapshot(snapshot_path, {
-                "mode": "radial", "n": n, "dx": dx, "dt": dt,
-                "t_prev": t0 + k * dt, "t_curr": t0 + (k + 1) * dt,
-                "step": k + 1,
-                "Wu_prev": Wu_prev, "Wu_curr": Wu_cur,
-                "Wv_prev": Wv_prev, "Wv_curr": Wv_cur})
-
-    result.steps = n_steps
-    result.t_final = t0 + n_steps * dt
-    if rec_u is not None:
-        result.u_hist = rec_u.history()
-        result.v_hist = rec_v.history()
-    return result
+    return _march(grid, ("u", "v"), starts, t0, t_end, dt, advance,
+                  observers, record)
 
 
-# === the coupled model, box mode ===
-
-def _laplacian_box(a: np.ndarray, dx: float, threads: int) -> np.ndarray:
-    """7-point Laplacian on the interior, zero on the boundary shell.
-    Slabs along the first axis are processed by a small worker pool."""
-    out = np.zeros_like(a)
-
-    def work(lo, hi):
-        c = a[lo:hi, 1:-1, 1:-1]
-        out[lo:hi, 1:-1, 1:-1] = (
-            a[lo - 1:hi - 1, 1:-1, 1:-1] + a[lo + 1:hi + 1, 1:-1, 1:-1]
-            + a[lo:hi, :-2, 1:-1] + a[lo:hi, 2:, 1:-1]
-            + a[lo:hi, 1:-1, :-2] + a[lo:hi, 1:-1, 2:]
-            - 6.0 * c) / (dx * dx)
-
-    n = a.shape[0]
-    if threads <= 1 or n < 16:
-        work(1, n - 1)
-        return out
-    import concurrent.futures
-    cuts = np.linspace(1, n - 1, threads + 1).astype(int)
-    with concurrent.futures.ThreadPoolExecutor(threads) as ex:
-        list(ex.map(lambda ab: work(*ab), zip(cuts[:-1], cuts[1:])))
-    return out
-
-
-def _grad_box(a: np.ndarray, axis: int, dx: float) -> np.ndarray:
-    out = np.zeros_like(a)
-    sl_p = [slice(1, -1)] * 3
-    sl_m = [slice(1, -1)] * 3
-    sl_c = [slice(1, -1)] * 3
-    sl_p[axis] = slice(2, None)
-    sl_m[axis] = slice(None, -2)
-    out[tuple(sl_c)] = (a[tuple(sl_p)] - a[tuple(sl_m)]) / (2.0 * dx)
-    return out
-
-
-def _second_cross_box(a: np.ndarray, ax1: int, ax2: int, dx: float) -> np.ndarray:
-    if ax1 == ax2:
-        out = np.zeros_like(a)
-        sl_p = [slice(1, -1)] * 3
-        sl_m = [slice(1, -1)] * 3
-        sl_c = [slice(1, -1)] * 3
-        sl_p[ax1] = slice(2, None)
-        sl_m[ax1] = slice(None, -2)
-        out[tuple(sl_c)] = (a[tuple(sl_p)] - 2.0 * a[tuple(sl_c)]
-                            + a[tuple(sl_m)]) / (dx * dx)
-        return out
-    return _grad_box(_grad_box(a, ax1, dx), ax2, dx)
-
-
-def _box_location(ax, bad: np.ndarray) -> dict:
-    """Report fields for the cell where `bad` peaks: its distance from
-    the origin (the radial runs' location) and the point itself."""
-    idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    point = [float(ax[a][i]) for a, i in enumerate(idx)]
-    return {"location": float(np.sqrt(sum(x * x for x in point))),
-            "point": point}
-
-
-def evolve_model_box(params: ModelParams, grid: BoxGrid, data: InitialData,
-                     t0: float = 2.0, t_end: float = 4.0, cfl: float = 0.4,
-                     observers: Sequence = (), record=None,
-                     sources: Optional[tuple] = None) -> RunResult:
-    """Box-mode companion of :func:`evolve_model`; full anisotropic P and H
-    are honoured, with one fixed-point correction for the d_t d_a v terms.
-    Initial data callables take (x1, x2, x3)."""
-    P, H = params.P, params.H
-    c2 = params.mass ** 2
-    hn = params.h_norm()
-    dx = grid.dx
-    threads = worker_count()
-    ax = [grid.axis(a) for a in range(3)]
-    X = np.meshgrid(ax[0], ax[1], ax[2], indexing="ij", sparse=True)
-
-    u_cur = np.asarray(data.u0(*X), dtype=float)
-    v_cur = np.asarray(data.v0(*X), dtype=float)
-    du = np.asarray(data.u1(*X), dtype=float)
-    dv = np.asarray(data.v1(*X), dtype=float)
-    for arr in (u_cur, v_cur, du, dv):
-        if arr.shape != (grid.n,) * 3:
-            raise ValueError("initial data must evaluate on the full box")
-
-    dt = cfl * dx / np.sqrt(3.0)
-    fu = sources[0] if sources else None
-    fv = sources[1] if sources else None
-
-    def wave_source(v, dtv, t):
-        grads = [_grad_box(v, a, dx) for a in range(3)]
-        N = P[0, 0] * dtv ** 2
-        for a in range(3):
-            N = N + 2.0 * P[0, a + 1] * dtv * grads[a]
-            for b in range(3):
-                N = N + P[a + 1, b + 1] * grads[a] * grads[b]
-        N = N + params.rcoef * v ** 2
-        if fu is not None:
-            N = N + fu(t, *X)
-        return N
-
-    def kg_spatial(v, u, t):
-        """Everything except the d_t^2 and d_t d_a pieces of the v equation."""
-        out = _laplacian_box(v, dx, threads)
-        for a in range(3):
-            for b in range(3):
-                if H[a + 1, b + 1] != 0.0:
-                    out = out - u * H[a + 1, b + 1] * _second_cross_box(v, a, b, dx)
-        if fv is not None:
-            out = out + fv(t, *X)
-        return out
-
-    # Taylor start
-    ddv = (kg_spatial(v_cur, u_cur, t0) - c2 * v_cur) / (1.0 + u_cur * H[0, 0])
-    ddu = _laplacian_box(u_cur, dx, threads) + wave_source(v_cur, dv, t0)
-    u_prev, u_cur = u_cur, u_cur + dt * du + 0.5 * dt * dt * ddu
-    v_prev, v_cur = v_cur, v_cur + dt * dv + 0.5 * dt * dt * ddv
-
-    result = RunResult(grid=grid, t0=t0, dt=dt, steps=0, t_final=t0)
-    rec_u = _Recorder(record, grid, None) if record else None
-    rec_v = _Recorder(record, grid, None) if record else None
-
-    def emit(t, step, u_l, v_l):
-        result.max_abs_u = max(result.max_abs_u, float(np.max(np.abs(u_l))))
-        result.max_abs_v = max(result.max_abs_v, float(np.max(np.abs(v_l))))
-        if rec_u is not None:
-            rec_u.offer(t, step, u_l)
-            rec_v.offer(t, step, v_l)
-        _notify(observers, t, step, u_l, v_l)
-
-    emit(t0, 0, u_prev, v_prev)
-    emit(t0 + dt, 1, u_cur, v_cur)
-
-    n_steps = int(np.ceil((t_end - t0) / dt - 1e-9))
-    inv_dt2 = 1.0 / (dt * dt)
-    mixed = [a for a in range(3) if H[0, a + 1] != 0.0]
-
-    for k in range(1, n_steps):
-        t_k = t0 + k * dt
-        guard = np.max(np.abs(u_cur)) * hn
-        if guard >= COEFF_GUARD:
-            raise StabilityError(
-                "quasilinear coefficient guard tripped",
-                report={"kind": "coefficient", "t": t_k, "step": k,
-                        **_box_location(ax, np.abs(u_cur)),
-                        "value": float(guard)})
-        denom = 1.0 + u_cur * H[0, 0]
-        A = denom * inv_dt2 + 0.5 * c2
-        base = (denom * (2.0 * v_cur - v_prev) * inv_dt2
-                + kg_spatial(v_cur, u_cur, t_k) - 0.5 * c2 * v_prev)
-        v_next = base / A
-        for _ in range(1 if mixed else 0):
-            # one correction pass: d_t d_a v centered through the guess
-            extra = np.zeros_like(base)
-            for a in mixed:
-                dtd = _grad_box((v_next - v_prev) / (2.0 * dt), a, dx)
-                extra = extra - 2.0 * u_cur * H[0, a + 1] * dtd
-            v_next = (base + extra) / A
-        v_next[0, :, :] = v_next[-1, :, :] = 0.0
-        v_next[:, 0, :] = v_next[:, -1, :] = 0.0
-        v_next[:, :, 0] = v_next[:, :, -1] = 0.0
-
-        dtv = (v_next - v_prev) / (2.0 * dt)
-        u_next = (2.0 * u_cur - u_prev + dt * dt *
-                  (_laplacian_box(u_cur, dx, threads)
-                   + wave_source(v_cur, dtv, t_k)))
-        u_next[0, :, :] = u_next[-1, :, :] = 0.0
-        u_next[:, 0, :] = u_next[:, -1, :] = 0.0
-        u_next[:, :, 0] = u_next[:, :, -1] = 0.0
-
-        worst = max(np.max(np.abs(u_next)), np.max(np.abs(v_next)))
-        if not np.isfinite(worst) or worst > BLOWUP_GUARD:
-            bad = np.maximum(np.abs(u_next), np.abs(v_next))
-            bad = np.where(np.isfinite(bad), bad, np.inf)
-            raise StabilityError(
-                "field amplitude blew up",
-                report={"kind": "blowup", "t": t_k + dt, "step": k + 1,
-                        **_box_location(ax, bad), "value": float(worst)})
-
-        u_prev, u_cur = u_cur, u_next
-        v_prev, v_cur = v_cur, v_next
-        emit(t0 + (k + 1) * dt, k + 1, u_cur, v_cur)
-
-    result.steps = n_steps
-    result.t_final = t0 + n_steps * dt
-    if rec_u is not None:
-        result.u_hist = rec_u.history()
-        result.v_hist = rec_v.history()
-    return result
-
-
-# === linear solvers for the envelope scenarios (radial) ===
+# === linear solvers for the envelope scenarios ===
 
 def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
                               t0: float = 2.0, t_end: float = 10.0,
@@ -631,37 +446,16 @@ def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
     W = r * np.asarray(data.u0(r), dtype=float)
     dW = r * np.asarray(data.u1(r), dtype=float)
     ddW = _d2_odd(W, dx, np.empty(n)) + r * source(t0, r)
-    W_prev, W_cur = W, W + dt * dW + 0.5 * dt * dt * ddW
-    W_next, u_lvl, lap, work = (np.empty(n) for _ in range(4))
-
-    rec = _Recorder(record, grid, EVEN) if record else None
-    result = RunResult(grid=grid, t0=t0, dt=dt, steps=0, t_final=t0)
-    scale = max(np.max(np.abs(W)), 1e-300)
-
-    def emit(t, step, W_l):
-        _over_r(W_l, r, dx, u_lvl)
-        result.max_abs_u = max(result.max_abs_u,
-                               float(np.abs(u_lvl, out=work).max()))
-        if rec is not None:
-            rec.offer(t, step, u_lvl)
-        _notify(observers, t, step, u_lvl, None)
-
-    emit(t0, 0, W_prev)
-    emit(t0 + dt, 1, W_cur)
-    n_steps = int(np.ceil((t_end - t0) / dt - 1e-9))
+    starts = ((W, W + dt * dW + 0.5 * dt * dt * ddW),)
+    lap, work = np.empty(n), np.empty(n)
     dt2 = dt * dt
-    for k in range(1, n_steps):
-        t_k = t0 + k * dt
-        _wave_update(W_prev, W_cur, source(t_k, r), r, dx, dt2, W_next,
+
+    def advance(k, t_k, prev, cur, nxt, lvl, peak):
+        _wave_update(prev[0], cur[0], source(t_k, r), r, dx, dt2, nxt[0],
                      lap, work)
-        scale = _guard_level(t_k + dt, k + 1, r, (W_next,), work, scale)
-        W_prev, W_cur, W_next = W_cur, W_next, W_prev
-        emit(t0 + (k + 1) * dt, k + 1, W_cur)
-    result.steps = n_steps
-    result.t_final = t0 + n_steps * dt
-    if rec is not None:
-        result.u_hist = rec.history()
-    return result
+
+    return _march(grid, ("u",), starts, t0, t_end, dt, advance, observers,
+                  record)
 
 
 def solve_linear_kg_curved(grid: RadialGrid, h00: Callable, mass: float,
@@ -681,110 +475,33 @@ def solve_linear_kg_curved(grid: RadialGrid, h00: Callable, mass: float,
     r = grid.r(0, n)
     dt = cfl * dx
     c2 = mass ** 2
-    W = r * np.asarray(data.v0(r), dtype=float)
-    dW = r * np.asarray(data.v1(r), dtype=float)
-    h0 = np.asarray(h00(t0, r), dtype=float)
-    if np.min(1.0 + h0) <= 0.1:
-        i = int(np.argmin(np.broadcast_to(h0, r.shape)))
-        raise StabilityError("metric perturbation too large",
-                             report={"kind": "coefficient", "t": t0, "step": 0,
-                                     "location": float(r[i]),
-                                     "value": float(np.min(1.0 + h0))})
-    rhs0 = _d2_odd(W, dx, np.empty(n)) - c2 * W
-    if source is not None:
-        rhs0 = rhs0 + r * source(t0, r)
-    W_prev, W_cur = W, W + dt * dW + 0.5 * dt * dt * rhs0 / (1.0 + h0)
-    W_next, v_lvl, denom, A, lap, work = (np.empty(n) for _ in range(6))
+    denom, A, lap = np.empty(n), np.empty(n), np.empty(n)
 
-    rec = _Recorder(record, grid, EVEN) if record else None
-    result = RunResult(grid=grid, t0=t0, dt=dt, steps=0, t_final=t0)
-    scale = max(np.max(np.abs(W)), 1e-300)
-
-    def emit(t, step, W_l):
-        _over_r(W_l, r, dx, v_lvl)
-        result.max_abs_v = max(result.max_abs_v,
-                               float(np.abs(v_lvl, out=work).max()))
-        if rec is not None:
-            rec.offer(t, step, v_lvl)
-        _notify(observers, t, step, None, v_lvl)
-
-    emit(t0, 0, W_prev)
-    emit(t0 + dt, 1, W_cur)
-    n_steps = int(np.ceil((t_end - t0) / dt - 1e-9))
-    inv_dt2 = 1.0 / (dt * dt)
-    half_c2 = 0.5 * c2
-    for k in range(1, n_steps):
-        t_k = t0 + k * dt
-        np.add(np.asarray(h00(t_k, r), dtype=float), 1.0, out=denom)
+    def metric(t, step):
+        """1 + h00 at t into denom, held above the floor 0.1."""
+        np.add(np.asarray(h00(t, r), dtype=float), 1.0, out=denom)
         if denom.min() <= 0.1:
             i = int(np.argmin(denom))
             raise StabilityError("metric perturbation too large",
-                                 report={"kind": "coefficient", "t": t_k,
-                                         "step": k, "location": float(r[i]),
+                                 report={"kind": "coefficient", "t": t,
+                                         "step": step, "location": float(r[i]),
                                          "value": float(denom[i])})
-        np.multiply(denom, inv_dt2, out=A)
-        np.add(A, half_c2, out=A)
-        np.multiply(W_cur, 2.0, out=W_next)
-        np.subtract(W_next, W_prev, out=W_next)
-        np.multiply(denom, W_next, out=W_next)
-        np.multiply(W_next, inv_dt2, out=W_next)
-        np.add(W_next, _d2_odd(W_cur, dx, lap), out=W_next)
-        np.multiply(W_prev, half_c2, out=lap)
-        np.subtract(W_next, lap, out=W_next)
-        if source is not None:
-            np.multiply(r, source(t_k, r), out=lap)
-            np.add(W_next, lap, out=W_next)
-        np.divide(W_next, A, out=W_next)
-        W_next[0] = 0.0
-        W_next[-1] = 0.0
-        scale = _guard_level(t_k + dt, k + 1, r, (W_next,), work, scale)
-        W_prev, W_cur, W_next = W_cur, W_next, W_prev
-        emit(t0 + (k + 1) * dt, k + 1, W_cur)
-    result.steps = n_steps
-    result.t_final = t0 + n_steps * dt
-    if rec is not None:
-        result.v_hist = rec.history()
-    return result
+        return denom
 
+    W = r * np.asarray(data.v0(r), dtype=float)
+    dW = r * np.asarray(data.v1(r), dtype=float)
+    rhs0 = _d2_odd(W, dx, np.empty(n)) - c2 * W
+    if source is not None:
+        rhs0 = rhs0 + r * source(t0, r)
+    starts = ((W, W + dt * dW + 0.5 * dt * dt * rhs0 / metric(t0, 0)),)
+    inv_dt2 = 1.0 / (dt * dt)
+    half_c2 = 0.5 * c2
 
-# === snapshot files ===
+    def advance(k, t_k, prev, cur, nxt, lvl, peak):
+        metric(t_k, k)
+        _kg_update(prev[0], cur[0], denom, None,
+                   None if source is None else source(t_k, r), r, dx,
+                   inv_dt2, half_c2, nxt[0], A, lap)
 
-_HEAD = struct.Struct("<4sIBBHQddddQ")
-
-
-def save_snapshot(path: str, state: dict) -> None:
-    """Binary run snapshot: fixed little-endian header, then the four
-    leapfrog arrays as raw float64."""
-    mode = 0 if state["mode"] == "radial" else 1
-    head = _HEAD.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, mode, 0, 0,
-                      int(state["n"]), float(state["dx"]), float(state["dt"]),
-                      float(state["t_prev"]), float(state["t_curr"]),
-                      int(state["step"]))
-    with open(path, "wb") as fh:
-        fh.write(head)
-        for key in ("Wu_prev", "Wu_curr", "Wv_prev", "Wv_curr"):
-            arr = np.ascontiguousarray(state[key], dtype="<f8")
-            fh.write(arr.tobytes())
-
-
-def load_snapshot(path: str) -> dict:
-    with open(path, "rb") as fh:
-        head = fh.read(_HEAD.size)
-        if len(head) < _HEAD.size:
-            raise ValueError("snapshot file truncated")
-        magic, version, mode, _, _, n, dx, dt, t_prev, t_curr, step = \
-            _HEAD.unpack(head)
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError("not a snapshot file")
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        count = n if mode == 0 else n ** 3
-        out = {"mode": "radial" if mode == 0 else "box", "n": n, "dx": dx,
-               "dt": dt, "t_prev": t_prev, "t_curr": t_curr, "step": step}
-        shape = (n,) if mode == 0 else (n, n, n)
-        for key in ("Wu_prev", "Wu_curr", "Wv_prev", "Wv_curr"):
-            buf = fh.read(8 * count)
-            if len(buf) < 8 * count:
-                raise ValueError("snapshot file truncated")
-            out[key] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    return out
+    return _march(grid, ("v",), starts, t0, t_end, dt, advance, observers,
+                  record)

@@ -1,8 +1,7 @@
 """Shared numerical plumbing: finite-difference weights, Lagrange
-interpolation, deterministic reductions, worker-count control, errors."""
+interpolation, deterministic reductions, errors."""
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 
@@ -207,15 +206,3 @@ def trapezoid_weights(x) -> np.ndarray:
     w[:-1] += 0.5 * d
     w[1:] += 0.5 * d
     return w
-
-
-def worker_count() -> int:
-    """Worker cap for data-parallel loops; HFOIL_THREADS overrides."""
-    env = os.environ.get("HFOIL_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as e:
-            raise ConfigError(f"HFOIL_THREADS must be an integer, got {env!r}") from e
-        return max(1, n)
-    return max(1, min(4, os.cpu_count() or 1))

@@ -1,8 +1,13 @@
+import dataclasses
 import os
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfoil import cli
+from hfoil.util import ConfigError
 
 
 def tree_bytes(root):
@@ -10,27 +15,32 @@ def tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+# --- the environment belongs to the caller ---
+
 @pytest.mark.parametrize("before", [None, "3"])
 @pytest.mark.parametrize("deterministic", [False, True])
 def test_run_leaves_thread_setting_alone(monkeypatch, tmp_path, before,
                                          deterministic):
+    # a run, deterministic or not, sees the caller's environment as it is
+    # (thread settings included) and leaves it unchanged
     seen = []
 
     def stub(cfg, out):
-        seen.append(os.environ.get("HFOIL_THREADS"))
+        seen.append(dict(os.environ))
         return [cli.CriterionResult("stub", True, {})], {}
 
     monkeypatch.setitem(cli._SCENARIOS, "model-evolution", stub)
     if before is None:
-        monkeypatch.delenv("HFOIL_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     else:
-        monkeypatch.setenv("HFOIL_THREADS", before)
+        monkeypatch.setenv("OMP_NUM_THREADS", before)
+    env = dict(os.environ)
     argv = ["model-evolution", "--out", str(tmp_path)]
     if deterministic:
         argv.append("--deterministic")
     assert cli.main(argv) == 0
-    assert seen == ["1" if deterministic else before]
-    assert os.environ.get("HFOIL_THREADS") == before
+    assert seen == [env]
+    assert dict(os.environ) == env
 
 
 def test_thread_setting_restored_after_failed_run(monkeypatch, tmp_path):
@@ -38,11 +48,153 @@ def test_thread_setting_restored_after_failed_run(monkeypatch, tmp_path):
         raise cli.ConfigError("stub failure")
 
     monkeypatch.setitem(cli._SCENARIOS, "model-evolution", stub)
-    monkeypatch.delenv("HFOIL_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    env = dict(os.environ)
     argv = ["model-evolution", "--out", str(tmp_path), "--deterministic"]
     assert cli.main(argv) == 2
-    assert "HFOIL_THREADS" not in os.environ
+    assert dict(os.environ) == env
 
+
+# --- config errors carry their line and field ---
+
+@pytest.mark.parametrize("text, line, field", [
+    ("[run]\n[grid\n", 2, None),                       # unterminated header
+    ("# c\n[nope]\n", 2, None),                        # unknown section
+    ("[run]\nbogus = 1\n", 2, "bogus"),                # unknown key
+    ("[run]\nseed = 0\n", 2, "seed"),                  # nothing is random
+    ("[grid]\nmode = radial\n", 2, "mode"),            # every run is radial
+    ("\nuntil_s = 5\n", 2, None),                      # key before a section
+    ("[run]\njust words\n", 2, None),                  # no '='
+    ("[run]\nuntil_s = 5\n\nuntil_s = 6\n", 4, "until_s"),   # duplicate
+    ("[grid]\nresolution = fine\n", 2, "resolution"),  # bad float
+    ("[grid]\npad_cells = 1.5\n", 2, "pad_cells"),     # bad integer
+    ("[run]\ndeterministic = maybe\n", 2, "deterministic"),  # bad bool
+    ("[bounds]\nmetric = curved\n", 2, "metric"),      # bad choice
+    ("[grid]\nresolution = -0.1\n", 2, "resolution"),  # range check
+    ("[hierarchy]\ndelta = 0.1\n", 2, "delta"),        # range check
+    ("[bounds]\nmu = 0.5\n", 2, "mu"),                 # mu without nu
+    ("[bounds]\n\nnu = 0.5\n", 3, "nu"),               # nu without mu
+    ("[run]\nuntil_s = 2\n", 2, "until_s"),            # until_s <= s0
+    ("[bounds]\ns0 = 3\n[run]\nuntil_s = 2.5\n", 4, "until_s"),
+    ("[grid]\ncfl = 0.95\n", 2, "cfl"),                # above the 0.9 cap
+])
+def test_config_error_reports_line_and_field(text, line, field):
+    with pytest.raises(ConfigError) as ei:
+        cli.parse_config(text)
+    assert ei.value.line == line
+    assert ei.value.field == field
+
+
+def test_cfl_cap_is_inclusive():
+    assert cli.parse_config("[grid]\ncfl = 0.9\n").cfl == 0.9
+
+
+def test_flag_conflict_reports_field_without_line():
+    with pytest.raises(ConfigError) as ei:
+        cli.build_config(["linear-kg-bound", "--until-s", "1.5"])
+    assert ei.value.line is None
+    assert ei.value.field == "until_s"
+
+
+# --- config text round trip ---
+
+finite = dict(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, **finite)
+nonneg = st.floats(min_value=0.0, **finite)
+optional = lambda s: st.none() | s
+
+# one strategy per RunConfig attribute the schema can set (besides
+# out_dir, which config_text leaves out)
+FIELD_VALUES = {
+    "scenario": st.sampled_from(cli.SCENARIOS),
+    "deterministic": st.booleans(),
+    "until_t": optional(positive),
+    "resolution": optional(positive),
+    "cfl": st.floats(min_value=0.0, max_value=cli.CFL_CAP, exclude_min=True),
+    "box_half": optional(positive),
+    "pad_cells": st.integers(min_value=0, max_value=10 ** 6),
+    "mass": positive,
+    "p00": st.floats(**finite),
+    "ps": st.floats(**finite),
+    "rcoef": st.floats(**finite),
+    "h00": st.floats(**finite),
+    "hs": st.floats(**finite),
+    "epsilon": nonneg,
+    "eps_u": optional(nonneg),
+    "eps_v": optional(nonneg),
+    "radius": positive,
+    "order": st.integers(min_value=0, max_value=64),
+    "delta": st.floats(min_value=0.0, max_value=0.1, exclude_min=True,
+                       exclude_max=True),
+    "C": positive,
+    "dlam": positive,
+    "metric": st.sampled_from(("flat", "pull", "both")),
+    "metric_amp": nonneg,
+    "source_amp": st.floats(**finite),
+}
+
+
+@st.composite
+def run_configs(draw):
+    values = {attr: draw(s) for attr, s in FIELD_VALUES.items()}
+    values["s0"] = s0 = draw(st.floats(min_value=1.0, max_value=1e6,
+                                       exclude_min=True))
+    values["until_s"] = draw(optional(st.floats(
+        min_value=s0, max_value=1e9, exclude_min=True)))
+    if draw(st.booleans()):
+        values["mu"] = draw(st.floats(min_value=0.0, max_value=0.5,
+                                      exclude_min=True))
+        values["nu"] = draw(st.floats(min_value=-0.5, max_value=0.5).filter(
+            lambda v: v != 0.0))
+    return cli.RunConfig(**values)
+
+
+def test_field_strategies_cover_the_schema():
+    attrs = {opt.attr for opts in cli._SCHEMA.values()
+             for opt in opts.values()}
+    drawn = set(FIELD_VALUES) | {"s0", "until_s", "mu", "nu", "out_dir"}
+    assert attrs == drawn
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_configs())
+def test_config_text_round_trips(cfg):
+    text = cli.config_text(cfg)
+    back = cli.parse_config(text)
+    assert cli.config_text(back) == text
+    for f in dataclasses.fields(cli.RunConfig):
+        if f.name in ("explicit", "resolution"):
+            continue
+        assert getattr(back, f.name) == getattr(cfg, f.name), f.name
+    assert back.dx() == cfg.dx()
+
+
+# --- table round trip ---
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("uv"), st.sampled_from(("-", "t",
+                                                                  "rr")),
+                          st.integers(0, 9), st.floats(allow_nan=False),
+                          st.floats(allow_nan=False)), max_size=20))
+def test_emit_series_round_trips_bit_exact(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("series") / "energies.csv"
+    cli.emit_series(rows, "energy/v1", path)
+    schema, header, back = cli.read_series(path)
+    assert schema == "energy/v1"
+    assert header == cli.SERIES_SCHEMAS["energy/v1"]
+    assert len(back) == len(rows)
+    for got, want in zip(back, rows):
+        assert got[:2] == want[:2]
+        assert got[2] == float(want[2])
+        assert bits(got[3]) == bits(want[3])
+        assert bits(got[4]) == bits(want[4])
+
+
+# --- --deterministic output trees ---
 
 def deterministic_trees(monkeypatch, tmp_path, argv):
     """Output trees of two --deterministic runs of argv."""
@@ -68,4 +220,17 @@ def test_deterministic_envelope_runs_are_byte_identical(monkeypatch,
                                                         tmp_path):
     trees = deterministic_trees(monkeypatch, tmp_path, ["linear-wave-bound"])
     assert any(k.endswith(".csv") for k in trees[0])
+    assert trees[0] == trees[1]
+
+
+# the curved Klein-Gordon solver, and the coupled model with MMS sources
+# and free-wave drift runs at the cfl cap
+@pytest.mark.parametrize("argv, table", [
+    (["linear-kg-bound", "--until-s", "4"], "kg_margin_pull.csv"),
+    (["convergence-suite"], "mms_errors.csv"),
+])
+def test_deterministic_solver_runs_are_byte_identical(monkeypatch, tmp_path,
+                                                      argv, table):
+    trees = deterministic_trees(monkeypatch, tmp_path, argv)
+    assert any(k.endswith(table) for k in trees[0])
     assert trees[0] == trees[1]

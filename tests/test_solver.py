@@ -1,12 +1,10 @@
-import os
-
 import numpy as np
 import pytest
 
-from hfoil.fields import BoxGrid, RadialGrid
+from hfoil.bounds import wave_source
+from hfoil.fields import RadialGrid
 from hfoil.solver import (BLOWUP_GUARD, InitialData, ModelParams,
-                          evolve_model, evolve_model_box, grid_for_run,
-                          load_snapshot, save_snapshot,
+                          evolve_model, grid_for_run,
                           solve_linear_kg_curved, solve_linear_wave_sourced)
 from hfoil.util import StabilityError
 
@@ -163,42 +161,29 @@ def test_linear_kg_matches_free_model_evolution():
     assert np.array_equal(a.v_hist.values, b.v_hist.values)
 
 
-# --- determinism and snapshots ---
+def test_linear_wave_matches_free_model_evolution():
+    g = grid_for_run(0.05, 2.0, 12.0)
+    f = wave_source(0.5, -0.25, 1.0)
+    for data in (InitialData.zero(), InitialData.bump(0.1, 0.0)):
+        a = solve_linear_wave_sourced(g, f, t0=2.0, t_end=12.0,
+                                      record=(2.0, 12.01, 1), data=data)
+        b = evolve_model(ModelParams.free(), g, data, t0=2.0, t_end=12.0,
+                         record=(2.0, 12.01, 1), sources=(f, None))
+        assert np.array_equal(a.u_hist.values, b.u_hist.values)
 
-def test_identical_runs_produce_identical_snapshots(tmp_path):
+
+# --- determinism ---
+
+def test_identical_runs_produce_identical_snapshots():
+    # the level snapshots a run records, and its peaks, repeat bit for bit
     params = ModelParams.isotropic()
     g = grid_for_run(0.05, 2.0, 8.0)
-    paths = []
-    for tag in ("a", "b"):
-        p = str(tmp_path / f"run_{tag}.snap")
-        evolve_model(params, g, InitialData.bump(0.01, 0.01), t0=2.0,
-                     t_end=8.0, snapshot_at=7.0, snapshot_path=p)
-        paths.append(p)
-    with open(paths[0], "rb") as fa, open(paths[1], "rb") as fb:
-        assert fa.read() == fb.read()
-
-
-def test_snapshot_round_trip(tmp_path):
-    p = str(tmp_path / "state.snap")
-    state = {"mode": "radial", "n": 17, "dx": 0.1, "dt": 0.05,
-             "t_prev": 3.0, "t_curr": 3.05, "step": 21,
-             "Wu_prev": np.arange(17.0), "Wu_curr": np.arange(17.0) * 2,
-             "Wv_prev": np.ones(17), "Wv_curr": np.zeros(17)}
-    save_snapshot(p, state)
-    out = load_snapshot(p)
-    assert out["mode"] == "radial" and out["n"] == 17
-    assert out["step"] == 21
-    assert out["t_curr"] == pytest.approx(3.05)
-    for key in ("Wu_prev", "Wu_curr", "Wv_prev", "Wv_curr"):
-        assert np.array_equal(out[key], state[key])
-
-
-def test_snapshot_rejects_garbage(tmp_path):
-    p = str(tmp_path / "bad.snap")
-    with open(p, "wb") as fh:
-        fh.write(b"NOPE" + b"\x00" * 100)
-    with pytest.raises(ValueError):
-        load_snapshot(p)
+    runs = [evolve_model(params, g, InitialData.bump(0.01, 0.01), t0=2.0,
+                         t_end=8.0, record=(6.9, 7.1, 1)) for _ in range(2)]
+    a, b = runs
+    assert np.array_equal(a.u_hist.values, b.u_hist.values)
+    assert np.array_equal(a.v_hist.values, b.v_hist.values)
+    assert (a.max_abs_u, a.max_abs_v) == (b.max_abs_u, b.max_abs_v)
 
 
 # --- guards ---
@@ -349,40 +334,6 @@ def test_kg_metric_floor_guards_report_location(t_on):
     assert rep["location"] == pytest.approx(2.0, abs=0.05)
 
 
-def test_box_coefficient_guard_reports_location():
-    g = BoxGrid(dx=0.1, half=1.0)
-    zero = lambda x1, x2, x3: 0.0 * (x1 + x2 + x3)
-    bump = lambda x1, x2, x3: 0.6 * np.exp(
-        -((x1 - 0.5) ** 2 + x2 ** 2 + x3 ** 2) / 0.05)
-    data = InitialData(u0=bump, u1=zero, v0=zero, v1=zero)
-    with pytest.raises(StabilityError) as ei:
-        evolve_model_box(ModelParams.isotropic(), g, data, t0=2.0, t_end=2.5)
-    rep = ei.value.report
-    assert rep["kind"] == "coefficient"
-    assert rep["location"] == pytest.approx(0.5, abs=1e-9)
-    assert rep["point"] == pytest.approx([0.5, 0.0, 0.0], abs=1e-9)
-
-
-def test_box_blowup_guard_reports_location():
-    g = BoxGrid(dx=0.1, half=1.0)
-    zero = lambda x1, x2, x3: 0.0 * (x1 + x2 + x3)
-    data = InitialData(u0=zero, u1=zero, v0=zero, v1=zero)
-
-    def hot(t, x1, x2, x3):
-        near = (np.abs(x1 - 0.3) < 0.01) & (np.abs(x2 + 0.4) < 0.01) \
-            & (np.abs(x3) < 0.01)
-        return np.where((t > 2.05) & near, np.inf, 0.0)
-
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(StabilityError) as ei:
-            evolve_model_box(ModelParams.free(), g, data, t0=2.0, t_end=2.5,
-                             sources=(None, hot))
-    rep = ei.value.report
-    assert rep["kind"] == "blowup"
-    assert rep["point"] == pytest.approx([0.3, -0.4, 0.0], abs=1e-9)
-    assert rep["location"] == pytest.approx(0.5, abs=1e-9)
-
-
 # --- observers ---
 
 def test_observers_see_every_level_with_exact_times():
@@ -400,64 +351,19 @@ def test_observers_see_every_level_with_exact_times():
         assert t == 2.0 + step * res.dt   # exact float reproduction
 
 
-# --- box mode against the radial reduction ---
-
-def test_box_run_matches_radial_on_axis():
-    gb = BoxGrid(dx=0.1, half=3.0)
-    zero3 = lambda x1, x2, x3: np.zeros(np.broadcast_shapes(
-        np.shape(x1), np.shape(x2), np.shape(x3)))
-    d3 = InitialData(
-        u0=lambda x1, x2, x3: 0.5 * np.exp(-4 * (x1 * x1 + x2 * x2 + x3 * x3)),
-        u1=zero3, v0=zero3, v1=zero3)
-    resb = evolve_model_box(ModelParams.free(), gb, d3, t0=2.0, t_end=3.0,
-                            record=(2.99, 3.05, 1))
-    uh = resb.u_hist
-    gr = grid_for_run(0.1, 2.0, 3.0, support_radius=3.0)
-    du = smooth_data(0.5, 0.0)
-    resr = evolve_model(ModelParams.free(), gr, du, t0=2.0, t_end=3.0,
-                        record=(2.99, 3.05, 1), cfl=0.4 / np.sqrt(3))
-    ur = resr.u_hist
-    tb = uh.times[-1]
-    j = int(np.argmin(np.abs(ur.times - tb)))
-    assert abs(ur.times[j] - tb) < 1e-12
-    mid = gb.n // 2
-    axis_vals = uh.values[-1][:, mid, mid]
-    rvals = np.array([ur.values[j][int(round(abs(x) / 0.1))]
-                      for x in gb.axis(0)])
-    assert np.max(np.abs(axis_vals - rvals)) < 5e-3
-
-
-def test_box_anisotropic_couplings_run():
-    # generic symmetric P and H with mixed t-x entries exercise the
-    # correction pass; a short stable run suffices
-    P = np.array([[1.0, 0.2, 0.0, 0.0],
-                  [0.2, 0.8, 0.1, 0.0],
-                  [0.0, 0.1, 0.9, 0.0],
-                  [0.0, 0.0, 0.0, 1.0]])
-    H = np.array([[0.5, 0.1, 0.0, 0.0],
-                  [0.1, 0.4, 0.0, 0.0],
-                  [0.0, 0.0, 0.4, 0.0],
-                  [0.0, 0.0, 0.0, 0.4]])
-    params = ModelParams(P=P, H=H, rcoef=0.5, mass=1.0)
-    gb = BoxGrid(dx=0.2, half=2.0)
-    zero3 = lambda x1, x2, x3: np.zeros(np.broadcast_shapes(
-        np.shape(x1), np.shape(x2), np.shape(x3)))
-    d3 = InitialData(
-        u0=lambda x1, x2, x3: 0.05 * np.exp(-3 * (x1 * x1 + x2 * x2 + x3 * x3)),
-        u1=zero3,
-        v0=lambda x1, x2, x3: 0.05 * np.exp(-3 * (x1 * x1 + x2 * x2 + x3 * x3)),
-        v1=zero3)
-    res = evolve_model_box(params, gb, d3, t0=2.0, t_end=2.6)
-    assert res.max_abs_u < 0.1 and res.max_abs_v < 0.1
-    with pytest.raises(ValueError):
-        params.radial_iso()
-
-
 def test_radial_iso_validation():
     p = ModelParams.isotropic(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     assert p.radial_iso() == (1.0, 2.0, 3.0, 4.0, 5.0)
     assert p.h_norm() == pytest.approx(5.0)
     assert p.mass == 6.0
+    # off-diagonal or anisotropic couplings have no radial reduction
+    P = np.diag([1.0, 0.8, 0.9, 1.0])
+    H = np.diag([0.5, 0.4, 0.4, 0.4])
+    H[0, 1] = H[1, 0] = 0.1
+    for bad in (ModelParams(P=P, H=np.diag([0.5, 0.4, 0.4, 0.4]), rcoef=0.5),
+                ModelParams(P=np.eye(4), H=H, rcoef=0.5)):
+        with pytest.raises(ValueError):
+            bad.radial_iso()
 
 
 # --- buffered radial loops against the allocating reference loops ---

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hfoil.util import (ConfigError, StencilRangeError, central_offsets,
+from hfoil.util import (StencilRangeError, central_offsets,
                         central_weights, fd_weights, lagrange_weights,
                         reduce_sum, smoothstep, smoothstep_d,
-                        trapezoid_weights, worker_count)
+                        trapezoid_weights)
 
 
 def _exact_solve(A, b):
@@ -139,13 +139,3 @@ def test_trapezoid_weights_integrate_linear_exactly():
     w = trapezoid_weights(x)
     f = 3.0 * x + 1.0
     assert w @ f == pytest.approx(np.trapezoid(f, x), rel=1e-14)
-
-
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("HFOIL_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("HFOIL_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        worker_count()
-    monkeypatch.delenv("HFOIL_THREADS")
-    assert worker_count() >= 1
