@@ -13,7 +13,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .util import smoothstep, smoothstep_d
-from .fields import RadialGrid
 from .solver import (InitialData, grid_for_run, solve_linear_kg_curved,
                      solve_linear_wave_sourced)
 from .analysis import QueryPool
@@ -320,9 +319,7 @@ def kg_bound_margin(h, data: InitialData, params: BoundParams,
                     f: Optional[Callable] = None, dx: float = 0.05,
                     s_max: float = 8.0, n_rays: int = 16, n_s: int = 20,
                     t0: float = 2.0, cfl: float = 0.5,
-                    grid: Optional[RadialGrid] = None,
-                    tr_min: float = 1.25, delta: float = 0.08,
-                    level_filter=None) -> dict:
+                    tr_min: float = 1.25, delta: float = 0.08) -> dict:
     """Run the curved linear Klein-Gordon problem and measure
     [s^{3/2}|v| + (t/s) s^{3/2} |perp v|] / V over a ray lattice.
 
@@ -346,15 +343,13 @@ def kg_bound_margin(h, data: InitialData, params: BoundParams,
     t_max = float(np.max(T[inside])) if inside.any() else t0
     dt = cfl * dx
     t_end = t_max + delta + 12 * dt
-    if grid is None:
-        grid = grid_for_run(dx, t0, t_end)
-    # 10-pt window (+ low-pass halo) must stay on the grid
-    halo = 20 if level_filter is not None else 0
+    grid = grid_for_run(dx, t0, t_end)
+    # the pool's 10-pt window must stay on the grid
     covered = inside & (T - delta >= t0) & \
-        (R + delta <= grid.r_max - (16 + halo) * dx)
+        (R + delta <= grid.r_max - 16 * dx)
     skipped = int(inside.sum() - covered.sum())
 
-    pool = QueryPool(grid, npts=10, level_filter=level_filter)
+    pool = QueryPool(grid)
     probe = _CrossProbe(pool, "v", T[covered], R[covered], delta)
     solve_linear_kg_curved(grid, h, params.mass, data, t0=t0, t_end=t_end,
                            cfl=cfl, observers=(pool,), source=f)
@@ -439,13 +434,9 @@ def wave_bound_margin(mu: float, nu: float, amp: float = 1.0,
                       dx: float = 0.04, t_lo: float = 10.0,
                       t_end: float = 100.0, n_rays: int = 16,
                       n_t: int = 20, t0: float = 2.0, cfl: float = 0.5,
-                      grid: Optional[RadialGrid] = None,
-                      source: Optional[Callable] = None,
-                      tr_min: float = 2.0, level_filter=None) -> dict:
+                      tr_min: float = 2.0) -> dict:
     """Run the sourced wave problem and measure |u| / wave_bound_value
     over a ray lattice, grouped by decade of t."""
-    if source is None:
-        source = wave_source(mu, nu, amp)
     dt = cfl * dx
     t_hi = t_end - 12 * dt
     t_vals = np.geomspace(t_lo, t_hi, n_t)
@@ -454,16 +445,14 @@ def wave_bound_margin(mu: float, nu: float, amp: float = 1.0,
     T, P = np.meshgrid(t_vals, rho, indexing="ij")
     R = T * P
     inside = T - R >= tr_min
-    if grid is None:
-        grid = grid_for_run(dx, t0, t_end)
-    halo = 20 if level_filter is not None else 0
-    covered = inside & (R <= grid.r_max - (16 + halo) * dx)
+    grid = grid_for_run(dx, t0, t_end)
+    covered = inside & (R <= grid.r_max - 16 * dx)
     skipped = int(inside.sum() - covered.sum())
 
-    pool = QueryPool(grid, npts=10, level_filter=level_filter)
+    pool = QueryPool(grid)
     handle = pool.add("u", T[covered], R[covered])
-    solve_linear_wave_sourced(grid, source, t0=t0, t_end=t_end, cfl=cfl,
-                              observers=(pool,))
+    solve_linear_wave_sourced(grid, wave_source(mu, nu, amp), t0=t0,
+                              t_end=t_end, cfl=cfl, observers=(pool,))
     pool.assert_resolved()
     u = pool.result(handle)
 

@@ -24,8 +24,7 @@ Sections and keys:
 ``[run]``
     scenario, deterministic, until_s, until_t
 ``[grid]``
-    resolution, cfl (at most 0.9), box_half (frame-identity-suite),
-    pad_cells
+    resolution, cfl (at most 0.9), box_half, pad_cells
 ``[model]``
     mass, p00, ps, rcoef, h00, hs
 ``[data]``
@@ -38,9 +37,24 @@ Sections and keys:
 ``[output]``
     dir
 
+Besides scenario, deterministic and ``[output] dir``, each scenario
+reads only these keys (a whole section where one is named):
+
+- model-evolution: until_s, until_t, resolution, cfl, pad_cells, s0,
+  ``[model]``, ``[data]``, ``[hierarchy]``
+- linear-kg-bound: until_s, resolution, cfl, mass, epsilon, eps_v,
+  radius, C, dlam, s0, metric, metric_amp
+- linear-wave-bound: until_t, resolution, cfl, mu, nu, source_amp
+- sobolev-suite: until_s, s0
+- frame-identity-suite: resolution, box_half
+- convergence-suite: resolution, cfl, pad_cells, ``[model]``, epsilon,
+  eps_u
+
 Command line flags override config fields (``--resolution``,
 ``--epsilon``, ``--until-s``, ``--deterministic``, ``--out``), and the
-subcommand always wins over the ``scenario`` key.  Every run writes
+subcommand always wins over the ``scenario`` key.  Once the subcommand
+has set the scenario, a key or flag that it does not read is a
+ConfigError (with the key's line, or no line for a flag).  Every run writes
 ``config.echo.txt`` (the fully resolved config), ``report.json`` and a
 human-readable ``report.txt`` next to its data tables; with
 ``--deterministic`` the wall-time field is omitted, so two runs of the
@@ -60,14 +74,14 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .analysis import (SliceEnergySuite, SupTracker, combo_label,
-                       energy_csv_rows, fit_power_law, hierarchy_check,
-                       hierarchy_csv_rows, hierarchy_target, profile_family,
-                       sobolev_ratio_profile, supnorm_csv_rows, write_csv,
-                       write_json)
+from .analysis import (SliceEnergySuite, SupTracker, chart_nodes,
+                       combo_label, energy_csv_rows, fit_power_law,
+                       hierarchy_check, hierarchy_csv_rows, hierarchy_target,
+                       lattice_reach, profile_family, sobolev_ratio_profile,
+                       supnorm_csv_rows, write_csv, write_json)
 from .bounds import (ZERO_METRIC, BoundParams, attach_refinement,
                      kg_bound_margin, metric_pull, wave_bound_margin)
-from .fields import EVEN, BoxGrid, sample_history
+from .fields import BoxGrid, sample_history
 from .geometry import dalembertian_cartesian, dalembertian_frame
 from .solver import (InitialData, ModelParams, evolve_model, grid_for_run)
 from .util import ConfigError, FoliationError, StabilityError
@@ -212,6 +226,28 @@ _SCHEMA = {
     },
 }
 
+
+def _attrs(*sections):
+    return {opt.attr for sec in sections for opt in _SCHEMA[sec].values()}
+
+
+# the attributes each scenario reads besides scenario, deterministic
+# and out_dir
+_READS = {
+    "model-evolution": {"until_s", "until_t", "resolution", "cfl",
+                        "pad_cells", "s0"} | _attrs("model", "data",
+                                                    "hierarchy"),
+    "linear-kg-bound": {"until_s", "resolution", "cfl", "mass", "epsilon",
+                        "eps_v", "radius", "C", "dlam", "s0", "metric",
+                        "metric_amp"},
+    "linear-wave-bound": {"until_t", "resolution", "cfl", "mu", "nu",
+                          "source_amp"},
+    "sobolev-suite": {"until_s", "s0"},
+    "frame-identity-suite": {"resolution", "box_half"},
+    "convergence-suite": {"resolution", "cfl", "pad_cells", "epsilon",
+                          "eps_u"} | _attrs("model"),
+}
+
 # resolution default depends on the scenario budget
 _DEFAULT_RESOLUTION = {
     "model-evolution": 0.05,
@@ -227,9 +263,10 @@ _DEFAULT_RESOLUTION = {
 class RunConfig:
     """Resolved configuration for one scenario run.
 
-    Built by :func:`parse_config`; ``explicit`` records which attributes
-    were set by the user (file or flag) rather than defaulted, which the
-    cross-field checks and scenario defaults consult.
+    Built by :func:`parse_config`; ``explicit`` maps each attribute the
+    user set (file or flag) rather than left at its default to its
+    config line, or to None for a flag.  :func:`build_config` reads it to
+    reject what the chosen scenario never reads.
     """
     scenario: str = "model-evolution"
     deterministic: bool = False
@@ -260,7 +297,7 @@ class RunConfig:
     metric_amp: float = 0.1
     source_amp: float = 1.0
     out_dir: Optional[str] = None
-    explicit: frozenset = dc_field(default_factory=frozenset)
+    explicit: dict = dc_field(default_factory=dict)
 
     def model_params(self) -> ModelParams:
         return ModelParams.isotropic(self.p00, self.ps, self.rcoef,
@@ -282,8 +319,9 @@ class RunConfig:
                            s0=self.s0)
 
 
-def _cross_validate(cfg: RunConfig, lines: dict) -> None:
-    """Checks that need more than one field; lines maps attr -> line no."""
+def _cross_validate(cfg: RunConfig) -> None:
+    """Checks that need more than one field."""
+    lines = cfg.explicit
     if cfg.cfl > CFL_CAP:
         raise ConfigError(
             f"cfl = {cfg.cfl:g} exceeds the stability cap {CFL_CAP:g}",
@@ -306,7 +344,7 @@ def parse_config(text: str) -> RunConfig:
     conflict.  An empty string yields the all-defaults config.
     """
     cfg = RunConfig()
-    lines = {}       # attr -> defining line, for later diagnostics
+    lines = cfg.explicit
     section = None
     for num, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -351,8 +389,7 @@ def parse_config(text: str) -> RunConfig:
                                   field=key)
         setattr(cfg, opt.attr, value)
         lines[opt.attr] = num
-    cfg.explicit = frozenset(lines)
-    _cross_validate(cfg, lines)
+    _cross_validate(cfg)
     return cfg
 
 
@@ -368,9 +405,19 @@ def _apply_flag(cfg: RunConfig, attr: str, value) -> None:
                     raise ConfigError(f"flag for [{section}] {key}: {msg}",
                                       field=key)
             setattr(cfg, attr, value)
-            cfg.explicit = cfg.explicit | {attr}
+            cfg.explicit[attr] = None
             return
     raise KeyError(attr)
+
+
+def _check_read(cfg: RunConfig) -> None:
+    """Reject a key or flag that cfg.scenario never reads (each
+    attribute but out_dir, which every run reads, is named as its key)."""
+    reads = _READS[cfg.scenario] | {"scenario", "deterministic", "out_dir"}
+    for attr, line in cfg.explicit.items():
+        if attr not in reads:
+            raise ConfigError(f"{attr} is not read by {cfg.scenario}",
+                              line=line, field=attr)
 
 
 def config_text(cfg: RunConfig) -> str:
@@ -672,21 +719,18 @@ def _scn_model_evolution(cfg: RunConfig, out: Path):
 
     # slice ladder and the wall time needed to cover it
     s_vals = _slice_ladder(cfg.s0, s_top)
-    margin = 2.0 * dx
-    c = 1.0 + margin
-    chi_max = math.acosh((s_top * s_top + c * c) / (2.0 * c * s_top))
+    _, chi_max = chart_nodes(s_top, 2.0 * dx, 1.0)
     h_s = 0.3 if cfg.order >= 4 else 0.08
-    half_w = max((cfg.order + 3) // 2, 2)
-    t_need = (s_top + half_w * h_s) * math.cosh(chi_max) + 0.25
-    t_end = max(t_need, cfg.until_t or 0.0)
+    _, t_reach = lattice_reach(cfg.order + 1, s_top, h_s, chi_max)
+    t_end = max(t_reach + 0.25, cfg.until_t or 0.0)
 
     grid = grid_for_run(dx, 2.0, t_end, support_radius=cfg.radius,
                         pad_cells=cfg.pad_cells)
     # high-order tables read k-th differences, which amplify the
     # scheme's dispersive ripple by 1/h^k; filter those levels
-    lf = True if cfg.order >= 4 else None
     suite = SliceEnergySuite(grid, s_vals, order=cfg.order, mass=cfg.mass,
-                             h_s=h_s, t_floor=2.0, level_filter=lf)
+                             h_s=h_s, t_floor=2.0,
+                             level_filter=cfg.order >= 4)
     trk_u = SupTracker("u", grid=grid, level_filter=True)
     trk_v = SupTracker("v", grid=grid, level_filter=True)
 
@@ -1099,10 +1143,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="data amplitude, overrides [data] epsilon")
         p.add_argument("--until-s", type=float, dest="until_s",
                        help="last hyperboloidal slice, overrides [run]")
-        p.add_argument("--deterministic", action="store_true",
+        p.add_argument("--deterministic", action="store_true", default=None,
                        help="leave out wall-time fields, so repeated "
                        "runs write byte-identical trees")
-        p.add_argument("--out", help="output directory, overrides [output]")
+        p.add_argument("--out", dest="out_dir",
+                       help="output directory, overrides [output]")
     return top
 
 
@@ -1116,18 +1161,12 @@ def build_config(argv) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {e}")
     cfg = parse_config(text)
     cfg.scenario = args.scenario
-    cfg.explicit = cfg.explicit | {"scenario"}
-    if args.resolution is not None:
-        _apply_flag(cfg, "resolution", args.resolution)
-    if args.epsilon is not None:
-        _apply_flag(cfg, "epsilon", args.epsilon)
-    if args.until_s is not None:
-        _apply_flag(cfg, "until_s", args.until_s)
-    if args.deterministic:
-        _apply_flag(cfg, "deterministic", True)
-    if args.out is not None:
-        _apply_flag(cfg, "out_dir", args.out)
-    _cross_validate(cfg, {})
+    for attr in ("resolution", "epsilon", "until_s", "deterministic",
+                 "out_dir"):
+        if getattr(args, attr) is not None:
+            _apply_flag(cfg, attr, getattr(args, attr))
+    _check_read(cfg)
+    _cross_validate(cfg)
     return cfg
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hfoil.fields import EVEN, ODD, BoxGrid, RadialGrid, sample_history
-from hfoil.analysis import (CoeffPoly, QueryPool, SliceDerivativeTable,
+from hfoil.analysis import (QueryPool, SliceDerivativeTable,
                             SliceEnergySuite, SliceValueProbe, SupTracker,
-                            apply_dt, apply_dr, chart_nodes, combo_expansion,
+                            _apply, chart_nodes, combo_expansion,
                             combo_label, design_lowpass, energy_csv_rows,
                             filter_level, fit_power_law, gaussian_profile,
                             hierarchy_check, hierarchy_combos,
@@ -34,27 +34,27 @@ def stream_levels(pool, fn, t0, dt, steps, grid):
 # === chain-rule expansions ===
 
 def test_first_order_expansions():
-    dt = combo_expansion(1, 0, 0)
-    assert dt[(1, 0)].terms == {(1, 0, 0): 1.0}
-    assert dt[(0, 1)].terms == {(0, 1, 1): -1.0}
-    dr = combo_expansion(0, 1, 0)
-    assert dr[(1, 0)].terms == {(0, 1, 0): -1.0}
-    assert dr[(0, 1)].terms == {(1, 0, 1): 1.0}
+    # keys (p, q, a, b, k): cosh^a sinh^b s^-k d_s^p d_chi^q
+    assert combo_expansion(1, 0, 0) == {(1, 0, 1, 0, 0): 1,
+                                        (0, 1, 0, 1, 1): -1}
+    assert combo_expansion(0, 1, 0) == {(1, 0, 0, 1, 0): -1,
+                                        (0, 1, 1, 0, 1): 1}
     # the radial boost r d_t + t d_r is exactly d_chi on the chart
-    boost = combo_expansion(0, 0, 1)
-    assert boost == {(0, 1): boost[(0, 1)]}
-    assert boost[(0, 1)].terms == {(0, 0, 0): 1.0}
+    assert combo_expansion(0, 0, 1) == {(0, 1, 0, 0, 0): 1}
+    assert combo_expansion(0, 0, 0, "chi") == combo_expansion(0, 0, 1)
+    assert combo_expansion(0, 0, 0, "t") == combo_expansion(1, 0, 0)
+    with pytest.raises(ValueError):
+        combo_expansion(0, 0, 0, "r")
 
 
 def test_flat_derivatives_commute():
-    a = apply_dt(apply_dr(combo_expansion(0, 0, 2)))
-    b = apply_dr(apply_dt(combo_expansion(0, 0, 2)))
-    assert set(a) == set(b)
-    for key in a:
-        ta, tb = a[key].terms, b[key].terms
-        assert set(ta) == set(tb)
-        for mono in ta:
-            assert ta[mono] == pytest.approx(tb[mono], rel=1e-13)
+    # integer coefficients, so the two orders agree exactly
+    boosted = combo_expansion(0, 0, 2)
+    a = _apply(_apply(boosted, "r"), "t")
+    b = _apply(_apply(boosted, "t"), "r")
+    assert a == b
+    assert a == combo_expansion(1, 1, 2)
+    assert all(isinstance(c, int) for c in a.values())
 
 
 def test_expansion_matches_symbolic_derivatives():
@@ -63,31 +63,41 @@ def test_expansion_matches_symbolic_derivatives():
         * sympy.exp(-r ** 2 / 3) * (1 + r ** 2 / 10)
     onchart = w.subs({t: s * sympy.cosh(chi), r: s * sympy.sinh(chi)})
     s0, chi0 = sympy.Rational(7, 2), sympy.Rational(3, 5)
-    point = {s: s0, chi: chi0}
     t0 = float(s0 * sympy.cosh(chi0))
     r0 = float(s0 * sympy.sinh(chi0))
 
-    K = 5
+    # the chart table by 40-digit numerical differentiation of w on the
+    # chart (symbolic d_s^p d_chi^q swell past order 5)
+    mpmath = pytest.importorskip("mpmath")
+    K = 6
     D = np.zeros((K + 1, K + 1))
-    for p in range(K + 1):
-        for q in range(K + 1 - p):
-            D[p, q] = float(sympy.diff(onchart, s, p, chi, q).subs(point))
+    on_chart = sympy.lambdify((s, chi), onchart, "mpmath")
+    with mpmath.workdps(40):
+        at = (mpmath.mpf(s0.p) / s0.q, mpmath.mpf(chi0.p) / chi0.q)
+        for p in range(K + 1):
+            for q in range(K + 1 - p):
+                D[p, q] = float(mpmath.diff(on_chart, at, (p, q)))
 
-    ch = float(sympy.cosh(chi0).subs(point))
-    sh = float(sympy.sinh(chi0).subs(point))
+    ch = float(sympy.cosh(chi0))
+    sh = float(sympy.sinh(chi0))
     zi = float(1 / s0)
-    L = r * sympy.diff(w, t) + t * sympy.diff(w, r)
+    # the outer derivatives the energy densities use: d_t and L
+    outer_ops = {"": lambda e: e,
+                 "t": lambda e: sympy.diff(e, t),
+                 "chi": lambda e: r * sympy.diff(e, t) + t * sympy.diff(e, r)}
     for (it, ir, j) in [(0, 0, 3), (2, 1, 1), (3, 2, 0), (1, 1, 2),
                         (0, 2, 2), (5, 0, 0)]:
-        expr = w
+        inner = w
         for _ in range(j):
-            expr = r * sympy.diff(expr, t) + t * sympy.diff(expr, r)
-        expr = sympy.diff(expr, r, ir, t, it)
-        want = float(expr.subs({t: t0, r: r0}).evalf(30))
-        got = 0.0
-        for (p, q), poly in combo_expansion(it, ir, j).items():
-            got += poly.eval(ch, sh, zi) * D[p, q]
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+            inner = r * sympy.diff(inner, t) + t * sympy.diff(inner, r)
+        inner = sympy.diff(inner, r, ir, t, it)
+        for outer, op in outer_ops.items():
+            want = float(op(inner).subs({t: t0, r: r0}).evalf(30))
+            got = 0.0
+            for (p, q, a, b, k), c in combo_expansion(it, ir, j,
+                                                      outer).items():
+                got += c * ch ** a * sh ** b * zi ** k * D[p, q]
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12), outer
 
 
 def test_hierarchy_combo_count():
@@ -295,7 +305,7 @@ def test_pool_matches_per_query_reference(npts, level_filter, parity):
     with pytest.raises(FoliationError):
         pool.add("u", [4.0], [1.0])     # already streaming
     got = np.concatenate([pool.result(h), pool.result(h2)])
-    kernel = None if level_filter is None else pool.kernel
+    kernel = pool.kernel if level_filter else None
     want = reference_pool_values(levels, t0, dt, grid.dx, tq, rq, npts,
                                  kernel, parity)
     assert np.isnan(got[-1]) and np.isnan(want[-1])

@@ -96,6 +96,58 @@ def test_flag_conflict_reports_field_without_line():
     assert ei.value.field == "until_s"
 
 
+# --- keys and flags the scenario never reads ---
+
+@pytest.mark.parametrize("scenario, text, line, field", [
+    ("model-evolution", "[bounds]\nC = 5\n", 2, "C"),
+    ("linear-kg-bound", "[run]\nuntil_s = 6\nuntil_t = 99\n", 3,
+     "until_t"),
+    ("linear-wave-bound", "# c\n[hierarchy]\norder = 3\n", 3, "order"),
+    ("sobolev-suite", "[data]\nradius = 2\n", 2, "radius"),
+    ("frame-identity-suite", "[model]\nmass = 2\n", 2, "mass"),
+    ("convergence-suite", "[data]\nepsilon = 0.02\neps_v = 0.1\n", 3,
+     "eps_v"),
+])
+def test_unread_key_reports_line_and_field(tmp_path, scenario, text, line,
+                                           field):
+    path = tmp_path / "config.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as ei:
+        cli.build_config([scenario, "--config", str(path)])
+    assert ei.value.line == line
+    assert ei.value.field == field
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["linear-wave-bound", "--until-s", "30"], "until_s"),
+    (["sobolev-suite", "--resolution", "0.2"], "resolution"),
+])
+def test_unread_flag_reports_field_without_line(argv, field):
+    with pytest.raises(ConfigError) as ei:
+        cli.build_config(argv)
+    assert ei.value.line is None
+    assert ei.value.field == field
+
+
+@pytest.mark.parametrize("scenario", ["model-evolution", "linear-kg-bound"])
+def test_flags_match_the_same_keys_in_a_file(tmp_path, scenario):
+    path = tmp_path / "config.txt"
+    path.write_text("[run]\nuntil_s = 6.5\n[grid]\nresolution = 0.07\n"
+                    "[data]\nepsilon = 0.02\n"
+                    f"[output]\ndir = {tmp_path / 'out'}\n")
+    from_file = cli.build_config([scenario, "--config", str(path)])
+    from_flags = cli.build_config([
+        scenario, "--until-s", "6.5", "--resolution", "0.07",
+        "--epsilon", "0.02", "--out", str(tmp_path / "out")])
+    assert cli.config_text(from_flags) == cli.config_text(from_file)
+    assert from_flags.out_dir == from_file.out_dir == str(tmp_path / "out")
+    # a flag wins over the file's value of its key
+    path.write_text("[grid]\nresolution = 0.1\n")
+    both = cli.build_config([scenario, "--config", str(path),
+                             "--resolution", "0.07"])
+    assert both.resolution == 0.07
+
+
 # --- config text round trip ---
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -234,3 +286,22 @@ def test_deterministic_solver_runs_are_byte_identical(monkeypatch, tmp_path,
     trees = deterministic_trees(monkeypatch, tmp_path, argv)
     assert any(k.endswith(table) for k in trees[0])
     assert trees[0] == trees[1]
+
+
+# --- smoke runs of the quick scenarios at their defaults ---
+
+@pytest.mark.parametrize("scenario, table, schema, rows", [
+    ("sobolev-suite", "sobolev.csv", "sobolev/v1", 100),
+    ("frame-identity-suite", "frame_errors.csv", "order/v1", 9),
+])
+def test_quick_scenarios_pass_at_defaults(tmp_path, capsys, scenario, table,
+                                          schema, rows):
+    assert cli.main([scenario, "--out", str(tmp_path), "--deterministic"]) \
+        == 0
+    assert capsys.readouterr().out.startswith(f"{scenario}: PASS")
+    got_schema, header, back = cli.read_series(tmp_path / table)
+    assert got_schema == schema
+    assert header == cli.SERIES_SCHEMAS[schema]
+    assert len(back) == rows
+    report = (tmp_path / "report.txt").read_text()
+    assert "overall: PASS" in report
