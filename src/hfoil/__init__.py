@@ -8,9 +8,8 @@ and explicit pointwise envelope bounds.
 from .util import (ConfigError, FoliationError, SliceCoverageError,
                    StabilityError, StencilRangeError)
 from .fields import EVEN, ODD, BoxGrid, FieldHistory, RadialGrid, sample_history
-from .geometry import (BoxSliceChart, ConeWindow, RadialSliceChart,
-                       SliceSample, SpacetimePoint, apply_boost,
-                       apply_frame_tangent, apply_perp, chi_of,
+from .geometry import (BoxSliceChart, RadialSliceChart, SliceSample,
+                       apply_boost, apply_frame_tangent, apply_perp, chi_of,
                        cone_entry_radius, dalembertian_cartesian,
                        dalembertian_frame, hyperbolic_radius, in_cone,
                        interpolate_to_slice, make_chart, slice_radius_cap)
@@ -18,10 +17,10 @@ from .solver import (InitialData, ModelParams, RunResult, evolve_model,
                      grid_for_run, solve_linear_kg_curved,
                      solve_linear_wave_sourced)
 from .analysis import (PowerFit, QueryPool, SliceDerivativeTable,
-                       SliceEnergySuite, SliceValueProbe, SupTracker,
-                       combo_expansion, design_lowpass, filter_level,
-                       fit_power_law, hierarchy_check, hierarchy_combos,
-                       hierarchy_target, kernel_response, profile_family,
+                       SliceEnergySuite, SupTracker, combo_expansion,
+                       design_lowpass, filter_level, fit_power_law,
+                       hierarchy_check, hierarchy_combos, hierarchy_target,
+                       kernel_response, profile_family,
                        sobolev_family_spread, sobolev_ratio_history,
                        sobolev_ratio_profile, write_csv, write_json)
 from .bounds import (BoundParams, MetricPerturb, RayCoords, accumulate_F,
@@ -35,16 +34,15 @@ __all__ = [
     "ConfigError", "FoliationError", "SliceCoverageError", "StabilityError",
     "StencilRangeError",
     "EVEN", "ODD", "BoxGrid", "FieldHistory", "RadialGrid", "sample_history",
-    "BoxSliceChart", "ConeWindow", "RadialSliceChart", "SliceSample",
-    "SpacetimePoint", "apply_boost", "apply_frame_tangent", "apply_perp",
-    "chi_of", "cone_entry_radius", "dalembertian_cartesian",
-    "dalembertian_frame", "hyperbolic_radius", "in_cone",
-    "interpolate_to_slice", "make_chart", "slice_radius_cap",
+    "BoxSliceChart", "RadialSliceChart", "SliceSample", "apply_boost",
+    "apply_frame_tangent", "apply_perp", "chi_of", "cone_entry_radius",
+    "dalembertian_cartesian", "dalembertian_frame", "hyperbolic_radius",
+    "in_cone", "interpolate_to_slice", "make_chart", "slice_radius_cap",
     "InitialData", "ModelParams", "RunResult", "evolve_model",
     "grid_for_run", "solve_linear_kg_curved", "solve_linear_wave_sourced",
     "PowerFit", "QueryPool", "SliceDerivativeTable", "SliceEnergySuite",
-    "SliceValueProbe", "SupTracker", "combo_expansion", "design_lowpass",
-    "filter_level", "fit_power_law", "hierarchy_check", "hierarchy_combos",
+    "SupTracker", "combo_expansion", "design_lowpass", "filter_level",
+    "fit_power_law", "hierarchy_check", "hierarchy_combos",
     "hierarchy_target", "kernel_response", "profile_family",
     "sobolev_family_spread", "sobolev_ratio_history",
     "sobolev_ratio_profile", "write_csv", "write_json",

@@ -181,15 +181,22 @@ def kernel_response(kern: np.ndarray, k) -> np.ndarray:
 
 
 def filter_level(values: np.ndarray, kern: np.ndarray,
-                 parity: int = EVEN) -> np.ndarray:
+                 parity: int = EVEN, lo: int = 0, hi=None) -> np.ndarray:
     """Convolve one radial level with a symmetric kernel.
 
     The origin side folds with the field parity, the far side pads with
-    zeros (fields are compactly supported inside the grid).
+    zeros (fields are compactly supported inside the grid).  Only the
+    outputs at cells lo..hi-1 are computed (default: the whole level);
+    each is the same 2M+1 tap dot product as on the whole level, so a
+    range is a bit-identical slice of the full result.
     """
     M = (len(kern) - 1) // 2
-    ext = np.concatenate([float(parity) * values[M:0:-1], values,
-                          np.zeros(M)])
+    n = len(values)
+    hi = n if hi is None else hi
+    ext = values[max(lo - M, 0):hi + M]
+    if lo < M or hi + M > n:
+        ext = np.concatenate([float(parity) * values[max(M - lo, 0):0:-1],
+                              ext, np.zeros(max(hi + M - n, 0))])
     return np.convolve(ext, kern, mode="valid")
 
 
@@ -483,32 +490,6 @@ class SliceDerivativeTable:
                          optimize=True)
 
 
-class SliceValueProbe:
-    """Plain field values on the chi charts of several slices."""
-
-    def __init__(self, pool: QueryPool, field: str, s_values,
-                 cone_margin: float, chi_step: float = 0.02):
-        self.field = field
-        self.charts = {}
-        self._handles = {}
-        self._pool = pool
-        for s in s_values:
-            chi, chi_max = chart_nodes(s, cone_margin, chi_step)
-            t = s * np.cosh(chi)
-            r = s * np.sinh(chi)
-            self.charts[float(s)] = {"chi": chi, "t": t, "r": r}
-            self._handles[float(s)] = pool.add(field, t, r)
-
-    def values(self, s: float) -> np.ndarray:
-        vals = self._pool.result(self._handles[float(s)])
-        if np.isnan(vals).any():
-            raise SliceCoverageError(
-                f"slice s={s} values not fully resolved",
-                needed=float(self.charts[float(s)]["t"].max()),
-                available=self._pool.last_t)
-        return vals
-
-
 def lattice_reach(max_order: int, s: float = 0.0, h_s: float = 0.0,
                   chi_max: float = 0.0):
     """(half, t_reach) of a SliceDerivativeTable lattice.
@@ -520,6 +501,13 @@ def lattice_reach(max_order: int, s: float = 0.0, h_s: float = 0.0,
     """
     half = max((max_order + 2) // 2, 2) if max_order else 0
     return half, (s + half * h_s) * math.cosh(chi_max)
+
+
+def slice_cone_margin(dx: float) -> float:
+    """How far inside the shifted cone |x| = t - 1 the slice charts of a
+    run with radial step dx stop: 2 dx.  Grid plans, run lengths and
+    the suite's tabulated charts all take it from here."""
+    return 2.0 * dx
 
 
 def chart_nodes(s: float, cone_margin: float, chi_step: float):
@@ -549,7 +537,7 @@ class SliceEnergySuite:
                  fields=("u", "v"), chi_step: float = 0.04,
                  h_s: float = 0.08, h_chi_u: float = 0.1, t_floor=None,
                  level_filter: bool = False):
-        margin = 2.0 * grid.dx
+        margin = slice_cone_margin(grid.dx)
         self.order = int(order)
         self.mass = float(mass)
         self.fields = tuple(fields)
@@ -590,7 +578,7 @@ class SliceEnergySuite:
         """
         from .solver import grid_for_run
         s_top = max(float(s) for s in s_values)
-        _, chi_max = chart_nodes(s_top, 2.0 * dx, 1.0)
+        _, chi_max = chart_nodes(s_top, slice_cone_margin(dx), 1.0)
         t_need = lattice_reach(order + 1, s_top, h_s, chi_max)[1] + pad
         grid = grid_for_run(dx, t0, t_need, support_radius=support_radius)
         suite = cls(grid, s_values, order=order, h_s=h_s, t_floor=t0, **kw)
@@ -646,19 +634,18 @@ class SliceEnergySuite:
     def stage_sups(self, delta: float):
         """Weighted sup norms per bootstrap stage, one row per slice.
 
-        Stages split each field into low (k <= order-4) and high order;
+        Stages split each field into low and high order (is_low_order);
         wave stages weigh by t, Klein-Gordon stages by
         (t/s)^(1/2-7 delta) t^(3/2).
         """
         self._ensure_values()
-        low_cut = self.order - 4
         pv = 0.5 - 7.0 * delta
-        stages = [("u:low", "u", 0.0, 1.0, lambda k: k <= low_cut),
-                  ("v:low", "v", pv, 1.5, lambda k: k <= low_cut),
-                  ("u:high", "u", 0.0, 1.0, lambda k: k > low_cut),
-                  ("v:high", "v", pv, 1.5, lambda k: k > low_cut)]
+        stages = [("u:low", "u", 0.0, 1.0, True),
+                  ("v:low", "v", pv, 1.5, True),
+                  ("u:high", "u", 0.0, 1.0, False),
+                  ("v:high", "v", pv, 1.5, False)]
         rows = []
-        for label, field, p, q, member in stages:
+        for label, field, p, q, low in stages:
             if field not in self.fields:
                 continue
             for s in self.s_values:
@@ -667,7 +654,7 @@ class SliceEnergySuite:
                 weight = (t / s) ** p * t ** q
                 best = 0.0
                 for (it, ir, j) in hierarchy_combos(self.order):
-                    if not member(it + ir + j):
+                    if is_low_order(it + ir + j, self.order) != low:
                         continue
                     W = self._values[(field, s, it, ir, j)]
                     best = max(best, float(np.max(weight * np.abs(W))))
@@ -684,6 +671,16 @@ class SupTracker:
     Pointwise sups at late times drown in undamped grid ripple long
     before the signal does, so with level_filter the default
     design_lowpass kernel is applied before taking the max.
+
+    The filtered max is exact, index and value bit for bit those of
+    filtering the whole level, yet only a window is convolved.  For a
+    2M+1 tap kernel k, |(k*w)(i)| <= |k|_1 max_{|j-i| <= M} |w_j|; with
+    best the filtered value at the largest |w|, only outputs within M
+    cells of a cell with |k|_1 |w_j| >= best can reach the max.  |k|_1
+    carries a 1e-12 margin for rounding (a 41-term dot product errs by
+    about 1e-14).  Cells are kept by not(|k|_1 |w_j| < best), so a NaN
+    best or a zero one (an all-zero level) keeps every cell and an inf
+    cell is always kept: no level needs a second code path.
     """
 
     def __init__(self, field: str = "v", stride: int = 1, grid=None,
@@ -692,6 +689,9 @@ class SupTracker:
         self.stride = max(int(stride), 1)
         self.grid = grid
         self.kernel = design_lowpass() if level_filter else None
+        if level_filter:
+            self._reach = (len(self.kernel) - 1) // 2
+            self._l1 = float(np.abs(self.kernel).sum()) * (1.0 + 1e-12)
         self.t = []
         self.sup = []
         self.r_at = []
@@ -703,12 +703,20 @@ class SupTracker:
         if w is None:
             raise FoliationError(
                 f"sup tracker for field {self.field!r} got no data")
+        a = np.abs(w)
+        i = int(np.argmax(a))
+        lo = 0
         if self.kernel is not None:
-            w = filter_level(w, self.kernel)
-        i = int(np.argmax(np.abs(w)))
+            best = abs(filter_level(w, self.kernel, lo=i, hi=i + 1)[0])
+            hot = np.flatnonzero(~(a * self._l1 < best))
+            lo = max(int(hot[0]) - self._reach, 0)
+            hi = min(int(hot[-1]) + self._reach + 1, len(w))
+            a = np.abs(filter_level(w, self.kernel, lo=lo, hi=hi))
+            i = int(np.argmax(a))
         self.t.append(float(t))
-        self.sup.append(float(abs(w[i])))
-        self.r_at.append(i * self.grid.dx if self.grid is not None else float(i))
+        self.sup.append(float(a[i]))
+        self.r_at.append((lo + i) * self.grid.dx if self.grid is not None
+                         else float(lo + i))
 
     def series(self):
         return np.asarray(self.t), np.asarray(self.sup)
@@ -755,14 +763,21 @@ def fit_power_law(x, y, tail: float | None = 10.0, min_points: int = 8,
                     count=int(x.size), span=span)
 
 
+def is_low_order(k: int, order: int) -> bool:
+    """Whether combo order k is in the low band of a ladder of the given
+    order (k <= order - 4), which the hierarchy targets and the stage
+    sup norms both split on."""
+    return k <= order - 4
+
+
 def hierarchy_target(field: str, k: int, delta: float, order: int) -> float:
     """Allowed growth exponent of E(s, combo)^(1/2) at combo order k.
 
-    Low orders (k <= order - 4) stay flat for the wave field and
-    grow like k*delta for Klein-Gordon; the top orders pick up the
-    extra half power on the Klein-Gordon side.
+    Low orders (is_low_order) stay flat for the wave field and grow
+    like k*delta for Klein-Gordon; the top orders pick up the extra
+    half power on the Klein-Gordon side.
     """
-    low = k <= order - 4
+    low = is_low_order(k, order)
     if field == "u":
         return 0.0 if low else k * delta
     return k * delta if low else 0.5 + k * delta

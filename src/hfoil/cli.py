@@ -77,8 +77,9 @@ from . import __version__
 from .analysis import (SliceEnergySuite, SupTracker, chart_nodes,
                        combo_label, energy_csv_rows, fit_power_law,
                        hierarchy_check, hierarchy_csv_rows, hierarchy_target,
-                       lattice_reach, profile_family, sobolev_ratio_profile,
-                       supnorm_csv_rows, write_csv, write_json)
+                       lattice_reach, profile_family, slice_cone_margin,
+                       sobolev_ratio_profile, supnorm_csv_rows, write_csv,
+                       write_json)
 from .bounds import (ZERO_METRIC, BoundParams, attach_refinement,
                      kg_bound_margin, metric_pull, wave_bound_margin)
 from .fields import BoxGrid, sample_history
@@ -719,7 +720,7 @@ def _scn_model_evolution(cfg: RunConfig, out: Path):
 
     # slice ladder and the wall time needed to cover it
     s_vals = _slice_ladder(cfg.s0, s_top)
-    _, chi_max = chart_nodes(s_top, 2.0 * dx, 1.0)
+    _, chi_max = chart_nodes(s_top, slice_cone_margin(dx), 1.0)
     h_s = 0.3 if cfg.order >= 4 else 0.08
     _, t_reach = lattice_reach(cfg.order + 1, s_top, h_s, chi_max)
     t_end = max(t_reach + 0.25, cfg.until_t or 0.0)

@@ -72,53 +72,6 @@ def chi_of(t, r):
     return 0.5 * np.log((t + r) / (t - r))
 
 
-@dataclass(frozen=True)
-class SpacetimePoint:
-    """A point (t, x) with t > |x|, i.e. inside the light cone of the origin."""
-    t: float
-    x: tuple
-
-    def __post_init__(self):
-        r = float(np.sqrt(_radius_sq(np.asarray(self.x))))
-        if self.t <= r:
-            raise ValueError(f"point (t={self.t}, |x|={r}) is not above the light cone")
-
-    @property
-    def r(self) -> float:
-        return float(np.sqrt(_radius_sq(np.asarray(self.x))))
-
-    @property
-    def s(self) -> float:
-        return float(np.sqrt(self.t * self.t - self.r * self.r))
-
-    @classmethod
-    def on_slice(cls, s: float, x) -> "SpacetimePoint":
-        """The point of H_s over spatial position x."""
-        x = tuple(float(v) for v in np.atleast_1d(x))
-        r2 = sum(v * v for v in x)
-        return cls(t=float(np.sqrt(s * s + r2)), x=x)
-
-    def in_cone(self) -> bool:
-        return in_cone(self.t, np.asarray(self.x))
-
-
-@dataclass(frozen=True)
-class ConeWindow:
-    """K_[s0,s1]: strictly inside the cone, between two slices."""
-    s0: float
-    s1: float
-
-    def __post_init__(self):
-        if not (1.0 <= self.s0 <= self.s1):
-            raise ValueError("need 1 <= s0 <= s1")
-
-    def contains(self, p: SpacetimePoint) -> bool:
-        if not p.r < p.t - 1.0:
-            return False
-        s2 = p.t * p.t - p.r * p.r
-        return self.s0 ** 2 <= s2 <= self.s1 ** 2
-
-
 # === frame operators on field histories ===
 
 def _scale(h: FieldHistory, fn, parity_factor: int = 1) -> FieldHistory:

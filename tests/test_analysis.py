@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfoil.fields import EVEN, ODD, BoxGrid, RadialGrid, sample_history
 from hfoil.analysis import (QueryPool, SliceDerivativeTable,
-                            SliceEnergySuite, SliceValueProbe, SupTracker,
+                            SliceEnergySuite, SupTracker,
                             _apply, chart_nodes, combo_expansion,
                             combo_label, design_lowpass, energy_csv_rows,
                             filter_level, fit_power_law, gaussian_profile,
@@ -354,20 +356,19 @@ def test_table_matches_symbolic_derivatives():
 def test_value_probe_and_chart_nodes():
     grid = RadialGrid(dx=0.05, n=300)
     pool = QueryPool(grid)
-    probe = SliceValueProbe(pool, "u", [4.0], cone_margin=0.1, chi_step=0.05)
+    chi, chi_max = chart_nodes(4.0, 0.1, 0.05)
+    t, r = 4.0 * np.cosh(chi), 4.0 * np.sinh(chi)
+    handle = pool.add("u", t, r)
 
     def fn(t, r):
         # even in r, low degree: interpolation exact under the origin fold
         return t * (1.0 + r * r / 10.0)
 
     stream_levels(pool, fn, 3.8, 0.02, 300, grid)
-    chart = probe.charts[4.0]
-    vals = probe.values(4.0)
-    assert vals == pytest.approx(
-        chart["t"] * (1.0 + chart["r"] ** 2 / 10.0), rel=1e-11)
+    vals = pool.result(handle)
+    assert vals == pytest.approx(t * (1.0 + r ** 2 / 10.0), rel=1e-11)
     # wall node sits where t - r equals the margin offset 1 + m
-    assert chart["t"][-1] - chart["r"][-1] == pytest.approx(1.1, rel=1e-9)
-    chi, chi_max = chart_nodes(4.0, 0.1, 0.05)
+    assert t[-1] - r[-1] == pytest.approx(1.1, rel=1e-9)
     assert chi[-1] == pytest.approx(chi_max)
     assert math.cosh(chi_max) * 4.0 == pytest.approx(
         (16.0 + 1.1 ** 2) / 2.2)
@@ -527,6 +528,139 @@ def test_sup_tracker_filter_sees_through_ripple():
     assert raw.sup[0] == pytest.approx(3e-3, rel=0.2)      # ripple wins
     assert filt.sup[0] == pytest.approx(1e-4, rel=1e-3)    # signal wins
     assert filt.r_at[0] == pytest.approx(4.0, abs=grid.dx)
+
+
+# --- bounded filtered sup against the whole-level route ---
+
+def _full_route_sup(w):
+    """The filtered sup by the plain route: filter the whole level
+    (even fold at the origin, zero pad past the edge), then take the
+    first argmax of |.|."""
+    kern = design_lowpass()
+    M = (len(kern) - 1) // 2
+    ext = np.concatenate([w[M:0:-1], w, np.zeros(M)])
+    out = np.abs(np.convolve(ext, kern, mode="valid"))
+    i = int(np.argmax(out))
+    return i, float(out[i])
+
+
+class _FullRouteTracker:
+    def __init__(self, field, grid):
+        self.field, self.grid = field, grid
+        self.t, self.sup, self.r_at = [], [], []
+
+    def on_level(self, t, step, u, v):
+        i, sup = _full_route_sup(u if self.field == "u" else v)
+        self.t.append(float(t))
+        self.sup.append(sup)
+        self.r_at.append(i * self.grid.dx)
+
+
+def _assert_matches_full_route(w):
+    trk = SupTracker(field="u", level_filter=True)
+    trk.on_level(0.0, 0, w, None)
+    i, sup = _full_route_sup(w)
+    assert trk.r_at == [float(i)]
+    if math.isnan(sup):
+        assert math.isnan(trk.sup[0])
+    else:
+        assert trk.sup == [sup]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-8.0, 8.0).map(lambda x: round(x, 1)),
+                min_size=41, max_size=600),
+       st.sampled_from([1.0, 1e-7, 3e5]))
+def test_bounded_sup_equals_full_route(vals, scale):
+    # one-decimal values force ties, in |w| and in the filtered output
+    _assert_matches_full_route(scale * np.array(vals))
+
+
+def test_bounded_sup_edge_cases():
+    n = 300
+    bump = np.exp(-np.linspace(-2.0, 2.0, 21) ** 2)
+    # two equal bumps: equal filtered peaks, the first index wins
+    w = np.zeros(n)
+    w[90:111] = bump
+    w[190:211] = bump
+    trk = SupTracker(field="u", level_filter=True)
+    trk.on_level(0.0, 0, w, None)
+    assert trk.r_at == [100.0]
+    _assert_matches_full_route(w)
+    # peak inside the origin fold, peak at the last cell, ramp to the edge
+    w = np.zeros(n)
+    w[:8] = bump[10:18]
+    _assert_matches_full_route(w)
+    w = np.zeros(n)
+    w[-1] = 1.0
+    _assert_matches_full_route(w)
+    _assert_matches_full_route(np.linspace(0.0, 1.0, n))
+    _assert_matches_full_route(np.zeros(n))
+    # the bound is tight: the kernel's sign pattern filters to |k|_1
+    # times its height, above a taller smooth bump
+    kern = design_lowpass()
+    w = 1.2 * np.exp(-((np.arange(n) - 220.0) / 15.0) ** 2)
+    w[80:121] = np.sign(kern)
+    trk = SupTracker(field="u", level_filter=True)
+    trk.on_level(0.0, 0, w, None)
+    assert trk.r_at == [100.0]
+    assert trk.sup[0] == pytest.approx(np.abs(kern).sum(), rel=1e-12)
+    _assert_matches_full_route(w)
+    # NaN and infinities anywhere, alone or with a second bad cell
+    base = np.sin(np.arange(n) * 0.05)
+    for bad in (math.nan, math.inf, -math.inf):
+        for pos in (0, 3, 20, 150, n - 21, n - 1):
+            w = base.copy()
+            w[pos] = bad
+            _assert_matches_full_route(w)
+            w[(pos + 7) % n] = -bad
+            _assert_matches_full_route(w)
+
+
+def test_filter_level_range_is_a_slice():
+    rng = np.random.default_rng(5)
+    kern = design_lowpass()
+    for parity in (EVEN, ODD):
+        for n in (41, 57, 400):
+            w = rng.standard_normal(n)
+            full = filter_level(w, kern, parity)
+            for lo in (0, 1, 19, 20, 21, n // 2, n - 21, n - 1):
+                for hi in (lo + 1, min(lo + 40, n), n):
+                    part = filter_level(w, kern, parity, lo=lo, hi=hi)
+                    assert np.array_equal(part, full[lo:hi])
+
+
+def test_bounded_sup_tracks_evolution_like_full_route():
+    grid = grid_for_run(0.05, 2.0, 6.0, support_radius=1.0)
+    trackers = [(SupTracker(f, grid=grid, level_filter=True),
+                 _FullRouteTracker(f, grid)) for f in ("u", "v")]
+    evolve_model(ModelParams.isotropic(), grid, InitialData.bump(0.05, 0.05),
+                 t0=2.0, t_end=6.0,
+                 observers=[trk for pair in trackers for trk in pair])
+    for trk, ref in trackers:
+        assert len(trk.t) > 50
+        assert trk.t == ref.t
+        assert trk.sup == ref.sup
+        assert trk.r_at == ref.r_at
+
+
+def test_bounded_sup_convolves_a_narrow_window(monkeypatch):
+    n = 4000
+    r = np.arange(n) * 0.05
+    shell = 1e-3 * np.exp(-(r - 60.0) ** 2)
+    cells = []
+    convolve = np.convolve
+
+    def spy(a, v, mode="full"):
+        out = convolve(a, v, mode=mode)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "convolve", spy)
+    trk = SupTracker(field="u", level_filter=True)
+    trk.on_level(0.0, 0, shell, None)
+    assert trk.r_at == [1200.0]
+    assert 0 < sum(cells) <= 0.05 * n
 
 
 # === Sobolev ratios ===

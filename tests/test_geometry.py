@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from hfoil import (EVEN, BoxGrid, ConeWindow, RadialGrid, SliceCoverageError,
-                   SpacetimePoint, apply_boost, apply_frame_tangent,
-                   apply_perp, chi_of, cone_entry_radius,
-                   dalembertian_cartesian, dalembertian_frame,
-                   hyperbolic_radius, in_cone, interpolate_to_slice,
-                   make_chart, sample_history, slice_radius_cap)
+from hfoil import (EVEN, BoxGrid, RadialGrid, SliceCoverageError,
+                   apply_boost, apply_frame_tangent, apply_perp, chi_of,
+                   cone_entry_radius, dalembertian_cartesian,
+                   dalembertian_frame, hyperbolic_radius, in_cone,
+                   interpolate_to_slice, make_chart, sample_history,
+                   slice_radius_cap)
 
 
 # --- symbolic oracle for the frame decomposition of the d'Alembertian ---
@@ -67,32 +67,6 @@ def test_cone_entry_is_slice_label_of_ray_entry():
         te, re = lam * t, lam * r
         assert te - re == pytest.approx(1.0, rel=1e-12)
         assert np.sqrt(te * te - re * re) == pytest.approx(S)
-
-
-def test_spacetime_point_on_slice():
-    p = SpacetimePoint.on_slice(4.0, (3.0, 0.0, 0.0))
-    assert p.t == pytest.approx(5.0)
-    assert p.s == pytest.approx(4.0)
-    assert p.in_cone()
-    with pytest.raises(ValueError):
-        SpacetimePoint(1.0, (2.0, 0.0, 0.0))
-
-
-def test_cone_window_bounds_time_by_slice_labels():
-    w = ConeWindow(2.0, 6.0)
-    assert w.contains(SpacetimePoint.on_slice(3.0, (3.5, 0.0, 0.0)))
-    # boundary of the shifted cone is excluded: t=5, r=4 has r = t-1
-    assert not w.contains(SpacetimePoint(5.0, (4.0, 0.0, 0.0)))
-    assert not w.contains(SpacetimePoint.on_slice(7.0, (1.0, 0.0, 0.0)))
-    # inside the window, s <= t <= s^2 holds
-    rng = np.random.default_rng(9)
-    for _ in range(200):
-        s = rng.uniform(2.0, 6.0)
-        r = rng.uniform(0.0, slice_radius_cap(s, 0.0))
-        p = SpacetimePoint.on_slice(s, (r, 0.0, 0.0))
-        if w.contains(p):
-            assert p.s <= p.t + 1e-12
-            assert p.t <= p.s ** 2 + 1e-12
 
 
 def test_slice_radius_cap_hits_the_shifted_cone():
