@@ -26,6 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import EVEN
+from .geometry import (apply_boost, interpolate_to_slice, make_chart,
+                       slice_cone_margin)
 from .util import (FoliationError, SliceCoverageError, fd_weights,
                    lagrange_weights, reduce_sum, trapezoid_weights)
 
@@ -503,13 +505,6 @@ def lattice_reach(max_order: int, s: float = 0.0, h_s: float = 0.0,
     return half, (s + half * h_s) * math.cosh(chi_max)
 
 
-def slice_cone_margin(dx: float) -> float:
-    """How far inside the shifted cone |x| = t - 1 the slice charts of a
-    run with radial step dx stop: 2 dx.  Grid plans, run lengths and
-    the suite's tabulated charts all take it from here."""
-    return 2.0 * dx
-
-
 def chart_nodes(s: float, cone_margin: float, chi_step: float):
     """Uniform chi nodes [0, chi_max] for the truncated slice."""
     c = 1.0 + cone_margin
@@ -910,7 +905,6 @@ def sobolev_ratio_history(h, s: float, cone_margin=None) -> float:
     Boosts come from the history operators, norms from box slice
     quadrature; used to cross-check the angular reduction.
     """
-    from .geometry import apply_boost, interpolate_to_slice, make_chart
     chart = make_chart(h.grid, s, cone_margin)
     t = np.sqrt(s * s + np.sum(chart.x ** 2, axis=1))
 

@@ -75,10 +75,36 @@ class RayCoords:
         lam = np.asarray(lam, dtype=float)
         return lam * (self.t / self.s), lam * (self.r / self.s)
 
-    def lam_nodes(self, dlam: float, s: Optional[float] = None) -> np.ndarray:
-        s = self.s if s is None else float(s)
-        n = max(2, int(math.ceil((s - self.lam_min) / dlam)) + 1)
-        return np.linspace(self.lam_min, s, n)
+    def lam_nodes(self, dlam: float) -> np.ndarray:
+        return lam_grid(self.lam_min, self.s, dlam)[0][0]
+
+
+def lam_count(lam_min, s, dlam: float) -> np.ndarray:
+    """Quadrature node counts of rays from lam_min to s with step at
+    most dlam: max(2, ceil((s - lam_min) / dlam) + 1) per ray."""
+    lo = np.atleast_1d(np.asarray(lam_min, dtype=float))
+    hi = np.atleast_1d(np.asarray(s, dtype=float))
+    return np.maximum(2, np.ceil((hi - lo) / dlam).astype(int) + 1)
+
+
+def lam_grid(lam_min, s, dlam: float):
+    """(nodes, n): quadrature nodes of rays from lam_min to s, one row
+    per ray, and each row's node count n = lam_count(lam_min, s, dlam).
+
+    Row i is np.linspace(lam_min[i], s[i], n[i]) bit for bit: k*step +
+    lam_min[i] with step = (s[i] - lam_min[i]) / (n[i] - 1) and the last
+    node pinned to s[i] (lam_min >= s0 > 1, so step is never a
+    subnormal that rounds to 0).  Past its own n[i] nodes a row repeats
+    s[i], so the padding adds nothing to a cumulative trapezoid sum.
+    """
+    n = lam_count(lam_min, s, dlam)
+    lo = np.atleast_1d(np.asarray(lam_min, dtype=float))[:, None]
+    hi = np.atleast_1d(np.asarray(s, dtype=float))[:, None]
+    last = (n - 1)[:, None]
+    k = np.arange(int(n.max()), dtype=float)
+    lam = k * ((hi - lo) / last) + lo
+    np.copyto(lam, hi, where=k >= last)
+    return lam, n
 
 
 class MetricPerturb:
@@ -193,20 +219,33 @@ def wave_source(mu: float, nu: float, amp: float = 1.0,
 
 # === ray integrals ===
 
-def h_ray_derivative(h, ray: RayCoords, lam):
-    """d/dlam of h along the ray: (t/s) d_t h + (r/s) d_r h at the ray
-    point, which is (t/s) times the perp derivative there."""
+# cap on points x nodes of one envelope block, so the 2D quadrature
+# arrays stay small the way QueryPool's cap keeps one flush small; at
+# 2048 linear-kg-bound peaks at the RSS of the per-point route, at 4096
+# it peaked 0.3 MB higher
+ENVELOPE_BLOCK = 2048
+
+
+def h_ray_derivative(h, rays, lam):
+    """d/dlam of h along each ray, at the nodes in the matching row of
+    the 2D lam (one row per RayCoords in rays): (t/s) d_t h + (r/s) d_r h
+    at the ray point, which is (t/s) times the perp derivative there.
+    Every node must lie in its own ray's [lam_min, s]."""
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam < ray.lam_min - 1e-9) or np.any(lam > ray.s + 1e-9):
+    lo = np.array([[ray.lam_min] for ray in rays])
+    hi = np.array([[ray.s] for ray in rays])
+    if np.any(lam < lo - 1e-9) or np.any(lam > hi + 1e-9):
         raise ValueError("lambda outside the ray range")
-    tp, rp = ray.points(lam)
+    a = np.array([[ray.t / ray.s] for ray in rays])
+    b = np.array([[ray.r / ray.s] for ray in rays])
     if isinstance(h, MetricPerturb) and h.analytic:
-        return (ray.t / ray.s) * h.dt(tp, rp) + (ray.r / ray.s) * h.dr(tp, rp)
+        tp, rp = lam * a, lam * b
+        return a * h.dt(tp, rp) + b * h.dr(tp, rp)
     fn = h
     dl = 1e-5 * np.maximum(lam, 1.0)
-    up = ray.points(lam + dl)
-    dn = ray.points(lam - dl)
-    return (np.asarray(fn(*up), float) - np.asarray(fn(*dn), float)) / (2 * dl)
+    up, dn = lam + dl, lam - dl
+    return (np.asarray(fn(up * a, up * b), float)
+            - np.asarray(fn(dn * a, dn * b), float)) / (2 * dl)
 
 
 class RayIntegral:
@@ -239,30 +278,71 @@ def accumulate_F(f: Optional[Callable], ray: RayCoords,
     return RayIntegral(lam, cum)
 
 
-def envelope_V(ray: RayCoords, data_norms, F: RayIntegral,
-               h, params: BoundParams, C: Optional[float] = None) -> float:
-    """The Klein-Gordon majorant at the ray's base point.
+def envelope_V(rays, data_norms, F: RayIntegral, h, params: BoundParams,
+               Cs=None) -> np.ndarray:
+    """The Klein-Gordon majorant at the base points of one ray.
 
     far:  (|v0|+|v1|)(1 + int |h'| e^{C int_tail |h'|})
           + F(s) + int F |h'| e^{C int_tail |h'|}
     near: F(s) + int F |h'| e^{C int_tail |h'|}
     with all integrals along the ray from lam_min to s.
+
+    rays are the RayCoords of base points that share the source
+    integral F; Cs are the weights C (default: params.C).  Returns V
+    with shape (len(Cs), len(rays)).
+
+    Block contract: consecutive base points go in blocks whose rows x
+    longest row stays within ENVELOPE_BLOCK node values (one point at
+    least); a block is one (points x nodes) array on lam_grid rows, and
+    one h_ray_derivative call serves it for every C.  Each entry is bit
+    for bit the one-point, one-C quadrature on RayCoords.lam_nodes: the
+    cumulative sum runs along each row, and each total is np.sum over
+    the row's own nodes, never over its padding (a pairwise sum depends
+    on the length).
     """
-    C = params.C if C is None else float(C)
-    lam = ray.lam_nodes(params.dlam)
-    hp = np.abs(h_ray_derivative(h, ray, lam))
-    dl = np.diff(lam)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (hp[1:] + hp[:-1]) * dl)])
-    tail = cum[-1] - cum                     # int_{lam}^{s} |h'|
-    kern = hp * np.exp(C * tail)
-    Fv = F(lam)
-    grow = float(np.sum(0.5 * (kern[1:] * Fv[1:] + kern[:-1] * Fv[:-1]) * dl))
-    V = F.total + grow
-    if ray.far:
-        n0, n1 = float(data_norms[0]), float(data_norms[1])
-        boost = float(np.sum(0.5 * (kern[1:] + kern[:-1]) * dl))
-        V += (n0 + n1) * (1.0 + boost)
+    Cs = (params.C,) if Cs is None else tuple(float(c) for c in Cs)
+    norm = float(data_norms[0]) + float(data_norms[1])
+    n = lam_count([ray.lam_min for ray in rays], [ray.s for ray in rays],
+                  params.dlam)
+    V = np.empty((len(Cs), len(rays)))
+    for lo, hi in _blocks(n):
+        block = rays[lo:hi]
+        lam, nb = lam_grid([ray.lam_min for ray in block],
+                           [ray.s for ray in block], params.dlam)
+        hp = np.abs(h_ray_derivative(h, block, lam))
+        dl = np.diff(lam, axis=1)
+        cum = np.zeros(lam.shape)
+        np.cumsum(0.5 * (hp[:, 1:] + hp[:, :-1]) * dl, axis=1,
+                  out=cum[:, 1:])
+        # int_{lam}^{s} |h'|, taken from each row's own last node
+        tail = cum[np.arange(hi - lo), nb - 1][:, None] - cum
+        Fv = F(lam)
+        far = any(ray.far for ray in block)
+        for ci, C in enumerate(Cs):
+            kern = hp * np.exp(C * tail)
+            kF = kern * Fv
+            grow = 0.5 * (kF[:, 1:] + kF[:, :-1]) * dl
+            if far:
+                boost = 0.5 * (kern[:, 1:] + kern[:, :-1]) * dl
+            for i, (ray, m) in enumerate(zip(block, nb - 1)):
+                v = F.total + float(np.sum(grow[i, :m]))
+                if ray.far:
+                    v += norm * (1.0 + float(np.sum(boost[i, :m])))
+                V[ci, lo + i] = v
     return V
+
+
+def _blocks(n):
+    """(lo, hi) ranges of consecutive rays with node counts n whose
+    rows x longest row stays within ENVELOPE_BLOCK (one ray at least)."""
+    lo, width = 0, 0
+    for i, m in enumerate(n):
+        width = max(width, int(m))
+        if i > lo and (i + 1 - lo) * width > ENVELOPE_BLOCK:
+            yield lo, i
+            lo, width = i, int(m)
+    if len(n):
+        yield lo, len(n)
 
 
 # === wave envelope ===
@@ -329,6 +409,13 @@ def kg_bound_margin(h, data: InitialData, params: BoundParams,
     skipped with a count.  delta is the physical step of the centered
     cross estimating perp v; it is deliberately not tied to dx so the
     same quantity is measured at every resolution.
+
+    Envelopes are taken per lattice ray, not per point: one envelope_V
+    call per ray for every distinct C of (params.C, *params.C_sweep) at
+    dlam and one at dlam/2 (quad_refinement_delta), each evaluated in
+    blocks of ENVELOPE_BLOCK node values.  Every V is bit for bit the
+    one-point, one-C quadrature, so the report does not depend on the
+    blocking.
     """
     if not isinstance(h, MetricPerturb):
         h = MetricPerturb(h)
@@ -366,27 +453,8 @@ def kg_bound_margin(h, data: InitialData, params: BoundParams,
     n0 = float(np.max(np.abs(np.asarray(data.v0(rr), dtype=float))))
     n1 = float(np.max(np.abs(np.asarray(data.v1(rr), dtype=float))))
 
-    # one source integral per ray, accumulated to the ray's farthest point
-    half = BoundParams(C=params.C, mass=params.mass, dlam=params.dlam / 2,
-                       s0=params.s0, C_sweep=params.C_sweep)
-    Fs = {}
-    for j in np.unique(ci):
-        k = np.nonzero(ci == j)[0][np.argmax(ts[ci == j])]
-        top = RayCoords(ts[k], rs[k], params)
-        Fs[j] = (accumulate_F(f, top, params), accumulate_F(f, top, half))
-
-    V = np.empty(ts.size)
-    V_half = np.empty(ts.size)
-    Vs = {c: np.empty(ts.size) for c in params.C_sweep}
-    regimes = np.empty(ts.size, dtype=bool)
-    for i in range(ts.size):
-        ray = RayCoords(ts[i], rs[i], params)
-        regimes[i] = ray.far
-        F, F2 = Fs[ci[i]]
-        V[i] = envelope_V(ray, (n0, n1), F, h, params)
-        V_half[i] = envelope_V(ray, (n0, n1), F2, h, half)
-        for c in params.C_sweep:
-            Vs[c][i] = envelope_V(ray, (n0, n1), F, h, params, C=c)
+    V, V_half, Vs, regimes = _lattice_envelopes(h, f, params, ts, rs, ci,
+                                                (n0, n1))
     pos = V > 0
     ratio = np.zeros(ts.size)
     ratio[pos] = weighted[pos] / V[pos]
@@ -424,6 +492,36 @@ def kg_bound_margin(h, data: InitialData, params: BoundParams,
         "refinement_deltas": None,
     }
     return rep
+
+
+def _lattice_envelopes(h, f, params: BoundParams, ts, rs, ci, data_norms):
+    """(V, V_half, Vs, far) at the base points (ts, rs) of lattice rays ci.
+
+    One envelope_V call per lattice ray and quadrature step: at dlam for
+    every distinct C of (params.C, *params.C_sweep), and at dlam/2 for
+    params.C.  Each ray's source integral is accumulated once per step,
+    to its farthest base point.  Vs maps each C of the sweep to its V.
+    """
+    half = BoundParams(C=params.C, mass=params.mass, dlam=params.dlam / 2,
+                       s0=params.s0, C_sweep=params.C_sweep)
+    Cs = list(dict.fromkeys(float(c) for c in (params.C, *params.C_sweep)))
+    V = np.empty(ts.size)
+    V_half = np.empty(ts.size)
+    Vs = {c: np.empty(ts.size) for c in params.C_sweep}
+    far = np.empty(ts.size, dtype=bool)
+    for j in np.unique(ci):
+        idx = np.nonzero(ci == j)[0]
+        rays = [RayCoords(ts[i], rs[i], params) for i in idx]
+        top = rays[int(np.argmax(ts[idx]))]
+        far[idx] = [ray.far for ray in rays]
+        env = envelope_V(rays, data_norms, accumulate_F(f, top, params), h,
+                         params, Cs)
+        V_half[idx] = envelope_V(rays, data_norms,
+                                 accumulate_F(f, top, half), h, half)[0]
+        V[idx] = env[0]
+        for c in params.C_sweep:
+            Vs[c][idx] = env[Cs.index(float(c))]
+    return V, V_half, Vs, far
 
 
 def format_c(c: float) -> str:

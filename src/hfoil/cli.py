@@ -77,13 +77,13 @@ from . import __version__
 from .analysis import (SliceEnergySuite, SupTracker, chart_nodes,
                        combo_label, energy_csv_rows, fit_power_law,
                        hierarchy_check, hierarchy_csv_rows, hierarchy_target,
-                       lattice_reach, profile_family, slice_cone_margin,
-                       sobolev_ratio_profile, supnorm_csv_rows, write_csv,
-                       write_json)
+                       lattice_reach, profile_family, sobolev_ratio_profile,
+                       supnorm_csv_rows, write_csv, write_json)
 from .bounds import (ZERO_METRIC, BoundParams, attach_refinement,
                      kg_bound_margin, metric_pull, wave_bound_margin)
 from .fields import BoxGrid, sample_history
-from .geometry import dalembertian_cartesian, dalembertian_frame
+from .geometry import (dalembertian_cartesian, dalembertian_frame,
+                       slice_cone_margin)
 from .solver import (InitialData, ModelParams, evolve_model, grid_for_run)
 from .util import ConfigError, FoliationError, StabilityError
 

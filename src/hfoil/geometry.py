@@ -193,6 +193,13 @@ class BoxSliceChart:
         return np.full(self.x.shape[0], self.cell_volume)
 
 
+def slice_cone_margin(dx: float) -> float:
+    """How far inside the shifted cone |x| = t - 1 the slice charts of a
+    run with radial step dx stop: 2 dx.  Grid plans, run lengths, the
+    suite's tabulated charts and make_chart all take it from here."""
+    return 2.0 * dx
+
+
 def slice_radius_cap(s: float, cone_margin: float) -> float:
     """Largest |x| on H_s with |x| <= t - 1 - margin."""
     c = 1.0 + cone_margin
@@ -203,9 +210,9 @@ def slice_radius_cap(s: float, cone_margin: float) -> float:
 
 def make_chart(grid, s: float, cone_margin: float | None = None,
                chi_step: float = DEFAULT_CHI_STEP):
-    """Build the diagnostic chart of H_s for a grid, truncated 2*dx
-    (by default) inside the cone boundary."""
-    m = 2.0 * grid.dx if cone_margin is None else cone_margin
+    """Build the diagnostic chart of H_s for a grid, truncated
+    slice_cone_margin(dx) (by default) inside the cone boundary."""
+    m = slice_cone_margin(grid.dx) if cone_margin is None else cone_margin
     r_cap = slice_radius_cap(s, m)
     if grid.mode == "radial":
         r_cap = min(r_cap, grid.r_max - 2 * grid.dx)

@@ -7,6 +7,7 @@ from hfoil import (EVEN, BoxGrid, RadialGrid, SliceCoverageError,
                    dalembertian_frame, hyperbolic_radius, in_cone,
                    interpolate_to_slice, make_chart, sample_history,
                    slice_radius_cap)
+from hfoil.geometry import slice_cone_margin
 
 
 # --- symbolic oracle for the frame decomposition of the d'Alembertian ---
@@ -182,6 +183,17 @@ def test_chart_quadrature_matches_flat_volume():
     vol = np.sum(w)
     rc = chart.r.max()
     assert vol == pytest.approx(4.0 / 3.0 * np.pi * rc ** 3, rel=1e-4)
+
+
+def test_chart_default_margin_is_the_slice_cone_margin():
+    for g in (RadialGrid(dx=0.05, n=420), BoxGrid(dx=0.1, half=2.0)):
+        chart = make_chart(g, 3.1)
+        assert chart.cone_margin == slice_cone_margin(g.dx) == 2.0 * g.dx
+        same = make_chart(g, 3.1, cone_margin=slice_cone_margin(g.dx))
+        if g.mode == "radial":
+            assert np.array_equal(chart.chi, same.chi)
+        else:
+            assert np.array_equal(chart.x, same.x)
 
 
 def test_interpolate_to_slice_radial_accuracy():
