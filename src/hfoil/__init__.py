@@ -8,11 +8,8 @@ and explicit pointwise envelope bounds.
 from .util import (ConfigError, FoliationError, SliceCoverageError,
                    StabilityError, StencilRangeError)
 from .fields import EVEN, ODD, BoxGrid, FieldHistory, RadialGrid, sample_history
-from .geometry import (BoxSliceChart, RadialSliceChart, SliceSample,
-                       apply_boost, apply_frame_tangent, apply_perp, chi_of,
-                       cone_entry_radius, dalembertian_cartesian,
-                       dalembertian_frame, hyperbolic_radius, in_cone,
-                       interpolate_to_slice, make_chart, slice_radius_cap)
+from .geometry import (apply_frame_tangent, dalembertian_cartesian,
+                       dalembertian_frame, slice_cone_margin)
 from .solver import (InitialData, ModelParams, RunResult, evolve_model,
                      grid_for_run, solve_linear_kg_curved,
                      solve_linear_wave_sourced)
@@ -21,7 +18,6 @@ from .analysis import (PowerFit, QueryPool, SliceDerivativeTable,
                        design_lowpass, filter_level, fit_power_law,
                        hierarchy_check, hierarchy_combos, hierarchy_target,
                        kernel_response, profile_family,
-                       sobolev_family_spread, sobolev_ratio_history,
                        sobolev_ratio_profile, write_csv, write_json)
 from .bounds import (BoundParams, MetricPerturb, RayCoords, accumulate_F,
                      attach_refinement, envelope_V, h_ray_derivative,
@@ -34,17 +30,14 @@ __all__ = [
     "ConfigError", "FoliationError", "SliceCoverageError", "StabilityError",
     "StencilRangeError",
     "EVEN", "ODD", "BoxGrid", "FieldHistory", "RadialGrid", "sample_history",
-    "BoxSliceChart", "RadialSliceChart", "SliceSample", "apply_boost",
-    "apply_frame_tangent", "apply_perp", "chi_of", "cone_entry_radius",
-    "dalembertian_cartesian", "dalembertian_frame", "hyperbolic_radius",
-    "in_cone", "interpolate_to_slice", "make_chart", "slice_radius_cap",
+    "apply_frame_tangent", "dalembertian_cartesian", "dalembertian_frame",
+    "slice_cone_margin",
     "InitialData", "ModelParams", "RunResult", "evolve_model",
     "grid_for_run", "solve_linear_kg_curved", "solve_linear_wave_sourced",
     "PowerFit", "QueryPool", "SliceDerivativeTable", "SliceEnergySuite",
     "SupTracker", "combo_expansion", "design_lowpass", "filter_level",
     "fit_power_law", "hierarchy_check", "hierarchy_combos",
     "hierarchy_target", "kernel_response", "profile_family",
-    "sobolev_family_spread", "sobolev_ratio_history",
     "sobolev_ratio_profile", "write_csv", "write_json",
     "BoundParams", "MetricPerturb", "RayCoords", "accumulate_F",
     "attach_refinement", "envelope_V", "h_ray_derivative", "kg_bound_margin",

@@ -287,9 +287,10 @@ def envelope_V(rays, data_norms, F: RayIntegral, h, params: BoundParams,
     near: F(s) + int F |h'| e^{C int_tail |h'|}
     with all integrals along the ray from lam_min to s.
 
-    rays are the RayCoords of base points that share the source
-    integral F; Cs are the weights C (default: params.C).  Returns V
-    with shape (len(Cs), len(rays)).
+    rays are the RayCoords of base points on one lattice ray, which
+    share the source integral F (accumulated to the farthest of them);
+    each point reads F at its own s.  Cs are the weights C (default:
+    params.C).  Returns V with shape (len(Cs), len(rays)).
 
     Block contract: consecutive base points go in blocks whose rows x
     longest row stays within ENVELOPE_BLOCK node values (one point at
@@ -325,7 +326,7 @@ def envelope_V(rays, data_norms, F: RayIntegral, h, params: BoundParams,
             if far:
                 boost = 0.5 * (kern[:, 1:] + kern[:, :-1]) * dl
             for i, (ray, m) in enumerate(zip(block, nb - 1)):
-                v = F.total + float(np.sum(grow[i, :m]))
+                v = float(F(ray.s)) + float(np.sum(grow[i, :m]))
                 if ray.far:
                     v += norm * (1.0 + float(np.sum(boost[i, :m])))
                 V[ci, lo + i] = v

@@ -17,7 +17,7 @@ Section headers are bracketed names; keys live in the section above
 them.  Unknown sections or keys, duplicate keys, malformed values and
 cross-field conflicts all raise :class:`~hfoil.util.ConfigError` with
 the offending line number.  An empty file is a valid config: every key
-has a default (see ``_SCHEMA`` below).
+has a default (the field defaults of ``RunConfig`` below).
 
 Sections and keys:
 
@@ -74,11 +74,11 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .analysis import (SliceEnergySuite, SupTracker, chart_nodes,
-                       combo_label, energy_csv_rows, fit_power_law,
-                       hierarchy_check, hierarchy_csv_rows, hierarchy_target,
-                       lattice_reach, profile_family, sobolev_ratio_profile,
-                       supnorm_csv_rows, write_csv, write_json)
+from .analysis import (TINY, SliceEnergySuite, SupTracker, chart_nodes,
+                       energy_csv_rows, fit_power_law, hierarchy_check,
+                       hierarchy_csv_rows, lattice_reach, profile_family,
+                       sobolev_ratio_profile, supnorm_csv_rows, write_csv,
+                       write_json)
 from .bounds import (ZERO_METRIC, BoundParams, attach_refinement,
                      kg_bound_margin, metric_pull, wave_bound_margin)
 from .fields import BoxGrid, sample_history
@@ -105,7 +105,6 @@ SERIES_SCHEMAS = {
     "drift/v1": ("resolution", "s", "energy"),
 }
 
-TINY = 1e-300
 CFL_CAP = 0.9   # the radial leapfrog is stable for Courant numbers below 1
 
 
@@ -177,53 +176,52 @@ def _check_nu(v):
 class _Opt:
     attr: str
     conv: object
-    default: object
     check: object = None
 
 
 _SCHEMA = {
     "run": {
-        "scenario": _Opt("scenario", _choice(*SCENARIOS), "model-evolution"),
-        "deterministic": _Opt("deterministic", _to_bool, False),
-        "until_s": _Opt("until_s", _to_float, None, _positive),
-        "until_t": _Opt("until_t", _to_float, None, _positive),
+        "scenario": _Opt("scenario", _choice(*SCENARIOS)),
+        "deterministic": _Opt("deterministic", _to_bool),
+        "until_s": _Opt("until_s", _to_float, _positive),
+        "until_t": _Opt("until_t", _to_float, _positive),
     },
     "grid": {
-        "resolution": _Opt("resolution", _to_float, None, _positive),
-        "cfl": _Opt("cfl", _to_float, 0.5, _positive),
-        "box_half": _Opt("box_half", _to_float, None, _positive),
-        "pad_cells": _Opt("pad_cells", _to_int, 60, _nonneg),
+        "resolution": _Opt("resolution", _to_float, _positive),
+        "cfl": _Opt("cfl", _to_float, _positive),
+        "box_half": _Opt("box_half", _to_float, _positive),
+        "pad_cells": _Opt("pad_cells", _to_int, _nonneg),
     },
     "model": {
-        "mass": _Opt("mass", _to_float, 1.0, _positive),
-        "p00": _Opt("p00", _to_float, 1.0),
-        "ps": _Opt("ps", _to_float, 1.0),
-        "rcoef": _Opt("rcoef", _to_float, 1.0),
-        "h00": _Opt("h00", _to_float, 1.0),
-        "hs": _Opt("hs", _to_float, 1.0),
+        "mass": _Opt("mass", _to_float, _positive),
+        "p00": _Opt("p00", _to_float),
+        "ps": _Opt("ps", _to_float),
+        "rcoef": _Opt("rcoef", _to_float),
+        "h00": _Opt("h00", _to_float),
+        "hs": _Opt("hs", _to_float),
     },
     "data": {
-        "epsilon": _Opt("epsilon", _to_float, 0.01, _nonneg),
-        "eps_u": _Opt("eps_u", _to_float, None, _nonneg),
-        "eps_v": _Opt("eps_v", _to_float, None, _nonneg),
-        "radius": _Opt("radius", _to_float, 1.0, _positive),
+        "epsilon": _Opt("epsilon", _to_float, _nonneg),
+        "eps_u": _Opt("eps_u", _to_float, _nonneg),
+        "eps_v": _Opt("eps_v", _to_float, _nonneg),
+        "radius": _Opt("radius", _to_float, _positive),
     },
     "hierarchy": {
-        "order": _Opt("order", _to_int, 8, _nonneg),
-        "delta": _Opt("delta", _to_float, 0.02, _check_delta),
+        "order": _Opt("order", _to_int, _nonneg),
+        "delta": _Opt("delta", _to_float, _check_delta),
     },
     "bounds": {
-        "C": _Opt("C", _to_float, 10.0, _positive),
-        "dlam": _Opt("dlam", _to_float, 0.01, _positive),
-        "s0": _Opt("s0", _to_float, 2.0, _check_s0),
-        "mu": _Opt("mu", _to_float, None, _check_mu),
-        "nu": _Opt("nu", _to_float, None, _check_nu),
-        "metric": _Opt("metric", _choice("flat", "pull", "both"), "both"),
-        "metric_amp": _Opt("metric_amp", _to_float, 0.1, _nonneg),
-        "source_amp": _Opt("source_amp", _to_float, 1.0),
+        "C": _Opt("C", _to_float, _positive),
+        "dlam": _Opt("dlam", _to_float, _positive),
+        "s0": _Opt("s0", _to_float, _check_s0),
+        "mu": _Opt("mu", _to_float, _check_mu),
+        "nu": _Opt("nu", _to_float, _check_nu),
+        "metric": _Opt("metric", _choice("flat", "pull", "both")),
+        "metric_amp": _Opt("metric_amp", _to_float, _nonneg),
+        "source_amp": _Opt("source_amp", _to_float),
     },
     "output": {
-        "dir": _Opt("out_dir", _to_str, None),
+        "dir": _Opt("out_dir", _to_str),
     },
 }
 
@@ -465,9 +463,9 @@ def config_sha256(cfg: RunConfig) -> str:
 def emit_series(records, schema: str, path) -> Path:
     """Write records as a CSV table under a registered schema.
 
-    Records are tuples in column order or dicts keyed by column name.
-    LF endings, floats as %.17g (round-trips bit-exactly).  An empty
-    record set writes the header line alone.
+    Records are tuples in column order.  LF endings, floats as %.17g
+    (round-trips bit-exactly).  An empty record set writes the header
+    line alone.
     """
     if schema not in SERIES_SCHEMAS:
         raise ConfigError(f"unknown series schema {schema!r}; registered: "
@@ -475,20 +473,12 @@ def emit_series(records, schema: str, path) -> Path:
     cols = SERIES_SCHEMAS[schema]
     rows = []
     for i, rec in enumerate(records):
-        if isinstance(rec, dict):
-            missing = [c for c in cols if c not in rec]
-            if missing:
-                raise ConfigError(
-                    f"record {i} for schema {schema} lacks fields "
-                    f"{', '.join(missing)}")
-            rows.append(tuple(rec[c] for c in cols))
-        else:
-            rec = tuple(rec)
-            if len(rec) != len(cols):
-                raise ConfigError(
-                    f"record {i} for schema {schema} has {len(rec)} "
-                    f"fields, expected {len(cols)}")
-            rows.append(rec)
+        rec = tuple(rec)
+        if len(rec) != len(cols):
+            raise ConfigError(
+                f"record {i} for schema {schema} has {len(rec)} "
+                f"fields, expected {len(cols)}")
+        rows.append(rec)
     path = Path(path)
     try:
         write_csv(path, cols, rows)
@@ -677,40 +667,6 @@ def _fit_or_none(t, y, tail=10.0):
         return None
 
 
-def _hierarchy_lines(rows, delta: float, order: int):
-    """hierarchy_check with zero-energy lines passed through by hand.
-
-    A combo that stays at zero all along the ladder satisfies any
-    growth target; the fitter cannot see that (log of zero), so those
-    groups are reported directly with a zero rate.
-    """
-    groups = {}
-    for row in rows:
-        key = (row["field"], row["it"], row["ir"], row["j"])
-        groups.setdefault(key, []).append(row)
-    lines = []
-    for key in sorted(groups):
-        field, it, ir, j = key
-        k = it + ir + j
-        vals = [r["value"] for r in groups[key]]
-        if max(vals) <= TINY:
-            lines.append({"line": combo_label(field, it, ir, j), "k": k,
-                          "target": hierarchy_target(field, k, delta, order),
-                          "fitted": 0.0, "width": 0.0, "pass": True})
-            continue
-        try:
-            lines.extend(hierarchy_check(groups[key], delta, order))
-        except FoliationError:
-            # not enough live slices to fit this combo; an unfittable
-            # live line is a failure, not a free pass
-            lines.append({"line": combo_label(field, it, ir, j), "k": k,
-                          "target": hierarchy_target(field, k, delta, order),
-                          "fitted": float("nan"), "width": 0.0,
-                          "pass": False})
-    lines.sort(key=lambda ln: ln["line"])
-    return lines
-
-
 def _scn_model_evolution(cfg: RunConfig, out: Path):
     dx = cfg.dx()
     s_top = cfg.until_s if cfg.until_s is not None else 10.0
@@ -764,7 +720,7 @@ def _scn_model_evolution(cfg: RunConfig, out: Path):
 
     # growth fits need a real span in s; very short ladders skip them
     if s_top >= 4.0 * cfg.s0:
-        lines = _hierarchy_lines(rows, cfg.delta, cfg.order)
+        lines = hierarchy_check(rows, cfg.delta, cfg.order)
         emit_series(hierarchy_csv_rows(lines), "hierarchy/v1",
                     out / "hierarchy.csv")
         worst = max((ln["fitted"] - ln["target"] for ln in lines

@@ -4,9 +4,12 @@ A :class:`FieldHistory` stores one scalar field on several consecutive,
 uniformly spaced time levels over a spatial grid, together with the
 bookkeeping needed to compose centered stencils: each derivative trims
 the window it consumed, so any value you can still read came from a
-fully interior stencil.  One-sided stencils are never used; in radial
-mode the axis column is closed with a parity ghost instead, which is a
-centered stencil on the even/odd extension through r=0.
+fully interior stencil.  One-sided stencils are never used.
+
+Spatial stencils act on box histories only.  A radial history is a
+container of recorded levels with a declared parity (even or odd in
+r); radial runs take their slice derivatives from the QueryPool
+lattices in :mod:`hfoil.analysis`, never by differencing a history.
 """
 from __future__ import annotations
 
@@ -68,7 +71,8 @@ class FieldHistory:
     times : ndarray, shape (L,), uniformly spaced
     grid : RadialGrid or BoxGrid
     lo : spatial index offsets of values[..., 0, ...] inside the grid
-    parity : EVEN, ODD or None; radial fields track parity through r=0
+    parity : EVEN or ODD for radial histories (the symmetry of the field
+        through r=0, declared by whoever records it), None for box ones
     """
 
     def __init__(self, values, times, grid, lo=None, parity=None):
@@ -102,6 +106,12 @@ class FieldHistory:
         """Times broadcastable against values."""
         return self.times.reshape((-1,) + (1,) * self.grid.ndim)
 
+    def _box_only(self, op: str) -> None:
+        if self.grid.mode != "box":
+            raise StencilRangeError(
+                f"{op} needs a box history; radial histories only store "
+                "levels")
+
     def coord(self, axis: int) -> np.ndarray:
         """Spatial coordinate along `axis`, broadcastable against values."""
         if self.grid.mode == "radial":
@@ -112,12 +122,12 @@ class FieldHistory:
         shp[1 + axis] = -1
         return c.reshape(shp)
 
-    def copy_meta(self, values, times=None, lo=None, parity="keep"):
+    def copy_meta(self, values, times=None, lo=None):
         return FieldHistory(values,
                             self.times if times is None else times,
                             self.grid,
                             self.lo if lo is None else lo,
-                            self.parity if parity == "keep" else parity)
+                            self.parity)
 
     # --- stencils ---
 
@@ -137,36 +147,13 @@ class FieldHistory:
         return self.copy_meta(out, times=self.times[q:q + L])
 
     def sderiv(self, axis: int = 0, order: int = 1) -> "FieldHistory":
-        """Centered spatial derivative along `axis`.
-
-        Radial grids keep the r=0 column alive through a parity ghost;
-        the outer end (and both ends in box mode) are trimmed.
-        """
+        """Centered spatial derivative along `axis` of a box history;
+        both ends of the axis are trimmed."""
+        self._box_only("sderiv")
         offs = central_offsets(order)
         w = central_weights(order) / self.grid.dx ** order
         q = -offs[0]
         v = self.values
-        if self.grid.mode == "radial":
-            if self.parity is None:
-                raise StencilRangeError("cannot difference a radial field "
-                                        "of unknown parity at the axis")
-            if self.lo[0] == 0:
-                ghost = self.parity * v[:, 1:q + 1][:, ::-1]
-                ext = np.concatenate([ghost, v], axis=1)
-            else:
-                if self.lo[0] < q:
-                    raise StencilRangeError("spatial stencil leaves the grid")
-                ext = v
-            n_out = ext.shape[1] - 2 * q
-            if n_out <= 0:
-                raise StencilRangeError("spatial stencil leaves the grid")
-            out = np.zeros((self.nlevels, n_out))
-            for k in range(len(offs)):
-                out += w[k] * ext[:, k: k + n_out]
-            lo0 = 0 if self.lo[0] == 0 else self.lo[0] + q
-            parity = self.parity if order % 2 == 0 else -self.parity
-            return self.copy_meta(out, lo=(lo0,), parity=parity)
-        # box mode: plain interior window
         n = v.shape[1 + axis]
         if n < 2 * q + 1:
             raise StencilRangeError("spatial stencil leaves the grid")
@@ -182,31 +169,12 @@ class FieldHistory:
 
     # --- coordinate multiplication / division ---
 
-    def mul_t(self) -> "FieldHistory":
-        return self.copy_meta(self.values * self.t_col())
-
     def mul_coord(self, axis: int = 0) -> "FieldHistory":
-        parity = None if self.parity is None else -self.parity
-        return self.copy_meta(self.values * self.coord(axis), parity=parity)
+        self._box_only("mul_coord")
+        return self.copy_meta(self.values * self.coord(axis))
 
     def div_t(self) -> "FieldHistory":
         return self.copy_meta(self.values / self.t_col())
-
-    def div_r(self) -> "FieldHistory":
-        """Divide a radial field by r; only odd fields stay regular."""
-        if self.grid.mode != "radial":
-            raise ValueError("div_r applies to radial histories")
-        if self.parity != ODD:
-            raise ValueError("dividing an even radial field by r is singular at the axis")
-        r = self.grid.r(self.lo[0], self.shape[0])
-        out = np.empty_like(self.values)
-        if self.lo[0] == 0:
-            out[:, 1:] = self.values[:, 1:] / r[1:]
-            # limit w/r at the axis equals dw/dr(0); centered via the odd ghost
-            out[:, 0] = self.values[:, 1] / self.grid.dx
-        else:
-            out[:] = self.values / r
-        return self.copy_meta(out, parity=EVEN)
 
     # --- arithmetic ---
 
@@ -251,31 +219,10 @@ class FieldHistory:
 
     def __mul__(self, c):
         if not np.isscalar(c):
-            raise TypeError("use mul_t/mul_coord for coordinate factors")
+            raise TypeError("use mul_coord/div_t for coordinate factors")
         return self.copy_meta(self.values * c)
 
     __rmul__ = __mul__
-
-    # --- point access ---
-
-    def level_index(self, t: float) -> int:
-        i = int(round((t - self.times[0]) / self.dt))
-        if not (0 <= i < self.nlevels) or abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise StencilRangeError(f"no stored level at t={t}")
-        return i
-
-    def value_at(self, t: float, x) -> float:
-        """Value at a stored level and grid node (exact lookup, no interpolation)."""
-        i = self.level_index(t)
-        if self.grid.mode == "radial":
-            j = int(round(float(np.atleast_1d(x)[0]) / self.grid.dx)) - self.lo[0]
-            return float(self.values[i, j])
-        idx = []
-        for ax in range(3):
-            c0 = self.grid.axis(ax, 0, 1)[0]
-            j = int(round((x[ax] - c0) / self.grid.dx)) - self.lo[ax]
-            idx.append(j)
-        return float(self.values[(i,) + tuple(idx)])
 
 
 def sample_history(fn, grid, times, parity=EVEN) -> FieldHistory:

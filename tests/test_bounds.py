@@ -165,6 +165,25 @@ def test_envelope_flat_metric_collapse():
         pytest.approx(Fn.total, rel=1e-14)
 
 
+def test_envelope_reads_F_at_each_points_own_s():
+    # base points of one lattice ray share F, accumulated to the top
+    # point; each must read F(s) at its own s, not the top's total.  The
+    # shared and the own trapezoid sums use steps of at most dlam, so
+    # they agree to O(dlam^2) = 1e-4 relative
+    f = wave_source(0.5, 0.5, amp=0.1)
+    chi = 0.3
+    rays = [RayCoords(s * math.cosh(chi), s * math.sinh(chi), P)
+            for s in (2.5, 5.0, 7.3)]
+    F = accumulate_F(f, rays[-1], P)
+    V = envelope_V(rays, (0.0, 0.0), F, ZERO_METRIC, P)[0]
+    for ray, v in zip(rays, V):
+        own = accumulate_F(f, ray, P).total
+        assert v == pytest.approx(own, rel=1e-4)
+    assert V[-1] == F.total
+    # the point at s = 2.5 sees about a fifth of the top point's F
+    assert V[0] < 0.25 * F.total
+
+
 def test_envelope_monotone_in_inputs():
     h = metric_pull(0.1)
     ray = RayCoords(8.0, 2.0, P)
@@ -241,7 +260,7 @@ def ref_envelope_V(ray, data_norms, F, h, params, C=None):
     kern = hp * np.exp(C * tail)
     Fv = F(lam)
     grow = float(np.sum(0.5 * (kern[1:] * Fv[1:] + kern[:-1] * Fv[:-1]) * dl))
-    V = F.total + grow
+    V = float(F(ray.s)) + grow
     if ray.far:
         n0, n1 = float(data_norms[0]), float(data_norms[1])
         boost = float(np.sum(0.5 * (kern[1:] + kern[:-1]) * dl))

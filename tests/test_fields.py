@@ -42,72 +42,40 @@ def test_tderiv_insufficient_levels():
         h.tderiv()
 
 
-def test_sderiv_even_field_keeps_axis():
+def test_radial_history_is_a_container():
+    # radial histories store levels; no spatial stencil or coordinate
+    # factor acts on them, so none can hand back a stale parity
     h = radial_history(lambda t, r: r ** 2 + 0 * t)
-    d = h.sderiv(0)
-    assert d.parity == ODD
-    assert d.lo == (0,)
-    r = d.coord(0)
-    assert np.allclose(d.values, 2 * r, atol=1e-9)
-    # derivative of an even field vanishes at the axis
-    assert np.allclose(d.values[:, 0], 0.0, atol=1e-12)
-
-
-def test_sderiv_odd_field():
-    h = radial_history(lambda t, r: r ** 3 + 0 * t, parity=ODD)
-    d = h.sderiv(0)
+    for op in (lambda: h.sderiv(0), lambda: h.sderiv(0, order=2),
+               lambda: h.mul_coord(0)):
+        with pytest.raises(StencilRangeError):
+            op()
+    d = h.tderiv()
     assert d.parity == EVEN
-    r = d.coord(0)
-    # centered first derivative of r^3 has a dx^2 defect, exact form 3r^2 + dx^2
-    assert np.allclose(d.values, 3 * r ** 2 + h.grid.dx ** 2, atol=1e-9)
-
-
-def test_second_sderiv_preserves_parity():
-    h = radial_history(lambda t, r: r ** 2 + 0 * t)
-    d2 = h.sderiv(0, order=2)
-    assert d2.parity == EVEN
-    assert np.allclose(d2.values, 2.0, atol=1e-8)
-
-
-def test_div_r_limit_at_axis():
-    h = radial_history(lambda t, r: r * (1.0 + r ** 2) + 0 * t, parity=ODD)
-    q = h.div_r()
-    assert q.parity == EVEN
-    r = np.ravel(q.coord(0))
-    assert np.allclose(q.values[:, 1:], 1.0 + r[None, 1:] ** 2, atol=1e-12)
-    # axis column takes the centered limit value
-    assert np.allclose(q.values[:, 0], 1.0 + h.grid.dx ** 2, atol=1e-12)
-
-
-def test_div_r_rejects_even():
-    h = radial_history(lambda t, r: 1.0 + 0 * r + 0 * t)
-    with pytest.raises(ValueError):
-        h.div_r()
-
-
-def test_mul_coord_flips_parity():
-    h = radial_history(lambda t, r: np.cos(r) + 0 * t)
-    m = h.mul_coord(0)
-    assert m.parity == ODD
-    assert np.allclose(m.values, m.coord(0) * np.cos(m.coord(0)))
+    assert np.allclose(d.values, 0.0, atol=1e-9)
 
 
 def test_alignment_intersects_windows():
-    h = radial_history(lambda t, r: t * np.exp(-r * r))
+    g = BoxGrid(dx=0.025, half=0.5)
+    times = 2.0 + 0.01 * np.arange(9)
+    h = sample_history(lambda t, x1, x2, x3: t * np.exp(
+        -(x1 * x1 + x2 * x2 + x3 * x3)), g, times)
     a = h.tderiv()                      # loses one level each side
-    b = h.sderiv(0).mul_coord(0)        # keeps levels, back to even parity
+    b = h.sderiv(0).mul_coord(0)        # keeps levels, trims both x1 ends
     c = a + b
     assert c.nlevels == a.nlevels
-    assert c.shape[0] == b.shape[0]
-    r = c.coord(0)
-    exact = np.exp(-r * r) - 2 * r * r * c.t_col() * np.exp(-r * r)
+    assert c.shape == b.shape
+    x1 = c.coord(0)
+    bump = np.exp(-(x1 * x1 + c.coord(1) ** 2 + c.coord(2) ** 2))
+    exact = bump - 2 * x1 * x1 * c.t_col() * bump
     assert np.max(np.abs(c.values - exact)) < 1e-3
 
 
 def test_add_rejects_parity_mismatch():
-    h = radial_history(lambda t, r: r ** 2 + 0 * t)
+    even = radial_history(lambda t, r: r ** 2 + 0 * t)
+    odd = radial_history(lambda t, r: r ** 3 + 0 * t, parity=ODD)
     with pytest.raises(ValueError):
-        h + h.sderiv(0)
+        even + odd
 
 
 def test_scalar_arithmetic():
@@ -131,12 +99,6 @@ def test_box_sderiv_and_alignment():
     assert np.allclose(d3.values, np.broadcast_to(tcol, d3.values.shape), atol=1e-9)
     tot = d1 + d3
     assert tot.values.shape[1] == h.grid.n - 2
-
-
-def test_value_at_exact_node():
-    h = radial_history(lambda t, r: t + r)
-    v = h.value_at(h.times[3], (h.grid.dx * 5,))
-    assert v == pytest.approx(h.times[3] + h.grid.dx * 5)
 
 
 def test_time_window_intersection_uses_common_times():
