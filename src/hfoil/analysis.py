@@ -504,6 +504,17 @@ def lattice_reach(max_order: int, s: float = 0.0, h_s: float = 0.0,
     return half, (s + half * h_s) * math.cosh(chi_max)
 
 
+def ladder_s_step(order: int):
+    """(h_s, level_filter) of a ladder of the given order.
+
+    High-order tables (order >= 4) read k-th differences, which amplify
+    the scheme's dispersive ripple by 1/h^k, so they take the wider s
+    step 0.3 and filter the levels; lower orders take 0.08 unfiltered.
+    """
+    high = order >= 4
+    return (0.3 if high else 0.08), high
+
+
 def chart_nodes(s: float, cone_margin: float, chi_step: float):
     """Uniform chi nodes [0, chi_max] for the truncated slice."""
     c = 1.0 + cone_margin
@@ -525,13 +536,17 @@ class SliceEnergySuite:
     combinations with |I| + |J| <= order are tabulated on every listed
     slice.  Attach on_level to the solver observers, then read
     energies() / stage_sups() once the run is past the last slice.
+    h_s and level_filter default to :func:`ladder_s_step` of the order.
     """
 
     def __init__(self, grid, s_values, order: int = 0, mass: float = 1.0,
                  fields=("u", "v"), chi_step: float = 0.04,
-                 h_s: float = 0.08, h_chi_u: float = 0.1, t_floor=None,
-                 level_filter: bool = False):
+                 h_s: float | None = None, h_chi_u: float = 0.1,
+                 t_floor=None, level_filter: bool | None = None):
         margin = slice_cone_margin(grid.dx)
+        rule_h_s, rule_filter = ladder_s_step(order)
+        h_s = rule_h_s if h_s is None else h_s
+        level_filter = rule_filter if level_filter is None else level_filter
         self.order = int(order)
         self.mass = float(mass)
         self.fields = tuple(fields)
@@ -565,12 +580,14 @@ class SliceEnergySuite:
     @classmethod
     def plan(cls, dx: float, s_values, order: int = 0, t0: float = 2.0,
              support_radius: float = 1.0, pad: float = 0.25,
-             h_s: float = 0.08, **kw):
+             h_s: float | None = None, **kw):
         """Build the grid wide enough for the slices, then the suite.
 
         Returns (suite, grid, t_end) ready for evolve_model.
         """
         from .solver import grid_for_run
+        if h_s is None:
+            h_s = ladder_s_step(order)[0]
         s_top = max(float(s) for s in s_values)
         _, chi_max = chart_nodes(s_top, slice_cone_margin(dx), 1.0)
         t_need = lattice_reach(order + 1, s_top, h_s, chi_max)[1] + pad

@@ -195,26 +195,70 @@ def metric_pull(amp: float = 0.1, band=(1.0, 1.5)) -> MetricPerturb:
     return MetricPerturb(value, dt=dt, dr=dr)
 
 
-def wave_source(mu: float, nu: float, amp: float = 1.0,
-                band=(1.0, 1.5)) -> Callable:
+class WaveSource:
     """f = amp * t^-(2+nu) * (t-r)^(mu-1), switched on over the band.
 
     The switch keeps the support inside the cone and regularizes the
-    (t-r) power at the tip; past the band the profile is exact.  f is
-    evaluated only on its support t - r > band[0] and is zero elsewhere.
+    (t-r) power at the tip; past the band the profile is exact.  Called
+    as f(t, r), f is evaluated only on its support t - r > band[0] and is
+    zero elsewhere.  :meth:`fill` is the grid route the sourced wave
+    solver takes; on an ascending grid it is bit for bit ``f(t, r)``.
     """
-    lo, wid = float(band[0]), float(band[1]) - float(band[0])
 
-    def f(t, r):
-        t, r, q, on = _on_support(t, r, lo)
+    def __init__(self, mu: float, nu: float, amp: float = 1.0,
+                 band=(1.0, 1.5)):
+        self.mu, self.nu, self.amp = mu, nu, amp
+        self.lo = float(band[0])
+        self.wid = float(band[1]) - self.lo
+
+    def __call__(self, t, r):
+        t, r, q, on = _on_support(t, r, self.lo)
         out = np.zeros(on.shape)
         qs = q[on]
-        cut = smoothstep((qs - lo) / wid)
-        out[on] = amp * cut * _restrict(t, on) ** (-(2.0 + nu)) \
-            * qs ** (mu - 1.0)
+        cut = smoothstep((qs - self.lo) / self.wid)
+        out[on] = self.amp * cut * _restrict(t, on) ** (-(2.0 + self.nu)) \
+            * qs ** (self.mu - 1.0)
         return out
 
-    return f
+    def fill(self, t: float, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """f(t, r) into every cell of out, for a scalar t and ascending r.
+
+        The support t - r > lo is a prefix [0, m) of r, and the ramp
+        (t - r - lo)/wid < 1 is its tail [k, m); the plateau [0, k) has
+        cut = 1, so amp * cut is amp there.  Only the support takes the
+        (t-r) power and only the ramp the smoothstep, each in the
+        operation order of ``f(t, r)``.  m and k are estimated by binary
+        search and settled with the scalar form of the same IEEE
+        operations.
+        """
+        lo, wid = self.lo, self.wid
+        m = _prefix_end(lambda i: t - r[i] > lo,
+                        np.searchsorted(r, t - lo), r.size)
+        k = _prefix_end(lambda i: (t - r[i] - lo) / wid >= 1.0,
+                        np.searchsorted(r, t - lo - wid), m)
+        out[m:] = 0.0
+        if m == 0:
+            return out
+        q = t - r[:m]
+        qp = q ** (self.mu - 1.0)
+        # the ufunc power of a 0-d array, as f(t, r) takes it: scalar
+        # float64 ** uses libm pow, which can differ by one ulp
+        tp = np.asarray(t, dtype=float) ** (-(2.0 + self.nu))
+        np.multiply(self.amp * tp, qp[:k], out=out[:k])
+        cut = smoothstep((q[k:] - lo) / wid)
+        out[k:m] = self.amp * cut * tp * qp[k:]
+        return out
+
+
+def _prefix_end(holds, guess, n: int) -> int:
+    """First i in [0, n) where holds(i) fails (n if none), for a test
+    that holds on a prefix; guess is any nearby index."""
+    i = min(int(guess), n)
+    while i > 0 and not holds(i - 1):
+        i -= 1
+    while i < n and holds(i):
+        i += 1
+    return i
 
 
 # === ray integrals ===
@@ -260,10 +304,6 @@ class RayIntegral:
 
     def __call__(self, sbar):
         return np.interp(sbar, self.lam, self.cum)
-
-    @property
-    def total(self) -> float:
-        return float(self.cum[-1])
 
 
 def accumulate_F(f: Optional[Callable], ray: RayCoords,
@@ -550,7 +590,7 @@ def wave_bound_margin(mu: float, nu: float, amp: float = 1.0,
 
     pool = QueryPool(grid)
     handle = pool.add("u", T[covered], R[covered])
-    solve_linear_wave_sourced(grid, wave_source(mu, nu, amp), t0=t0,
+    solve_linear_wave_sourced(grid, WaveSource(mu, nu, amp), t0=t0,
                               t_end=t_end, cfl=cfl, observers=(pool,))
     pool.assert_resolved()
     u = pool.result(handle)

@@ -76,9 +76,9 @@ import numpy as np
 from . import __version__
 from .analysis import (TINY, SliceEnergySuite, SupTracker, chart_nodes,
                        energy_csv_rows, fit_power_law, hierarchy_check,
-                       hierarchy_csv_rows, lattice_reach, profile_family,
-                       sobolev_ratio_profile, supnorm_csv_rows, write_csv,
-                       write_json)
+                       hierarchy_csv_rows, ladder_s_step, lattice_reach,
+                       profile_family, sobolev_ratio_profile,
+                       supnorm_csv_rows, write_csv, write_json)
 from .bounds import (ZERO_METRIC, BoundParams, attach_refinement,
                      kg_bound_margin, metric_pull, wave_bound_margin)
 from .fields import BoxGrid, sample_history
@@ -677,17 +677,14 @@ def _scn_model_evolution(cfg: RunConfig, out: Path):
     # slice ladder and the wall time needed to cover it
     s_vals = _slice_ladder(cfg.s0, s_top)
     _, chi_max = chart_nodes(s_top, slice_cone_margin(dx), 1.0)
-    h_s = 0.3 if cfg.order >= 4 else 0.08
+    h_s, _ = ladder_s_step(cfg.order)
     _, t_reach = lattice_reach(cfg.order + 1, s_top, h_s, chi_max)
     t_end = max(t_reach + 0.25, cfg.until_t or 0.0)
 
     grid = grid_for_run(dx, 2.0, t_end, support_radius=cfg.radius,
                         pad_cells=cfg.pad_cells)
-    # high-order tables read k-th differences, which amplify the
-    # scheme's dispersive ripple by 1/h^k; filter those levels
     suite = SliceEnergySuite(grid, s_vals, order=cfg.order, mass=cfg.mass,
-                             h_s=h_s, t_floor=2.0,
-                             level_filter=cfg.order >= 4)
+                             t_floor=2.0)
     trk_u = SupTracker("u", grid=grid, level_filter=True)
     trk_v = SupTracker("v", grid=grid, level_filter=True)
 

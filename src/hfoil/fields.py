@@ -225,17 +225,10 @@ class FieldHistory:
     __rmul__ = __mul__
 
 
-def sample_history(fn, grid, times, parity=EVEN) -> FieldHistory:
-    """Sample fn over the grid at the given times.
-
-    Radial: fn(t, r); box: fn(t, x1, x2, x3); all arguments broadcast.
-    """
+def sample_history(fn, grid: BoxGrid, times) -> FieldHistory:
+    """Sample fn(t, x1, x2, x3) over the box grid at the given times;
+    the arguments broadcast."""
     times = np.asarray(times, dtype=float)
-    if grid.mode == "radial":
-        r = grid.r()
-        vals = np.stack([np.broadcast_to(fn(t, r), r.shape).astype(float)
-                         for t in times])
-        return FieldHistory(vals, times, grid, parity=parity)
     ax = [grid.axis(a) for a in range(3)]
     X = np.meshgrid(*ax, indexing="ij", sparse=True)
     vals = np.stack([np.broadcast_to(fn(t, *X), (grid.n,) * 3).astype(float)

@@ -433,6 +433,13 @@ def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
                               data: Optional[InitialData] = None) -> RunResult:
     """-box u = f(t, r) with compactly supported data (zero by default).
 
+    source is either a plain callable f(t, r), evaluated on the whole
+    grid at every step, or a profile that also has the grid route
+    ``fill(t, r, out)``, which writes f(t, r) into every cell of a
+    buffer the solver owns, for the ascending grid r (as
+    :class:`hfoil.bounds.WaveSource` does).  Both routes give the same
+    levels.
+
     Observers get on_level(t, step, u, None); u is a reused buffer, valid
     only during the call.  The blow-up and boundary guards of
     :func:`evolve_model` apply.
@@ -443,16 +450,21 @@ def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
     dt = cfl * dx
     if data is None:
         data = InitialData.zero()
+    fill = getattr(source, "fill", None)
+    S = np.zeros(n)
+
+    def f(t):
+        return source(t, r) if fill is None else fill(t, r, S)
+
     W = r * np.asarray(data.u0(r), dtype=float)
     dW = r * np.asarray(data.u1(r), dtype=float)
-    ddW = _d2_odd(W, dx, np.empty(n)) + r * source(t0, r)
+    ddW = _d2_odd(W, dx, np.empty(n)) + r * f(t0)
     starts = ((W, W + dt * dW + 0.5 * dt * dt * ddW),)
     lap, work = np.empty(n), np.empty(n)
     dt2 = dt * dt
 
     def advance(k, t_k, prev, cur, nxt, lvl, peak):
-        _wave_update(prev[0], cur[0], source(t_k, r), r, dx, dt2, nxt[0],
-                     lap, work)
+        _wave_update(prev[0], cur[0], f(t_k), r, dx, dt2, nxt[0], lap, work)
 
     return _march(grid, ("u",), starts, t0, t_end, dt, advance, observers,
                   record)

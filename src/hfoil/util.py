@@ -173,15 +173,22 @@ def lagrange_weights(frac, npts: int = 6, deriv: int = 0) -> np.ndarray:
 
 # === smooth cutoffs ===
 
+def _unit_clamp(x):
+    """np.clip(x, 0.0, 1.0) bit for bit, NaN and -0.0 included, without
+    np.clip's Python wrapper: on a tie numpy's maximum and minimum return
+    their second operand, so x is kept at x = -0.0."""
+    return np.minimum(1.0, np.maximum(0.0, x))
+
+
 def smoothstep(x):
     """C^2 ramp: 0 for x<=0, 1 for x>=1, quintic in between."""
-    y = np.clip(x, 0.0, 1.0)
+    y = _unit_clamp(x)
     return y * y * y * (y * (6.0 * y - 15.0) + 10.0)
 
 
 def smoothstep_d(x):
     """Derivative of :func:`smoothstep` with respect to x."""
-    y = np.clip(x, 0.0, 1.0)
+    y = _unit_clamp(x)
     return 30.0 * y * y * (y - 1.0) * (y - 1.0)
 
 

@@ -5,9 +5,9 @@ hfoil's scenarios measure slices through the QueryPool lattices and the
 chain-rule expansions of :mod:`hfoil.analysis`.  This module is the
 independent second route the tests compare them with:
 
-* the dual-route energy tests sample radial histories with
-  :func:`interpolate_to_slice` and integrate
-  :meth:`SliceSample.energy_density` against
+* the dual-route energy tests sample radial histories
+  (:func:`sample_radial_history`) with :func:`interpolate_to_slice`
+  and integrate :meth:`SliceSample.energy_density` against
   ``SliceEnergySuite.energies``;
 * the Sobolev test measures :func:`sobolev_ratio_history` on a box
   history against the angular reduction ``sobolev_ratio_profile``.
@@ -103,6 +103,17 @@ def make_chart(grid, s: float, cone_margin: float | None = None,
 
 
 # === sampling ===
+
+def sample_radial_history(fn, grid, times, parity=EVEN) -> FieldHistory:
+    """Sample fn(t, r) over the radial grid at the given times; the
+    arguments broadcast.  (The package samples box grids only, with
+    :func:`hfoil.fields.sample_history`.)"""
+    times = np.asarray(times, dtype=float)
+    r = grid.r()
+    vals = np.stack([np.broadcast_to(fn(t, r), r.shape).astype(float)
+                     for t in times])
+    return FieldHistory(vals, times, grid, parity=parity)
+
 
 class SliceSample:
     """Field values and first derivatives sampled on a slice chart.

@@ -20,7 +20,7 @@ from hfoil.solver import (InitialData, ModelParams, evolve_model,
                           grid_for_run)
 from hfoil.util import FoliationError, SliceCoverageError, lagrange_weights
 from slice_reference import (RadialSliceChart, interpolate_to_slice,
-                             sobolev_ratio_history)
+                             sample_radial_history, sobolev_ratio_history)
 
 sympy = pytest.importorskip("sympy")
 
@@ -393,7 +393,7 @@ def test_suite_energy_matches_slice_sample_route():
     stream_levels(suite.pool, _dual_route_field, 3.5, 0.02, 300, grid)
     got = {row["field"]: row["value"] for row in suite.energies()}
 
-    hist = sample_history(_dual_route_field, grid, times)
+    hist = sample_radial_history(_dual_route_field, grid, times)
     chart = RadialSliceChart(s=s0, chi=suite._charts[s0],
                              cone_margin=2 * grid.dx)
     smp = interpolate_to_slice(hist, s0, chart=chart)

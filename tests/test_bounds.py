@@ -6,10 +6,11 @@ import pytest
 
 import hfoil.bounds as bounds
 from hfoil.bounds import (BoundParams, MetricPerturb, RayCoords, ZERO_METRIC,
-                          RayIntegral, accumulate_F, attach_refinement,
-                          envelope_V, h_ray_derivative, kg_bound_margin,
-                          lam_grid, metric_pull, refinement_delta,
-                          wave_bound_margin, wave_bound_value, wave_source)
+                          RayIntegral, WaveSource, accumulate_F,
+                          attach_refinement, envelope_V, h_ray_derivative,
+                          kg_bound_margin, lam_grid, metric_pull,
+                          refinement_delta, wave_bound_margin,
+                          wave_bound_value)
 from hfoil.solver import InitialData, grid_for_run
 from hfoil.util import smoothstep
 from hypothesis import given, settings
@@ -123,7 +124,7 @@ def test_h_ray_derivative_range_check():
 def test_accumulate_F_zero_and_unit():
     ray = RayCoords(8.0, 3.0, P)
     F0 = accumulate_F(None, ray, P)
-    assert F0.total == 0.0
+    assert F0.cum[-1] == 0.0
     assert np.all(F0(np.linspace(ray.lam_min, ray.s, 9)) == 0.0)
 
     # lam^{3/2} |f| == 1 along the ray
@@ -140,7 +141,7 @@ def test_quadrature_convergence_order():
     totals = {}
     for dlam in (0.08, 0.04, 0.02):
         q = BoundParams(C=P.C, mass=P.mass, dlam=dlam, s0=P.s0)
-        totals[dlam] = accumulate_F(f, ray, q).total
+        totals[dlam] = accumulate_F(f, ray, q).cum[-1]
     e1 = abs(totals[0.08] - totals[0.02])
     e2 = abs(totals[0.04] - totals[0.02])
     assert e2 < e1 / 3.0
@@ -157,12 +158,12 @@ def test_envelope_flat_metric_collapse():
     fsrc = lambda t, r: 1.0 / (1.0 + (t - r) ** 2)
     Fs = accumulate_F(fsrc, far, P)
     assert envelope_V([far], (0.3, 0.4), Fs, ZERO_METRIC, P)[0, 0] == \
-        pytest.approx(0.7 + Fs.total, rel=1e-14)
+        pytest.approx(0.7 + Fs.cum[-1], rel=1e-14)
 
     near = RayCoords(10.0, 8.0, P)
     Fn = accumulate_F(fsrc, near, P)
     assert envelope_V([near], (0.3, 0.4), Fn, ZERO_METRIC, P)[0, 0] == \
-        pytest.approx(Fn.total, rel=1e-14)
+        pytest.approx(Fn.cum[-1], rel=1e-14)
 
 
 def test_envelope_reads_F_at_each_points_own_s():
@@ -170,18 +171,18 @@ def test_envelope_reads_F_at_each_points_own_s():
     # point; each must read F(s) at its own s, not the top's total.  The
     # shared and the own trapezoid sums use steps of at most dlam, so
     # they agree to O(dlam^2) = 1e-4 relative
-    f = wave_source(0.5, 0.5, amp=0.1)
+    f = WaveSource(0.5, 0.5, amp=0.1)
     chi = 0.3
     rays = [RayCoords(s * math.cosh(chi), s * math.sinh(chi), P)
             for s in (2.5, 5.0, 7.3)]
     F = accumulate_F(f, rays[-1], P)
     V = envelope_V(rays, (0.0, 0.0), F, ZERO_METRIC, P)[0]
     for ray, v in zip(rays, V):
-        own = accumulate_F(f, ray, P).total
+        own = accumulate_F(f, ray, P).cum[-1]
         assert v == pytest.approx(own, rel=1e-4)
-    assert V[-1] == F.total
+    assert V[-1] == F.cum[-1]
     # the point at s = 2.5 sees about a fifth of the top point's F
-    assert V[0] < 0.25 * F.total
+    assert V[0] < 0.25 * F.cum[-1]
 
 
 def test_envelope_monotone_in_inputs():
@@ -418,7 +419,7 @@ def test_envelope_work_count(block, per_ray, monkeypatch):
 
 
 # a source inside the cone, so the run never reaches the outer boundary
-CONE_SRC = wave_source(0.5, 0.5, amp=0.1)
+CONE_SRC = WaveSource(0.5, 0.5, amp=0.1)
 
 MARGIN_CASES = [
     ("zero", None, P),
@@ -511,7 +512,7 @@ def test_wave_bound_value_continuity_and_blowup():
 
 
 def test_wave_source_profile():
-    f = wave_source(0.5, 0.5, amp=2.0)
+    f = WaveSource(0.5, 0.5, amp=2.0)
     r = np.array([0.0, 9.5, 5.0])
     t = 10.0
     out = f(t, r)
@@ -583,7 +584,7 @@ def support_probe_points(band):
 @pytest.mark.parametrize("mu,nu,amp", [(0.5, 0.5, 1.0), (0.5, -0.25, 0.97),
                                        (0.3, 0.2, 2.5)])
 def test_wave_source_matches_full_grid_formula(band, mu, nu, amp):
-    got_f = wave_source(mu, nu, amp, band=band)
+    got_f = WaveSource(mu, nu, amp, band=band)
     want_f = full_grid_wave_source(mu, nu, amp, band=band)
     for t, r in support_probe_points(band):
         got, want = got_f(t, r), want_f(t, r)
@@ -601,6 +602,98 @@ def test_metric_pull_value_matches_full_grid_formula(band, amp):
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want)
         assert np.array_equal(got_h.value(t, r), want)
+
+
+# === the grid route of the wave source ===
+#
+# WaveSource.fill is the route solve_linear_wave_sourced takes; it must
+# equal f(t, r) bit for bit on every cell of the buffer.
+
+def bits_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@pytest.mark.parametrize("dx", [0.01, 0.02])
+@pytest.mark.parametrize("mu,nu,band", [(0.5, 0.5, (1.0, 1.5)),
+                                        (0.5, -0.25, (1.0, 1.5)),
+                                        (0.5, 0.5, (0.25, 2.0))])
+def test_wave_source_fill_matches_call_at_every_step(dx, mu, nu, band):
+    # the step times of the wave-march grids: t0 = 2, t_end = 60, cfl 0.5
+    f = WaveSource(mu, nu, 1.03, band=band)
+    g = grid_for_run(dx, 2.0, 60.0)
+    r = g.r(0, g.n)
+    dt = 0.5 * dx
+    n_steps = int(np.ceil((60.0 - 2.0) / dt - 1e-9))
+    times = [2.0] + [2.0 + k * dt for k in range(1, n_steps)]
+    out = np.full(g.n, np.nan)
+    block = 128
+    got, want = np.empty((block, g.n)), np.empty((block, g.n))
+    for b in range(0, len(times), block):
+        ts = times[b:b + block]
+        for i, t in enumerate(ts):
+            got[i] = f.fill(t, r, out)
+            want[i] = f(t, r)
+        assert bits_equal(got[:len(ts)], want[:len(ts)]), ts[0]
+
+
+def fill_cases():
+    """(name, t, r, band): the edges of the support prefix and ramp."""
+    r = 0.01 * np.arange(300)
+    rng = np.random.default_rng(9)
+    uneven = np.sort(rng.uniform(0.0, 3.0, 257))
+
+    def ulps(t, lo, hi):
+        # the ulp neighbours of both support edges, where the estimate
+        # from np.searchsorted can land past the true edge (t = 1.088)
+        v = np.array([t - lo, t - hi])
+        below, above = v.copy(), v.copy()
+        out = [v]
+        for _ in range(4):
+            below, above = np.nextafter(below, -1.0), np.nextafter(above, 9.0)
+            out += [below, above]
+        return np.unique(np.concatenate(out))
+
+    return [
+        ("empty support", 0.5, r, (1.0, 1.5)),
+        ("support edge at t = lo", 1.0, r, (1.0, 1.5)),
+        ("support r = 0 only", 1.0 + 0.005, r, (1.0, 1.5)),
+        ("support past grid end", 30.0, r, (1.0, 1.5)),
+        ("ramp starts at r = 0", 1.2, r, (1.0, 1.5)),
+        ("ramp ends at grid end", 1.0 + 2.99 + 0.25, r, (1.0, 1.5)),
+        ("ramp longer than grid", 1.0, r[:50], (0.25, 2.0)),
+        ("t - r hits lo on a node", 2.5, r, (1.0, 1.5)),
+        ("t - r hits lo + wid on a node", 2.5, r, (0.5, 1.5)),
+        ("uneven ascending grid", 2.7, uneven, (1.0, 1.5)),
+        ("uneven grid, ramp inside", 2.1, uneven, (0.25, 2.0)),
+        ("ulps of the edges", 1.088, ulps(1.088, 1.0, 1.5), (1.0, 1.5)),
+        ("ulps of the edges, far", 37.3, ulps(37.3, 1.0, 1.5), (1.0, 1.5)),
+    ]
+
+
+@pytest.mark.parametrize("case", fill_cases(), ids=lambda c: c[0])
+def test_wave_source_fill_edges_and_garbage_buffer(case):
+    # a negative amp gives -0.0, not the +0.0 of f(t, r), on any cell
+    # the route takes past the support edge
+    _, t, r, band = case
+    garbage = np.array([np.nan, -0.0, 1e300, -np.inf, 5e-324])
+    for amp in (2.0, -2.0):
+        f = WaveSource(0.5, 0.5, amp, band=band)
+        out = np.resize(garbage, r.size)
+        assert f.fill(t, r, out) is out
+        assert bits_equal(out, f(t, r))
+
+
+def test_wave_source_fill_does_not_rely_on_rising_t():
+    # one buffer, step times out of order: every call writes every cell
+    f = WaveSource(0.5, -0.25)
+    g = grid_for_run(0.02, 2.0, 20.0)
+    r = g.r(0, g.n)
+    out = np.zeros(g.n)
+    ts = 2.0 + 0.01 * np.random.default_rng(4).permutation(1800)
+    for t in np.concatenate([ts, [0.5, 19.0, 1.1, 3.0]]):
+        assert bits_equal(f.fill(t, r, out), f(t, r))
 
 
 # === margin checks on tiny runs ===

@@ -4,12 +4,13 @@ import pytest
 from hfoil.fields import (EVEN, ODD, BoxGrid, FieldHistory, RadialGrid,
                           sample_history)
 from hfoil.util import StencilRangeError
+from slice_reference import sample_radial_history
 
 
 def radial_history(fn, dx=0.02, n=150, t0=2.0, dt=0.01, levels=9, parity=EVEN):
     g = RadialGrid(dx=dx, n=n)
     times = t0 + dt * np.arange(levels)
-    return sample_history(fn, g, times, parity=parity)
+    return sample_radial_history(fn, g, times, parity=parity)
 
 
 def test_grid_axes():
@@ -105,8 +106,8 @@ def test_time_window_intersection_uses_common_times():
     g = RadialGrid(dx=0.1, n=20)
     t1 = 1.0 + 0.1 * np.arange(8)
     t2 = 1.2 + 0.1 * np.arange(8)
-    h1 = sample_history(lambda t, r: t + 0 * r, g, t1)
-    h2 = sample_history(lambda t, r: 2 * t + 0 * r, g, t2)
+    h1 = sample_radial_history(lambda t, r: t + 0 * r, g, t1)
+    h2 = sample_radial_history(lambda t, r: 2 * t + 0 * r, g, t2)
     c = h1 + h2
     assert c.times[0] == pytest.approx(1.2)
     assert c.times[-1] == pytest.approx(1.7)

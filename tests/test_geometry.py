@@ -6,7 +6,7 @@ from hfoil import (EVEN, BoundParams, BoxGrid, RadialGrid, RayCoords,
                    dalembertian_cartesian, dalembertian_frame,
                    sample_history, slice_cone_margin)
 from slice_reference import (apply_boost, interpolate_to_slice, make_chart,
-                             slice_radius_cap)
+                             sample_radial_history, slice_radius_cap)
 
 
 # --- symbolic oracle for the frame decomposition of the d'Alembertian ---
@@ -150,8 +150,8 @@ def test_chart_default_margin_is_the_slice_cone_margin():
 def test_interpolate_to_slice_radial_accuracy():
     g = RadialGrid(dx=0.05, n=420)
     times = 4.0 + 0.05 * np.arange(110)
-    h = sample_history(lambda t, r: np.exp(-r * r) * np.cos(t), g, times,
-                       parity=EVEN)
+    h = sample_radial_history(lambda t, r: np.exp(-r * r) * np.cos(t), g,
+                              times, parity=EVEN)
     sm = interpolate_to_slice(h, 4.3)
     ex = np.exp(-sm.r ** 2) * np.cos(sm.t)
     assert np.max(np.abs(sm.value - ex)) < 1e-5
@@ -162,7 +162,7 @@ def test_interpolate_to_slice_radial_accuracy():
 def test_interpolate_reports_missing_coverage():
     g = RadialGrid(dx=0.05, n=420)
     times = 4.0 + 0.05 * np.arange(10)
-    h = sample_history(lambda t, r: 0 * r + t, g, times, parity=EVEN)
+    h = sample_radial_history(lambda t, r: 0 * r + t, g, times, parity=EVEN)
     with pytest.raises(SliceCoverageError) as ei:
         interpolate_to_slice(h, 4.3)
     assert ei.value.needed[1] > ei.value.available[1]
@@ -172,7 +172,8 @@ def test_slice_energy_of_linear_time_field_is_volume():
     # w = t has (s/t) d_t w = s/t, frame_a w = x_a/t, so the density is 1
     g = RadialGrid(dx=0.05, n=420)
     times = 4.0 + 0.05 * np.arange(110)
-    h = sample_history(lambda t, r: t * np.ones_like(r), g, times, parity=EVEN)
+    h = sample_radial_history(lambda t, r: t * np.ones_like(r), g, times,
+                              parity=EVEN)
     sm = interpolate_to_slice(h, 4.3)
     E = np.sum(sm.chart.quad_weights() * sm.energy_density())
     rc = sm.r.max()

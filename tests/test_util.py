@@ -122,6 +122,47 @@ def test_smoothstep_clamps_and_is_smooth():
     assert smoothstep_d(0.3) == pytest.approx(mid, rel=1e-5)
 
 
+def clip_smoothstep(x):
+    """The np.clip formula smoothstep must match bit for bit."""
+    y = np.clip(x, 0.0, 1.0)
+    return y * y * y * (y * (6.0 * y - 15.0) + 10.0)
+
+
+def clip_smoothstep_d(x):
+    y = np.clip(x, 0.0, 1.0)
+    return 30.0 * y * y * (y - 1.0) * (y - 1.0)
+
+
+CLAMP_EDGES = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324,
+               -5e-324, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+               0.5, -2.0, 2.0]
+
+
+@pytest.mark.parametrize("fn,ref", [(smoothstep, clip_smoothstep),
+                                    (smoothstep_d, clip_smoothstep_d)])
+def test_smoothstep_matches_clip_formula_bitwise(fn, ref):
+    def same(got, want):
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.uint64),
+                              np.asarray(want).view(np.uint64))
+
+    for v in CLAMP_EDGES:
+        for x in (v, np.float64(v), np.array(v)):
+            same(fn(x), ref(x))
+    # arrays: every edge at every offset of short, SIMD-width and long
+    # runs, unaligned views and a 2-D block
+    rng = np.random.default_rng(2)
+    big = np.concatenate([np.tile(CLAMP_EDGES, 20),
+                          rng.uniform(-0.5, 1.5, 3000)])
+    rng.shuffle(big)
+    for off in range(9):
+        for size in (1, 3, 7, 8, 15, 16, 17, 100, big.size - off):
+            x = big[off:off + size]
+            same(fn(x), ref(x))
+    same(fn(big[:3000].reshape(30, 100)), ref(big[:3000].reshape(30, 100)))
+
+
 def test_reduce_sum_modes_agree_and_are_deterministic():
     # the pairwise sum agrees with a left-to-right sum to rounding and
     # repeats bit for bit
