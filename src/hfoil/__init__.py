@@ -19,10 +19,10 @@ from .analysis import (PowerFit, QueryPool, SliceDerivativeTable,
                        hierarchy_check, hierarchy_combos, hierarchy_target,
                        kernel_response, profile_family,
                        sobolev_ratio_profile, write_csv, write_json)
-from .bounds import (BoundParams, MetricPerturb, RayCoords, WaveSource,
-                     accumulate_F, attach_refinement, envelope_V,
-                     h_ray_derivative, kg_bound_margin, metric_pull,
-                     refinement_delta, wave_bound_margin, wave_bound_value)
+from .bounds import (BoundParams, MetricPerturb, RayCoords, accumulate_F,
+                     attach_refinement, envelope_V, h_ray_derivative,
+                     kg_bound_margin, metric_pull, refinement_delta,
+                     wave_bound_margin, wave_bound_value, wave_source)
 
 __version__ = "0.1.0"
 
@@ -39,9 +39,9 @@ __all__ = [
     "fit_power_law", "hierarchy_check", "hierarchy_combos",
     "hierarchy_target", "kernel_response", "profile_family",
     "sobolev_ratio_profile", "write_csv", "write_json",
-    "BoundParams", "MetricPerturb", "RayCoords", "WaveSource", "accumulate_F",
+    "BoundParams", "MetricPerturb", "RayCoords", "accumulate_F",
     "attach_refinement", "envelope_V", "h_ray_derivative", "kg_bound_margin",
     "metric_pull", "refinement_delta", "wave_bound_margin",
-    "wave_bound_value",
+    "wave_bound_value", "wave_source",
     "__version__",
 ]

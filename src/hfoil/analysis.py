@@ -536,17 +536,17 @@ class SliceEnergySuite:
     combinations with |I| + |J| <= order are tabulated on every listed
     slice.  Attach on_level to the solver observers, then read
     energies() / stage_sups() once the run is past the last slice.
-    h_s and level_filter default to :func:`ladder_s_step` of the order.
+    h_s defaults to, and the level filter follows, :func:`ladder_s_step`
+    of the order.
     """
 
     def __init__(self, grid, s_values, order: int = 0, mass: float = 1.0,
                  fields=("u", "v"), chi_step: float = 0.04,
                  h_s: float | None = None, h_chi_u: float = 0.1,
-                 t_floor=None, level_filter: bool | None = None):
+                 t_floor=None):
         margin = slice_cone_margin(grid.dx)
-        rule_h_s, rule_filter = ladder_s_step(order)
+        rule_h_s, level_filter = ladder_s_step(order)
         h_s = rule_h_s if h_s is None else h_s
-        level_filter = rule_filter if level_filter is None else level_filter
         self.order = int(order)
         self.mass = float(mass)
         self.fields = tuple(fields)

@@ -195,7 +195,7 @@ def metric_pull(amp: float = 0.1, band=(1.0, 1.5)) -> MetricPerturb:
     return MetricPerturb(value, dt=dt, dr=dr)
 
 
-class WaveSource:
+class wave_source:
     """f = amp * t^-(2+nu) * (t-r)^(mu-1), switched on over the band.
 
     The switch keeps the support inside the cone and regularizes the
@@ -590,7 +590,7 @@ def wave_bound_margin(mu: float, nu: float, amp: float = 1.0,
 
     pool = QueryPool(grid)
     handle = pool.add("u", T[covered], R[covered])
-    solve_linear_wave_sourced(grid, WaveSource(mu, nu, amp), t0=t0,
+    solve_linear_wave_sourced(grid, wave_source(mu, nu, amp), t0=t0,
                               t_end=t_end, cfl=cfl, observers=(pool,))
     pool.assert_resolved()
     u = pool.result(handle)

@@ -437,7 +437,7 @@ def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
     grid at every step, or a profile that also has the grid route
     ``fill(t, r, out)``, which writes f(t, r) into every cell of a
     buffer the solver owns, for the ascending grid r (as
-    :class:`hfoil.bounds.WaveSource` does).  Both routes give the same
+    :class:`hfoil.bounds.wave_source` does).  Both routes give the same
     levels.
 
     Observers get on_level(t, step, u, None); u is a reused buffer, valid

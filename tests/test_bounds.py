@@ -6,11 +6,10 @@ import pytest
 
 import hfoil.bounds as bounds
 from hfoil.bounds import (BoundParams, MetricPerturb, RayCoords, ZERO_METRIC,
-                          RayIntegral, WaveSource, accumulate_F,
-                          attach_refinement, envelope_V, h_ray_derivative,
-                          kg_bound_margin, lam_grid, metric_pull,
-                          refinement_delta, wave_bound_margin,
-                          wave_bound_value)
+                          RayIntegral, accumulate_F, attach_refinement,
+                          envelope_V, h_ray_derivative, kg_bound_margin,
+                          lam_grid, metric_pull, refinement_delta,
+                          wave_bound_margin, wave_bound_value, wave_source)
 from hfoil.solver import InitialData, grid_for_run
 from hfoil.util import smoothstep
 from hypothesis import given, settings
@@ -171,7 +170,7 @@ def test_envelope_reads_F_at_each_points_own_s():
     # point; each must read F(s) at its own s, not the top's total.  The
     # shared and the own trapezoid sums use steps of at most dlam, so
     # they agree to O(dlam^2) = 1e-4 relative
-    f = WaveSource(0.5, 0.5, amp=0.1)
+    f = wave_source(0.5, 0.5, amp=0.1)
     chi = 0.3
     rays = [RayCoords(s * math.cosh(chi), s * math.sinh(chi), P)
             for s in (2.5, 5.0, 7.3)]
@@ -419,7 +418,7 @@ def test_envelope_work_count(block, per_ray, monkeypatch):
 
 
 # a source inside the cone, so the run never reaches the outer boundary
-CONE_SRC = WaveSource(0.5, 0.5, amp=0.1)
+CONE_SRC = wave_source(0.5, 0.5, amp=0.1)
 
 MARGIN_CASES = [
     ("zero", None, P),
@@ -512,7 +511,7 @@ def test_wave_bound_value_continuity_and_blowup():
 
 
 def test_wave_source_profile():
-    f = WaveSource(0.5, 0.5, amp=2.0)
+    f = wave_source(0.5, 0.5, amp=2.0)
     r = np.array([0.0, 9.5, 5.0])
     t = 10.0
     out = f(t, r)
@@ -584,7 +583,7 @@ def support_probe_points(band):
 @pytest.mark.parametrize("mu,nu,amp", [(0.5, 0.5, 1.0), (0.5, -0.25, 0.97),
                                        (0.3, 0.2, 2.5)])
 def test_wave_source_matches_full_grid_formula(band, mu, nu, amp):
-    got_f = WaveSource(mu, nu, amp, band=band)
+    got_f = wave_source(mu, nu, amp, band=band)
     want_f = full_grid_wave_source(mu, nu, amp, band=band)
     for t, r in support_probe_points(band):
         got, want = got_f(t, r), want_f(t, r)
@@ -606,7 +605,7 @@ def test_metric_pull_value_matches_full_grid_formula(band, amp):
 
 # === the grid route of the wave source ===
 #
-# WaveSource.fill is the route solve_linear_wave_sourced takes; it must
+# wave_source.fill is the route solve_linear_wave_sourced takes; it must
 # equal f(t, r) bit for bit on every cell of the buffer.
 
 def bits_equal(a, b):
@@ -621,7 +620,7 @@ def bits_equal(a, b):
                                         (0.5, 0.5, (0.25, 2.0))])
 def test_wave_source_fill_matches_call_at_every_step(dx, mu, nu, band):
     # the step times of the wave-march grids: t0 = 2, t_end = 60, cfl 0.5
-    f = WaveSource(mu, nu, 1.03, band=band)
+    f = wave_source(mu, nu, 1.03, band=band)
     g = grid_for_run(dx, 2.0, 60.0)
     r = g.r(0, g.n)
     dt = 0.5 * dx
@@ -679,7 +678,7 @@ def test_wave_source_fill_edges_and_garbage_buffer(case):
     _, t, r, band = case
     garbage = np.array([np.nan, -0.0, 1e300, -np.inf, 5e-324])
     for amp in (2.0, -2.0):
-        f = WaveSource(0.5, 0.5, amp, band=band)
+        f = wave_source(0.5, 0.5, amp, band=band)
         out = np.resize(garbage, r.size)
         assert f.fill(t, r, out) is out
         assert bits_equal(out, f(t, r))
@@ -687,7 +686,7 @@ def test_wave_source_fill_edges_and_garbage_buffer(case):
 
 def test_wave_source_fill_does_not_rely_on_rising_t():
     # one buffer, step times out of order: every call writes every cell
-    f = WaveSource(0.5, -0.25)
+    f = wave_source(0.5, -0.25)
     g = grid_for_run(0.02, 2.0, 20.0)
     r = g.r(0, g.n)
     out = np.zeros(g.n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hfoil.bounds import WaveSource
+from hfoil.bounds import wave_source
 from hfoil.fields import RadialGrid
 from hfoil.solver import (BLOWUP_GUARD, InitialData, ModelParams,
                           evolve_model, grid_for_run,
@@ -163,7 +163,7 @@ def test_linear_kg_matches_free_model_evolution():
 
 def test_linear_wave_matches_free_model_evolution():
     g = grid_for_run(0.05, 2.0, 12.0)
-    f = WaveSource(0.5, -0.25, 1.0)
+    f = wave_source(0.5, -0.25, 1.0)
     for data in (InitialData.zero(), InitialData.bump(0.1, 0.0)):
         a = solve_linear_wave_sourced(g, f, t0=2.0, t_end=12.0,
                                       record=(2.0, 12.01, 1), data=data)
@@ -564,9 +564,9 @@ def test_evolve_model_matches_allocating_reference(sourced):
 def test_linear_wave_matches_allocating_reference():
     # the profile takes its grid route (fill); wrapped in a lambda it is
     # a plain callable; both must give the reference levels bit for bit
-    from hfoil.bounds import WaveSource
+    from hfoil.bounds import wave_source
     g = grid_for_run(0.05, 2.0, 12.0)
-    f = WaveSource(0.5, -0.25, 1.0)
+    f = wave_source(0.5, -0.25, 1.0)
     data = InitialData.bump(0.1, 0.0)
     want = _ref_solve_linear_wave_sourced(g, f, 2.0, 12.0, data=data)
     fills = []
