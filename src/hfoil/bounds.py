@@ -7,7 +7,7 @@ Margin checks run the matching linear solver and report the measured
 ratio field/envelope over a lattice of cone-interior sample points.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -415,6 +415,14 @@ def wave_bound_value(mu: float, nu: float, t, r):
 
 # === sample lattices and margin reports ===
 
+# QueryPool coverage margins of the lattices: a query's 10-point window
+# of radial columns and levels must lie on the run, so lattice points
+# stay _POOL_EDGE_CELLS cells inside the outer edge and the run goes on
+# _POOL_TAIL_STEPS steps past the last query time
+_POOL_EDGE_CELLS = 16
+_POOL_TAIL_STEPS = 12
+
+
 def _ray_fan(n_rays: int, chi_cap: float) -> np.ndarray:
     # uniform in hyperbolic angle: clusters toward the cone in r/t
     return np.linspace(0.0, chi_cap, n_rays)
@@ -470,11 +478,10 @@ def kg_bound_margin(h, data: InitialData, params: BoundParams,
 
     t_max = float(np.max(T[inside])) if inside.any() else t0
     dt = cfl * dx
-    t_end = t_max + delta + 12 * dt
+    t_end = t_max + delta + _POOL_TAIL_STEPS * dt
     grid = grid_for_run(dx, t0, t_end)
-    # the pool's 10-pt window must stay on the grid
     covered = inside & (T - delta >= t0) & \
-        (R + delta <= grid.r_max - 16 * dx)
+        (R + delta <= grid.r_max - _POOL_EDGE_CELLS * dx)
     skipped = int(inside.sum() - covered.sum())
 
     pool = QueryPool(grid)
@@ -543,8 +550,7 @@ def _lattice_envelopes(h, f, params: BoundParams, ts, rs, ci, data_norms):
     params.C.  Each ray's source integral is accumulated once per step,
     to its farthest base point.  Vs maps each C of the sweep to its V.
     """
-    half = BoundParams(C=params.C, mass=params.mass, dlam=params.dlam / 2,
-                       s0=params.s0, C_sweep=params.C_sweep)
+    half = replace(params, dlam=params.dlam / 2)
     Cs = list(dict.fromkeys(float(c) for c in (params.C, *params.C_sweep)))
     V = np.empty(ts.size)
     V_half = np.empty(ts.size)
@@ -577,7 +583,7 @@ def wave_bound_margin(mu: float, nu: float, amp: float = 1.0,
     """Run the sourced wave problem and measure |u| / wave_bound_value
     over a ray lattice, grouped by decade of t."""
     dt = cfl * dx
-    t_hi = t_end - 12 * dt
+    t_hi = t_end - _POOL_TAIL_STEPS * dt
     t_vals = np.geomspace(t_lo, t_hi, n_t)
     chi = _ray_fan(n_rays, 0.5 * math.log(2.0 * t_hi / tr_min))
     rho = np.tanh(chi)
@@ -585,7 +591,7 @@ def wave_bound_margin(mu: float, nu: float, amp: float = 1.0,
     R = T * P
     inside = T - R >= tr_min
     grid = grid_for_run(dx, t0, t_end)
-    covered = inside & (R <= grid.r_max - 16 * dx)
+    covered = inside & (R <= grid.r_max - _POOL_EDGE_CELLS * dx)
     skipped = int(inside.sum() - covered.sum())
 
     pool = QueryPool(grid)
@@ -620,13 +626,19 @@ def wave_bound_margin(mu: float, nu: float, amp: float = 1.0,
     }
 
 
-def refinement_delta(coarse: dict, fine: dict) -> float:
-    """Relative change of the overall max ratio between two margin
-    reports of the same scenario (coarse vs fine grid)."""
-    a, b = coarse.get("max_ratio", 0.0), fine.get("max_ratio", 0.0)
+def relative_change(a: float, b: float) -> float:
+    """|a - b| / |b| for a coarse value a and a fine value b: 0 when both
+    are 0, inf when only b is."""
     if b == 0.0:
         return 0.0 if a == 0.0 else math.inf
     return abs(a - b) / abs(b)
+
+
+def refinement_delta(coarse: dict, fine: dict) -> float:
+    """Relative change of the overall max ratio between two margin
+    reports of the same scenario (coarse vs fine grid)."""
+    return relative_change(coarse.get("max_ratio", 0.0),
+                           fine.get("max_ratio", 0.0))
 
 
 def attach_refinement(fine: dict, coarse: dict) -> dict:

@@ -80,7 +80,8 @@ from .analysis import (TINY, SliceEnergySuite, SupTracker, chart_nodes,
                        profile_family, sobolev_ratio_profile,
                        supnorm_csv_rows, write_csv, write_json)
 from .bounds import (ZERO_METRIC, BoundParams, attach_refinement,
-                     kg_bound_margin, metric_pull, wave_bound_margin)
+                     kg_bound_margin, metric_pull, relative_change,
+                     wave_bound_margin)
 from .fields import BoxGrid, sample_history
 from .geometry import (dalembertian_cartesian, dalembertian_frame,
                        slice_cone_margin)
@@ -773,13 +774,9 @@ def _scn_linear_kg_bound(cfg: RunConfig, out: Path):
         sweep = fine["C_sensitivity"]
         # the margin must hold for every C in the sweep, not just the
         # default, so finiteness and refinement are checked per C
-        sweep_rel = {}
-        for key, val in sweep.items():
-            cv = coarse["C_sensitivity"].get(key, 0.0)
-            if val == 0.0:
-                sweep_rel[key] = 0.0 if cv == 0.0 else math.inf
-            else:
-                sweep_rel[key] = abs(cv - val) / abs(val)
+        sweep_rel = {key: relative_change(
+            coarse["C_sensitivity"].get(key, 0.0), val)
+            for key, val in sweep.items()}
         fine["refinement_deltas"]["per_C_rel_change"] = sweep_rel
         write_json(out / f"kg_margin_{name}.json", fine)
         emit_series([(row["s"], row["max_ratio"])
@@ -895,6 +892,11 @@ def _frame_error(fn, dx: float, half: float, t0: float) -> float:
     return float(np.max(np.where(mask, np.abs(vals[mid:mid + 1]), 0.0)))
 
 
+def _observed_order(res, errs) -> float:
+    """Slope of log(error) against log(resolution), least squares."""
+    return float(np.polyfit(np.log(res), np.log(errs), 1)[0])
+
+
 def _scn_frame_identity(cfg: RunConfig, out: Path):
     dx = cfg.dx()
     half = cfg.box_half if cfg.box_half is not None else 1.0
@@ -905,8 +907,7 @@ def _scn_frame_identity(cfg: RunConfig, out: Path):
     for name, fn in _FRAME_FIELDS:
         errs = [_frame_error(fn, d, half, t0) for d in res]
         rows.extend((name, d, e) for d, e in zip(res, errs))
-        slope = np.polyfit(np.log(res), np.log(errs), 1)[0]
-        orders[f"frame_order_{name}"] = float(slope)
+        orders[f"frame_order_{name}"] = _observed_order(res, errs)
     emit_series(rows, "order/v1", out / "frame_errors.csv")
 
     worst = min(orders.values())
@@ -1020,6 +1021,14 @@ def _mms_sources(params: ModelParams):
     return fu, fv
 
 
+class _LastLevel:
+    """Observer that keeps the time and a copy of u and v of the newest
+    level it is shown."""
+
+    def on_level(self, t, step, u, v):
+        self.t, self.u, self.v = t, u.copy(), v.copy()
+
+
 def _mms_error(dx: float, cfg: RunConfig) -> float:
     params = cfg.model_params()
     au, dau, _, av, dav, _ = _mms_exact()
@@ -1031,13 +1040,12 @@ def _mms_error(dx: float, cfg: RunConfig) -> float:
         support_radius=_MMS_R)
     grid = grid_for_run(dx, 2.0, 4.2, support_radius=_MMS_R,
                         pad_cells=cfg.pad_cells)
-    res = evolve_model(params, grid, data, t0=2.0, t_end=4.0, cfl=cfg.cfl,
-                       sources=_mms_sources(params),
-                       record=(3.9, 4.3, 1))
+    last = _LastLevel()
+    evolve_model(params, grid, data, t0=2.0, t_end=4.0, cfl=cfg.cfl,
+                 observers=(last,), sources=_mms_sources(params))
     r = grid.r()
-    t_fin = float(res.u_hist.times[-1])
-    eu = np.max(np.abs(res.u_hist.values[-1] - au(t_fin) * _mms_phi(r)))
-    ev = np.max(np.abs(res.v_hist.values[-1] - av(t_fin) * _mms_phi(r)))
+    eu = np.max(np.abs(last.u - au(last.t) * _mms_phi(r)))
+    ev = np.max(np.abs(last.v - av(last.t) * _mms_phi(r)))
     return float(max(eu, ev))
 
 
@@ -1061,7 +1069,7 @@ def _scn_convergence_suite(cfg: RunConfig, out: Path):
     errs = [_mms_error(d, cfg) for d in res]
     emit_series([("coupled", d, e) for d, e in zip(res, errs)],
                 "order/v1", out / "mms_errors.csv")
-    slope = float(np.polyfit(np.log(res), np.log(errs), 1)[0])
+    slope = _observed_order(res, errs)
     criteria.append(CriterionResult(
         "scheme-order", slope >= 1.9,
         {"order": slope, "resolutions": res, "errors": errs}))

@@ -7,9 +7,11 @@ the window it consumed, so any value you can still read came from a
 fully interior stencil.  One-sided stencils are never used.
 
 Spatial stencils act on box histories only.  A radial history is a
-container of recorded levels with a declared parity (even or odd in
-r); radial runs take their slice derivatives from the QueryPool
-lattices in :mod:`hfoil.analysis`, never by differencing a history.
+container of levels with a declared parity (even or odd in r), and
+only the tests' reference slice route builds one: the radial solvers
+stream their levels to observers, and radial runs take their slice
+derivatives from the QueryPool lattices in :mod:`hfoil.analysis`,
+never by differencing a history.
 """
 from __future__ import annotations
 

@@ -12,7 +12,8 @@ ends, the quasilinear coefficient frozen at the center level, and the
 Klein-Gordon field updated first so the wave source can use a centered
 time derivative of v.  Everything is second order; starts are built
 from a Taylor step using the equations at the initial time.  The coupled
-model and the two linear solvers share one leapfrog loop, `_march`.
+model and the two linear solvers share one leapfrog loop, `_march`, and
+hand out their levels only by streaming each one to observers.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import EVEN, FieldHistory, RadialGrid
+from .fields import RadialGrid
 from .util import StabilityError
 
 COEFF_GUARD = 0.5        # evolution aborts when |u| * |H| reaches this
@@ -106,15 +107,12 @@ class InitialData:
 
 @dataclass
 class RunResult:
+    """What a run reports besides the levels its observers saw."""
     grid: object
     t0: float
     dt: float
     steps: int
     t_final: float
-    u_hist: Optional[FieldHistory] = None
-    v_hist: Optional[FieldHistory] = None
-    max_abs_u: float = 0.0
-    max_abs_v: float = 0.0
 
 
 def grid_for_run(dx: float, t0: float, t_end: float,
@@ -248,37 +246,18 @@ def _guard_level(t, step, r, levels, scratch, scale):
     return scale
 
 
-class _Recorder:
-    def __init__(self, spec, grid):
-        self.t_lo, self.t_hi, self.every = spec
-        self.grid = grid
-        self.values = []
-        self.times = []
-
-    def offer(self, t, step, arr):
-        if self.t_lo - 1e-12 <= t <= self.t_hi + 1e-12 and step % self.every == 0:
-            self.values.append(arr.copy())
-            self.times.append(t)
-
-    def history(self):
-        if len(self.values) < 2:
-            return None
-        return FieldHistory(np.stack(self.values), np.array(self.times),
-                            self.grid, parity=EVEN)
-
-
-def _march(grid, fields, starts, t0, t_end, dt, advance, observers,
-           record) -> RunResult:
+def _march(grid, fields, starts, t0, t_end, dt, advance,
+           observers) -> RunResult:
     """The leapfrog loop shared by the radial solvers.
 
     fields names the stepped fields, ("u",), ("v",) or ("u", "v"), and
     starts gives each its W at t0 and at t0 + dt; only those fields get
-    buffers.  Step k calls advance(k, t_k, prev, cur, nxt, lvl, peak),
-    which writes level k + 1 of every field into nxt from levels k - 1
-    and k (prev, cur); lvl holds the emitted u or v of level k and peak
-    its max |.|.  The loop then trips the blow-up and boundary guards,
-    rotates the buffers and emits the new level to the recorders and
-    observers (None for a field that is not stepped).
+    buffers.  Step k calls advance(k, t_k, prev, cur, nxt, lvl), which
+    writes level k + 1 of every field into nxt from levels k - 1 and k
+    (prev, cur); lvl holds the emitted u or v of level k.  The loop then
+    trips the blow-up and boundary guards, rotates the buffers and emits
+    the new level to the observers (None for a field that is not
+    stepped).  Observers are the only way levels leave the loop.
     """
     n, dx = grid.n, grid.dx
     r = grid.r(0, n)
@@ -289,18 +268,11 @@ def _march(grid, fields, starts, t0, t_end, dt, advance, observers,
     work = np.empty(n)
     u_out = lvl[fields.index("u")] if "u" in fields else None
     v_out = lvl[fields.index("v")] if "v" in fields else None
-    recs = [_Recorder(record, grid) for _ in fields] if record else None
-    peak = [0.0] * len(fields)
-    top = [0.0] * len(fields)
     scale = max(*(np.max(np.abs(W)) for W in prev), 1e-300)
 
     def emit(t, step, levels):
-        for i, W in enumerate(levels):
-            _over_r(W, r, dx, lvl[i])
-            peak[i] = np.abs(lvl[i], out=work).max()
-            top[i] = max(top[i], float(peak[i]))
-            if recs is not None:
-                recs[i].offer(t, step, lvl[i])
+        for W, out in zip(levels, lvl):
+            _over_r(W, r, dx, out)
         for obs in observers:
             obs.on_level(t, step, u_out, v_out)
 
@@ -309,31 +281,27 @@ def _march(grid, fields, starts, t0, t_end, dt, advance, observers,
     n_steps = int(np.ceil((t_end - t0) / dt - 1e-9))
     for k in range(1, n_steps):
         t_k = t0 + k * dt
-        advance(k, t_k, prev, cur, nxt, lvl, peak)
+        advance(k, t_k, prev, cur, nxt, lvl)
         scale = _guard_level(t_k + dt, k + 1, r, nxt, work, scale)
         prev, cur, nxt = cur, nxt, prev
         emit(t0 + (k + 1) * dt, k + 1, cur)
 
-    top = dict(zip(fields, top))
-    hist = dict(zip(fields, (rec.history() for rec in recs or ())))
     return RunResult(grid=grid, t0=t0, dt=dt, steps=n_steps,
-                     t_final=t0 + n_steps * dt, u_hist=hist.get("u"),
-                     v_hist=hist.get("v"), max_abs_u=top.get("u", 0.0),
-                     max_abs_v=top.get("v", 0.0))
+                     t_final=t0 + n_steps * dt)
 
 
 # === the coupled model ===
 
 def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
                  t0: float = 2.0, t_end: float = 10.0, cfl: float = 0.5,
-                 observers: Sequence = (), record=None,
+                 observers: Sequence = (),
                  sources: Optional[tuple] = None) -> RunResult:
     """March the coupled system from t0 to t_end on a radial grid.
 
     observers : objects with on_level(t, step, u, v); called at every time
         level including the two start levels.  u and v are reused
         buffers, valid only during the call: copy them to keep them.
-    record : (t_lo, t_hi, every) to collect FieldHistories of u and v.
+        The run hands out its levels this way only.
     sources : optional (fu(t, r), fv(t, r)) added to the two equations,
         used for manufactured solutions.
     """
@@ -382,11 +350,11 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
     dt2 = dt * dt
     half_c2 = 0.5 * c2
 
-    def advance(k, t_k, prev, cur, nxt, lvl, peak):
+    def advance(k, t_k, prev, cur, nxt, lvl):
         (Wu_prev, Wv_prev), (Wu_cur, Wv_cur) = prev, cur
         (Wu_next, Wv_next), (u_lvl, v_lvl) = nxt, lvl
         _coefficient_guard("quasilinear coefficient guard tripped", t_k, k,
-                           r, u_lvl, peak[0], hn)
+                           r, u_lvl, np.abs(u_lvl, out=work).max(), hn)
         np.multiply(u_lvl, h00, out=denom)
         np.add(denom, 1.0, out=denom)
         np.multiply(u_lvl, hs, out=cs)
@@ -421,7 +389,7 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
         _wave_update(Wu_prev, Wu_cur, N, r, dx, dt2, Wu_next, lap, work)
 
     return _march(grid, ("u", "v"), starts, t0, t_end, dt, advance,
-                  observers, record)
+                  observers)
 
 
 # === linear solvers for the envelope scenarios ===
@@ -429,7 +397,6 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
 def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
                               t0: float = 2.0, t_end: float = 10.0,
                               cfl: float = 0.5, observers: Sequence = (),
-                              record=None,
                               data: Optional[InitialData] = None) -> RunResult:
     """-box u = f(t, r) with compactly supported data (zero by default).
 
@@ -440,9 +407,9 @@ def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
     :class:`hfoil.bounds.wave_source` does).  Both routes give the same
     levels.
 
-    Observers get on_level(t, step, u, None); u is a reused buffer, valid
-    only during the call.  The blow-up and boundary guards of
-    :func:`evolve_model` apply.
+    Observers get on_level(t, step, u, None), the run's only output of
+    levels; u is a reused buffer, valid only during the call.  The
+    blow-up and boundary guards of :func:`evolve_model` apply.
     """
     dx = grid.dx
     n = grid.n
@@ -463,24 +430,24 @@ def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
     lap, work = np.empty(n), np.empty(n)
     dt2 = dt * dt
 
-    def advance(k, t_k, prev, cur, nxt, lvl, peak):
+    def advance(k, t_k, prev, cur, nxt, lvl):
         _wave_update(prev[0], cur[0], f(t_k), r, dx, dt2, nxt[0], lap, work)
 
-    return _march(grid, ("u",), starts, t0, t_end, dt, advance, observers,
-                  record)
+    return _march(grid, ("u",), starts, t0, t_end, dt, advance, observers)
 
 
 def solve_linear_kg_curved(grid: RadialGrid, h00: Callable, mass: float,
                            data: InitialData, t0: float = 2.0,
                            t_end: float = 10.0, cfl: float = 0.5,
-                           observers: Sequence = (), record=None,
+                           observers: Sequence = (),
                            source: Optional[Callable] = None) -> RunResult:
     """(1 + h00(t, r)) d_t^2 v = Lap v - mass^2 v + f on a radial grid;
     h00 is a prescribed metric perturbation profile (array or scalar).
 
-    Observers get on_level(t, step, None, v); v is a reused buffer, valid
-    only during the call.  Besides the metric floor, the blow-up and
-    boundary guards of :func:`evolve_model` apply.
+    Observers get on_level(t, step, None, v), the run's only output of
+    levels; v is a reused buffer, valid only during the call.  Besides
+    the metric floor, the blow-up and boundary guards of
+    :func:`evolve_model` apply.
     """
     dx = grid.dx
     n = grid.n
@@ -509,11 +476,10 @@ def solve_linear_kg_curved(grid: RadialGrid, h00: Callable, mass: float,
     inv_dt2 = 1.0 / (dt * dt)
     half_c2 = 0.5 * c2
 
-    def advance(k, t_k, prev, cur, nxt, lvl, peak):
+    def advance(k, t_k, prev, cur, nxt, lvl):
         metric(t_k, k)
         _kg_update(prev[0], cur[0], denom, None,
                    None if source is None else source(t_k, r), r, dx,
                    inv_dt2, half_c2, nxt[0], A, lap)
 
-    return _march(grid, ("v",), starts, t0, t_end, dt, advance, observers,
-                  record)
+    return _march(grid, ("v",), starts, t0, t_end, dt, advance, observers)

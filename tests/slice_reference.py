@@ -10,7 +10,10 @@ independent second route the tests compare them with:
   and integrate :meth:`SliceSample.energy_density` against
   ``SliceEnergySuite.energies``;
 * the Sobolev test measures :func:`sobolev_ratio_history` on a box
-  history against the angular reduction ``sobolev_ratio_profile``.
+  history against the angular reduction ``sobolev_ratio_profile``;
+* the solvers hand out their levels to observers only; the tests
+  that compare a run's levels, or build a radial history from them,
+  keep copies with :class:`LevelCopies`.
 
 Not a test module (pytest collects ``test_*.py`` only); the test
 modules import it by name from this directory.
@@ -27,6 +30,20 @@ from hfoil.geometry import slice_cone_margin
 from hfoil.util import SliceCoverageError, lagrange_weights, trapezoid_weights
 
 DEFAULT_CHI_STEP = 0.005
+
+
+# === levels of solver runs ===
+
+class LevelCopies:
+    """Observer that keeps a copy of every level it is shown."""
+
+    def __init__(self):
+        self.levels = []
+
+    def on_level(self, t, step, u, v):
+        assert step == len(self.levels)
+        self.levels.append((t, None if u is None else u.copy(),
+                            None if v is None else v.copy()))
 
 
 # === slice charts ===

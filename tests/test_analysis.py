@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfoil.fields import EVEN, ODD, BoxGrid, RadialGrid, sample_history
+from hfoil.fields import (EVEN, ODD, BoxGrid, FieldHistory, RadialGrid,
+                          sample_history)
 from hfoil.analysis import (QueryPool, SliceDerivativeTable,
                             SliceEnergySuite, SupTracker,
                             _apply, chart_nodes, combo_expansion,
@@ -19,8 +20,9 @@ from hfoil.analysis import (QueryPool, SliceDerivativeTable,
 from hfoil.solver import (InitialData, ModelParams, evolve_model,
                           grid_for_run)
 from hfoil.util import FoliationError, SliceCoverageError, lagrange_weights
-from slice_reference import (RadialSliceChart, interpolate_to_slice,
-                             sample_radial_history, sobolev_ratio_history)
+from slice_reference import (LevelCopies, RadialSliceChart,
+                             interpolate_to_slice, sample_radial_history,
+                             sobolev_ratio_history)
 
 sympy = pytest.importorskip("sympy")
 
@@ -412,10 +414,15 @@ def test_suite_energy_solver_route_close():
     s0 = 4.0
     suite = SliceEnergySuite(grid, [s0], order=0, mass=1.0, t_floor=2.0,
                              chi_step=0.01)
-    res = evolve_model(ModelParams.free(), grid, data, t0=2.0, t_end=11.0,
-                       observers=(suite,), record=(3.5, 9.2, 1))
+    levels = LevelCopies()
+    evolve_model(ModelParams.free(), grid, data, t0=2.0, t_end=11.0,
+                 observers=(suite, levels))
     got = {row["field"]: row["value"] for row in suite.energies()}
-    for field, hist, mass in (("u", res.u_hist, 0.0), ("v", res.v_hist, 1.0)):
+    kept = [lv for lv in levels.levels if 3.5 - 1e-12 <= lv[0] <= 9.2 + 1e-12]
+    times = [lv[0] for lv in kept]
+    for field, i, mass in (("u", 1, 0.0), ("v", 2, 1.0)):
+        hist = FieldHistory(np.stack([lv[i] for lv in kept]), times, grid,
+                            parity=EVEN)
         smp = interpolate_to_slice(hist, s0)
         want = float(np.sum(smp.energy_density(mass)
                             * smp.chart.quad_weights()))

@@ -9,7 +9,8 @@ from hfoil.bounds import (BoundParams, MetricPerturb, RayCoords, ZERO_METRIC,
                           RayIntegral, accumulate_F, attach_refinement,
                           envelope_V, h_ray_derivative, kg_bound_margin,
                           lam_grid, metric_pull, refinement_delta,
-                          wave_bound_margin, wave_bound_value, wave_source)
+                          relative_change, wave_bound_margin,
+                          wave_bound_value, wave_source)
 from hfoil.solver import InitialData, grid_for_run
 from hfoil.util import smoothstep
 from hypothesis import given, settings
@@ -756,3 +757,11 @@ def test_refinement_helpers():
     assert merged["refinement_deltas"]["max_ratio_rel_change"] == \
         pytest.approx(0.05 / 1.05)
     assert refinement_delta({"max_ratio": 0.0}, {"max_ratio": 0.0}) == 0.0
+    # the scalar rule behind it, which the per-C sweep of linear-kg-bound
+    # also takes: coarse a against fine b
+    assert relative_change(0.0, 0.0) == 0.0
+    assert relative_change(1.0, 0.0) == math.inf
+    assert relative_change(0.0, 2.0) == 1.0
+    assert relative_change(3.0, 2.0) == 0.5
+    assert relative_change(-3.0, -2.0) == 0.5
+    assert refinement_delta({"max_ratio": 1.0}, {}) == math.inf

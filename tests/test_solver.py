@@ -3,10 +3,11 @@ import pytest
 
 from hfoil.bounds import wave_source
 from hfoil.fields import RadialGrid
-from hfoil.solver import (BLOWUP_GUARD, InitialData, ModelParams,
-                          evolve_model, grid_for_run,
+from hfoil.solver import (BLOWUP_GUARD, COEFF_GUARD, InitialData,
+                          ModelParams, evolve_model, grid_for_run,
                           solve_linear_kg_curved, solve_linear_wave_sourced)
 from hfoil.util import StabilityError
+from slice_reference import LevelCopies
 
 
 def smooth_data(amp_u, amp_v, width=4.0):
@@ -29,12 +30,13 @@ def test_free_wave_matches_dalembert_and_converges():
     errs = []
     for dx in (0.04, 0.02, 0.01):
         g = grid_for_run(dx, 2.0, 6.0, support_radius=8.0)
-        res = evolve_model(ModelParams.free(), g, smooth_data(0.5, 0.0),
-                           t0=2.0, t_end=6.0, record=(5.9, 6.01, 1))
-        uh = res.u_hist
-        r = np.ravel(uh.coord(0))
-        Wex = dalembert_W(u0, 2.0, uh.times[-1], r)
-        errs.append(np.max(np.abs(uh.values[-1] * r - Wex)))
+        obs = LevelCopies()
+        evolve_model(ModelParams.free(), g, smooth_data(0.5, 0.0),
+                     t0=2.0, t_end=6.0, observers=[obs])
+        t_last, u_last, _ = obs.levels[-1]
+        r = g.r(0, g.n)
+        Wex = dalembert_W(u0, 2.0, t_last, r)
+        errs.append(np.max(np.abs(u_last * r - Wex)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) > 1.9
     assert errs[-1] < 1e-4
@@ -47,9 +49,8 @@ def test_sourced_wave_matches_retarded_integral():
     f = lambda t, r: np.exp(-((t - 3.0) ** 2) / 0.5) * np.exp(-r * r)
     t0 = 2.0
     g = grid_for_run(0.025, t0, 8.0, support_radius=6.0)
-    res = solve_linear_wave_sourced(g, f, t0=t0, t_end=8.0,
-                                    record=(t0, 8.01, 1))
-    uh = res.u_hist
+    obs = LevelCopies()
+    res = solve_linear_wave_sourced(g, f, t0=t0, t_end=8.0, observers=[obs])
 
     def oracle(t, r):
         # u = W/r with W the 1D Duhamel integral of the odd extension of rho*f
@@ -61,10 +62,10 @@ def test_sourced_wave_matches_retarded_integral():
         return 0.5 * val / r
 
     for (tq, rq) in ((6.0, 1.0), (7.0, 2.5), (7.5, 0.5)):
-        k = int(round((tq - uh.times[0]) / uh.dt))
+        t_k, u_k, _ = obs.levels[int(round((tq - t0) / res.dt))]
         j = int(round(rq / g.dx))
-        got = uh.values[k, j]
-        want = oracle(uh.times[k], j * g.dx)
+        got = u_k[j]
+        want = oracle(t_k, j * g.dx)
         assert got == pytest.approx(want, rel=0.01)
 
 
@@ -108,15 +109,14 @@ def test_coupled_model_manufactured_convergence():
             u0=lambda r: u_ex(t0, r * r), u1=lambda r: ut_ex(t0, r * r),
             v0=lambda r: v_ex(t0, r * r), v1=lambda r: vt_ex(t0, r * r),
             support_radius=8.0)
-        res = evolve_model(params, g, data, t0=t0, t_end=t1,
-                           record=(t1 - 0.05, t1 + 0.05, 1),
-                           sources=(lambda t, r: fu(t, r * r),
-                                    lambda t, r: fv(t, r * r)))
-        uh, vh = res.u_hist, res.v_hist
-        r = np.ravel(uh.coord(0))
-        tl = uh.times[-1]
-        err = max(np.max(np.abs(uh.values[-1] - u_ex(tl, r * r))),
-                  np.max(np.abs(vh.values[-1] - v_ex(tl, r * r))))
+        obs = LevelCopies()
+        evolve_model(params, g, data, t0=t0, t_end=t1, observers=[obs],
+                     sources=(lambda t, r: fu(t, r * r),
+                              lambda t, r: fv(t, r * r)))
+        tl, u_last, v_last = obs.levels[-1]
+        r = g.r(0, g.n)
+        err = max(np.max(np.abs(u_last - u_ex(tl, r * r))),
+                  np.max(np.abs(v_last - v_ex(tl, r * r))))
         errs.append(err)
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) > 1.9
@@ -151,39 +151,45 @@ def test_kg_energy_drift_is_small():
     assert e2 == pytest.approx(e1, rel=0.01)
 
 
+def field_levels(obs, field):
+    """The observed levels of one field (1 u, 2 v), stacked."""
+    return np.stack([lv[field] for lv in obs.levels])
+
+
 def test_linear_kg_matches_free_model_evolution():
     g = grid_for_run(0.05, 2.0, 6.0)
     data = InitialData.bump(0.0, 0.2)
-    a = solve_linear_kg_curved(g, lambda t, r: 0.0 * r, 1.0, data,
-                               t0=2.0, t_end=6.0, record=(2.0, 6.01, 1))
-    b = evolve_model(ModelParams.free(), g, data, t0=2.0, t_end=6.0,
-                     record=(2.0, 6.01, 1))
-    assert np.array_equal(a.v_hist.values, b.v_hist.values)
+    a, b = LevelCopies(), LevelCopies()
+    solve_linear_kg_curved(g, lambda t, r: 0.0 * r, 1.0, data,
+                           t0=2.0, t_end=6.0, observers=[a])
+    evolve_model(ModelParams.free(), g, data, t0=2.0, t_end=6.0,
+                 observers=[b])
+    assert np.array_equal(field_levels(a, 2), field_levels(b, 2))
 
 
 def test_linear_wave_matches_free_model_evolution():
     g = grid_for_run(0.05, 2.0, 12.0)
     f = wave_source(0.5, -0.25, 1.0)
     for data in (InitialData.zero(), InitialData.bump(0.1, 0.0)):
-        a = solve_linear_wave_sourced(g, f, t0=2.0, t_end=12.0,
-                                      record=(2.0, 12.01, 1), data=data)
-        b = evolve_model(ModelParams.free(), g, data, t0=2.0, t_end=12.0,
-                         record=(2.0, 12.01, 1), sources=(f, None))
-        assert np.array_equal(a.u_hist.values, b.u_hist.values)
+        a, b = LevelCopies(), LevelCopies()
+        solve_linear_wave_sourced(g, f, t0=2.0, t_end=12.0, observers=[a],
+                                  data=data)
+        evolve_model(ModelParams.free(), g, data, t0=2.0, t_end=12.0,
+                     observers=[b], sources=(f, None))
+        assert np.array_equal(field_levels(a, 1), field_levels(b, 1))
 
 
 # --- determinism ---
 
 def test_identical_runs_produce_identical_snapshots():
-    # the level snapshots a run records, and its peaks, repeat bit for bit
+    # every level a run hands its observers repeats bit for bit
     params = ModelParams.isotropic()
     g = grid_for_run(0.05, 2.0, 8.0)
-    runs = [evolve_model(params, g, InitialData.bump(0.01, 0.01), t0=2.0,
-                         t_end=8.0, record=(6.9, 7.1, 1)) for _ in range(2)]
-    a, b = runs
-    assert np.array_equal(a.u_hist.values, b.u_hist.values)
-    assert np.array_equal(a.v_hist.values, b.v_hist.values)
-    assert (a.max_abs_u, a.max_abs_v) == (b.max_abs_u, b.max_abs_v)
+    a, b = LevelCopies(), LevelCopies()
+    for obs in (a, b):
+        evolve_model(params, g, InitialData.bump(0.01, 0.01), t0=2.0,
+                     t_end=8.0, observers=[obs])
+    assert_levels_equal(a.levels, b.levels)
 
 
 # --- guards ---
@@ -194,6 +200,30 @@ def test_coefficient_guard_on_initial_data():
         evolve_model(ModelParams.isotropic(), g, InitialData.bump(0.9, 0.0),
                      t0=2.0, t_end=3.0)
     assert ei.value.report["kind"] == "coefficient"
+
+
+def test_coefficient_guard_trips_mid_run():
+    # the source drives u up until max|u| * |H| reaches the guard at a
+    # later level; the report must name the first observed level k >= 1
+    # that reaches it
+    params = ModelParams.isotropic()
+    g = grid_for_run(0.05, 2.0, 6.0)
+    obs = LevelCopies()
+    with pytest.raises(StabilityError) as ei:
+        evolve_model(params, g, InitialData.bump(0.1, 0.0), t0=2.0,
+                     t_end=6.0, observers=[obs],
+                     sources=(lambda t, r: 2.0 * np.exp(-(r - 1.0) ** 2),
+                              None))
+    hn = params.h_norm()
+    peaks = [np.max(np.abs(u)) * hn for _, u, _ in obs.levels]
+    k = next(k for k in range(1, len(peaks)) if peaks[k] >= COEFF_GUARD)
+    t_k, u_k, _ = obs.levels[k]
+    rep = ei.value.report
+    assert rep["kind"] == "coefficient"
+    assert k == len(obs.levels) - 1 > 1   # the run stops at that level
+    assert (rep["step"], rep["t"]) == (k, t_k)
+    assert rep["location"] == g.r(0, g.n)[np.argmax(np.abs(u_k))]
+    assert rep["value"] == peaks[k]
 
 
 def test_cfl_guard_rejects_oversized_step():
@@ -511,18 +541,6 @@ def _ref_solve_linear_kg_curved(grid, h00, mass, data, t0, t_end, cfl=0.5,
     return levels
 
 
-class LevelCopies:
-    """Observer that keeps a copy of every level it is shown."""
-
-    def __init__(self):
-        self.levels = []
-
-    def on_level(self, t, step, u, v):
-        assert step == len(self.levels)
-        self.levels.append((t, None if u is None else u.copy(),
-                            None if v is None else v.copy()))
-
-
 def assert_levels_equal(got, want):
     assert len(got) == len(want)
     for (tg, ug, vg), (tw, uw, vw) in zip(got, want):
@@ -531,13 +549,6 @@ def assert_levels_equal(got, want):
             assert (a is None) == (b is None)
             if a is not None:
                 assert np.array_equal(a, b)
-
-
-def assert_history_equal(hist, levels, field, lo, hi, every):
-    kept = [(k, lv) for k, lv in enumerate(levels)
-            if lo - 1e-12 <= lv[0] <= hi + 1e-12 and k % every == 0]
-    assert np.array_equal(hist.times, [lv[0] for _, lv in kept])
-    assert np.array_equal(hist.values, np.stack([lv[field] for _, lv in kept]))
 
 
 @pytest.mark.parametrize("sourced", [False, True])
@@ -550,15 +561,10 @@ def test_evolve_model_matches_allocating_reference(sourced):
         sources = (lambda t, r: 0.02 * np.sin(3 * t) * np.exp(-(r - 1) ** 2),
                    lambda t, r: 0.03 * np.cos(2 * t) * np.exp(-2 * r * r))
     obs = LevelCopies()
-    res = evolve_model(params, g, data, t0=2.0, t_end=5.0,
-                       observers=[obs], record=(3.0, 4.5, 3),
-                       sources=sources)
+    evolve_model(params, g, data, t0=2.0, t_end=5.0, observers=[obs],
+                 sources=sources)
     want = _ref_evolve_model(params, g, data, 2.0, 5.0, sources=sources)
     assert_levels_equal(obs.levels, want)
-    assert_history_equal(res.u_hist, want, 1, 3.0, 4.5, 3)
-    assert_history_equal(res.v_hist, want, 2, 3.0, 4.5, 3)
-    assert res.max_abs_u == max(float(np.max(np.abs(lv[1]))) for lv in want)
-    assert res.max_abs_v == max(float(np.max(np.abs(lv[2]))) for lv in want)
 
 
 def test_linear_wave_matches_allocating_reference():
@@ -574,13 +580,9 @@ def test_linear_wave_matches_allocating_reference():
     f.fill = lambda t, r, out: (fills.append(t), fill(t, r, out))[1]
     for source in (f, lambda t, r: f(t, r)):
         obs = LevelCopies()
-        res = solve_linear_wave_sourced(g, source, t0=2.0, t_end=12.0,
-                                        observers=[obs],
-                                        record=(4.0, 9.0, 2), data=data)
+        solve_linear_wave_sourced(g, source, t0=2.0, t_end=12.0,
+                                  observers=[obs], data=data)
         assert_levels_equal(obs.levels, want)
-        assert_history_equal(res.u_hist, want, 1, 4.0, 9.0, 2)
-        assert res.max_abs_u == max(float(np.max(np.abs(lv[1])))
-                                    for lv in want)
     # only the profile took the grid route: the Taylor start and one
     # read per step
     assert len(fills) == len(want) - 1
@@ -597,11 +599,8 @@ def test_linear_kg_matches_allocating_reference(case):
         h00 = metric_pull(0.1)
         source = lambda t, r: 0.1 * np.exp(-(t - 4.0) ** 2 - r * r)
     obs = LevelCopies()
-    res = solve_linear_kg_curved(g, h00, 1.3, data, t0=2.0, t_end=8.0,
-                                 observers=[obs], record=(2.0, 8.0, 1),
-                                 source=source)
+    solve_linear_kg_curved(g, h00, 1.3, data, t0=2.0, t_end=8.0,
+                           observers=[obs], source=source)
     want = _ref_solve_linear_kg_curved(g, h00, 1.3, data, 2.0, 8.0,
                                        source=source)
     assert_levels_equal(obs.levels, want)
-    assert_history_equal(res.v_hist, want, 2, 2.0, 8.0, 1)
-    assert res.max_abs_v == max(float(np.max(np.abs(lv[2]))) for lv in want)
