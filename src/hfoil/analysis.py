@@ -9,7 +9,15 @@ High derivative ladders are therefore tabulated as mixed
 (d/ds)^p (d/dchi)^q values on per-node lattices and converted to
 Cartesian d_t^i d_r^k and boost combinations by exact chain-rule
 expansions whose coefficients are polynomials in
-(cosh chi, sinh chi, 1/s).
+(cosh chi, sinh chi, 1/s).  These expansions are the package's one
+frame algebra: the energy ladder contracts them with
+:func:`combo_evaluator`, and the frame-identity suite checks the
+d'Alembertian they assemble against its hyperboloidal form
+-d_s^2 - (3/s) d_s + s^-2 (d_chi^2 + 2 coth(chi) d_chi).
+
+Slices live in the working region {r <= t - 1}, inside which
+s <= t <= s^2; their charts stop :func:`slice_cone_margin` inside its
+boundary.
 
 Lattice values are point samples of the evolving fields, collected by a
 QueryPool that watches the solver's level stream and answers each point
@@ -26,7 +34,6 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import EVEN
-from .geometry import slice_cone_margin
 from .util import (FoliationError, SliceCoverageError, fd_weights,
                    lagrange_weights, reduce_sum, trapezoid_weights)
 
@@ -101,6 +108,32 @@ def eval_combo(comp, tables, CH, SH, ZI):
     sel = tables[:, P, Q]                                  # (nodes, M)
     w = (coef * ZI[K])[None, :] * CH[A].T * SH[B].T
     return (sel * w).sum(axis=1)
+
+
+def combo_evaluator(keys):
+    """Contraction of the expansions of keys ((it, ir, j, outer) tuples,
+    the arguments of :func:`combo_expansion`) with derivative tables.
+
+    Returns on_chart(s, chi), which builds the cosh/sinh power tables
+    of the chart nodes chi and the 1/s powers of slice s once, and
+    returns evaluate(key, tables): :func:`eval_combo` of key's expansion
+    with that chart's (nodes, K+1, K+1) tables.
+    """
+    comps = {}
+    for key in keys:
+        exp = combo_expansion(*key)
+        comps[key] = (np.array(list(exp)).T, np.fromiter(exp.values(), float))
+    amax, bmax, kmax = np.max([idx.max(axis=1) for idx, _ in
+                               comps.values()], axis=0)[2:]
+
+    def on_chart(s, chi):
+        ch, sh = np.cosh(chi), np.sinh(chi)
+        CH = ch[None, :] ** np.arange(amax + 1)[:, None]
+        SH = sh[None, :] ** np.arange(bmax + 1)[:, None]
+        ZI = (1.0 / s) ** np.arange(kmax + 1)
+        return lambda key, tables: eval_combo(comps[key], tables, CH, SH, ZI)
+
+    return on_chart
 
 
 def hierarchy_combos(order: int):
@@ -515,6 +548,13 @@ def ladder_s_step(order: int):
     return (0.3 if high else 0.08), high
 
 
+def slice_cone_margin(dx: float) -> float:
+    """How far inside the shifted cone |x| = t - 1 the slice charts of a
+    run with radial step dx stop: 2 dx.  Grid plans, run lengths and the
+    suite's tabulated charts all take it from here."""
+    return 2.0 * dx
+
+
 def chart_nodes(s: float, cone_margin: float, chi_step: float):
     """Uniform chi nodes [0, chi_max] for the truncated slice."""
     c = 1.0 + cone_margin
@@ -605,29 +645,21 @@ class SliceEnergySuite:
             return
         self.pool.assert_resolved()
         combos = hierarchy_combos(self.order)
-        comps = {}
-        for combo in combos:
-            for outer in ("", "t", "chi"):
-                exp = combo_expansion(*combo, outer)
-                comps[combo + (outer,)] = (np.array(list(exp)).T,
-                                           np.fromiter(exp.values(), float))
-        amax, bmax, kmax = np.max([idx.max(axis=1) for idx, _ in
-                                   comps.values()], axis=0)[2:]
+        on_chart = combo_evaluator(combo + (outer,) for combo in combos
+                                   for outer in ("", "t", "chi"))
         self._values = {}
         self._energies = []
         for s in self.s_values:
             chi = self._charts[s]
+            evaluate = on_chart(s, chi)
             ch, sh = np.cosh(chi), np.sinh(chi)
-            CH = ch[None, :] ** np.arange(amax + 1)[:, None]
-            SH = sh[None, :] ** np.arange(bmax + 1)[:, None]
-            ZI = (1.0 / s) ** np.arange(kmax + 1)
             dmu = 4.0 * math.pi * s ** 3 * trapezoid_weights(chi) * sh * sh * ch
             for field in self.fields:
                 D = self._tables[(field, s)].tables()
                 for (it, ir, j) in combos:
-                    W = eval_combo(comps[(it, ir, j, "")], D, CH, SH, ZI)
-                    Wt = eval_combo(comps[(it, ir, j, "t")], D, CH, SH, ZI)
-                    Wl = eval_combo(comps[(it, ir, j, "chi")], D, CH, SH, ZI)
+                    W = evaluate((it, ir, j, ""), D)
+                    Wt = evaluate((it, ir, j, "t"), D)
+                    Wl = evaluate((it, ir, j, "chi"), D)
                     dens = (Wt / ch) ** 2 + (Wl / (s * ch)) ** 2
                     if field == "v":
                         dens = dens + (self.mass * W) ** 2
@@ -680,8 +712,9 @@ class SupTracker:
     """Running sup |w| per level, for pointwise decay fits.
 
     Pointwise sups at late times drown in undamped grid ripple long
-    before the signal does, so with level_filter the default
-    design_lowpass kernel is applied before taking the max.
+    before the signal does, so every level is filtered with the default
+    design_lowpass kernel before taking the max.  r_at records where
+    the max sits, in the grid's units.
 
     The filtered max is exact, index and value bit for bit those of
     filtering the whole level, yet only a window is convolved.  For a
@@ -694,40 +727,32 @@ class SupTracker:
     cell is always kept: no level needs a second code path.
     """
 
-    def __init__(self, field: str = "v", stride: int = 1, grid=None,
-                 level_filter: bool = False):
+    def __init__(self, field: str, grid):
         self.field = field
-        self.stride = max(int(stride), 1)
         self.grid = grid
-        self.kernel = design_lowpass() if level_filter else None
-        if level_filter:
-            self._reach = (len(self.kernel) - 1) // 2
-            self._l1 = float(np.abs(self.kernel).sum()) * (1.0 + 1e-12)
+        self.kernel = design_lowpass()
+        self._reach = (len(self.kernel) - 1) // 2
+        self._l1 = float(np.abs(self.kernel).sum()) * (1.0 + 1e-12)
         self.t = []
         self.sup = []
         self.r_at = []
 
     def on_level(self, t, step, u, v):
-        if step % self.stride:
-            return
         w = u if self.field == "u" else v
         if w is None:
             raise FoliationError(
                 f"sup tracker for field {self.field!r} got no data")
         a = np.abs(w)
         i = int(np.argmax(a))
-        lo = 0
-        if self.kernel is not None:
-            best = abs(filter_level(w, self.kernel, lo=i, hi=i + 1)[0])
-            hot = np.flatnonzero(~(a * self._l1 < best))
-            lo = max(int(hot[0]) - self._reach, 0)
-            hi = min(int(hot[-1]) + self._reach + 1, len(w))
-            a = np.abs(filter_level(w, self.kernel, lo=lo, hi=hi))
-            i = int(np.argmax(a))
+        best = abs(filter_level(w, self.kernel, lo=i, hi=i + 1)[0])
+        hot = np.flatnonzero(~(a * self._l1 < best))
+        lo = max(int(hot[0]) - self._reach, 0)
+        hi = min(int(hot[-1]) + self._reach + 1, len(w))
+        a = np.abs(filter_level(w, self.kernel, lo=lo, hi=hi))
+        i = int(np.argmax(a))
         self.t.append(float(t))
         self.sup.append(float(a[i]))
-        self.r_at.append((lo + i) * self.grid.dx if self.grid is not None
-                         else float(lo + i))
+        self.r_at.append((lo + i) * self.grid.dx)
 
     def series(self):
         return np.asarray(self.t), np.asarray(self.sup)

@@ -24,7 +24,7 @@ Sections and keys:
 ``[run]``
     scenario, deterministic, until_s, until_t
 ``[grid]``
-    resolution, cfl (at most 0.9), box_half, pad_cells
+    resolution, cfl (at most 0.9), pad_cells
 ``[model]``
     mass, p00, ps, rcoef, h00, hs
 ``[data]``
@@ -46,7 +46,7 @@ reads only these keys (a whole section where one is named):
   radius, C, dlam, s0, metric, metric_amp
 - linear-wave-bound: until_t, resolution, cfl, mu, nu, source_amp
 - sobolev-suite: until_s, s0
-- frame-identity-suite: resolution, box_half
+- frame-identity-suite: resolution
 - convergence-suite: resolution, cfl, pad_cells, ``[model]``, epsilon,
   eps_u
 
@@ -74,17 +74,17 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .analysis import (TINY, SliceEnergySuite, SupTracker, chart_nodes,
-                       energy_csv_rows, fit_power_law, hierarchy_check,
-                       hierarchy_csv_rows, ladder_s_step, lattice_reach,
-                       profile_family, sobolev_ratio_profile,
-                       supnorm_csv_rows, write_csv, write_json)
+from .analysis import (TINY, QueryPool, SliceDerivativeTable,
+                       SliceEnergySuite, SupTracker, chart_nodes,
+                       combo_evaluator, energy_csv_rows, fit_power_law,
+                       hierarchy_check, hierarchy_csv_rows, ladder_s_step,
+                       lattice_reach, profile_family, slice_cone_margin,
+                       sobolev_ratio_profile, supnorm_csv_rows, write_csv,
+                       write_json)
 from .bounds import (ZERO_METRIC, BoundParams, attach_refinement,
                      kg_bound_margin, metric_pull, relative_change,
                      wave_bound_margin)
-from .fields import BoxGrid, sample_history
-from .geometry import (dalembertian_cartesian, dalembertian_frame,
-                       slice_cone_margin)
+from .fields import RadialGrid
 from .solver import (InitialData, ModelParams, evolve_model, grid_for_run)
 from .util import ConfigError, FoliationError, StabilityError
 
@@ -190,7 +190,6 @@ _SCHEMA = {
     "grid": {
         "resolution": _Opt("resolution", _to_float, _positive),
         "cfl": _Opt("cfl", _to_float, _positive),
-        "box_half": _Opt("box_half", _to_float, _positive),
         "pad_cells": _Opt("pad_cells", _to_int, _nonneg),
     },
     "model": {
@@ -243,7 +242,7 @@ _READS = {
     "linear-wave-bound": {"until_t", "resolution", "cfl", "mu", "nu",
                           "source_amp"},
     "sobolev-suite": {"until_s", "s0"},
-    "frame-identity-suite": {"resolution", "box_half"},
+    "frame-identity-suite": {"resolution"},
     "convergence-suite": {"resolution", "cfl", "pad_cells", "epsilon",
                           "eps_u"} | _attrs("model"),
 }
@@ -274,7 +273,6 @@ class RunConfig:
     until_t: Optional[float] = None
     resolution: Optional[float] = None
     cfl: float = 0.5
-    box_half: Optional[float] = None
     pad_cells: int = 60
     mass: float = 1.0
     p00: float = 1.0
@@ -686,8 +684,8 @@ def _scn_model_evolution(cfg: RunConfig, out: Path):
                         pad_cells=cfg.pad_cells)
     suite = SliceEnergySuite(grid, s_vals, order=cfg.order, mass=cfg.mass,
                              t_floor=2.0)
-    trk_u = SupTracker("u", grid=grid, level_filter=True)
-    trk_v = SupTracker("v", grid=grid, level_filter=True)
+    trk_u = SupTracker("u", grid)
+    trk_v = SupTracker("v", grid)
 
     result = evolve_model(params, grid, data, t0=2.0, t_end=t_end,
                           cfl=cfg.cfl, observers=(suite, trk_u, trk_v))
@@ -861,35 +859,71 @@ def _scn_sobolev_suite(cfg: RunConfig, out: Path):
     return criteria, {"sobolev_worst_spread": worst}
 
 
-# analytic test fields for the frame identity; mixed symmetry on purpose
+# closed-form even radial fields u(t, r), each with its d'Alembertian
+# -d_t^2 u + d_r^2 u + (2/r) d_r u in closed form
+def _pulse(x):
+    return np.exp(-0.5 * (x - 4.0) ** 2)
+
+
+def _free_wave(t, r):
+    """(F(t + r) - F(t - r)) / r, a free wave for any profile F, here the
+    pulse F = _pulse; the axis takes the limit 2 F'(t)."""
+    r = np.asarray(r, dtype=float)
+    axis = r == 0.0
+    return np.where(axis, -2.0 * (t - 4.0) * _pulse(t),
+                    (_pulse(t + r) - _pulse(t - r)) / np.where(axis, 1.0, r))
+
+
+def _kg_mode(t, r):
+    """cos(t) sin(0.8 r) / (0.8 r), a Klein-Gordon mode of mass 0.6."""
+    return np.cos(t) * np.sinc(0.8 * np.asarray(r) / np.pi)
+
+
 _FRAME_FIELDS = (
-    ("radial", lambda t, x1, x2, x3:
-        np.exp(-0.5 * (x1 * x1 + x2 * x2 + x3 * x3)) * np.cos(0.7 * t)),
-    ("shifted", lambda t, x1, x2, x3:
-        np.exp(-((x1 - 0.3) ** 2 + x2 * x2 + (x3 + 0.2) ** 2))
-        * np.sin(0.9 * t)),
-    ("anisotropic", lambda t, x1, x2, x3:
-        np.exp(-(x1 * x1 / 1.1 + x2 * x2 / 0.8 + x3 * x3 / 1.3))
-        * np.cos(0.6 * t + 0.4 * x1)),
+    ("gaussian", lambda t, r: np.exp(-0.5 * r * r) * np.cos(0.7 * t),
+     lambda t, r: np.exp(-0.5 * r * r) * np.cos(0.7 * t)
+     * (0.49 + r * r - 3.0)),
+    ("free-wave", _free_wave, lambda t, r: np.zeros_like(r)),
+    ("kg-mode", _kg_mode, lambda t, r: 0.36 * _kg_mode(t, r)),
 )
 
+_FRAME_S = 3.0          # the slice the identity is checked on
+# (it, ir, j, outer) of d_t^2, d_r^2 and d_r, as combo_expansion takes them
+_BOX_TERMS = ((2, 0, 0, ""), (0, 2, 0, ""), (0, 1, 0, ""))
 
-def _frame_error(fn, dx: float, half: float, t0: float) -> float:
-    g = BoxGrid(dx=dx, half=half)
-    # center the window so the surviving middle level sits at t0 for
-    # every resolution; otherwise the ladder compares different times
-    times = t0 + dx * (np.arange(9) - 4)
-    h = sample_history(fn, g, times)
-    d = dalembertian_cartesian(h) - dalembertian_frame(h)
-    vals = d.values
-    x = [d.coord(a) for a in range(3)]
-    # fixed physical interior so every resolution measures one region;
-    # mask carries the leading level axis from coord()
-    trim = 0.3
-    mask = ((np.abs(x[0]) <= half - trim) & (np.abs(x[1]) <= half - trim)
-            & (np.abs(x[2]) <= half - trim))
-    mid = vals.shape[0] // 2
-    return float(np.max(np.where(mask, np.abs(vals[mid:mid + 1]), 0.0)))
+
+def _frame_errors(u, box, h: float, chi, evaluate) -> tuple:
+    """(error, gap) of the d'Alembertian of u on the off-axis chart
+    nodes chi of slice _FRAME_S, from an order-2 derivative table with
+    steps h_s = h_chi = h.
+
+    u streams through a QueryPool at grid step h and time step h/2.  The
+    Cartesian assembly -d_t^2 + d_r^2 + (2/r) d_r contracts the table
+    with the chain-rule expansions (evaluate, from combo_evaluator); the
+    hyperboloidal one reads -d_s^2 - (3/s) d_s + s^-2 (d_chi^2
+    + 2 coth(chi) d_chi) off the table directly.  error is the largest
+    distance of the Cartesian assembly from the exact value, gap the
+    largest distance between the two assemblies.
+    """
+    s, dt = _FRAME_S, 0.5 * h
+    # no chi_limit: the fields exist past the chart's wall, so every
+    # lattice stays centered on its node, `half` steps to either side
+    half, _ = lattice_reach(2)
+    pool = QueryPool(RadialGrid.for_extent(h, (s + half * h) * math.sinh(
+        chi[-1] + half * h) + 12 * h))      # each query reads 10 columns
+    tab = SliceDerivativeTable(pool, "u", s, chi, 2, h_s=h, h_chi=h)
+    r, t0 = pool.grid.r(), s - half * h - pool.npts * dt
+    for k in range(int(math.ceil((tab.t_peak - t0) / dt)) + pool.npts):
+        pool.on_level(t0 + k * dt, k, u(t0 + k * dt, r), None)
+    D = tab.tables()
+    ch, sh = np.cosh(chi), np.sinh(chi)
+    cart = (-evaluate(_BOX_TERMS[0], D) + evaluate(_BOX_TERMS[1], D)
+            + 2.0 / (s * sh) * evaluate(_BOX_TERMS[2], D))
+    hyp = (-D[:, 2, 0] - 3.0 / s * D[:, 1, 0]
+           + (D[:, 0, 2] + 2.0 / np.tanh(chi) * D[:, 0, 1]) / (s * s))
+    exact = box(s * ch, s * sh)
+    return (float(np.max(np.abs(cart - exact))),
+            float(np.max(np.abs(cart - hyp))))
 
 
 def _observed_order(res, errs) -> float:
@@ -899,22 +933,31 @@ def _observed_order(res, errs) -> float:
 
 def _scn_frame_identity(cfg: RunConfig, out: Path):
     dx = cfg.dx()
-    half = cfg.box_half if cfg.box_half is not None else 1.0
-    t0 = 3.0
     res = [4.0 * dx, 2.0 * dx, dx]
+    # one chart (at the ladder's chi step) for every resolution, so each
+    # measures the same nodes; the axis node is left out, as 1/r is
+    chi = chart_nodes(_FRAME_S, slice_cone_margin(dx), 0.04)[0][1:]
+    evaluate = combo_evaluator(_BOX_TERMS)(_FRAME_S, chi)
 
-    rows, orders = [], {}
-    for name, fn in _FRAME_FIELDS:
-        errs = [_frame_error(fn, d, half, t0) for d in res]
-        rows.extend((name, d, e) for d, e in zip(res, errs))
+    rows, orders, gap = [], {}, 0.0
+    for name, u, box in _FRAME_FIELDS:
+        errs = []
+        for h in res:
+            err, g = _frame_errors(u, box, h, chi, evaluate)
+            errs.append(err)
+            gap = max(gap, g)
+        rows.extend((name, h, e) for h, e in zip(res, errs))
         orders[f"frame_order_{name}"] = _observed_order(res, errs)
     emit_series(rows, "order/v1", out / "frame_errors.csv")
 
     worst = min(orders.values())
-    criteria = [CriterionResult(
-        "frame-identity-order", worst >= 1.9,
-        {"min_order": worst, "resolutions": res,
-         "fields": len(_FRAME_FIELDS)})]
+    criteria = [
+        CriterionResult("frame-identity-order", worst >= 1.9,
+                        {"min_order": worst, "resolutions": res,
+                         "fields": len(_FRAME_FIELDS), "slice": _FRAME_S,
+                         "nodes": int(chi.size)}),
+        CriterionResult("frame-assembly-gap", gap <= 1e-12,
+                        {"max_gap": gap, "tolerance": 1e-12})]
     return criteria, orders
 
 

@@ -247,7 +247,7 @@ def _guard_level(t, step, r, levels, scratch, scale):
 
 
 def _march(grid, fields, starts, t0, t_end, dt, advance,
-           observers) -> RunResult:
+           observers, check=None) -> RunResult:
     """The leapfrog loop shared by the radial solvers.
 
     fields names the stepped fields, ("u",), ("v",) or ("u", "v"), and
@@ -257,7 +257,9 @@ def _march(grid, fields, starts, t0, t_end, dt, advance,
     (prev, cur); lvl holds the emitted u or v of level k.  The loop then
     trips the blow-up and boundary guards, rotates the buffers and emits
     the new level to the observers (None for a field that is not
-    stepped).  Observers are the only way levels leave the loop.
+    stepped).  Observers are the only way levels leave the loop, and
+    check(t, step, lvl), if given, sees every level, the last one
+    included, before they do.
     """
     n, dx = grid.n, grid.dx
     r = grid.r(0, n)
@@ -273,6 +275,8 @@ def _march(grid, fields, starts, t0, t_end, dt, advance,
     def emit(t, step, levels):
         for W, out in zip(levels, lvl):
             _over_r(W, r, dx, out)
+        if check is not None:
+            check(t, step, lvl)
         for obs in observers:
             obs.on_level(t, step, u_out, v_out)
 
@@ -301,7 +305,9 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
     observers : objects with on_level(t, step, u, v); called at every time
         level including the two start levels.  u and v are reused
         buffers, valid only during the call: copy them to keep them.
-        The run hands out its levels this way only.
+        The run hands out its levels this way only, and only once the
+        coefficient guard (max|u| times the norm of H below COEFF_GUARD)
+        has passed them, the last level included.
     sources : optional (fu(t, r), fv(t, r)) added to the two equations,
         used for manufactured solutions.
     """
@@ -350,11 +356,13 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
     dt2 = dt * dt
     half_c2 = 0.5 * c2
 
+    def check(t, step, lvl):
+        _coefficient_guard("quasilinear coefficient guard tripped", t, step,
+                           r, lvl[0], np.abs(lvl[0], out=work).max(), hn)
+
     def advance(k, t_k, prev, cur, nxt, lvl):
         (Wu_prev, Wv_prev), (Wu_cur, Wv_cur) = prev, cur
         (Wu_next, Wv_next), (u_lvl, v_lvl) = nxt, lvl
-        _coefficient_guard("quasilinear coefficient guard tripped", t_k, k,
-                           r, u_lvl, np.abs(u_lvl, out=work).max(), hn)
         np.multiply(u_lvl, h00, out=denom)
         np.add(denom, 1.0, out=denom)
         np.multiply(u_lvl, hs, out=cs)
@@ -389,7 +397,7 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
         _wave_update(Wu_prev, Wu_cur, N, r, dx, dt2, Wu_next, lap, work)
 
     return _march(grid, ("u", "v"), starts, t0, t_end, dt, advance,
-                  observers)
+                  observers, check)
 
 
 # === linear solvers for the envelope scenarios ===

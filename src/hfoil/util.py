@@ -105,18 +105,6 @@ def fd_weights(order: int, offsets: tuple) -> np.ndarray:
     return np.array([float(w) for w in _fornberg_table(offsets)[order]])
 
 
-def central_offsets(order: int) -> tuple:
-    """Symmetric offsets giving second-order accuracy for `order`."""
-    if order == 0:
-        return (0,)
-    q = (order + 1) // 2
-    return tuple(range(-q, q + 1))
-
-
-def central_weights(order: int) -> np.ndarray:
-    return fd_weights(order, central_offsets(order))
-
-
 # === Lagrange interpolation on uniform nodes ===
 
 @lru_cache(maxsize=None)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfoil.fields import (EVEN, ODD, BoxGrid, FieldHistory, RadialGrid,
-                          sample_history)
+from hfoil.fields import EVEN, ODD, RadialGrid
 from hfoil.analysis import (QueryPool, SliceDerivativeTable,
                             SliceEnergySuite, SupTracker,
                             _apply, chart_nodes, combo_expansion,
@@ -20,8 +19,9 @@ from hfoil.analysis import (QueryPool, SliceDerivativeTable,
 from hfoil.solver import (InitialData, ModelParams, evolve_model,
                           grid_for_run)
 from hfoil.util import FoliationError, SliceCoverageError, lagrange_weights
-from slice_reference import (LevelCopies, RadialSliceChart,
-                             interpolate_to_slice, sample_radial_history,
+from slice_reference import (BoxGrid, FieldHistory, LevelCopies,
+                             RadialSliceChart, interpolate_to_slice,
+                             sample_history, sample_radial_history,
                              sobolev_ratio_history)
 
 sympy = pytest.importorskip("sympy")
@@ -510,15 +510,15 @@ def test_hierarchy_targets_and_check():
 
 def test_sup_tracker_records_running_sup():
     grid = RadialGrid(dx=0.1, n=50)
-    trk = SupTracker(field="v", stride=2, grid=grid)
+    trk = SupTracker("v", grid)
     r = grid.r(0, grid.n)
     for k, t in enumerate([2.0, 2.1, 2.2, 2.3]):
         v = np.exp(-(r - t / 2) ** 2) / t
         trk.on_level(t, k, None, v)
     ts, sups = trk.series()
-    assert list(ts) == [2.0, 2.2]
-    assert sups[0] == pytest.approx(1.0 / 2.0, rel=1e-2)
-    assert trk.r_at[0] == pytest.approx(1.0, abs=grid.dx)
+    assert list(ts) == [2.0, 2.1, 2.2, 2.3]
+    assert sups == pytest.approx([1.0 / t for t in ts], rel=1e-2)
+    assert trk.r_at == pytest.approx([t / 2 for t in ts], abs=grid.dx)
 
 
 def test_sup_tracker_filter_sees_through_ripple():
@@ -526,11 +526,10 @@ def test_sup_tracker_filter_sees_through_ripple():
     r = grid.r(0, grid.n)
     smooth = 1e-4 * np.exp(-(r - 4.0) ** 2)
     ripple = 3e-3 * np.cos(1.8 * r / grid.dx) * np.exp(-(r - 1.0) ** 2)
-    raw = SupTracker(field="u", grid=grid)
-    filt = SupTracker(field="u", grid=grid, level_filter=True)
-    for trk in (raw, filt):
-        trk.on_level(2.0, 0, smooth + ripple, None)
-    assert raw.sup[0] == pytest.approx(3e-3, rel=0.2)      # ripple wins
+    filt = SupTracker("u", grid)
+    filt.on_level(2.0, 0, smooth + ripple, None)
+    raw = np.abs(smooth + ripple).max()
+    assert raw == pytest.approx(3e-3, rel=0.2)             # ripple wins
     assert filt.sup[0] == pytest.approx(1e-4, rel=1e-3)    # signal wins
     assert filt.r_at[0] == pytest.approx(4.0, abs=grid.dx)
 
@@ -561,8 +560,13 @@ class _FullRouteTracker:
         self.r_at.append(i * self.grid.dx)
 
 
+def _unit_tracker(w):
+    """A tracker whose grid has unit spacing, so r_at is a cell index."""
+    return SupTracker("u", RadialGrid(dx=1.0, n=len(w)))
+
+
 def _assert_matches_full_route(w):
-    trk = SupTracker(field="u", level_filter=True)
+    trk = _unit_tracker(w)
     trk.on_level(0.0, 0, w, None)
     i, sup = _full_route_sup(w)
     assert trk.r_at == [float(i)]
@@ -588,7 +592,7 @@ def test_bounded_sup_edge_cases():
     w = np.zeros(n)
     w[90:111] = bump
     w[190:211] = bump
-    trk = SupTracker(field="u", level_filter=True)
+    trk = _unit_tracker(w)
     trk.on_level(0.0, 0, w, None)
     assert trk.r_at == [100.0]
     _assert_matches_full_route(w)
@@ -606,7 +610,7 @@ def test_bounded_sup_edge_cases():
     kern = design_lowpass()
     w = 1.2 * np.exp(-((np.arange(n) - 220.0) / 15.0) ** 2)
     w[80:121] = np.sign(kern)
-    trk = SupTracker(field="u", level_filter=True)
+    trk = _unit_tracker(w)
     trk.on_level(0.0, 0, w, None)
     assert trk.r_at == [100.0]
     assert trk.sup[0] == pytest.approx(np.abs(kern).sum(), rel=1e-12)
@@ -637,7 +641,7 @@ def test_filter_level_range_is_a_slice():
 
 def test_bounded_sup_tracks_evolution_like_full_route():
     grid = grid_for_run(0.05, 2.0, 6.0, support_radius=1.0)
-    trackers = [(SupTracker(f, grid=grid, level_filter=True),
+    trackers = [(SupTracker(f, grid),
                  _FullRouteTracker(f, grid)) for f in ("u", "v")]
     evolve_model(ModelParams.isotropic(), grid, InitialData.bump(0.05, 0.05),
                  t0=2.0, t_end=6.0,
@@ -661,8 +665,8 @@ def test_bounded_sup_convolves_a_narrow_window(monkeypatch):
         cells.append(out.size)
         return out
 
+    trk = _unit_tracker(shell)
     monkeypatch.setattr(np, "convolve", spy)
-    trk = SupTracker(field="u", level_filter=True)
     trk.on_level(0.0, 0, shell, None)
     assert trk.r_at == [1200.0]
     assert 0 < sum(cells) <= 0.05 * n

@@ -63,6 +63,7 @@ def test_thread_setting_restored_after_failed_run(monkeypatch, tmp_path):
     ("[run]\nbogus = 1\n", 2, "bogus"),                # unknown key
     ("[run]\nseed = 0\n", 2, "seed"),                  # nothing is random
     ("[grid]\nmode = radial\n", 2, "mode"),            # every run is radial
+    ("[grid]\nbox_half = 1\n", 2, "box_half"),         # every run is radial
     ("\nuntil_s = 5\n", 2, None),                      # key before a section
     ("[run]\njust words\n", 2, None),                  # no '='
     ("[run]\nuntil_s = 5\n\nuntil_s = 6\n", 4, "until_s"),   # duplicate
@@ -163,7 +164,6 @@ FIELD_VALUES = {
     "until_t": optional(positive),
     "resolution": optional(positive),
     "cfl": st.floats(min_value=0.0, max_value=cli.CFL_CAP, exclude_min=True),
-    "box_half": optional(positive),
     "pad_cells": st.integers(min_value=0, max_value=10 ** 6),
     "mass": positive,
     "p00": st.floats(**finite),
@@ -199,6 +199,18 @@ def run_configs(draw):
         values["nu"] = draw(st.floats(min_value=-0.5, max_value=0.5).filter(
             lambda v: v != 0.0))
     return cli.RunConfig(**values)
+
+
+def test_every_config_key_is_read():
+    # no dead knobs: each schema attribute but the three every run reads
+    # is read by some scenario, and the scenarios read only schema
+    # attributes
+    attrs = {opt.attr for opts in cli._SCHEMA.values()
+             for opt in opts.values()}
+    read = set().union(*cli._READS.values())
+    assert attrs - {"scenario", "deterministic", "out_dir"} <= read
+    assert read <= attrs
+    assert set(cli._READS) == set(cli.SCENARIOS)
 
 
 def test_field_strategies_cover_the_schema():
@@ -305,3 +317,19 @@ def test_quick_scenarios_pass_at_defaults(tmp_path, capsys, scenario, table,
     assert len(back) == rows
     report = (tmp_path / "report.txt").read_text()
     assert "overall: PASS" in report
+
+
+def test_frame_identity_fails_on_a_wrong_box(monkeypatch, tmp_path):
+    # the check compares with each field's stated d'Alembertian, so a
+    # wrong one (a constant off in the Gaussian's) must fail the order gate
+    # while the two assemblies still agree
+    name, u, _ = cli._FRAME_FIELDS[0]
+    wrong = lambda t, r: u(t, r) * (0.49 + r * r - 2.9)
+    monkeypatch.setattr(cli, "_FRAME_FIELDS",
+                        ((name, u, wrong),) + cli._FRAME_FIELDS[1:])
+    summary = cli.run_scenario(cli.build_config(
+        ["frame-identity-suite", "--out", str(tmp_path), "--deterministic"]))
+    assert not summary.passed
+    order = summary.criterion("frame-identity-order")
+    assert not order.passed and order.details["min_order"] < 1.0
+    assert summary.criterion("frame-assembly-gap").passed

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hfoil import solver
 from hfoil.bounds import wave_source
 from hfoil.fields import RadialGrid
 from hfoil.solver import (BLOWUP_GUARD, COEFF_GUARD, InitialData,
@@ -202,28 +203,51 @@ def test_coefficient_guard_on_initial_data():
     assert ei.value.report["kind"] == "coefficient"
 
 
-def test_coefficient_guard_trips_mid_run():
-    # the source drives u up until max|u| * |H| reaches the guard at a
-    # later level; the report must name the first observed level k >= 1
-    # that reaches it
-    params = ModelParams.isotropic()
-    g = grid_for_run(0.05, 2.0, 6.0)
+def _guard_run(t_end, observers=()):
+    # the source drives u up until max|u| * |H| reaches the guard
+    return evolve_model(ModelParams.isotropic(), grid_for_run(0.05, 2.0, 6.0),
+                        InitialData.bump(0.1, 0.0), t0=2.0, t_end=t_end,
+                        observers=observers,
+                        sources=(lambda t, r: 2.0 * np.exp(-(r - 1.0) ** 2),
+                                 None))
+
+
+def test_coefficient_guard_trips_mid_run(monkeypatch):
+    # the report names the first level k >= 1 that reaches the guard,
+    # and the observers never see that level: a run without the guard
+    # gives the levels to compare with
+    with monkeypatch.context() as m:
+        m.setattr(solver, "COEFF_GUARD", np.inf)
+        ref = LevelCopies()
+        _guard_run(6.0, [ref])
+    hn = ModelParams.isotropic().h_norm()
+    peaks = [np.max(np.abs(u)) * hn for _, u, _ in ref.levels]
+    k = next(k for k in range(1, len(peaks)) if peaks[k] >= COEFF_GUARD)
     obs = LevelCopies()
     with pytest.raises(StabilityError) as ei:
-        evolve_model(params, g, InitialData.bump(0.1, 0.0), t0=2.0,
-                     t_end=6.0, observers=[obs],
-                     sources=(lambda t, r: 2.0 * np.exp(-(r - 1.0) ** 2),
-                              None))
-    hn = params.h_norm()
-    peaks = [np.max(np.abs(u)) * hn for _, u, _ in obs.levels]
-    k = next(k for k in range(1, len(peaks)) if peaks[k] >= COEFF_GUARD)
-    t_k, u_k, _ = obs.levels[k]
+        _guard_run(6.0, [obs])
+    t_k, u_k, _ = ref.levels[k]
     rep = ei.value.report
     assert rep["kind"] == "coefficient"
-    assert k == len(obs.levels) - 1 > 1   # the run stops at that level
+    assert len(obs.levels) == k > 1       # the run stops before level k
     assert (rep["step"], rep["t"]) == (k, t_k)
-    assert rep["location"] == g.r(0, g.n)[np.argmax(np.abs(u_k))]
+    assert rep["location"] == grid_for_run(0.05, 2.0, 6.0).r()[
+        np.argmax(np.abs(u_k))]
     assert rep["value"] == peaks[k]
+
+
+def test_coefficient_guard_checks_the_last_level():
+    # a run that ends at t = 2.75 has its last level, step 30, at
+    # max|u| * |H| = 0.5287 >= COEFF_GUARD; the guard must see it before
+    # the observers do
+    obs = LevelCopies()
+    with pytest.raises(StabilityError) as ei:
+        _guard_run(2.75, [obs])
+    rep = ei.value.report
+    assert rep["kind"] == "coefficient"
+    assert rep["step"] == 30 and rep["t"] == pytest.approx(2.75)
+    assert rep["value"] == pytest.approx(0.5287, abs=1e-4)
+    assert len(obs.levels) == 30
 
 
 def test_cfl_guard_rejects_oversized_step():
