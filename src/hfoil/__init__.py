@@ -18,11 +18,11 @@ from .analysis import (PowerFit, QueryPool, SliceDerivativeTable,
                        design_lowpass, filter_level, fit_power_law,
                        hierarchy_check, hierarchy_combos, hierarchy_target,
                        kernel_response, profile_family, slice_cone_margin,
-                       sobolev_ratio_profile, write_csv, write_json)
+                       sobolev_ratio_profile)
 from .bounds import (BoundParams, MetricPerturb, RayCoords, accumulate_F,
-                     attach_refinement, envelope_V, h_ray_derivative,
-                     kg_bound_margin, metric_pull, refinement_delta,
-                     wave_bound_margin, wave_bound_value, wave_source)
+                     envelope_V, h_ray_derivative, kg_bound_margin,
+                     metric_pull, wave_bound_margin, wave_bound_value,
+                     wave_source)
 
 __version__ = "0.1.0"
 
@@ -36,10 +36,9 @@ __all__ = [
     "SupTracker", "combo_expansion", "design_lowpass", "filter_level",
     "fit_power_law", "hierarchy_check", "hierarchy_combos",
     "hierarchy_target", "kernel_response", "profile_family",
-    "slice_cone_margin", "sobolev_ratio_profile", "write_csv", "write_json",
+    "slice_cone_margin", "sobolev_ratio_profile",
     "BoundParams", "MetricPerturb", "RayCoords", "accumulate_F",
-    "attach_refinement", "envelope_V", "h_ray_derivative", "kg_bound_margin",
-    "metric_pull", "refinement_delta", "wave_bound_margin",
-    "wave_bound_value", "wave_source",
+    "envelope_V", "h_ray_derivative", "kg_bound_margin", "metric_pull",
+    "wave_bound_margin", "wave_bound_value", "wave_source",
     "__version__",
 ]

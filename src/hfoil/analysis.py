@@ -26,7 +26,6 @@ stored beyond a sliding window of levels.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -619,19 +618,25 @@ class SliceEnergySuite:
 
     @classmethod
     def plan(cls, dx: float, s_values, order: int = 0, t0: float = 2.0,
-             support_radius: float = 1.0, pad: float = 0.25,
-             h_s: float | None = None, **kw):
+             support_radius: float = 1.0, pad_cells: int = 60,
+             t_min: float | None = None, h_s: float | None = None, **kw):
         """Build the grid wide enough for the slices, then the suite.
 
-        Returns (suite, grid, t_end) ready for evolve_model.
+        The run lasts until 0.25 past the last time the slice lattices
+        read, or until t_min if that is later; pad_cells goes to
+        :func:`~hfoil.solver.grid_for_run`.  Returns (suite, grid, t_end)
+        ready for evolve_model.
         """
         from .solver import grid_for_run
         if h_s is None:
             h_s = ladder_s_step(order)[0]
         s_top = max(float(s) for s in s_values)
         _, chi_max = chart_nodes(s_top, slice_cone_margin(dx), 1.0)
-        t_need = lattice_reach(order + 1, s_top, h_s, chi_max)[1] + pad
-        grid = grid_for_run(dx, t0, t_need, support_radius=support_radius)
+        t_need = lattice_reach(order + 1, s_top, h_s, chi_max)[1] + 0.25
+        if t_min is not None:
+            t_need = max(t_need, t_min)
+        grid = grid_for_run(dx, t0, t_need, support_radius=support_radius,
+                            pad_cells=pad_cells)
         suite = cls(grid, s_values, order=order, h_s=h_s, t_floor=t0, **kw)
         return suite, grid, t_need
 
@@ -945,52 +950,3 @@ def sobolev_ratio_profile(prof: ChiProfile, s: float,
     peak = max(float(np.max(ch ** 1.5 * np.abs(ps))),
                float(abs(prof.psi(np.zeros(1))[0])))
     return s ** 1.5 * peak / denom
-
-
-# === deterministic table output ===
-
-def format_number(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % float(x)
-
-
-def write_csv(path, header, rows):
-    """Comma-separated table with LF endings and %.17g floats."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            text = cell if isinstance(cell, str) else format_number(cell)
-            if "," in text or "\n" in text:
-                raise ValueError(f"cell {text!r} would corrupt the table")
-            cells.append(text)
-        lines.append(",".join(cells))
-    with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def write_json(path, obj):
-    with open(path, "w", newline="") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def energy_csv_rows(rows):
-    out = []
-    for row in rows:
-        istr = "t" * row["it"] + "r" * row["ir"]
-        out.append((row["field"], istr or "-", row["j"], row["s"],
-                    row["value"]))
-    return out
-
-
-def supnorm_csv_rows(rows):
-    return [(r["field"], r["p"], r["q"], r["s"], r["value"]) for r in rows]
-
-
-def hierarchy_csv_rows(lines):
-    return [(ln["line"], ln["target"], ln["fitted"], ln["width"],
-             ln["pass"]) for ln in lines]

@@ -537,7 +537,6 @@ def kg_bound_margin(h, data: InitialData, params: BoundParams,
             "count": int((~pos).sum()),
             "max_weighted_value": float(np.max(weighted[~pos]))
             if (~pos).any() else 0.0},
-        "refinement_deltas": None,
     }
     return rep
 
@@ -622,30 +621,4 @@ def wave_bound_margin(mu: float, nu: float, amp: float = 1.0,
         "regime_counts": {"inside_cone": int(covered.sum())},
         "quadrature_step": None,
         "skipped": skipped,
-        "refinement_deltas": None,
     }
-
-
-def relative_change(a: float, b: float) -> float:
-    """|a - b| / |b| for a coarse value a and a fine value b: 0 when both
-    are 0, inf when only b is."""
-    if b == 0.0:
-        return 0.0 if a == 0.0 else math.inf
-    return abs(a - b) / abs(b)
-
-
-def refinement_delta(coarse: dict, fine: dict) -> float:
-    """Relative change of the overall max ratio between two margin
-    reports of the same scenario (coarse vs fine grid)."""
-    return relative_change(coarse.get("max_ratio", 0.0),
-                           fine.get("max_ratio", 0.0))
-
-
-def attach_refinement(fine: dict, coarse: dict) -> dict:
-    fine = dict(fine)
-    fine["refinement_deltas"] = {
-        "coarse_dx": coarse["params"]["dx"],
-        "fine_dx": fine["params"]["dx"],
-        "max_ratio_rel_change": refinement_delta(coarse, fine),
-    }
-    return fine

@@ -17,7 +17,9 @@ Section headers are bracketed names; keys live in the section above
 them.  Unknown sections or keys, duplicate keys, malformed values and
 cross-field conflicts all raise :class:`~hfoil.util.ConfigError` with
 the offending line number.  An empty file is a valid config: every key
-has a default (the field defaults of ``RunConfig`` below).
+has a default.  Each key is declared once, as a field of ``RunConfig``
+below whose metadata carries its section, converter and range check;
+the parser, the flags and the config echo all read those fields.
 
 Sections and keys:
 
@@ -54,9 +56,12 @@ Command line flags override config fields (``--resolution``,
 ``--epsilon``, ``--until-s``, ``--deterministic``, ``--out``), and the
 subcommand always wins over the ``scenario`` key.  Once the subcommand
 has set the scenario, a key or flag that it does not read is a
-ConfigError (with the key's line, or no line for a flag).  Every run writes
+ConfigError (with the key's line, or no line for a flag), and so is a
+zero data amplitude (eps_v, eps_u or the epsilon that fills them) for
+linear-kg-bound and convergence-suite.  Every run writes
 ``config.echo.txt`` (the fully resolved config), ``report.json`` and a
-human-readable ``report.txt`` next to its data tables; with
+human-readable ``report.txt`` next to its data tables, all through this
+module: it is the one owner of the output formats.  With
 ``--deterministic`` the wall-time field is omitted, so two runs of the
 same config produce byte-identical trees.
 """
@@ -64,10 +69,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -76,14 +82,11 @@ import numpy as np
 from . import __version__
 from .analysis import (TINY, QueryPool, SliceDerivativeTable,
                        SliceEnergySuite, SupTracker, chart_nodes,
-                       combo_evaluator, energy_csv_rows, fit_power_law,
-                       hierarchy_check, hierarchy_csv_rows, ladder_s_step,
+                       combo_evaluator, fit_power_law, hierarchy_check,
                        lattice_reach, profile_family, slice_cone_margin,
-                       sobolev_ratio_profile, supnorm_csv_rows, write_csv,
-                       write_json)
-from .bounds import (ZERO_METRIC, BoundParams, attach_refinement,
-                     kg_bound_margin, metric_pull, relative_change,
-                     wave_bound_margin)
+                       sobolev_ratio_profile)
+from .bounds import (ZERO_METRIC, BoundParams, kg_bound_margin,
+                     metric_pull, wave_bound_margin)
 from .fields import RadialGrid
 from .solver import (InitialData, ModelParams, evolve_model, grid_for_run)
 from .util import ConfigError, FoliationError, StabilityError
@@ -173,61 +176,90 @@ def _check_nu(v):
     return None
 
 
-@dataclass(frozen=True)
-class _Opt:
-    attr: str
-    conv: object
-    check: object = None
+def _unchecked(v):
+    return None
 
 
-_SCHEMA = {
-    "run": {
-        "scenario": _Opt("scenario", _choice(*SCENARIOS)),
-        "deterministic": _Opt("deterministic", _to_bool),
-        "until_s": _Opt("until_s", _to_float, _positive),
-        "until_t": _Opt("until_t", _to_float, _positive),
-    },
-    "grid": {
-        "resolution": _Opt("resolution", _to_float, _positive),
-        "cfl": _Opt("cfl", _to_float, _positive),
-        "pad_cells": _Opt("pad_cells", _to_int, _nonneg),
-    },
-    "model": {
-        "mass": _Opt("mass", _to_float, _positive),
-        "p00": _Opt("p00", _to_float),
-        "ps": _Opt("ps", _to_float),
-        "rcoef": _Opt("rcoef", _to_float),
-        "h00": _Opt("h00", _to_float),
-        "hs": _Opt("hs", _to_float),
-    },
-    "data": {
-        "epsilon": _Opt("epsilon", _to_float, _nonneg),
-        "eps_u": _Opt("eps_u", _to_float, _nonneg),
-        "eps_v": _Opt("eps_v", _to_float, _nonneg),
-        "radius": _Opt("radius", _to_float, _positive),
-    },
-    "hierarchy": {
-        "order": _Opt("order", _to_int, _nonneg),
-        "delta": _Opt("delta", _to_float, _check_delta),
-    },
-    "bounds": {
-        "C": _Opt("C", _to_float, _positive),
-        "dlam": _Opt("dlam", _to_float, _positive),
-        "s0": _Opt("s0", _to_float, _check_s0),
-        "mu": _Opt("mu", _to_float, _check_mu),
-        "nu": _Opt("nu", _to_float, _check_nu),
-        "metric": _Opt("metric", _choice("flat", "pull", "both")),
-        "metric_amp": _Opt("metric_amp", _to_float, _nonneg),
-        "source_amp": _Opt("source_amp", _to_float),
-    },
-    "output": {
-        "dir": _Opt("out_dir", _to_str),
-    },
-}
+def _key(default, section: str, conv, check=_unchecked, key=None):
+    """A RunConfig field set by `key` (the field name unless given) in
+    [section].  conv parses the value text (raising ValueError) and
+    check(value) returns an error message or None."""
+    return dc_field(default=default, metadata={
+        "section": section, "conv": conv, "check": check, "key": key})
+
+
+@dataclass
+class RunConfig:
+    """Resolved configuration for one scenario run.
+
+    Each field but ``explicit`` is one config key, declared once here:
+    its metadata names the section, the converter, the range check and
+    the file key where that differs from the field name.  Built by
+    :func:`parse_config`; ``explicit`` maps each attribute the user set
+    (file or flag) rather than left at its default to its config line,
+    or to None for a flag.  :func:`build_config` reads it to reject what
+    the chosen scenario never reads.
+    """
+    scenario: str = _key("model-evolution", "run", _choice(*SCENARIOS))
+    deterministic: bool = _key(False, "run", _to_bool)
+    until_s: Optional[float] = _key(None, "run", _to_float, _positive)
+    until_t: Optional[float] = _key(None, "run", _to_float, _positive)
+    resolution: Optional[float] = _key(None, "grid", _to_float, _positive)
+    cfl: float = _key(0.5, "grid", _to_float, _positive)
+    pad_cells: int = _key(60, "grid", _to_int, _nonneg)
+    mass: float = _key(1.0, "model", _to_float, _positive)
+    p00: float = _key(1.0, "model", _to_float)
+    ps: float = _key(1.0, "model", _to_float)
+    rcoef: float = _key(1.0, "model", _to_float)
+    h00: float = _key(1.0, "model", _to_float)
+    hs: float = _key(1.0, "model", _to_float)
+    epsilon: float = _key(0.01, "data", _to_float, _nonneg)
+    eps_u: Optional[float] = _key(None, "data", _to_float, _nonneg)
+    eps_v: Optional[float] = _key(None, "data", _to_float, _nonneg)
+    radius: float = _key(1.0, "data", _to_float, _positive)
+    order: int = _key(8, "hierarchy", _to_int, _nonneg)
+    delta: float = _key(0.02, "hierarchy", _to_float, _check_delta)
+    C: float = _key(10.0, "bounds", _to_float, _positive)
+    dlam: float = _key(0.01, "bounds", _to_float, _positive)
+    s0: float = _key(2.0, "bounds", _to_float, _check_s0)
+    mu: Optional[float] = _key(None, "bounds", _to_float, _check_mu)
+    nu: Optional[float] = _key(None, "bounds", _to_float, _check_nu)
+    metric: str = _key("both", "bounds", _choice("flat", "pull", "both"))
+    metric_amp: float = _key(0.1, "bounds", _to_float, _nonneg)
+    source_amp: float = _key(1.0, "bounds", _to_float)
+    out_dir: Optional[str] = _key(None, "output", _to_str, key="dir")
+    explicit: dict = dc_field(default_factory=dict)
+
+    def model_params(self) -> ModelParams:
+        return ModelParams.isotropic(self.p00, self.ps, self.rcoef,
+                                     self.h00, self.hs, mass=self.mass)
+
+    def amplitudes(self):
+        """(eps_u, eps_v) with the shared epsilon filling unset fields."""
+        eu = self.epsilon if self.eps_u is None else self.eps_u
+        ev = self.epsilon if self.eps_v is None else self.eps_v
+        return eu, ev
+
+    def dx(self) -> float:
+        if self.resolution is not None:
+            return self.resolution
+        return _DEFAULT_RESOLUTION[self.scenario]
+
+    def bound_params(self) -> BoundParams:
+        return BoundParams(C=self.C, mass=self.mass, dlam=self.dlam,
+                           s0=self.s0)
+
+
+# section -> file key -> RunConfig field, in declaration order
+_SCHEMA = {}
+for _f in fields(RunConfig):
+    if _f.metadata:
+        _SCHEMA.setdefault(_f.metadata["section"], {})[
+            _f.metadata["key"] or _f.name] = _f
 
 
 def _attrs(*sections):
-    return {opt.attr for sec in sections for opt in _SCHEMA[sec].values()}
+    return {f.name for sec in sections for f in _SCHEMA[sec].values()}
 
 
 # the attributes each scenario reads besides scenario, deterministic
@@ -256,65 +288,6 @@ _DEFAULT_RESOLUTION = {
     "frame-identity-suite": 0.05,
     "convergence-suite": 0.02,
 }
-
-
-@dataclass
-class RunConfig:
-    """Resolved configuration for one scenario run.
-
-    Built by :func:`parse_config`; ``explicit`` maps each attribute the
-    user set (file or flag) rather than left at its default to its
-    config line, or to None for a flag.  :func:`build_config` reads it to
-    reject what the chosen scenario never reads.
-    """
-    scenario: str = "model-evolution"
-    deterministic: bool = False
-    until_s: Optional[float] = None
-    until_t: Optional[float] = None
-    resolution: Optional[float] = None
-    cfl: float = 0.5
-    pad_cells: int = 60
-    mass: float = 1.0
-    p00: float = 1.0
-    ps: float = 1.0
-    rcoef: float = 1.0
-    h00: float = 1.0
-    hs: float = 1.0
-    epsilon: float = 0.01
-    eps_u: Optional[float] = None
-    eps_v: Optional[float] = None
-    radius: float = 1.0
-    order: int = 8
-    delta: float = 0.02
-    C: float = 10.0
-    dlam: float = 0.01
-    s0: float = 2.0
-    mu: Optional[float] = None
-    nu: Optional[float] = None
-    metric: str = "both"
-    metric_amp: float = 0.1
-    source_amp: float = 1.0
-    out_dir: Optional[str] = None
-    explicit: dict = dc_field(default_factory=dict)
-
-    def model_params(self) -> ModelParams:
-        return ModelParams.isotropic(self.p00, self.ps, self.rcoef,
-                                     self.h00, self.hs, mass=self.mass)
-
-    def amplitudes(self):
-        """(eps_u, eps_v) with the shared epsilon filling unset fields."""
-        eu = self.epsilon if self.eps_u is None else self.eps_u
-        ev = self.epsilon if self.eps_v is None else self.eps_v
-        return eu, ev
-
-    def dx(self) -> float:
-        if self.resolution is not None:
-            return self.resolution
-        return _DEFAULT_RESOLUTION[self.scenario]
-
-    def bound_params(self) -> BoundParams:
-        return BoundParams(C=self.C, mass=self.mass, dlam=self.dlam,
-                           s0=self.s0)
 
 
 def _cross_validate(cfg: RunConfig) -> None:
@@ -370,23 +343,22 @@ def parse_config(text: str) -> RunConfig:
                 f"unknown key {key!r} in [{section}]; valid keys: "
                 f"{', '.join(sorted(_SCHEMA[section]))}",
                 line=num, field=key)
-        opt = _SCHEMA[section][key]
-        if opt.attr in lines:
+        f = _SCHEMA[section][key]
+        if f.name in lines:
             raise ConfigError(
-                f"[{section}] {key} already set on line {lines[opt.attr]}",
+                f"[{section}] {key} already set on line {lines[f.name]}",
                 line=num, field=key)
         try:
-            value = opt.conv(val)
+            value = f.metadata["conv"](val)
         except ValueError as e:
             raise ConfigError(f"[{section}] {key}: {e}", line=num,
                               field=key) from None
-        if opt.check is not None:
-            msg = opt.check(value)
-            if msg:
-                raise ConfigError(f"[{section}] {key}: {msg}", line=num,
-                                  field=key)
-        setattr(cfg, opt.attr, value)
-        lines[opt.attr] = num
+        msg = f.metadata["check"](value)
+        if msg:
+            raise ConfigError(f"[{section}] {key}: {msg}", line=num,
+                              field=key)
+        setattr(cfg, f.name, value)
+        lines[f.name] = num
     _cross_validate(cfg)
     return cfg
 
@@ -394,14 +366,13 @@ def parse_config(text: str) -> RunConfig:
 def _apply_flag(cfg: RunConfig, attr: str, value) -> None:
     """Flag override with the same validation as a file field."""
     for section, opts in _SCHEMA.items():
-        for key, opt in opts.items():
-            if opt.attr != attr:
+        for key, f in opts.items():
+            if f.name != attr:
                 continue
-            if opt.check is not None:
-                msg = opt.check(value)
-                if msg:
-                    raise ConfigError(f"flag for [{section}] {key}: {msg}",
-                                      field=key)
+            msg = f.metadata["check"](value)
+            if msg:
+                raise ConfigError(f"flag for [{section}] {key}: {msg}",
+                                  field=key)
             setattr(cfg, attr, value)
             cfg.explicit[attr] = None
             return
@@ -418,6 +389,24 @@ def _check_read(cfg: RunConfig) -> None:
                               line=line, field=attr)
 
 
+# the amplitude key of the scenarios whose data is that amplitude times
+# a fixed profile, so that 0 leaves nothing to measure
+_AMPLITUDE_KEY = {"linear-kg-bound": "eps_v", "convergence-suite": "eps_u"}
+
+
+def _check_amplitude(cfg: RunConfig) -> None:
+    """Reject a zero data amplitude for cfg.scenario, naming the key that
+    set it: its own, or the shared epsilon that fills it when unset."""
+    key = _AMPLITUDE_KEY.get(cfg.scenario)
+    if key is None:
+        return
+    if getattr(cfg, key) is None:
+        key = "epsilon"
+    if getattr(cfg, key) == 0.0:
+        raise ConfigError(f"{key} = 0 leaves {cfg.scenario} no data to "
+                          f"measure", line=cfg.explicit.get(key), field=key)
+
+
 def config_text(cfg: RunConfig) -> str:
     """Canonical echo of the resolved config, schema order, one key per
     line; unset optional keys are omitted.
@@ -429,11 +418,11 @@ def config_text(cfg: RunConfig) -> str:
     out = []
     for section, opts in _SCHEMA.items():
         body = []
-        for key, opt in opts.items():
-            if opt.attr == "out_dir":
+        for key, f in opts.items():
+            if f.name == "out_dir":
                 continue
-            value = getattr(cfg, opt.attr)
-            if opt.attr == "resolution" and value is None:
+            value = getattr(cfg, f.name)
+            if f.name == "resolution" and value is None:
                 value = cfg.dx()
             if value is None:
                 continue
@@ -463,27 +452,50 @@ def emit_series(records, schema: str, path) -> Path:
     """Write records as a CSV table under a registered schema.
 
     Records are tuples in column order.  LF endings, floats as %.17g
-    (round-trips bit-exactly).  An empty record set writes the header
-    line alone.
+    (round-trips bit-exactly), bools as 1/0, strings as they are; a cell
+    holding a comma or a newline is refused.  An empty record set writes
+    the header line alone.
     """
     if schema not in SERIES_SCHEMAS:
         raise ConfigError(f"unknown series schema {schema!r}; registered: "
                           f"{', '.join(sorted(SERIES_SCHEMAS))}")
     cols = SERIES_SCHEMAS[schema]
-    rows = []
+    lines = [",".join(cols)]
     for i, rec in enumerate(records):
         rec = tuple(rec)
         if len(rec) != len(cols):
             raise ConfigError(
                 f"record {i} for schema {schema} has {len(rec)} "
                 f"fields, expected {len(cols)}")
-        rows.append(rec)
+        cells = []
+        for cell in rec:
+            if isinstance(cell, str):
+                text = cell
+            elif isinstance(cell, (bool, np.bool_)):
+                text = "1" if cell else "0"
+            elif isinstance(cell, (int, np.integer)):
+                text = str(int(cell))
+            else:
+                text = "%.17g" % float(cell)
+            if "," in text or "\n" in text:
+                raise ConfigError(f"record {i} for schema {schema}: cell "
+                                  f"{text!r} would corrupt the table")
+            cells.append(text)
+        lines.append(",".join(cells))
     path = Path(path)
     try:
-        write_csv(path, cols, rows)
+        with open(path, "w", newline="") as f:
+            f.write("\n".join(lines) + "\n")
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e}") from e
     return path
+
+
+def write_json(path, obj) -> None:
+    """obj as JSON with sorted keys, two-space indent and a final LF."""
+    with open(path, "w", newline="") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def read_series(path):
@@ -673,17 +685,10 @@ def _scn_model_evolution(cfg: RunConfig, out: Path):
     params = cfg.model_params()
     data = InitialData.bump(eps_u, eps_v, cfg.radius)
 
-    # slice ladder and the wall time needed to cover it
-    s_vals = _slice_ladder(cfg.s0, s_top)
-    _, chi_max = chart_nodes(s_top, slice_cone_margin(dx), 1.0)
-    h_s, _ = ladder_s_step(cfg.order)
-    _, t_reach = lattice_reach(cfg.order + 1, s_top, h_s, chi_max)
-    t_end = max(t_reach + 0.25, cfg.until_t or 0.0)
-
-    grid = grid_for_run(dx, 2.0, t_end, support_radius=cfg.radius,
-                        pad_cells=cfg.pad_cells)
-    suite = SliceEnergySuite(grid, s_vals, order=cfg.order, mass=cfg.mass,
-                             t_floor=2.0)
+    suite, grid, t_end = SliceEnergySuite.plan(
+        dx, _slice_ladder(cfg.s0, s_top), order=cfg.order, t0=2.0,
+        support_radius=cfg.radius, pad_cells=cfg.pad_cells,
+        t_min=cfg.until_t, mass=cfg.mass)
     trk_u = SupTracker("u", grid)
     trk_v = SupTracker("v", grid)
 
@@ -691,9 +696,12 @@ def _scn_model_evolution(cfg: RunConfig, out: Path):
                           cfl=cfg.cfl, observers=(suite, trk_u, trk_v))
 
     rows = suite.energies()
-    emit_series(energy_csv_rows(rows), "energy/v1", out / "energies.csv")
-    emit_series(supnorm_csv_rows(suite.stage_sups(cfg.delta)), "supnorm/v1",
-                out / "stage_sups.csv")
+    emit_series([(r["field"], "t" * r["it"] + "r" * r["ir"] or "-", r["j"],
+                  r["s"], r["value"]) for r in rows],
+                "energy/v1", out / "energies.csv")
+    emit_series([(r["field"], r["p"], r["q"], r["s"], r["value"])
+                 for r in suite.stage_sups(cfg.delta)],
+                "supnorm/v1", out / "stage_sups.csv")
     tu, su = trk_u.series()
     tv, sv = trk_v.series()
     emit_series(zip(tu, su), "series/v1", out / "sup_u.csv")
@@ -717,8 +725,9 @@ def _scn_model_evolution(cfg: RunConfig, out: Path):
     # growth fits need a real span in s; very short ladders skip them
     if s_top >= 4.0 * cfg.s0:
         lines = hierarchy_check(rows, cfg.delta, cfg.order)
-        emit_series(hierarchy_csv_rows(lines), "hierarchy/v1",
-                    out / "hierarchy.csv")
+        emit_series([(ln["line"], ln["target"], ln["fitted"], ln["width"],
+                      ln["pass"]) for ln in lines],
+                    "hierarchy/v1", out / "hierarchy.csv")
         worst = max((ln["fitted"] - ln["target"] for ln in lines
                      if math.isfinite(ln["fitted"])), default=0.0)
         criteria.append(CriterionResult("hierarchy-lines", all(
@@ -746,12 +755,35 @@ def _scn_model_evolution(cfg: RunConfig, out: Path):
     return criteria, exponents
 
 
+def relative_change(a: float, b: float) -> float:
+    """|a - b| / |b| for a coarse value a and a fine value b: 0 when both
+    are 0, inf when only b is."""
+    if b == 0.0:
+        return 0.0 if a == 0.0 else math.inf
+    return abs(a - b) / abs(b)
+
+
+def _refined(margin, dx: float, *args, **kw) -> tuple:
+    """(fine, coarse): margin(*args, dx=..., **kw) at dx and at 2 dx, the
+    fine report carrying its refinement record against the coarse one
+    under "refinement_deltas"."""
+    fine = margin(*args, dx=dx, **kw)
+    coarse = margin(*args, dx=2.0 * dx, **kw)
+    fine["refinement_deltas"] = {
+        "coarse_dx": coarse["params"]["dx"],
+        "fine_dx": fine["params"]["dx"],
+        "max_ratio_rel_change": relative_change(coarse["max_ratio"],
+                                                fine["max_ratio"]),
+    }
+    return fine, coarse
+
+
 def _scn_linear_kg_bound(cfg: RunConfig, out: Path):
     dx = cfg.dx()
     s_max = cfg.until_s if cfg.until_s is not None else 8.0
     params = cfg.bound_params()
     _, eps_v = cfg.amplitudes()
-    data = InitialData.bump(0.0, eps_v if eps_v > 0 else 0.01, cfg.radius)
+    data = InitialData.bump(0.0, eps_v, cfg.radius)
 
     metrics = []
     if cfg.metric in ("flat", "both"):
@@ -761,12 +793,8 @@ def _scn_linear_kg_bound(cfg: RunConfig, out: Path):
 
     criteria, exponents = [], {}
     for name, h in metrics:
-        fine = kg_bound_margin(h, data, params, dx=dx, s_max=s_max,
-                               cfl=cfg.cfl)
-        coarse = kg_bound_margin(h, data, params, dx=2.0 * dx, s_max=s_max,
-                                 cfl=cfg.cfl)
-        fine = attach_refinement(fine, coarse)
-
+        fine, coarse = _refined(kg_bound_margin, dx, h, data, params,
+                                s_max=s_max, cfl=cfg.cfl)
         ratio = fine["max_ratio"]
         rel = fine["refinement_deltas"]["max_ratio_rel_change"]
         sweep = fine["C_sensitivity"]
@@ -815,11 +843,9 @@ def _scn_linear_wave_bound(cfg: RunConfig, out: Path):
     criteria, exponents = [], {}
     for mu, nu in pairs:
         tag = _pair_tag(mu, nu)
-        fine = wave_bound_margin(mu, nu, amp=cfg.source_amp, dx=dx,
-                                 t_lo=10.0, t_end=t_hi, cfl=cfg.cfl)
-        coarse = wave_bound_margin(mu, nu, amp=cfg.source_amp, dx=2.0 * dx,
-                                   t_lo=10.0, t_end=t_hi, cfl=cfg.cfl)
-        fine = attach_refinement(fine, coarse)
+        fine, _ = _refined(wave_bound_margin, dx, mu, nu,
+                           amp=cfg.source_amp, t_lo=10.0, t_end=t_hi,
+                           cfl=cfg.cfl)
         write_json(out / f"wave_margin_{tag}.json", fine)
         emit_series([(row["t"], row["max_ratio"])
                      for row in fine["per_t_max_ratio"]],
@@ -992,7 +1018,7 @@ def _energy_drift(dx: float, cfg: RunConfig) -> tuple:
     """
     s_vals = [float(s) for s in np.linspace(2.0, 10.0, 9)]
     eps_u, _ = cfg.amplitudes()
-    data = _drift_data(eps_u if eps_u > 0 else 0.01)
+    data = _drift_data(eps_u)
     suite, grid, t_need = SliceEnergySuite.plan(
         dx, s_vals, order=0, t0=2.0, support_radius=data.support_radius,
         fields=("u",), mass=cfg.mass,
@@ -1171,6 +1197,7 @@ def build_config(argv) -> RunConfig:
         if getattr(args, attr) is not None:
             _apply_flag(cfg, attr, getattr(args, attr))
     _check_read(cfg)
+    _check_amplitude(cfg)
     _cross_validate(cfg)
     return cfg
 

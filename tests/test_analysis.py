@@ -9,13 +9,14 @@ from hfoil.fields import EVEN, ODD, RadialGrid
 from hfoil.analysis import (QueryPool, SliceDerivativeTable,
                             SliceEnergySuite, SupTracker,
                             _apply, chart_nodes, combo_expansion,
-                            combo_label, design_lowpass, energy_csv_rows,
-                            filter_level, fit_power_law, gaussian_profile,
+                            combo_label, design_lowpass, filter_level,
+                            fit_power_law, gaussian_profile,
                             hierarchy_check, hierarchy_combos,
-                            hierarchy_csv_rows, hierarchy_target,
-                            kernel_response, profile_family,
-                            shrinking_profile, sobolev_ratio_profile,
-                            write_csv)
+                            hierarchy_target, kernel_response,
+                            profile_family, shrinking_profile,
+                            sobolev_ratio_profile)
+from hfoil.cli import emit_series
+from hfoil.util import ConfigError
 from hfoil.solver import (InitialData, ModelParams, evolve_model,
                           grid_for_run)
 from hfoil.util import FoliationError, SliceCoverageError, lagrange_weights
@@ -443,6 +444,16 @@ def test_suite_plan_covers_run():
         assert math.isfinite(row["value"]) and row["value"] >= 0
 
 
+def test_suite_plan_runs_until_t_min():
+    _, _, t_reach = SliceEnergySuite.plan(0.1, [3.0, 4.0], order=1)
+    for t_min, t_want in ((t_reach - 1.0, t_reach), (t_reach + 5.0,
+                                                     t_reach + 5.0)):
+        _, grid, t_end = SliceEnergySuite.plan(0.1, [3.0, 4.0], order=1,
+                                               pad_cells=10, t_min=t_min)
+        assert t_end == t_want
+        assert grid == grid_for_run(0.1, 2.0, t_want, pad_cells=10)
+
+
 def test_suite_stage_sups_smoke():
     suite, grid, t_end = SliceEnergySuite.plan(0.1, [3.0, 4.5], order=4,
                                                t0=2.0)
@@ -712,18 +723,18 @@ def test_sobolev_family_uniform_but_shrinking_fails():
 
 def test_csv_writer_golden(tmp_path):
     path = tmp_path / "table.csv"
-    write_csv(path, ("field", "I", "J", "s", "value"),
-              [("u", "ttr", 2, 5.0, 0.125), ("v", "-", 0, 12.5, 1e-17)])
-    data = path.read_bytes()
-    assert data == (b"field,I,J,s,value\n"
-                    b"u,ttr,2,5,0.125\n"
-                    b"v,-,0,12.5,1.0000000000000001e-17\n")
-    rows = energy_csv_rows([{"field": "u", "it": 2, "ir": 1, "j": 2,
-                             "s": 5.0, "value": 0.125}])
-    assert rows == [("u", "ttr", 2, 5.0, 0.125)]
-    lines = hierarchy_csv_rows([{"line": "u.t.L0", "target": 0.0,
-                                 "fitted": 0.01, "width": 0.001,
-                                 "pass": True, "k": 1}])
-    assert lines == [("u.t.L0", 0.0, 0.01, 0.001, True)]
-    with pytest.raises(ValueError):
-        write_csv(tmp_path / "bad.csv", ("a",), [("x,y",)])
+    emit_series([("u", "ttr", 2, 5.0, 0.125), ("v", "-", 0, 12.5, 1e-17)],
+                "energy/v1", path)
+    assert path.read_bytes() == (b"field,deriv,j,s,value\n"
+                                 b"u,ttr,2,5,0.125\n"
+                                 b"v,-,0,12.5,1.0000000000000001e-17\n")
+    emit_series([("u.t.L0", 0.0, 0.01, 0.001, True),
+                 ("v.t.L1", 0.5, np.float64(0.25), 0.0, np.bool_(False))],
+                "hierarchy/v1", path)
+    assert path.read_bytes() == (b"line,target,fitted,width,pass\n"
+                                 b"u.t.L0,0,0.01,0.001,1\n"
+                                 b"v.t.L1,0.5,0.25,0,0\n")
+    for cell in ("x,y", "x\ny"):
+        with pytest.raises(ConfigError):
+            emit_series([(cell, 0.0)], "series/v1", tmp_path / "bad.csv")
+    assert not (tmp_path / "bad.csv").exists()

@@ -6,11 +6,11 @@ import pytest
 
 import hfoil.bounds as bounds
 from hfoil.bounds import (BoundParams, MetricPerturb, RayCoords, ZERO_METRIC,
-                          RayIntegral, accumulate_F, attach_refinement,
-                          envelope_V, h_ray_derivative, kg_bound_margin,
-                          lam_grid, metric_pull, refinement_delta,
-                          relative_change, wave_bound_margin,
-                          wave_bound_value, wave_source)
+                          RayIntegral, accumulate_F, envelope_V,
+                          h_ray_derivative, kg_bound_margin, lam_grid,
+                          metric_pull, wave_bound_margin, wave_bound_value,
+                          wave_source)
+from hfoil.cli import _refined, relative_change
 from hfoil.solver import InitialData, grid_for_run
 from hfoil.util import smoothstep
 from hypothesis import given, settings
@@ -749,14 +749,22 @@ def test_wave_margin_small_run_both_branches():
 
 
 def test_refinement_helpers():
-    a = {"max_ratio": 1.0, "params": {"dx": 0.1}}
-    b = {"max_ratio": 1.05, "params": {"dx": 0.05}}
-    assert refinement_delta(a, b) == pytest.approx(0.05 / 1.05)
-    merged = attach_refinement(b, a)
-    assert merged["refinement_deltas"]["coarse_dx"] == 0.1
-    assert merged["refinement_deltas"]["max_ratio_rel_change"] == \
-        pytest.approx(0.05 / 1.05)
-    assert refinement_delta({"max_ratio": 0.0}, {"max_ratio": 0.0}) == 0.0
+    # a margin report of the ratio 1 + dx: one run at dx, one at 2 dx
+    calls = []
+
+    def margin(name, dx, scale=1.0):
+        calls.append((name, dx, scale))
+        return {"max_ratio": scale * (1.0 + dx), "params": {"dx": dx}}
+
+    fine, coarse = _refined(margin, 0.05, "m", scale=2.0)
+    assert calls == [("m", 0.05, 2.0), ("m", 0.1, 2.0)]
+    assert coarse == {"max_ratio": 2.2, "params": {"dx": 0.1}}
+    assert "refinement_deltas" not in coarse
+    assert fine["refinement_deltas"] == {
+        "coarse_dx": 0.1, "fine_dx": 0.05,
+        "max_ratio_rel_change": relative_change(2.2, 2.1)}
+    assert fine["refinement_deltas"]["max_ratio_rel_change"] == \
+        pytest.approx(0.1 / 2.1)
     # the scalar rule behind it, which the per-C sweep of linear-kg-bound
     # also takes: coarse a against fine b
     assert relative_change(0.0, 0.0) == 0.0
@@ -764,4 +772,3 @@ def test_refinement_helpers():
     assert relative_change(0.0, 2.0) == 1.0
     assert relative_change(3.0, 2.0) == 0.5
     assert relative_change(-3.0, -2.0) == 0.5
-    assert refinement_delta({"max_ratio": 1.0}, {}) == math.inf

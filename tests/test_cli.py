@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import os
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,38 @@ def test_unread_flag_reports_field_without_line(argv, field):
     assert ei.value.field == field
 
 
+# a zero amplitude leaves these scenarios no data: it is refused under
+# the key that set it, never replaced by some other amplitude
+@pytest.mark.parametrize("scenario, text, line, field", [
+    ("linear-kg-bound", "[data]\neps_v = 0\n", 2, "eps_v"),
+    ("linear-kg-bound", "[data]\n\nepsilon = 0\n", 3, "epsilon"),
+    ("convergence-suite", "[data]\neps_u = 0.0\n", 2, "eps_u"),
+    ("convergence-suite", "[data]\nepsilon = 0\n", 2, "epsilon"),
+])
+def test_zero_amplitude_reports_line_and_field(tmp_path, scenario, text,
+                                               line, field):
+    path = tmp_path / "config.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as ei:
+        cli.build_config([scenario, "--config", str(path)])
+    assert ei.value.line == line
+    assert ei.value.field == field
+
+
+@pytest.mark.parametrize("scenario", ["linear-kg-bound", "convergence-suite"])
+def test_zero_epsilon_flag_exits_with_config_error(tmp_path, capsys,
+                                                   scenario):
+    out = tmp_path / "out"
+    assert cli.main([scenario, "--epsilon", "0", "--out", str(out)]) == 2
+    assert "epsilon = 0" in capsys.readouterr().err
+    assert not out.exists()
+    # the epsilon is not read where the field's own key is set
+    path = tmp_path / "config.txt"
+    key = cli._AMPLITUDE_KEY[scenario]
+    path.write_text(f"[data]\nepsilon = 0\n{key} = 0.01\n")
+    assert cli.build_config([scenario, "--config", str(path)]).epsilon == 0
+
+
 @pytest.mark.parametrize("scenario", ["model-evolution", "linear-kg-bound"])
 def test_flags_match_the_same_keys_in_a_file(tmp_path, scenario):
     path = tmp_path / "config.txt"
@@ -201,12 +235,13 @@ def run_configs(draw):
     return cli.RunConfig(**values)
 
 
+KEYS = [f for f in dataclasses.fields(cli.RunConfig) if f.name != "explicit"]
+
+
 def test_every_config_key_is_read():
-    # no dead knobs: each schema attribute but the three every run reads
-    # is read by some scenario, and the scenarios read only schema
-    # attributes
-    attrs = {opt.attr for opts in cli._SCHEMA.values()
-             for opt in opts.values()}
+    # no dead knobs: each config field but the three every run reads is
+    # read by some scenario, and the scenarios read only config fields
+    attrs = {f.name for f in KEYS}
     read = set().union(*cli._READS.values())
     assert attrs - {"scenario", "deterministic", "out_dir"} <= read
     assert read <= attrs
@@ -214,10 +249,83 @@ def test_every_config_key_is_read():
 
 
 def test_field_strategies_cover_the_schema():
-    attrs = {opt.attr for opts in cli._SCHEMA.values()
-             for opt in opts.values()}
     drawn = set(FIELD_VALUES) | {"s0", "until_s", "mu", "nu", "out_dir"}
-    assert attrs == drawn
+    assert {f.name for f in KEYS} == drawn
+    # the schema is read off the fields, each under one (section, key)
+    assert [f for sec in cli._SCHEMA.values() for f in sec.values()] == KEYS
+    assert cli._SCHEMA["output"]["dir"].name == "out_dir"
+
+
+# the echo feeds config_sha256 and the default run directory names, so
+# its text is pinned: the all-defaults config and one that sets every key
+DEFAULT_ECHO = (
+    "[run]\nscenario = model-evolution\ndeterministic = false\n\n"
+    "[grid]\nresolution = 0.05\ncfl = 0.5\npad_cells = 60\n\n"
+    "[model]\nmass = 1.0\np00 = 1.0\nps = 1.0\nrcoef = 1.0\nh00 = 1.0\n"
+    "hs = 1.0\n\n"
+    "[data]\nepsilon = 0.01\nradius = 1.0\n\n"
+    "[hierarchy]\norder = 8\ndelta = 0.02\n\n"
+    "[bounds]\nC = 10.0\ndlam = 0.01\ns0 = 2.0\nmetric = both\n"
+    "metric_amp = 0.1\nsource_amp = 1.0\n")
+
+EVERY_KEY = """\
+[run]
+scenario = linear-wave-bound
+deterministic = yes
+until_s = 12
+until_t = 40
+[grid]
+resolution = 0.03
+cfl = 0.9
+pad_cells = 7
+[model]
+mass = 2
+p00 = -1
+ps = 0.5
+rcoef = 0
+h00 = 1e-3
+hs = -0.25
+[data]
+epsilon = 0.02
+eps_u = 0
+eps_v = 0.125
+radius = 1.5
+[hierarchy]
+order = 3
+delta = 0.05
+[bounds]
+C = 100
+dlam = 0.005
+s0 = 3
+mu = 0.25
+nu = -0.5
+metric = pull
+metric_amp = 0.2
+source_amp = -2
+[output]
+dir = runs/every
+"""
+
+EVERY_KEY_ECHO = (
+    "[run]\nscenario = linear-wave-bound\ndeterministic = true\n"
+    "until_s = 12.0\nuntil_t = 40.0\n\n"
+    "[grid]\nresolution = 0.03\ncfl = 0.9\npad_cells = 7\n\n"
+    "[model]\nmass = 2.0\np00 = -1.0\nps = 0.5\nrcoef = 0.0\n"
+    "h00 = 0.001\nhs = -0.25\n\n"
+    "[data]\nepsilon = 0.02\neps_u = 0.0\neps_v = 0.125\nradius = 1.5\n\n"
+    "[hierarchy]\norder = 3\ndelta = 0.05\n\n"
+    "[bounds]\nC = 100.0\ndlam = 0.005\ns0 = 3.0\nmu = 0.25\n"
+    "nu = -0.5\nmetric = pull\nmetric_amp = 0.2\nsource_amp = -2.0\n")
+
+
+def test_config_echo_golden():
+    assert cli.config_text(cli.RunConfig()) == DEFAULT_ECHO
+    assert cli.config_sha256(cli.RunConfig()) == (
+        "13881d3cfd6c84732da6f33a6cb344045d1770b90d63f63e81ad4ef3dd00d7cb")
+    cfg = cli.parse_config(EVERY_KEY)
+    assert cli.config_text(cfg) == EVERY_KEY_ECHO
+    assert cfg.out_dir == "runs/every"
+    assert set(cfg.explicit) == {f.name for f in KEYS}
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,6 +364,38 @@ def test_emit_series_round_trips_bit_exact(tmp_path_factory, rows):
         assert got[2] == float(want[2])
         assert bits(got[3]) == bits(want[3])
         assert bits(got[4]) == bits(want[4])
+
+
+# --- every output format has one owner ---
+
+PACKAGE = Path(cli.__file__).resolve().parent
+WRITE_ATTRS = {"open", "write_text", "write_bytes"}
+
+
+def file_writes(tree):
+    """(line, call) of each open, json.dump, write_text or write_bytes
+    call in a module's syntax tree."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if isinstance(fn, ast.Name) and fn.id == "open":
+            yield node.lineno, "open"
+        elif isinstance(fn, ast.Attribute) and (
+                fn.attr in WRITE_ATTRS or fn.attr == "dump" and isinstance(
+                    fn.value, ast.Name) and fn.value.id == "json"):
+            yield node.lineno, ast.unparse(fn)
+
+
+def test_only_cli_writes_files():
+    found = [f"{path.name}:{line} {call}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"
+             for line, call in file_writes(ast.parse(path.read_text()))]
+    assert not found, "file output outside cli.py: " + ", ".join(found)
+    # the check sees each form it looks for
+    calls = ("open(p)", "json.dump(x, f)", "p.write_text(s)",
+             "p.write_bytes(b)", "p.open('w')")
+    assert len(list(file_writes(ast.parse("\n".join(calls))))) == len(calls)
 
 
 # --- --deterministic output trees ---
