@@ -9,7 +9,7 @@ chain-rule expansions of :mod:`hfoil.analysis`.
 """
 from .util import (ConfigError, FoliationError, SliceCoverageError,
                    StabilityError, StencilRangeError)
-from .fields import EVEN, ODD, RadialGrid
+from .fields import RadialGrid
 from .solver import (InitialData, ModelParams, RunResult, evolve_model,
                      grid_for_run, solve_linear_kg_curved,
                      solve_linear_wave_sourced)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "FoliationError", "SliceCoverageError", "StabilityError",
     "StencilRangeError",
-    "EVEN", "ODD", "RadialGrid",
+    "RadialGrid",
     "InitialData", "ModelParams", "RunResult", "evolve_model",
     "grid_for_run", "solve_linear_kg_curved", "solve_linear_wave_sourced",
     "PowerFit", "QueryPool", "SliceDerivativeTable", "SliceEnergySuite",

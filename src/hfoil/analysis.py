@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import EVEN
+from .solver import grid_for_run
 from .util import (FoliationError, SliceCoverageError, fd_weights,
                    lagrange_weights, reduce_sum, trapezoid_weights)
 
@@ -156,25 +156,26 @@ def combo_label(field: str, it: int, ir: int, j: int) -> str:
 # few dx, group velocity near zero, never damped).  Harmless to the
 # solution, fatal to high derivative estimates: each d/ds amplifies an
 # additive ripple of amplitude rho by another 1/h.  The cure is a
-# symmetric FIR kernel that reproduces polynomials up to `degree`
+# symmetric FIR kernel that reproduces polynomials up to LOWPASS_DEGREE
 # exactly (so interpolation stencils keep their order) while minimizing
-# the response energy on [cutoff, pi] where the ripple lives.
+# the response energy on [LOWPASS_CUTOFF, pi] where the ripple lives.
+LOWPASS_HALFWIDTH = 20
+LOWPASS_DEGREE = 9
+LOWPASS_CUTOFF = 1.4
+
 
 @lru_cache(maxsize=None)
-def design_lowpass(halfwidth: int = 20, degree: int = 9,
-                   cutoff: float = 1.4) -> np.ndarray:
-    """Symmetric 2*halfwidth+1 tap kernel, least-squares stopband.
+def design_lowpass() -> np.ndarray:
+    """Symmetric 2*M+1 tap kernel, M = LOWPASS_HALFWIDTH, least-squares
+    stopband.
 
     Constrained minimum of int_cutoff^pi W(k)^2 dk with W the discrete
     transfer function, subject to sum w = 1 and vanishing even moments
-    through `degree`.  Returned array runs j = -halfwidth..halfwidth.
+    through LOWPASS_DEGREE.  Returned array runs j = -M..M.
     """
-    M = int(halfwidth)
-    kc = float(cutoff)
-    if not 0.0 < kc < math.pi:
-        raise ValueError("cutoff must lie in (0, pi)")
+    M, kc = LOWPASS_HALFWIDTH, LOWPASS_CUTOFF
     npar = M + 1                      # one-sided coefficients w_0..w_M
-    nmom = degree // 2                # even moments 2..2*nmom vanish
+    nmom = LOWPASS_DEGREE // 2        # even moments 2..2*nmom vanish
 
     def cosint(m: int) -> float:
         # int_kc^pi cos(m k) dk
@@ -213,13 +214,14 @@ def kernel_response(kern: np.ndarray, k) -> np.ndarray:
     return np.cos(np.multiply.outer(np.asarray(k, dtype=float), j)) @ kern
 
 
-def filter_level(values: np.ndarray, kern: np.ndarray,
-                 parity: int = EVEN, lo: int = 0, hi=None) -> np.ndarray:
-    """Convolve one radial level with a symmetric kernel.
+def filter_level(values: np.ndarray, kern: np.ndarray, lo: int = 0,
+                 hi=None) -> np.ndarray:
+    """Convolve one radial level of an even field with a symmetric
+    kernel.
 
-    The origin side folds with the field parity, the far side pads with
-    zeros (fields are compactly supported inside the grid).  Only the
-    outputs at cells lo..hi-1 are computed (default: the whole level);
+    The origin side folds evenly, the far side pads with zeros (fields
+    are compactly supported inside the grid).  Only the outputs at cells
+    lo..hi-1 are computed (default: the whole level);
     each is the same 2M+1 tap dot product as on the whole level, so a
     range is a bit-identical slice of the full result.
     """
@@ -228,8 +230,8 @@ def filter_level(values: np.ndarray, kern: np.ndarray,
     hi = n if hi is None else hi
     ext = values[max(lo - M, 0):hi + M]
     if lo < M or hi + M > n:
-        ext = np.concatenate([float(parity) * values[max(M - lo, 0):0:-1],
-                              ext, np.zeros(max(hi + M - n, 0))])
+        ext = np.concatenate([values[max(M - lo, 0):0:-1], ext,
+                              np.zeros(max(hi + M - n, 0))])
     return np.convolve(ext, kern, mode="valid")
 
 
@@ -242,7 +244,7 @@ class QueryPool:
     solver's observers, read answers afterwards.  Each point is
     answered by npts x npts Lagrange interpolation over consecutive
     levels and radial columns; the window goes one-sided at the first
-    levels, and negative radii fold back with the field parity.
+    levels, and negative radii fold back evenly (u and v are even).
 
     level_filter folds the design_lowpass grid-noise filter into the
     radial weights: answers are then samples of the filtered field, at
@@ -256,14 +258,15 @@ class QueryPool:
     still pending up to the last streamed level.
     """
 
+    # levels and radial columns per interpolation window
+    npts = 10
+
     # gathered window values per contraction (1 MiB of float64): a cap
     # on the transient memory of one flush
     _CHUNK_VALUES = 1 << 17
 
-    def __init__(self, grid, parity=None, npts: int = 10,
-                 level_filter: bool = False):
+    def __init__(self, grid, level_filter: bool = False):
         self.grid = grid
-        self.npts = int(npts)
         self.kernel = design_lowpass() if level_filter else None
         self.halo = 0
         self._shift = None
@@ -274,14 +277,10 @@ class QueryPool:
             self._shift = np.zeros((self.npts, self.npts + 2 * M))
             for i in range(self.npts):
                 self._shift[i, i:i + 2 * M + 1] = self.kernel
-        self.parity = {"u": EVEN, "v": EVEN}
-        if parity:
-            self.parity.update(parity)
         self._pts = {"u": [], "v": []}
         self._count = {"u": 0, "v": 0}
         self.results = {}
         self._ring = None
-        self._missing = set()       # (step, field) absent before the plan
         self._plan = None
         self._targets = None
         self._t0 = None
@@ -338,11 +337,10 @@ class QueryPool:
             self._start()
         fields = {"u": u, "v": v}
         if self._plan is None:
-            # dt unknown until the second level; keep everything so far
+            # dt unknown until the second level; keep what there is (a
+            # window reading level 0 reads level 1, which checks fields)
             for f, ring in self._ring.items():
-                if fields[f] is None:
-                    self._missing.add((step, f))
-                else:
+                if fields[f] is not None:
                     ring[step % len(ring)] = fields[f]
             return
         if self._want_level(step):
@@ -401,11 +399,6 @@ class QueryPool:
             self._targets = np.unique(np.concatenate(targets))
         else:
             self._targets = np.zeros(0, dtype=np.int64)
-        for step, f in sorted(self._missing):
-            if self._want_level(step):
-                raise FoliationError(
-                    f"queries registered for field {f!r} but the run "
-                    "does not produce it")
 
     def _flush(self, step):
         """Answer every pending query whose target level is <= step."""
@@ -430,11 +423,8 @@ class QueryPool:
             # convolving the weights == filtering the (extended) level
             # before sampling it
             Wr = Wr @ self._shift
+        # columns below the axis gather their mirror images: the even fold
         cols = plan["col0"][lo:hi, None] + np.arange(width)
-        parity = float(self.parity[field])
-        folds = plan["col0"][lo:hi] < 0
-        if parity != 1.0 and folds.any():
-            Wr[folds] *= np.where(cols[folds] < 0, parity, 1.0)
         rows = (plan["base"][lo:hi, None] + np.arange(npts)) % len(ring)
         G = ring[rows[:, :, None], np.abs(cols)[:, None, :]]  # (b, npts, width)
         self.results[field][plan["order"][lo:hi]] = np.einsum(
@@ -619,20 +609,22 @@ class SliceEnergySuite:
     @classmethod
     def plan(cls, dx: float, s_values, order: int = 0, t0: float = 2.0,
              support_radius: float = 1.0, pad_cells: int = 60,
-             t_min: float | None = None, h_s: float | None = None, **kw):
+             t_min: float | None = None, h_s: float | None = None,
+             cfl: float = 0.5, **kw):
         """Build the grid wide enough for the slices, then the suite.
 
-        The run lasts until 0.25 past the last time the slice lattices
-        read, or until t_min if that is later; pad_cells goes to
-        :func:`~hfoil.solver.grid_for_run`.  Returns (suite, grid, t_end)
-        ready for evolve_model.
+        The run lasts until the last time the slice lattices read, plus
+        0.25 or the levels a pool window reads past its query (time step
+        cfl * dx), whichever is longer, or until t_min if that is later;
+        pad_cells goes to :func:`~hfoil.solver.grid_for_run`.  Returns
+        (suite, grid, t_end) ready for evolve_model at that cfl.
         """
-        from .solver import grid_for_run
         if h_s is None:
             h_s = ladder_s_step(order)[0]
         s_top = max(float(s) for s in s_values)
         _, chi_max = chart_nodes(s_top, slice_cone_margin(dx), 1.0)
-        t_need = lattice_reach(order + 1, s_top, h_s, chi_max)[1] + 0.25
+        pad = max(0.25, (QueryPool.npts - QueryPool.npts // 2) * cfl * dx)
+        t_need = lattice_reach(order + 1, s_top, h_s, chi_max)[1] + pad
         if t_min is not None:
             t_need = max(t_need, t_min)
         grid = grid_for_run(dx, t0, t_need, support_radius=support_radius,
@@ -879,12 +871,11 @@ class ChiProfile:
     label: str = ""
 
 
-def gaussian_profile(width: float, amp: float = 1.0,
-                     label: str = "") -> ChiProfile:
+def gaussian_profile(width: float, label: str = "") -> ChiProfile:
     w2 = float(width) ** 2
 
     def psi(chi):
-        return amp * np.exp(-np.square(chi) / w2)
+        return np.exp(-np.square(chi) / w2)
 
     def dpsi(chi):
         return -2.0 * chi / w2 * psi(chi)
@@ -895,14 +886,17 @@ def gaussian_profile(width: float, amp: float = 1.0,
     return ChiProfile(psi, dpsi, ddpsi, label or f"w={width:.4g}")
 
 
-def profile_family(count: int = 10, base: float = 0.45,
-                   spread: float = 0.2):
-    """Shape-stable family: one Gaussian bell at several widths."""
-    widths = base * (1.0 + spread * np.linspace(-1.0, 1.0, count))
+PROFILE_WIDTH = 0.45     # the middle width of the Sobolev profiles
+
+
+def profile_family(count: int = 10):
+    """Shape-stable family: one Gaussian bell at count widths spread
+    20% either side of PROFILE_WIDTH."""
+    widths = PROFILE_WIDTH * (1.0 + 0.2 * np.linspace(-1.0, 1.0, count))
     return [gaussian_profile(float(w)) for w in widths]
 
 
-def shrinking_profile(s: float, base: float = 0.45,
+def shrinking_profile(s: float, base: float = PROFILE_WIDTH,
                       s_ref: float = 2.0) -> ChiProfile:
     # concentrating width ~ s^(-1/2); breaks the uniform ratio on purpose
     return gaussian_profile(base * math.sqrt(s_ref / s),
@@ -910,8 +904,7 @@ def shrinking_profile(s: float, base: float = 0.45,
 
 
 def sobolev_ratio_profile(prof: ChiProfile, s: float,
-                          cone_margin: float = 0.0,
-                          n_quad: int = 4000) -> float:
+                          cone_margin: float = 0.0) -> float:
     """sup t^(3/2)|u| over the truncated slice divided by the summed
     L^2 norms of u and its boosts up to second order, for the radial
     field u = psi(chi) on H_s.
@@ -925,6 +918,7 @@ def sobolev_ratio_profile(prof: ChiProfile, s: float,
         raise FoliationError(f"slice s={s} inside the cone margin")
     chi_max = math.acosh((s * s + c * c) / (2.0 * c * s))
     # midpoint nodes dodge the coth singularity at the axis
+    n_quad = 4000
     h = chi_max / n_quad
     chi = (np.arange(n_quad) + 0.5) * h
     ps = prof.psi(chi)

@@ -20,6 +20,9 @@ from .analysis import QueryPool
 
 # === parameters and ray geometry ===
 
+C_SWEEP = (1.0, 10.0, 100.0)     # the C of kg_bound_margin's C_sensitivity
+
+
 @dataclass
 class BoundParams:
     """Knobs of the envelope evaluation.
@@ -32,7 +35,6 @@ class BoundParams:
     mass: float = 1.0
     dlam: float = 0.01
     s0: float = 2.0
-    C_sweep: tuple = (1.0, 10.0, 100.0)
 
     def __post_init__(self):
         if not self.C > 0:
@@ -108,22 +110,16 @@ def lam_grid(lam_min, s, dlam: float):
 
 
 class MetricPerturb:
-    """A scalar perturbation profile h(t, r), optionally with analytic
-    t- and r-derivatives (used exactly when present, else the ray
-    derivative falls back to centered differences)."""
+    """A scalar perturbation profile h(t, r) with its analytic t- and
+    r-derivatives, from which the ray derivative is assembled exactly."""
 
-    def __init__(self, value: Callable, dt: Optional[Callable] = None,
-                 dr: Optional[Callable] = None):
+    def __init__(self, value: Callable, dt: Callable, dr: Callable):
         self.value = value
         self.dt = dt
         self.dr = dr
 
     def __call__(self, t, r):
         return self.value(t, r)
-
-    @property
-    def analytic(self) -> bool:
-        return self.dt is not None and self.dr is not None
 
 
 ZERO_METRIC = MetricPerturb(lambda t, r: np.zeros_like(np.asarray(r, float)),
@@ -270,7 +266,7 @@ def _prefix_end(holds, guess, n: int) -> int:
 ENVELOPE_BLOCK = 2048
 
 
-def h_ray_derivative(h, rays, lam):
+def h_ray_derivative(h: MetricPerturb, rays, lam):
     """d/dlam of h along each ray, at the nodes in the matching row of
     the 2D lam (one row per RayCoords in rays): (t/s) d_t h + (r/s) d_r h
     at the ray point, which is (t/s) times the perp derivative there.
@@ -282,14 +278,8 @@ def h_ray_derivative(h, rays, lam):
         raise ValueError("lambda outside the ray range")
     a = np.array([[ray.t / ray.s] for ray in rays])
     b = np.array([[ray.r / ray.s] for ray in rays])
-    if isinstance(h, MetricPerturb) and h.analytic:
-        tp, rp = lam * a, lam * b
-        return a * h.dt(tp, rp) + b * h.dr(tp, rp)
-    fn = h
-    dl = 1e-5 * np.maximum(lam, 1.0)
-    up, dn = lam + dl, lam - dl
-    return (np.asarray(fn(up * a, up * b), float)
-            - np.asarray(fn(dn * a, dn * b), float)) / (2 * dl)
+    tp, rp = lam * a, lam * b
+    return a * h.dt(tp, rp) + b * h.dr(tp, rp)
 
 
 class RayIntegral:
@@ -299,8 +289,6 @@ class RayIntegral:
     def __init__(self, lam: np.ndarray, cum: np.ndarray):
         self.lam = lam
         self.cum = cum
-        self.lam_min = float(lam[0])
-        self.s = float(lam[-1])
 
     def __call__(self, sbar):
         return np.interp(sbar, self.lam, self.cum)
@@ -444,7 +432,7 @@ class _CrossProbe:
         return c, (tp - tm) / (2 * self.delta), (rp - rm) / (2 * self.delta)
 
 
-def kg_bound_margin(h, data: InitialData, params: BoundParams,
+def kg_bound_margin(h: MetricPerturb, data: InitialData, params: BoundParams,
                     f: Optional[Callable] = None, dx: float = 0.05,
                     s_max: float = 8.0, n_rays: int = 16, n_s: int = 20,
                     t0: float = 2.0, cfl: float = 0.5,
@@ -460,14 +448,12 @@ def kg_bound_margin(h, data: InitialData, params: BoundParams,
     same quantity is measured at every resolution.
 
     Envelopes are taken per lattice ray, not per point: one envelope_V
-    call per ray for every distinct C of (params.C, *params.C_sweep) at
+    call per ray for every distinct C of (params.C, *C_SWEEP) at
     dlam and one at dlam/2 (quad_refinement_delta), each evaluated in
     blocks of ENVELOPE_BLOCK node values.  Every V is bit for bit the
     one-point, one-C quadrature, so the report does not depend on the
     blocking.
     """
-    if not isinstance(h, MetricPerturb):
-        h = MetricPerturb(h)
     chi = _ray_fan(n_rays, math.log(s_max / tr_min))
     s_vals = np.geomspace(1.1 * params.s0, s_max, n_s)
     SS, CC = np.meshgrid(s_vals, np.cosh(chi), indexing="ij")
@@ -531,7 +517,7 @@ def kg_bound_margin(h, data: InitialData, params: BoundParams,
         "C_sensitivity": {format_c(c): float(np.max(
             weighted[pos & (Vs[c] > 0)] / Vs[c][pos & (Vs[c] > 0)]))
             if (pos & (Vs[c] > 0)).any() else 0.0
-            for c in params.C_sweep},
+            for c in C_SWEEP},
         "skipped": skipped,
         "zero_envelope": {
             "count": int((~pos).sum()),
@@ -545,15 +531,15 @@ def _lattice_envelopes(h, f, params: BoundParams, ts, rs, ci, data_norms):
     """(V, V_half, Vs, far) at the base points (ts, rs) of lattice rays ci.
 
     One envelope_V call per lattice ray and quadrature step: at dlam for
-    every distinct C of (params.C, *params.C_sweep), and at dlam/2 for
+    every distinct C of (params.C, *C_SWEEP), and at dlam/2 for
     params.C.  Each ray's source integral is accumulated once per step,
     to its farthest base point.  Vs maps each C of the sweep to its V.
     """
     half = replace(params, dlam=params.dlam / 2)
-    Cs = list(dict.fromkeys(float(c) for c in (params.C, *params.C_sweep)))
+    Cs = list(dict.fromkeys(float(c) for c in (params.C, *C_SWEEP)))
     V = np.empty(ts.size)
     V_half = np.empty(ts.size)
-    Vs = {c: np.empty(ts.size) for c in params.C_sweep}
+    Vs = {c: np.empty(ts.size) for c in C_SWEEP}
     far = np.empty(ts.size, dtype=bool)
     for j in np.unique(ci):
         idx = np.nonzero(ci == j)[0]
@@ -565,7 +551,7 @@ def _lattice_envelopes(h, f, params: BoundParams, ts, rs, ci, data_norms):
         V_half[idx] = envelope_V(rays, data_norms,
                                  accumulate_F(f, top, half), h, half)[0]
         V[idx] = env[0]
-        for c in params.C_sweep:
+        for c in C_SWEEP:
             Vs[c][idx] = env[Cs.index(float(c))]
     return V, V_half, Vs, far
 

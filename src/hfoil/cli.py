@@ -58,7 +58,9 @@ subcommand always wins over the ``scenario`` key.  Once the subcommand
 has set the scenario, a key or flag that it does not read is a
 ConfigError (with the key's line, or no line for a flag), and so is a
 zero data amplitude (eps_v, eps_u or the epsilon that fills them) for
-linear-kg-bound and convergence-suite.  Every run writes
+linear-kg-bound and convergence-suite, and an s0 below t0 = 2 for
+model-evolution.  until_t can only lengthen a model-evolution run; one
+that would cut it short is a ConfigError.  Every run writes
 ``config.echo.txt`` (the fully resolved config), ``report.json`` and a
 human-readable ``report.txt`` next to its data tables, all through this
 module: it is the one owner of the output formats.  With
@@ -110,6 +112,7 @@ SERIES_SCHEMAS = {
 }
 
 CFL_CAP = 0.9   # the radial leapfrog is stable for Courant numbers below 1
+_T0 = 2.0       # the first time level of a model-evolution run
 
 
 # === configuration ===
@@ -407,6 +410,14 @@ def _check_amplitude(cfg: RunConfig) -> None:
                           f"measure", line=cfg.explicit.get(key), field=key)
 
 
+def _check_first_slice(cfg: RunConfig) -> None:
+    """Reject a model-evolution s0 before the run's first level _T0."""
+    if cfg.scenario == "model-evolution" and cfg.s0 < _T0:
+        raise ConfigError(f"s0 = {cfg.s0:g} lies before the start t0 = "
+                          f"{_T0:g} of a {cfg.scenario} run",
+                          line=cfg.explicit.get("s0"), field="s0")
+
+
 def config_text(cfg: RunConfig) -> str:
     """Canonical echo of the resolved config, schema order, one key per
     line; unset optional keys are omitted.
@@ -667,13 +678,13 @@ def _slice_ladder(s_lo: float, s_hi: float, n: int = 12) -> list:
     return [float(s) for s in np.geomspace(s_lo, s_hi, n)]
 
 
-def _fit_or_none(t, y, tail=10.0):
+def _fit_or_none(t, y):
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.size == 0 or float(np.max(y)) <= TINY:
         return None
     try:
-        return fit_power_law(t, y, tail=tail)
+        return fit_power_law(t, y)
     except FoliationError:
         return None
 
@@ -686,13 +697,18 @@ def _scn_model_evolution(cfg: RunConfig, out: Path):
     data = InitialData.bump(eps_u, eps_v, cfg.radius)
 
     suite, grid, t_end = SliceEnergySuite.plan(
-        dx, _slice_ladder(cfg.s0, s_top), order=cfg.order, t0=2.0,
+        dx, _slice_ladder(cfg.s0, s_top), order=cfg.order, t0=_T0,
         support_radius=cfg.radius, pad_cells=cfg.pad_cells,
-        t_min=cfg.until_t, mass=cfg.mass)
+        t_min=cfg.until_t, cfl=cfg.cfl, mass=cfg.mass)
+    if cfg.until_t is not None and cfg.until_t < t_end:
+        raise ConfigError(
+            f"until_t = {cfg.until_t:g} ends the run before the slice "
+            f"ladder is read, which takes until t = {t_end:g}",
+            line=cfg.explicit.get("until_t"), field="until_t")
     trk_u = SupTracker("u", grid)
     trk_v = SupTracker("v", grid)
 
-    result = evolve_model(params, grid, data, t0=2.0, t_end=t_end,
+    result = evolve_model(params, grid, data, t0=_T0, t_end=t_end,
                           cfl=cfg.cfl, observers=(suite, trk_u, trk_v))
 
     rows = suite.energies()
@@ -987,23 +1003,25 @@ def _scn_frame_identity(cfg: RunConfig, out: Path):
     return criteria, orders
 
 
-def _drift_data(eps: float, radius: float = 0.8) -> InitialData:
-    """Polynomial bump (1 - (r/R)^2)^4, zero velocity.
+def _drift_data(eps: float) -> InitialData:
+    """Polynomial bump (1 - (r/R)^2)^4 with R = 0.8, zero velocity.
 
     Conservation needs two things from the data.  Support strictly
-    inside the unit cone (radius < 1 at t0 = 2), or energy genuinely
+    inside the unit cone (R < 1 at t0 = 2), or energy genuinely
     leaks through the truncation boundary and no scheme can conserve
     it.  A gentle edge layer, because a retarded profile of width d
     appears on the chart with chi-width d / (t - r), and the measurement
     stencils must resolve that; the default C-infinity bump packs its
     variation into a layer too thin for any practical step.
     """
+    R = 0.8
+
     def shape(r):
-        q = np.square(np.asarray(r, dtype=float) / radius)
+        q = np.square(np.asarray(r, dtype=float) / R)
         return eps * np.where(q < 1.0, (1.0 - np.minimum(q, 1.0)) ** 4, 0.0)
     zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
     return InitialData(u0=shape, u1=zero, v0=zero, v1=zero,
-                       support_radius=radius)
+                       support_radius=R)
 
 
 def _energy_drift(dx: float, cfg: RunConfig) -> tuple:
@@ -1021,7 +1039,7 @@ def _energy_drift(dx: float, cfg: RunConfig) -> tuple:
     data = _drift_data(eps_u)
     suite, grid, t_need = SliceEnergySuite.plan(
         dx, s_vals, order=0, t0=2.0, support_radius=data.support_radius,
-        fields=("u",), mass=cfg.mass,
+        fields=("u",), mass=cfg.mass, cfl=CFL_CAP,
         chi_step=0.01, h_chi_u=0.02, h_s=0.05)
     evolve_model(ModelParams.free(cfg.mass), grid, data, t0=2.0,
                  t_end=t_need, cfl=CFL_CAP, observers=(suite,))
@@ -1198,6 +1216,7 @@ def build_config(argv) -> RunConfig:
             _apply_flag(cfg, attr, getattr(args, attr))
     _check_read(cfg)
     _check_amplitude(cfg)
+    _check_first_slice(cfg)
     _cross_validate(cfg)
     return cfg
 

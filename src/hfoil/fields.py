@@ -1,18 +1,16 @@
-"""The radial grid and the parity of radial fields.
+"""The radial grid.
 
-Every run is spherically symmetric: fields live on the radial grid
-r_j = j dx and are even (EVEN) or odd (ODD) in r through the axis.  The
-solvers stream their levels to observers, and slice derivatives come
-from the QueryPool lattices in :mod:`hfoil.analysis`; no level history
-is stored or differenced.
+Every run is spherically symmetric: the fields u and v live on the
+radial grid r_j = j dx and are even in r through the axis.  The solvers
+stream their levels to observers, and slice derivatives come from the
+QueryPool lattices in :mod:`hfoil.analysis`; no level history is stored
+or differenced.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-EVEN, ODD = 1, -1
 
 
 @dataclass(frozen=True)

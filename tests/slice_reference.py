@@ -30,11 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hfoil.analysis import slice_cone_margin
-from hfoil.fields import EVEN
 from hfoil.util import (SliceCoverageError, StencilRangeError, fd_weights,
                         lagrange_weights, trapezoid_weights)
 
 DEFAULT_CHI_STEP = 0.005
+
+# the parity of a radial history through the axis: hfoil's fields u and v
+# are even, and odd fields (r times an even one) test the fold
+EVEN, ODD = 1, -1
 
 
 # === levels of solver runs ===

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfoil.fields import EVEN, ODD, RadialGrid
+from hfoil.fields import RadialGrid
 from hfoil.analysis import (QueryPool, SliceDerivativeTable,
                             SliceEnergySuite, SupTracker,
                             _apply, chart_nodes, combo_expansion,
@@ -20,7 +20,7 @@ from hfoil.util import ConfigError
 from hfoil.solver import (InitialData, ModelParams, evolve_model,
                           grid_for_run)
 from hfoil.util import FoliationError, SliceCoverageError, lagrange_weights
-from slice_reference import (BoxGrid, FieldHistory, LevelCopies,
+from slice_reference import (EVEN, BoxGrid, FieldHistory, LevelCopies,
                              RadialSliceChart, interpolate_to_slice,
                              sample_history, sample_radial_history,
                              sobolev_ratio_history)
@@ -136,18 +136,6 @@ def test_pool_exact_on_polynomials():
     assert pool.result(h_fold)[0] == pytest.approx(fn(3.5, 0.12), rel=1e-11)
 
 
-def test_pool_odd_parity_fold():
-    grid = RadialGrid(dx=0.05, n=200)
-
-    def fn(t, r):
-        return r * (1.0 + 0.1 * t) + 0.2 * r ** 3
-
-    pool = QueryPool(grid, parity={"u": ODD})
-    h = pool.add("u", [4.0], [-0.31])
-    stream_levels(pool, fn, 3.5, 0.05, 30, grid)
-    assert pool.result(h)[0] == pytest.approx(-fn(4.0, 0.31), rel=1e-11)
-
-
 def test_pool_unresolved_and_guards():
     grid = RadialGrid(dx=0.05, n=200)
     pool = QueryPool(grid)
@@ -202,9 +190,6 @@ def test_filter_level_polynomial_and_parity():
     out = filter_level(vals, kern)
     # interior nodes exact (even fold at the origin, zero pad far out)
     assert out[:250] == pytest.approx(vals[:250], rel=1e-11, abs=1e-9)
-    odd_vals = x - 0.01 * x ** 3
-    out_odd = filter_level(odd_vals, kern, ODD)
-    assert out_odd[:250] == pytest.approx(odd_vals[:250], rel=1e-9, abs=1e-9)
 
 
 def test_pool_filter_polynomial_exact():
@@ -244,12 +229,11 @@ def test_pool_filter_rejects_grid_ripple():
     assert err_f < 1e-6
 
 
-def reference_pool_values(levels, t0, dt, dx, tq, rq, npts, kernel,
-                          parity):
+def reference_pool_values(levels, t0, dt, dx, tq, rq, npts, kernel):
     """The pool's formula, one query at a time, over the full list of
     streamed levels: npts x npts Lagrange weights (window one-sided at
     the first levels), radial weights convolved with the lowpass
-    kernel, columns below r = 0 folded with the parity."""
+    kernel, columns below r = 0 folded evenly."""
     lead = npts // 2 - 1
     M = 0 if kernel is None else (len(kernel) - 1) // 2
     out = np.full(len(tq), np.nan)
@@ -264,22 +248,22 @@ def reference_pool_values(levels, t0, dt, dx, tq, rq, npts, kernel,
         if M:
             Wr = np.convolve(Wr, kernel)
         cols = j0 - M + np.arange(npts + 2 * M)
-        Wr = Wr * np.where(cols < 0, float(parity), 1.0)
         A = np.stack([levels[base + i][np.abs(cols)] for i in range(npts)])
         out[q] = Wt @ (A @ Wr)
     return out
 
 
-@pytest.mark.parametrize("npts", [6, 10])
-@pytest.mark.parametrize("level_filter", [None, True])
-@pytest.mark.parametrize("parity", [EVEN, ODD])
-def test_pool_matches_per_query_reference(npts, level_filter, parity):
+# the ids read parity-level_filter-npts: the pool's fields are even
+# (parity 1) and its windows 10 wide
+@pytest.mark.parametrize("level_filter", [None, True],
+                         ids=["1-None-10", "1-True-10"])
+def test_pool_matches_per_query_reference(level_filter):
     grid = RadialGrid(dx=0.05, n=240)
     t0, dt, steps = 3.0, 0.03, 57      # last level is off the flush cadence
+    npts = QueryPool.npts
 
     def fn(t, r):
-        smooth = (np.sin(0.6 * t + 0.2) * np.exp(-r ** 2 / 9.0)
-                  * (r if parity == ODD else 1.0))
+        smooth = np.sin(0.6 * t + 0.2) * np.exp(-r ** 2 / 9.0)
         ripple = 5e-3 * np.cos(1.8 * r / grid.dx) * np.cos(41.0 * t + 0.3)
         return smooth + ripple
 
@@ -296,8 +280,7 @@ def test_pool_matches_per_query_reference(npts, level_filter, parity):
                          [3.4, 3.7], [t_last + dt]])
     rq = np.concatenate([rng.uniform(0.0, 9.0, 300), [0.0, 4.3, 7.7],
                          rng.uniform(0.0, 9.0, 4), [-0.12, 0.37], [2.0]])
-    pool = QueryPool(grid, parity={"u": parity}, npts=npts,
-                     level_filter=level_filter)
+    pool = QueryPool(grid, level_filter=level_filter)
     h = pool.add("u", tq[:150], rq[:150])
     h2 = pool.add("u", tq[150:], rq[150:])
     levels = []
@@ -312,7 +295,7 @@ def test_pool_matches_per_query_reference(npts, level_filter, parity):
     got = np.concatenate([pool.result(h), pool.result(h2)])
     kernel = pool.kernel if level_filter else None
     want = reference_pool_values(levels, t0, dt, grid.dx, tq, rq, npts,
-                                 kernel, parity)
+                                 kernel)
     assert np.isnan(got[-1]) and np.isnan(want[-1])
     assert pool.unresolved() == 1
     with pytest.raises(SliceCoverageError):
@@ -432,16 +415,19 @@ def test_suite_energy_solver_route_close():
 
 
 def test_suite_plan_covers_run():
-    suite, grid, t_end = SliceEnergySuite.plan(0.1, [3.0, 4.0], order=1,
-                                               t0=2.0)
-    assert t_end > suite.t_max
-    data = InitialData.bump(0.3, 0.3)
-    evolve_model(ModelParams.free(), grid, data, t0=2.0, t_end=t_end,
-                 observers=(suite,))
-    rows = suite.energies()
-    assert len(rows) == 2 * 2 * len(hierarchy_combos(1))
-    for row in rows:
-        assert math.isfinite(row["value"]) and row["value"] >= 0
+    # coarse time steps: a pool window reads 5 levels past its query,
+    # 0.375 at (0.15, 0.5) and 0.45 at (0.1, 0.9)
+    for dx, cfl in ((0.1, 0.5), (0.15, 0.5), (0.1, 0.9)):
+        suite, grid, t_end = SliceEnergySuite.plan(dx, [3.0, 4.0], order=1,
+                                                   t0=2.0, cfl=cfl)
+        assert t_end > suite.t_max
+        data = InitialData.bump(0.3, 0.3)
+        evolve_model(ModelParams.free(), grid, data, t0=2.0, t_end=t_end,
+                     cfl=cfl, observers=(suite,))
+        rows = suite.energies()
+        assert len(rows) == 2 * 2 * len(hierarchy_combos(1))
+        for row in rows:
+            assert math.isfinite(row["value"]) and row["value"] >= 0
 
 
 def test_suite_plan_runs_until_t_min():
@@ -640,14 +626,13 @@ def test_bounded_sup_edge_cases():
 def test_filter_level_range_is_a_slice():
     rng = np.random.default_rng(5)
     kern = design_lowpass()
-    for parity in (EVEN, ODD):
-        for n in (41, 57, 400):
-            w = rng.standard_normal(n)
-            full = filter_level(w, kern, parity)
-            for lo in (0, 1, 19, 20, 21, n // 2, n - 21, n - 1):
-                for hi in (lo + 1, min(lo + 40, n), n):
-                    part = filter_level(w, kern, parity, lo=lo, hi=hi)
-                    assert np.array_equal(part, full[lo:hi])
+    for n in (41, 57, 400):
+        w = rng.standard_normal(n)
+        full = filter_level(w, kern)
+        for lo in (0, 1, 19, 20, 21, n // 2, n - 21, n - 1):
+            for hi in (lo + 1, min(lo + 40, n), n):
+                part = filter_level(w, kern, lo=lo, hi=hi)
+                assert np.array_equal(part, full[lo:hi])
 
 
 def test_bounded_sup_tracks_evolution_like_full_route():

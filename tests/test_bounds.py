@@ -74,13 +74,15 @@ def test_h_ray_derivative_quadratic_oracle():
 
 
 def test_h_ray_derivative_formula_matches_numeric():
+    # the analytic derivatives against a centered difference of h itself
     h = metric_pull(0.1)
-    bare = h.value                       # callable route: centered diff
     for (t, r) in ((6.0, 3.0), (12.0, 9.0), (9.0, 7.4)):
         ray = RayCoords(t, r, P)
         lam = np.linspace(ray.lam_min + 0.01, ray.s - 0.01, 29)
-        exact = h_ray_derivative(h, [ray], lam[None])
-        nume = h_ray_derivative(bare, [ray], lam[None])
+        exact = h_ray_derivative(h, [ray], lam[None])[0]
+        dl = 1e-5 * np.maximum(lam, 1.0)
+        nume = (h.value(*ray.points(lam + dl))
+                - h.value(*ray.points(lam - dl))) / (2 * dl)
         assert np.max(np.abs(exact - nume)) < 1e-6
 
 
@@ -231,13 +233,7 @@ def ref_h_ray_derivative(h, ray, lam):
     if np.any(lam < ray.lam_min - 1e-9) or np.any(lam > ray.s + 1e-9):
         raise ValueError("lambda outside the ray range")
     tp, rp = ray.points(lam)
-    if isinstance(h, MetricPerturb) and h.analytic:
-        return (ray.t / ray.s) * h.dt(tp, rp) + (ray.r / ray.s) * h.dr(tp, rp)
-    fn = h
-    dl = 1e-5 * np.maximum(lam, 1.0)
-    up = ray.points(lam + dl)
-    dn = ray.points(lam - dl)
-    return (np.asarray(fn(*up), float) - np.asarray(fn(*dn), float)) / (2 * dl)
+    return (ray.t / ray.s) * h.dt(tp, rp) + (ray.r / ray.s) * h.dr(tp, rp)
 
 
 def ref_accumulate_F(f, ray, params):
@@ -273,7 +269,7 @@ def ref_lattice_envelopes(h, f, params, ts, rs, ci, data_norms):
     """The per-point loop kg_bound_margin ran before the envelope was
     batched per ray."""
     half = BoundParams(C=params.C, mass=params.mass, dlam=params.dlam / 2,
-                       s0=params.s0, C_sweep=params.C_sweep)
+                       s0=params.s0)
     Fs = {}
     for j in np.unique(ci):
         k = np.nonzero(ci == j)[0][np.argmax(ts[ci == j])]
@@ -282,7 +278,7 @@ def ref_lattice_envelopes(h, f, params, ts, rs, ci, data_norms):
                  ref_accumulate_F(f, top, half))
     V = np.empty(ts.size)
     V_half = np.empty(ts.size)
-    Vs = {c: np.empty(ts.size) for c in params.C_sweep}
+    Vs = {c: np.empty(ts.size) for c in bounds.C_SWEEP}
     regimes = np.empty(ts.size, dtype=bool)
     for i in range(ts.size):
         ray = RayCoords(ts[i], rs[i], params)
@@ -290,7 +286,7 @@ def ref_lattice_envelopes(h, f, params, ts, rs, ci, data_norms):
         F, F2 = Fs[ci[i]]
         V[i] = ref_envelope_V(ray, data_norms, F, h, params)
         V_half[i] = ref_envelope_V(ray, data_norms, F2, h, half)
-        for c in params.C_sweep:
+        for c in bounds.C_SWEEP:
             Vs[c][i] = ref_envelope_V(ray, data_norms, F, h, params, C=c)
     return V, V_half, Vs, regimes
 
@@ -332,10 +328,8 @@ def test_lam_nodes_and_envelope_rows_share_one_rule():
             assert n[0] == want.size and np.array_equal(row[0], want)
 
 
-@pytest.mark.parametrize("h", [ZERO_METRIC, metric_pull(0.1),
-                               metric_pull(0.1).value, WAVY, WAVY.value],
-                         ids=["zero", "pull", "bare-callable", "wavy",
-                              "wavy-bare"])
+@pytest.mark.parametrize("h", [ZERO_METRIC, metric_pull(0.1), WAVY],
+                         ids=["zero", "pull", "wavy"])
 @pytest.mark.parametrize("f", [None, FSRC], ids=["unsourced", "sourced"])
 @pytest.mark.parametrize("block", [None, 900], ids=["default-cap", "split"])
 def test_envelope_blocks_match_per_point_reference(h, f, block,
@@ -426,13 +420,14 @@ MARGIN_CASES = [
     ("pull", None, P),
     ("pull", CONE_SRC, P),
     ("wavy", CONE_SRC, P),
+    # C and dlam off their defaults
     ("bare", CONE_SRC, BoundParams(C=3.0, dlam=0.02, s0=2.0)),
 ]
 
 
 def margin_metric(name):
     return {"zero": ZERO_METRIC, "pull": metric_pull(0.1), "wavy": WAVY,
-            "bare": metric_pull(0.1).value}[name]
+            "bare": metric_pull(0.1)}[name]
 
 
 @pytest.mark.parametrize("name,f,params", MARGIN_CASES,

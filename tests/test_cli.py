@@ -164,6 +164,26 @@ def test_zero_epsilon_flag_exits_with_config_error(tmp_path, capsys,
     assert cli.build_config([scenario, "--config", str(path)]).epsilon == 0
 
 
+def test_model_evolution_edge_configs(tmp_path, capsys):
+    # a coarse time step still covers every slice lattice, so the run
+    # ends with a report
+    out = tmp_path / "coarse"
+    assert cli.main(["model-evolution", "--resolution", "0.15", "--out",
+                     str(out), "--deterministic"]) in (0, 1)
+    assert (out / "report.json").is_file()
+    # a first slice before the run starts, and an until_t before the
+    # ladder is read, are config errors at the key's line
+    for text, line, key in (("[bounds]\ns0 = 1.5\n", 2, "s0"),
+                            ("[run]\n\nuntil_t = 30\n", 3, "until_t")):
+        path = tmp_path / f"{key}.txt"
+        path.write_text(text)
+        capsys.readouterr()
+        assert cli.main(["model-evolution", "--config", str(path), "--out",
+                         str(tmp_path / key), "--deterministic"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {line}: {key} = ")
+
+
 @pytest.mark.parametrize("scenario", ["model-evolution", "linear-kg-bound"])
 def test_flags_match_the_same_keys_in_a_file(tmp_path, scenario):
     path = tmp_path / "config.txt"

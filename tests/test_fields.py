@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hfoil.fields import EVEN, ODD, RadialGrid
+from hfoil.fields import RadialGrid
 from hfoil.util import StencilRangeError
-from slice_reference import (BoxGrid, FieldHistory, sample_history,
-                             sample_radial_history)
+from slice_reference import (EVEN, ODD, BoxGrid, FieldHistory,
+                             sample_history, sample_radial_history)
 
 
 def radial_history(fn, dx=0.02, n=150, t0=2.0, dt=0.01, levels=9, parity=EVEN):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from hfoil import (EVEN, BoundParams, RadialGrid, RayCoords,
-                   SliceCoverageError, slice_cone_margin)
-from slice_reference import (BoxGrid, apply_boost, interpolate_to_slice,
-                             make_chart, sample_history,
-                             sample_radial_history, slice_radius_cap)
+from hfoil import (BoundParams, RadialGrid, RayCoords, SliceCoverageError,
+                   slice_cone_margin)
+from slice_reference import (EVEN, BoxGrid, apply_boost,
+                             interpolate_to_slice, make_chart,
+                             sample_history, sample_radial_history,
+                             slice_radius_cap)
 
 
 # --- symbolic oracles for the frame forms of the d'Alembertian ---
