@@ -19,10 +19,10 @@ from .analysis import (PowerFit, QueryPool, SliceDerivativeTable,
                        hierarchy_check, hierarchy_combos, hierarchy_target,
                        kernel_response, profile_family, slice_cone_margin,
                        sobolev_ratio_profile)
-from .bounds import (BoundParams, MetricPerturb, RayCoords, accumulate_F,
-                     envelope_V, h_ray_derivative, kg_bound_margin,
-                     metric_pull, wave_bound_margin, wave_bound_value,
-                     wave_source)
+from .bounds import (BoundParams, MetricPerturb, RayCoords, WaveSourceStack,
+                     accumulate_F, envelope_V, h_ray_derivative,
+                     kg_bound_margin, metric_pull, wave_bound_margin,
+                     wave_bound_value, wave_source)
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,8 @@ __all__ = [
     "fit_power_law", "hierarchy_check", "hierarchy_combos",
     "hierarchy_target", "kernel_response", "profile_family",
     "slice_cone_margin", "sobolev_ratio_profile",
-    "BoundParams", "MetricPerturb", "RayCoords", "accumulate_F",
+    "BoundParams", "MetricPerturb", "RayCoords", "WaveSourceStack",
+    "accumulate_F",
     "envelope_V", "h_ray_derivative", "kg_bound_margin", "metric_pull",
     "wave_bound_margin", "wave_bound_value", "wave_source",
     "__version__",

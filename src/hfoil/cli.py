@@ -60,7 +60,10 @@ ConfigError (with the key's line, or no line for a flag), and so is a
 zero data amplitude (eps_v, eps_u or the epsilon that fills them) for
 linear-kg-bound and convergence-suite, and an s0 below t0 = 2 for
 model-evolution.  until_t can only lengthen a model-evolution run; one
-that would cut it short is a ConfigError.  Every run writes
+that would cut it short is a ConfigError, raised once the scenario has
+planned its ladder; a ConfigError raised inside a scenario leaves no
+partial tree (the echo is removed, and so is the output directory if
+the run made it).  Every run writes
 ``config.echo.txt`` (the fully resolved config), ``report.json`` and a
 human-readable ``report.txt`` next to its data tables, all through this
 module: it is the one owner of the output formats.  With
@@ -73,6 +76,7 @@ import argparse
 import hashlib
 import json
 import math
+import shutil
 import sys
 import time
 from dataclasses import dataclass, field as dc_field, fields
@@ -88,7 +92,7 @@ from .analysis import (TINY, QueryPool, SliceDerivativeTable,
                        lattice_reach, profile_family, slice_cone_margin,
                        sobolev_ratio_profile)
 from .bounds import (ZERO_METRIC, BoundParams, kg_bound_margin,
-                     metric_pull, wave_bound_margin)
+                     metric_pull, pair_tag, wave_bound_margin)
 from .fields import RadialGrid
 from .solver import (InitialData, ModelParams, evolve_model, grid_for_run)
 from .util import ConfigError, FoliationError, StabilityError
@@ -643,6 +647,7 @@ def run_scenario(cfg: RunConfig) -> ReportSummary:
     sha = config_sha256(cfg)
     out = Path(cfg.out_dir if cfg.out_dir else
                f"runs/{cfg.scenario}-{sha[:8]}")
+    made = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.echo.txt", "w", newline="") as f:
         f.write(echo)
@@ -651,6 +656,13 @@ def run_scenario(cfg: RunConfig) -> ReportSummary:
     error = None
     try:
         criteria, exponents = _SCENARIOS[cfg.scenario](cfg, out)
+    except ConfigError:
+        # a config the scenario itself rejects leaves no partial tree
+        if made:
+            shutil.rmtree(made[-1])
+        else:
+            (out / "config.echo.txt").unlink()
+        raise
     except StabilityError as e:
         error = {"kind": "stability", **e.report}
         criteria = [CriterionResult("evolution-complete", False,
@@ -780,17 +792,20 @@ def relative_change(a: float, b: float) -> float:
 
 
 def _refined(margin, dx: float, *args, **kw) -> tuple:
-    """(fine, coarse): margin(*args, dx=..., **kw) at dx and at 2 dx, the
+    """(fine, coarse): margin(*args, dx=..., **kw) at dx and at 2 dx, each
     fine report carrying its refinement record against the coarse one
-    under "refinement_deltas"."""
+    under "refinement_deltas".  A margin returns one report, or a list
+    of them (one per row of a stacked run), matched by position."""
     fine = margin(*args, dx=dx, **kw)
     coarse = margin(*args, dx=2.0 * dx, **kw)
-    fine["refinement_deltas"] = {
-        "coarse_dx": coarse["params"]["dx"],
-        "fine_dx": fine["params"]["dx"],
-        "max_ratio_rel_change": relative_change(coarse["max_ratio"],
-                                                fine["max_ratio"]),
-    }
+    pairs = zip(fine, coarse) if isinstance(fine, list) else [(fine, coarse)]
+    for f, c in pairs:
+        f["refinement_deltas"] = {
+            "coarse_dx": c["params"]["dx"],
+            "fine_dx": f["params"]["dx"],
+            "max_ratio_rel_change": relative_change(c["max_ratio"],
+                                                    f["max_ratio"]),
+        }
     return fine, coarse
 
 
@@ -842,12 +857,6 @@ def _scn_linear_kg_bound(cfg: RunConfig, out: Path):
     return criteria, exponents
 
 
-def _pair_tag(mu: float, nu: float) -> str:
-    def one(x):
-        return ("m" if x < 0 else "p") + ("%g" % abs(x)).replace(".", "")
-    return f"mu{one(mu)}_nu{one(nu)}"
-
-
 def _scn_linear_wave_bound(cfg: RunConfig, out: Path):
     dx = cfg.dx()
     t_hi = cfg.until_t if cfg.until_t is not None else 60.0
@@ -856,12 +865,13 @@ def _scn_linear_wave_bound(cfg: RunConfig, out: Path):
     else:
         pairs = [(0.5, 0.5), (0.5, -0.25)]
 
+    # every pair is one row of a stacked run at dx and one at 2 dx; a
+    # row's report is bit for bit that of a run of its pair alone
+    fines, _ = _refined(wave_bound_margin, dx, pairs, amp=cfg.source_amp,
+                        t_lo=10.0, t_end=t_hi, cfl=cfg.cfl)
     criteria, exponents = [], {}
-    for mu, nu in pairs:
-        tag = _pair_tag(mu, nu)
-        fine, _ = _refined(wave_bound_margin, dx, mu, nu,
-                           amp=cfg.source_amp, t_lo=10.0, t_end=t_hi,
-                           cfl=cfg.cfl)
+    for (mu, nu), fine in zip(pairs, fines):
+        tag = pair_tag(mu, nu)
         write_json(out / f"wave_margin_{tag}.json", fine)
         emit_series([(row["t"], row["max_ratio"])
                      for row in fine["per_t_max_ratio"]],

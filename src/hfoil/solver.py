@@ -14,6 +14,12 @@ time derivative of v.  Everything is second order; starts are built
 from a Taylor step using the equations at the initial time.  The coupled
 model and the two linear solvers share one leapfrog loop, `_march`, and
 hand out their levels only by streaming each one to observers.
+
+A field's levels are (n,) arrays, or (R, n) for a stack of R runs that
+share the grid, dt and step count: the sourced wave solver steps its
+rows that way, each row bit for bit its own run (a single run is a
+one-row stack), with its own guards and observers.  The radial helpers
+work on the last axis, so both shapes share them.
 """
 from __future__ import annotations
 
@@ -130,40 +136,43 @@ def grid_for_run(dx: float, t0: float, t_end: float,
 # so the radial loops step in preallocated buffers.  The ufunc sequences
 # here and in the loops follow the evaluation order of the plain array
 # expressions they stand for, so the results match those bit for bit.
+# They act on the last axis, so an (R, n) stack steps every row at once.
 
 def _over_r(W: np.ndarray, r: np.ndarray, dx: float,
             out: np.ndarray) -> np.ndarray:
     """W/r for odd W, with the centered limit at the axis."""
-    np.divide(W[1:], r[1:], out=out[1:])
-    out[0] = W[1] / dx
+    np.divide(W[..., 1:], r[1:], out=out[..., 1:])
+    np.divide(W[..., 1], dx, out=out[..., 0])
     return out
 
 
 def _ddr_even(a: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
     """Centered d_r of an even array; zero at the axis by symmetry."""
-    mid = out[1:-1]
-    np.subtract(a[2:], a[:-2], out=mid)
+    mid = out[..., 1:-1]
+    np.subtract(a[..., 2:], a[..., :-2], out=mid)
     np.divide(mid, 2.0 * dx, out=mid)
-    out[0] = 0.0
-    out[-1] = (a[-1] - a[-2]) / dx
+    out[..., 0] = 0.0
+    np.subtract(a[..., -1], a[..., -2], out=out[..., -1])
+    np.divide(out[..., -1], dx, out=out[..., -1])
     return out
 
 
 def _d2_odd(W: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
     """Second difference of an odd array pinned to zero at both ends."""
-    mid = out[1:-1]
-    np.multiply(W[1:-1], 2.0, out=mid)
-    np.subtract(W[2:], mid, out=mid)
-    np.add(mid, W[:-2], out=mid)
+    mid = out[..., 1:-1]
+    np.multiply(W[..., 1:-1], 2.0, out=mid)
+    np.subtract(W[..., 2:], mid, out=mid)
+    np.add(mid, W[..., :-2], out=mid)
     np.divide(mid, dx * dx, out=mid)
-    out[0] = 0.0
-    out[-1] = 0.0
+    out[..., 0] = 0.0
+    out[..., -1] = 0.0
     return out
 
 
 def _wave_update(W_prev, W_cur, S, r, dx, dt2, out, lap, work):
     """out = 2 W_cur - W_prev + dt2 (d2 W_cur + r S), pinned at both ends.
-    lap and work are scratch; S is only read."""
+    lap and work are scratch; S is only read (one row broadcasts over a
+    stack)."""
     np.multiply(W_cur, 2.0, out=out)
     np.subtract(out, W_prev, out=out)
     _d2_odd(W_cur, dx, lap)
@@ -171,8 +180,8 @@ def _wave_update(W_prev, W_cur, S, r, dx, dt2, out, lap, work):
     np.add(lap, work, out=lap)
     np.multiply(lap, dt2, out=lap)
     np.add(out, lap, out=out)
-    out[0] = 0.0
-    out[-1] = 0.0
+    out[..., 0] = 0.0
+    out[..., -1] = 0.0
     return out
 
 
@@ -199,8 +208,8 @@ def _kg_update(W_prev, W_cur, denom, cs, S, r, dx, inv_dt2, half_c2, out,
         np.multiply(r, S, out=lap)
         np.add(out, lap, out=out)
     np.divide(out, A, out=out)
-    out[0] = 0.0
-    out[-1] = 0.0
+    out[..., 0] = 0.0
+    out[..., -1] = 0.0
     return out
 
 
@@ -214,71 +223,94 @@ def _coefficient_guard(detail, t, step, r, u, peak, hn):
             "location": float(r[i]), "value": float(guard)})
 
 
-def _guard_level(t, step, r, levels, scratch, scale):
+def _guard_level(t, step, r, levels, scratch, scale, tags):
     """Blow-up and boundary guards on a freshly stepped level.
 
-    levels are the new W arrays; each gets one |W| pass into `scratch`,
-    which yields both its peak and its outer-three-cell leak.  The leak
-    is compared with the running scale, the largest |W| of the run so
-    far, this level included; the updated scale is returned.
+    levels are the new W arrays, each (n,) for one run or (R, n) for a
+    stack of R runs; tags label the runs, and a report carries its run's
+    tag under "row" unless that is None.  Each array gets one |W| pass
+    into the (R, n) `scratch`, which yields every run's peak and
+    outer-three-cell leak.  A run's leak is compared with its running
+    scale, the largest |W| of that run so far, this level included;
+    scale holds one value per run and is updated in place.
     """
-    peaks, edges = [], []
+    leaks = None
     for W in levels:
         a = np.abs(W, out=scratch)
-        peak = a.max()
-        if not peak <= BLOWUP_GUARD:            # NaN fails this too
-            i = int(np.argmax(np.where(np.isfinite(a), a, np.inf)))
-            raise StabilityError(
-                "field amplitude blew up",
-                report={"kind": "blowup", "t": t, "step": step,
-                        "location": float(r[i]), "value": float(peak)})
-        peaks.append(peak)
-        edges.append(a[-3:].max())
-    scale = max(scale, *peaks)
-    edge = max(edges)
-    if edge > BOUNDARY_GUARD * scale:
-        W = levels[edges.index(edge)]
-        i = len(r) - 3 + int(np.argmax(np.abs(W[-3:])))
-        raise StabilityError(
-            "signal reached the outer boundary",
-            report={"kind": "boundary", "t": t, "step": step,
-                    "location": float(r[i]), "value": float(edge)})
-    return scale
+        for j, peak in enumerate(a.max(axis=1).tolist()):
+            if not peak <= BLOWUP_GUARD:        # NaN fails this too
+                i = int(np.argmax(np.where(np.isfinite(a[j]), a[j], np.inf)))
+                _trip("field amplitude blew up", "blowup", t, step, r[i],
+                      peak, tags[j])
+            if peak > scale[j]:
+                scale[j] = peak
+        edge = a[:, -3:].max(axis=1).tolist()
+        leaks = edge if leaks is None else list(map(max, leaks, edge))
+    for j, leak in enumerate(leaks):
+        if leak > BOUNDARY_GUARD * scale[j]:
+            for W in levels:
+                w = np.abs(W.reshape(-1, len(r))[j, -3:])
+                if w.max() == leak:
+                    break
+            _trip("signal reached the outer boundary", "boundary", t, step,
+                  r[len(r) - 3 + int(np.argmax(w))], leak, tags[j])
 
 
-def _march(grid, fields, starts, t0, t_end, dt, advance,
-           observers, check=None) -> RunResult:
+def _trip(detail, kind, t, step, location, value, tag):
+    report = {"kind": kind, "t": t, "step": step,
+              "location": float(location), "value": float(value)}
+    if tag is not None:
+        report["row"] = tag
+    raise StabilityError(detail, report=report)
+
+
+def _march(grid, fields, starts, t0, t_end, dt, advance, rows,
+           check=None) -> RunResult:
     """The leapfrog loop shared by the radial solvers.
 
     fields names the stepped fields, ("u",), ("v",) or ("u", "v"), and
     starts gives each its W at t0 and at t0 + dt; only those fields get
-    buffers.  Step k calls advance(k, t_k, prev, cur, nxt, lvl), which
-    writes level k + 1 of every field into nxt from levels k - 1 and k
-    (prev, cur); lvl holds the emitted u or v of level k.  The loop then
-    trips the blow-up and boundary guards, rotates the buffers and emits
-    the new level to the observers (None for a field that is not
-    stepped).  Observers are the only way levels leave the loop, and
-    check(t, step, lvl), if given, sees every level, the last one
-    included, before they do.
+    buffers.  A W is (n,) for one run or (R, n) for a stack of R runs
+    that share the grid, dt and step count; rows holds one (tag,
+    observers) pair per run.  Step k calls advance(k, t_k, prev, cur,
+    nxt, lvl), which writes level k + 1 of every field into nxt from
+    levels k - 1 and k (prev, cur); lvl holds the emitted u or v of
+    level k.  The loop then trips the blow-up and boundary guards of
+    each run (the first run to trip stops them all, its report tagged),
+    rotates the buffers and emits the new level to each run's observers
+    (None for a field that is not stepped).  Observers are the only way
+    levels leave the loop, and check(t, step, lvl), if given, sees every
+    level, the last one included, before they do.
     """
     n, dx = grid.n, grid.dx
     r = grid.r(0, n)
     prev = [W0 for W0, _ in starts]
     cur = [W1 for _, W1 in starts]
-    nxt = [np.empty(n) for _ in fields]
-    lvl = [np.empty(n) for _ in fields]
-    work = np.empty(n)
-    u_out = lvl[fields.index("u")] if "u" in fields else None
-    v_out = lvl[fields.index("v")] if "v" in fields else None
-    scale = max(*(np.max(np.abs(W)) for W in prev), 1e-300)
+    nxt = [np.empty(W.shape) for W in prev]
+    lvl = [np.empty(W.shape) for W in prev]
+    work = np.empty((len(rows), n))
+    tags = [tag for tag, _ in rows]
+
+    def per_run(name):
+        if name not in fields:
+            return [None] * len(rows)
+        out = lvl[fields.index(name)]
+        return [out] if out.ndim == 1 else list(out)
+
+    runs = list(zip(per_run("u"), per_run("v"), [obs for _, obs in rows]))
+    scale = [1e-300] * len(rows)
+    for W in prev:
+        for j, peak in enumerate(np.abs(W, out=work).max(axis=1).tolist()):
+            scale[j] = max(scale[j], peak)
 
     def emit(t, step, levels):
         for W, out in zip(levels, lvl):
             _over_r(W, r, dx, out)
         if check is not None:
             check(t, step, lvl)
-        for obs in observers:
-            obs.on_level(t, step, u_out, v_out)
+        for u, v, observers in runs:
+            for obs in observers:
+                obs.on_level(t, step, u, v)
 
     emit(t0, 0, prev)
     emit(t0 + dt, 1, cur)
@@ -286,7 +318,7 @@ def _march(grid, fields, starts, t0, t_end, dt, advance,
     for k in range(1, n_steps):
         t_k = t0 + k * dt
         advance(k, t_k, prev, cur, nxt, lvl)
-        scale = _guard_level(t_k + dt, k + 1, r, nxt, work, scale)
+        _guard_level(t_k + dt, k + 1, r, nxt, work, scale, tags)
         prev, cur, nxt = cur, nxt, prev
         emit(t0 + (k + 1) * dt, k + 1, cur)
 
@@ -397,7 +429,7 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
         _wave_update(Wu_prev, Wu_cur, N, r, dx, dt2, Wu_next, lap, work)
 
     return _march(grid, ("u", "v"), starts, t0, t_end, dt, advance,
-                  observers, check)
+                  ((None, observers),), check)
 
 
 # === linear solvers for the envelope scenarios ===
@@ -406,18 +438,31 @@ def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
                               t0: float = 2.0, t_end: float = 10.0,
                               cfl: float = 0.5, observers: Sequence = (),
                               data: Optional[InitialData] = None) -> RunResult:
-    """-box u = f(t, r) with compactly supported data (zero by default).
+    """-box u = f(t, r) with compactly supported data (zero by default),
+    for one source or for a stack of sources stepped together.
 
-    source is either a plain callable f(t, r), evaluated on the whole
-    grid at every step, or a profile that also has the grid route
-    ``fill(t, r, out)``, which writes f(t, r) into every cell of a
-    buffer the solver owns, for the ascending grid r (as
-    :class:`hfoil.bounds.wave_source` does).  Both routes give the same
-    levels.
+    source is one of:
 
-    Observers get on_level(t, step, u, None), the run's only output of
-    levels; u is a reused buffer, valid only during the call.  The
-    blow-up and boundary guards of :func:`evolve_model` apply.
+    * a plain callable f(t, r), evaluated on the whole grid at every step;
+    * a profile with the grid route ``fill(t, r, out)``, which writes
+      f(t, r) into every cell of an (n,) buffer the solver owns, for the
+      ascending grid r (:class:`hfoil.bounds.wave_source`);
+    * a stack of R profiles with one label per row in ``tags`` and a
+      ``fill(t, r, out)`` that writes row i's f_i(t, r) into out[i] of an
+      (R, n) buffer (:class:`hfoil.bounds.WaveSourceStack`).
+
+    The first two are one run, a one-row stack, and observers is a
+    sequence of observers; for a stack, observers holds one sequence of
+    observers per row.  All rows start from the same data and step as
+    one (R, n) level, and every row gets the levels of its own one-row
+    run bit for bit, whatever the route.
+
+    Row i's observers get on_level(t, step, u_i, None), the run's only
+    output of levels; u_i is a reused buffer, valid only during the
+    call.  The blow-up and boundary guards of :func:`evolve_model` apply
+    to each row with its own running scale.  The first row to trip stops
+    the stack, and its report names the row's label under "row" (a
+    profile's ``tag``; a plain callable has none).
     """
     dx = grid.dx
     n = grid.n
@@ -425,23 +470,34 @@ def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
     dt = cfl * dx
     if data is None:
         data = InitialData.zero()
+    stacked = hasattr(source, "tags")
+    if stacked:
+        tags = source.tags
+        if len(observers) != len(tags):
+            raise ValueError(f"{len(observers)} observer sequences for a "
+                             f"stack of {len(tags)} rows")
+    else:
+        tags, observers = (getattr(source, "tag", None),), (observers,)
     fill = getattr(source, "fill", None)
-    S = np.zeros(n)
+    S = np.zeros((len(tags), n))
+    S_out = S if stacked else S[0]
 
     def f(t):
-        return source(t, r) if fill is None else fill(t, r, S)
+        return source(t, r) if fill is None else fill(t, r, S_out)
 
-    W = r * np.asarray(data.u0(r), dtype=float)
+    W = np.empty(S.shape)
+    W[:] = r * np.asarray(data.u0(r), dtype=float)
     dW = r * np.asarray(data.u1(r), dtype=float)
-    ddW = _d2_odd(W, dx, np.empty(n)) + r * f(t0)
+    ddW = _d2_odd(W, dx, np.empty(S.shape)) + r * f(t0)
     starts = ((W, W + dt * dW + 0.5 * dt * dt * ddW),)
-    lap, work = np.empty(n), np.empty(n)
+    lap, work = np.empty(S.shape), np.empty(S.shape)
     dt2 = dt * dt
 
     def advance(k, t_k, prev, cur, nxt, lvl):
         _wave_update(prev[0], cur[0], f(t_k), r, dx, dt2, nxt[0], lap, work)
 
-    return _march(grid, ("u",), starts, t0, t_end, dt, advance, observers)
+    return _march(grid, ("u",), starts, t0, t_end, dt, advance,
+                  list(zip(tags, observers)))
 
 
 def solve_linear_kg_curved(grid: RadialGrid, h00: Callable, mass: float,
@@ -490,4 +546,5 @@ def solve_linear_kg_curved(grid: RadialGrid, h00: Callable, mass: float,
                    None if source is None else source(t_k, r), r, dx,
                    inv_dt2, half_c2, nxt[0], A, lap)
 
-    return _march(grid, ("v",), starts, t0, t_end, dt, advance, observers)
+    return _march(grid, ("v",), starts, t0, t_end, dt, advance,
+                  ((None, observers),))

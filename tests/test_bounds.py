@@ -8,8 +8,8 @@ import hfoil.bounds as bounds
 from hfoil.bounds import (BoundParams, MetricPerturb, RayCoords, ZERO_METRIC,
                           RayIntegral, accumulate_F, envelope_V,
                           h_ray_derivative, kg_bound_margin, lam_grid,
-                          metric_pull, wave_bound_margin, wave_bound_value,
-                          wave_source)
+                          WaveSourceStack, metric_pull, wave_bound_margin,
+                          wave_bound_value, wave_source)
 from hfoil.cli import _refined, relative_change
 from hfoil.solver import InitialData, grid_for_run
 from hfoil.util import smoothstep
@@ -610,27 +610,40 @@ def bits_equal(a, b):
                                                  b.view(np.uint64))
 
 
+# each case's second row of the stack: the same band and mu (one power
+# table), another mu in the same band, and another band
+STACK_PARTNERS = {(0.5, 0.5, (1.0, 1.5)): wave_source(0.5, -0.25, 0.9),
+                  (0.5, -0.25, (1.0, 1.5)): wave_source(0.3, 0.2, 1.1),
+                  (0.5, 0.5, (0.25, 2.0)): wave_source(0.5, 0.5, 0.8)}
+
+
 @pytest.mark.parametrize("dx", [0.01, 0.02])
 @pytest.mark.parametrize("mu,nu,band", [(0.5, 0.5, (1.0, 1.5)),
                                         (0.5, -0.25, (1.0, 1.5)),
                                         (0.5, 0.5, (0.25, 2.0))])
 def test_wave_source_fill_matches_call_at_every_step(dx, mu, nu, band):
-    # the step times of the wave-march grids: t0 = 2, t_end = 60, cfl 0.5
+    # the step times of the wave-march grids: t0 = 2, t_end = 60, cfl 0.5;
+    # the one-row fill and every row of a two-row stack
     f = wave_source(mu, nu, 1.03, band=band)
+    partner = STACK_PARTNERS[(mu, nu, band)]
+    stack = WaveSourceStack([f, partner])
     g = grid_for_run(dx, 2.0, 60.0)
     r = g.r(0, g.n)
     dt = 0.5 * dx
     n_steps = int(np.ceil((60.0 - 2.0) / dt - 1e-9))
     times = [2.0] + [2.0 + k * dt for k in range(1, n_steps)]
     out = np.full(g.n, np.nan)
+    rows = np.full((2, g.n), np.nan)
     block = 128
-    got, want = np.empty((block, g.n)), np.empty((block, g.n))
+    got, want = np.empty((3, block, g.n)), np.empty((3, block, g.n))
     for b in range(0, len(times), block):
         ts = times[b:b + block]
         for i, t in enumerate(ts):
-            got[i] = f.fill(t, r, out)
-            want[i] = f(t, r)
-        assert bits_equal(got[:len(ts)], want[:len(ts)]), ts[0]
+            got[0, i] = f.fill(t, r, out)
+            got[1:, i] = stack.fill(t, r, rows)
+            want[0, i] = want[1, i] = f(t, r)
+            want[2, i] = partner(t, r)
+        assert bits_equal(got[:, :len(ts)], want[:, :len(ts)]), ts[0]
 
 
 def fill_cases():
@@ -678,6 +691,15 @@ def test_wave_source_fill_edges_and_garbage_buffer(case):
         out = np.resize(garbage, r.size)
         assert f.fill(t, r, out) is out
         assert bits_equal(out, f(t, r))
+    # a stack with rows of both signs, two powers and two bands
+    fs = [wave_source(0.5, 0.5, 2.0, band=band),
+          wave_source(0.5, -0.25, -2.0, band=band),
+          wave_source(0.3, 0.2, -2.0, band=band),
+          wave_source(0.5, 0.5, 2.0, band=(0.5, 1.25))]
+    out = np.resize(garbage, (len(fs), r.size))
+    assert WaveSourceStack(fs).fill(t, r, out) is out
+    for f, row in zip(fs, out):
+        assert bits_equal(row, f(t, r))
 
 
 def test_wave_source_fill_does_not_rely_on_rising_t():
@@ -727,20 +749,23 @@ def test_kg_margin_curved_metric_runs():
 
 
 def test_wave_margin_zero_source():
-    rep = wave_bound_margin(0.5, 0.5, amp=0.0, dx=0.1, t_lo=6.0,
-                            t_end=16.0, n_rays=5, n_t=4)
+    [rep] = wave_bound_margin([(0.5, 0.5)], amp=0.0, dx=0.1, t_lo=6.0,
+                              t_end=16.0, n_rays=5, n_t=4)
     assert rep["max_ratio"] == 0.0
     json.dumps(rep)
 
 
 def test_wave_margin_small_run_both_branches():
-    for nu in (0.5, -0.25):
-        rep = wave_bound_margin(0.5, nu, dx=0.1, t_lo=6.0, t_end=20.0,
-                                n_rays=6, n_t=5)
+    kw = dict(dx=0.1, t_lo=6.0, t_end=20.0, n_rays=6, n_t=5)
+    stacked = wave_bound_margin([(0.5, 0.5), (0.5, -0.25)], **kw)
+    for nu, both in zip((0.5, -0.25), stacked):
+        [rep] = wave_bound_margin([(0.5, nu)], **kw)
         assert 0.0 < rep["max_ratio"] < 10.0
         assert rep["skipped"] >= 0
         assert rep["per_decade_max_ratio"]
         json.dumps(rep)
+        # a pair's report does not depend on the pairs stacked beside it
+        assert json.dumps(both) == json.dumps(rep)
 
 
 def test_refinement_helpers():
@@ -758,6 +783,16 @@ def test_refinement_helpers():
     assert fine["refinement_deltas"] == {
         "coarse_dx": 0.1, "fine_dx": 0.05,
         "max_ratio_rel_change": relative_change(2.2, 2.1)}
+    # a stacked margin returns one report per row, matched by position
+    fines, coarses = _refined(
+        lambda dx: [margin("a", dx), margin("b", dx, 3.0)], 0.05)
+    assert [c["max_ratio"] for c in coarses] == [1.1, 3.3000000000000003]
+    for fine, coarse in zip(fines, coarses):
+        assert "refinement_deltas" not in coarse
+        assert fine["refinement_deltas"] == {
+            "coarse_dx": 0.1, "fine_dx": 0.05,
+            "max_ratio_rel_change": relative_change(coarse["max_ratio"],
+                                                    fine["max_ratio"])}
     assert fine["refinement_deltas"]["max_ratio_rel_change"] == \
         pytest.approx(0.1 / 2.1)
     # the scalar rule behind it, which the per-C sweep of linear-kg-bound

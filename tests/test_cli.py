@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import json
 import os
 import struct
 from pathlib import Path
@@ -182,6 +183,25 @@ def test_model_evolution_edge_configs(tmp_path, capsys):
                          str(tmp_path / key), "--deterministic"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: line {line}: {key} = ")
+
+
+def test_config_error_in_a_scenario_leaves_no_tree(tmp_path, capsys):
+    # until_t is checked against the ladder plan inside the scenario, after
+    # the echo is written; the error must not leave that echo behind
+    path = tmp_path / "until.txt"
+    path.write_text("[run]\nuntil_t = 30\n")
+    made = tmp_path / "new" / "out"
+    assert cli.main(["model-evolution", "--config", str(path), "--out",
+                     str(made)]) == 2
+    assert "until_t = 30" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    # a directory the run did not create stays, with what it held
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("mine")
+    assert cli.main(["model-evolution", "--config", str(path), "--out",
+                     str(kept)]) == 2
+    assert tree_bytes(kept) == {"notes.txt": b"mine"}
 
 
 @pytest.mark.parametrize("scenario", ["model-evolution", "linear-kg-bound"])
@@ -445,6 +465,44 @@ def test_deterministic_envelope_runs_are_byte_identical(monkeypatch,
     trees = deterministic_trees(monkeypatch, tmp_path, ["linear-wave-bound"])
     assert any(k.endswith(".csv") for k in trees[0])
     assert trees[0] == trees[1]
+
+
+def test_stacked_wave_pairs_write_their_solo_tables(tmp_path):
+    # both default pairs run as one stack; each pair alone is a one-row
+    # stack; every table of a pair must be byte-identical between the two
+    base = "[run]\nuntil_t = 20\n"
+    runs = {"both": base}
+    for mu, nu in ((0.5, 0.5), (0.5, -0.25)):
+        runs[(mu, nu)] = base + f"[bounds]\nmu = {mu}\nnu = {nu}\n"
+    trees = {}
+    for key, text in runs.items():
+        path = tmp_path / f"{len(trees)}.txt"
+        path.write_text(text)
+        out = tmp_path / f"out{len(trees)}"
+        assert cli.main(["linear-wave-bound", "--config", str(path),
+                         "--resolution", "0.05", "--out", str(out),
+                         "--deterministic"]) == 0
+        trees[key] = tree_bytes(out)
+    for mu, nu in ((0.5, 0.5), (0.5, -0.25)):
+        tag = cli.pair_tag(mu, nu)
+        names = {f"wave_margin_{tag}.json", f"wave_margin_{tag}.csv"}
+        solo = trees[(mu, nu)]
+        assert names <= set(solo) <= names | {
+            "config.echo.txt", "report.json", "report.txt"}
+        for name in names:
+            assert trees["both"][name] == solo[name]
+
+
+def test_stack_guard_trip_names_its_pair_in_the_report(monkeypatch,
+                                                       tmp_path):
+    # with the blow-up bar lowered, the (0.5, -0.25) row, whose source
+    # decays slowest, trips first; report.json names that row
+    monkeypatch.setattr("hfoil.solver.BLOWUP_GUARD", 1e-3)
+    assert cli.main(["linear-wave-bound", "--resolution", "0.05", "--out",
+                     str(tmp_path), "--deterministic"]) == 1
+    error = json.loads((tmp_path / "report.json").read_text())["error"]
+    assert error["kind"] == "blowup" and error["row"] == "mup05_num025"
+    assert "row=mup05_num025" in (tmp_path / "report.txt").read_text()
 
 
 # the curved Klein-Gordon solver, and the coupled model with MMS sources

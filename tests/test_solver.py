@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hfoil import solver
-from hfoil.bounds import wave_source
+from hfoil.bounds import WaveSourceStack, wave_source
 from hfoil.fields import RadialGrid
 from hfoil.solver import (BLOWUP_GUARD, COEFF_GUARD, InitialData,
                           ModelParams, evolve_model, grid_for_run,
@@ -591,25 +591,83 @@ def test_evolve_model_matches_allocating_reference(sourced):
     assert_levels_equal(obs.levels, want)
 
 
-def test_linear_wave_matches_allocating_reference():
-    # the profile takes its grid route (fill); wrapped in a lambda it is
-    # a plain callable; both must give the reference levels bit for bit
-    from hfoil.bounds import wave_source
+def test_linear_wave_matches_allocating_reference(monkeypatch):
+    # the profile takes the grid route, a one-row WaveSourceStack.fill;
+    # wrapped in a lambda it is a plain callable; both must give the
+    # reference levels bit for bit
     g = grid_for_run(0.05, 2.0, 12.0)
     f = wave_source(0.5, -0.25, 1.0)
     data = InitialData.bump(0.1, 0.0)
     want = _ref_solve_linear_wave_sourced(g, f, 2.0, 12.0, data=data)
     fills = []
-    fill = f.fill
-    f.fill = lambda t, r, out: (fills.append(t), fill(t, r, out))[1]
+    fill = WaveSourceStack.fill
+    monkeypatch.setattr(WaveSourceStack, "fill", lambda self, t, r, out: (
+        fills.append((t, out.shape)), fill(self, t, r, out))[1])
     for source in (f, lambda t, r: f(t, r)):
         obs = LevelCopies()
         solve_linear_wave_sourced(g, source, t0=2.0, t_end=12.0,
                                   observers=[obs], data=data)
         assert_levels_equal(obs.levels, want)
-    # only the profile took the grid route: the Taylor start and one
-    # read per step
+    # only the profile took the stacked route, one row at a time: the
+    # Taylor start and one read per step
     assert len(fills) == len(want) - 1
+    assert {shape for _, shape in fills} == {(1, g.n)}
+
+
+def test_stacked_wave_rows_match_their_solo_references():
+    # two rows share mu (one power table), the third has another mu; amp
+    # and nu differ in every row
+    g = grid_for_run(0.05, 2.0, 12.0)
+    rows = [wave_source(0.5, 0.5, 1.0), wave_source(0.5, -0.25, 0.7),
+            wave_source(0.3, 0.2, 1.3)]
+    data = InitialData.bump(0.1, 0.0)
+    obs = [LevelCopies() for _ in rows]
+    res = solve_linear_wave_sourced(g, WaveSourceStack(rows), t0=2.0,
+                                    t_end=12.0, observers=[(o,) for o in obs],
+                                    data=data)
+    for f, o in zip(rows, obs):
+        assert_levels_equal(o.levels, _ref_solve_linear_wave_sourced(
+            g, f, 2.0, 12.0, data=data))
+    solo = solve_linear_wave_sourced(g, rows[0], t0=2.0, t_end=12.0,
+                                     data=data)
+    assert (res.grid, res.t0, res.dt, res.steps, res.t_final) == \
+        (solo.grid, solo.t0, solo.dt, solo.steps, solo.t_final)
+    with pytest.raises(ValueError):
+        solve_linear_wave_sourced(g, WaveSourceStack(rows), t0=2.0,
+                                  t_end=3.0, observers=[(), ()])
+
+
+# mu = 1 and a band far below the cone: a source on the whole grid,
+# outer cells included
+EVERYWHERE = dict(mu=1.0, nu=0.5, band=(-50.0, -49.5))
+
+
+@pytest.mark.parametrize("kind, calm, hot", [
+    ("blowup", wave_source(0.5, 0.5), wave_source(0.5, -0.25, 1e7)),
+    ("boundary", wave_source(0.5, 0.5), wave_source(**EVERYWHERE)),
+    # each row has its own running scale: a faint leak trips its row even
+    # beside a row a billion times stronger
+    ("boundary", wave_source(0.5, 0.5, 1e3),
+     wave_source(amp=1e-6, **EVERYWHERE)),
+])
+def test_stack_guard_report_names_its_row(kind, calm, hot):
+    g = grid_for_run(0.05, 2.0, 12.0)
+    a, b = LevelCopies(), LevelCopies()
+    with pytest.raises(StabilityError) as ei:
+        solve_linear_wave_sourced(g, WaveSourceStack([calm, hot]), t0=2.0,
+                                  t_end=12.0, observers=[(a,), (b,)])
+    rep = ei.value.report
+    assert rep["kind"] == kind and rep["row"] == hot.tag
+    # the tripping level reaches no observer; the calm row's observers saw
+    # exactly the first levels of its solo run, which does not trip
+    solo = LevelCopies()
+    solve_linear_wave_sourced(g, calm, t0=2.0, t_end=12.0, observers=[solo])
+    assert len(a.levels) == len(b.levels) == rep["step"]
+    assert_levels_equal(a.levels, solo.levels[:rep["step"]])
+    # the hot row alone trips at the same level, with the same report
+    with pytest.raises(StabilityError) as alone:
+        solve_linear_wave_sourced(g, hot, t0=2.0, t_end=12.0)
+    assert alone.value.report == rep
 
 
 @pytest.mark.parametrize("case", ["scalar-h00", "sourced"])
