@@ -240,8 +240,8 @@ def filter_level(values: np.ndarray, kern: np.ndarray, lo: int = 0,
 class QueryPool:
     """Collects (t, r) point samples of the evolving fields.
 
-    Register queries with add() before the run, attach on_level to the
-    solver's observers, read answers afterwards.  Each point is
+    Register queries with add() before the run, pass the pool to the
+    solver as an observer, read answers afterwards.  Each point is
     answered by npts x npts Lagrange interpolation over consecutive
     levels and radial columns; the window goes one-sided at the first
     levels, and negative radii fold back evenly (u and v are even).
@@ -256,6 +256,11 @@ class QueryPool:
     npts - 1 levels past its window, hence two windows of rows.
     result(), unresolved() and assert_resolved() flush whatever is
     still pending up to the last streamed level.
+
+    wants() names the levels the pool reads, for the solver's `_march`
+    (which states the observer rule); a level it declines would write
+    nothing and answer nothing, so the answers are those of a pool shown
+    every level, bit for bit.  Levels must arrive in step order.
     """
 
     # levels and radial columns per interpolation window
@@ -283,6 +288,7 @@ class QueryPool:
         self._ring = None
         self._plan = None
         self._targets = None
+        self._next = 0
         self._t0 = None
         self._dt = None
         self._last_step = None
@@ -353,10 +359,21 @@ class QueryPool:
         if (step + 1) % self.npts == 0:
             self._flush(step)
 
+    def wants(self, step: int) -> bool:
+        """Every level until the plan exists (levels 0 and 1), then the
+        levels some query window reads and those a flush falls due on."""
+        return (self._plan is None or (step + 1) % self.npts == 0
+                or self._want_level(step))
+
     def _want_level(self, step: int) -> bool:
-        i = np.searchsorted(self._targets, step)
-        return (i < len(self._targets)
-                and self._targets[i] <= step + self.npts - 1)
+        """Whether step lies in some query window [T - npts + 1, T]: a
+        cursor walks the sorted targets T up to the first T >= step, so
+        steps must not go back."""
+        ends, i = self._targets, self._next
+        while ends[i] < step:
+            i += 1
+        self._next = i
+        return ends[i] < step + self.npts
 
     def _start(self):
         npts, dx, n, M = self.npts, self.grid.dx, self.grid.n, self.halo
@@ -395,10 +412,9 @@ class QueryPool:
                 "done": 0}
             self.results[field] = np.full(t.size, np.nan)
             targets.append(target)
-        if targets:
-            self._targets = np.unique(np.concatenate(targets))
-        else:
-            self._targets = np.zeros(0, dtype=np.int64)
+        # the sorted distinct targets, then a sentinel no step reaches
+        self._targets = np.unique(np.concatenate(
+            targets + [[np.iinfo(np.int64).max]]))
 
     def _flush(self, step):
         """Answer every pending query whose target level is <= step."""
@@ -563,8 +579,9 @@ class SliceEnergySuite:
 
     I runs over (d_t, d_r) pairs, L is the radial boost, and all
     combinations with |I| + |J| <= order are tabulated on every listed
-    slice.  Attach on_level to the solver observers, then read
-    energies() / stage_sups() once the run is past the last slice.
+    slice.  Pass the suite to the solver as an observer (it forwards
+    on_level and wants to its pool), then read energies() /
+    stage_sups() once the run is past the last slice.
     h_s defaults to, and the level filter follows, :func:`ladder_s_step`
     of the order.
     """
@@ -634,6 +651,9 @@ class SliceEnergySuite:
 
     def on_level(self, t, step, u, v):
         self.pool.on_level(t, step, u, v)
+
+    def wants(self, step):
+        return self.pool.wants(step)
 
     # -- consumers --
 

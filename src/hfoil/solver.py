@@ -13,7 +13,8 @@ Klein-Gordon field updated first so the wave source can use a centered
 time derivative of v.  Everything is second order; starts are built
 from a Taylor step using the equations at the initial time.  The coupled
 model and the two linear solvers share one leapfrog loop, `_march`, and
-hand out their levels only by streaming each one to observers.
+hand out their levels only by streaming them to observers; `_march`
+states which levels an observer gets.
 
 A field's levels are (n,) arrays, or (R, n) for a stack of R runs that
 share the grid, dt and step count: the sourced wave solver steps its
@@ -274,13 +275,26 @@ def _march(grid, fields, starts, t0, t_end, dt, advance, rows,
     that share the grid, dt and step count; rows holds one (tag,
     observers) pair per run.  Step k calls advance(k, t_k, prev, cur,
     nxt, lvl), which writes level k + 1 of every field into nxt from
-    levels k - 1 and k (prev, cur); lvl holds the emitted u or v of
-    level k.  The loop then trips the blow-up and boundary guards of
-    each run (the first run to trip stops them all, its report tagged),
-    rotates the buffers and emits the new level to each run's observers
-    (None for a field that is not stepped).  Observers are the only way
-    levels leave the loop, and check(t, step, lvl), if given, sees every
-    level, the last one included, before they do.
+    levels k - 1 and k (prev, cur); lvl holds the u or v of level k
+    only when check is given, so an advance that reads it needs one.
+    The loop then trips the blow-up and boundary guards of each run (the
+    first run to trip stops them all, its report tagged), rotates the
+    buffers and emits the new level.
+
+    Observers are the only way levels leave the loop, and this is the
+    one statement of what they see.  An observer gets on_level(t, step,
+    u, v) (None for a field that is not stepped; u and v are reused
+    buffers, valid only during the call) at a level when:
+
+    * it has no wants(step) method, or wants(step) is true: an observer
+      without wants sees every level, the two start levels included;
+    * the level is the run's last, which every observer gets.
+
+    Each observer's wants is looked up once per run and asked once per
+    level, before any on_level of that level.  u = W/r is formed only
+    for a level that some observer takes or that check(t, step, lvl),
+    if given, reads; check sees every level, the last one included,
+    before the observers do.
     """
     n, dx = grid.n, grid.dx
     r = grid.r(0, n)
@@ -297,30 +311,36 @@ def _march(grid, fields, starts, t0, t_end, dt, advance, rows,
         out = lvl[fields.index(name)]
         return [out] if out.ndim == 1 else list(out)
 
-    runs = list(zip(per_run("u"), per_run("v"), [obs for _, obs in rows]))
+    # (on_level, wants or None, u, v) of every observer of every run
+    sinks = [(obs.on_level, getattr(obs, "wants", None), u, v)
+             for u, v, (_, observers) in zip(per_run("u"), per_run("v"),
+                                             rows)
+             for obs in observers]
     scale = [1e-300] * len(rows)
     for W in prev:
         for j, peak in enumerate(np.abs(W, out=work).max(axis=1).tolist()):
             scale[j] = max(scale[j], peak)
 
-    def emit(t, step, levels):
-        for W, out in zip(levels, lvl):
-            _over_r(W, r, dx, out)
+    def emit(t, step, levels, last):
+        due = [(on_level, u, v) for on_level, wants, u, v in sinks
+               if wants is None or wants(step) or last]
+        if due or check is not None:
+            for W, out in zip(levels, lvl):
+                _over_r(W, r, dx, out)
         if check is not None:
             check(t, step, lvl)
-        for u, v, observers in runs:
-            for obs in observers:
-                obs.on_level(t, step, u, v)
+        for on_level, u, v in due:
+            on_level(t, step, u, v)
 
-    emit(t0, 0, prev)
-    emit(t0 + dt, 1, cur)
     n_steps = int(np.ceil((t_end - t0) / dt - 1e-9))
+    emit(t0, 0, prev, False)
+    emit(t0 + dt, 1, cur, n_steps <= 1)
     for k in range(1, n_steps):
         t_k = t0 + k * dt
         advance(k, t_k, prev, cur, nxt, lvl)
         _guard_level(t_k + dt, k + 1, r, nxt, work, scale, tags)
         prev, cur, nxt = cur, nxt, prev
-        emit(t0 + (k + 1) * dt, k + 1, cur)
+        emit(t0 + (k + 1) * dt, k + 1, cur, k + 1 == n_steps)
 
     return RunResult(grid=grid, t0=t0, dt=dt, steps=n_steps,
                      t_final=t0 + n_steps * dt)
@@ -334,12 +354,12 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
                  sources: Optional[tuple] = None) -> RunResult:
     """March the coupled system from t0 to t_end on a radial grid.
 
-    observers : objects with on_level(t, step, u, v); called at every time
-        level including the two start levels.  u and v are reused
-        buffers, valid only during the call: copy them to keep them.
-        The run hands out its levels this way only, and only once the
-        coefficient guard (max|u| times the norm of H below COEFF_GUARD)
-        has passed them, the last level included.
+    observers : objects with on_level(t, step, u, v) and optionally
+        wants(step); `_march` states which levels each gets.  u and v
+        are reused buffers, valid only during the call: copy them to
+        keep them.  The run hands out its levels this way only, and only
+        once the coefficient guard (max|u| times the norm of H below
+        COEFF_GUARD) has passed them, the last level included.
     sources : optional (fu(t, r), fv(t, r)) added to the two equations,
         used for manufactured solutions.
     """
@@ -458,11 +478,12 @@ def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
     run bit for bit, whatever the route.
 
     Row i's observers get on_level(t, step, u_i, None), the run's only
-    output of levels; u_i is a reused buffer, valid only during the
-    call.  The blow-up and boundary guards of :func:`evolve_model` apply
-    to each row with its own running scale.  The first row to trip stops
-    the stack, and its report names the row's label under "row" (a
-    profile's ``tag``; a plain callable has none).
+    output of levels, at the levels `_march` hands them; u_i is a
+    reused buffer, valid only during the call.  The blow-up and boundary
+    guards of :func:`evolve_model` apply to each row with its own running
+    scale.  The first row to trip stops the stack, and its report names
+    the row's label under "row" (a profile's ``tag``; a plain callable
+    has none).
     """
     dx = grid.dx
     n = grid.n
@@ -509,9 +530,9 @@ def solve_linear_kg_curved(grid: RadialGrid, h00: Callable, mass: float,
     h00 is a prescribed metric perturbation profile (array or scalar).
 
     Observers get on_level(t, step, None, v), the run's only output of
-    levels; v is a reused buffer, valid only during the call.  Besides
-    the metric floor, the blow-up and boundary guards of
-    :func:`evolve_model` apply.
+    levels, at the levels `_march` hands them; v is a reused buffer,
+    valid only during the call.  Besides the metric floor, the blow-up
+    and boundary guards of :func:`evolve_model` apply.
     """
     dx = grid.dx
     n = grid.n

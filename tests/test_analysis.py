@@ -17,8 +17,9 @@ from hfoil.analysis import (QueryPool, SliceDerivativeTable,
                             sobolev_ratio_profile)
 from hfoil.cli import emit_series
 from hfoil.util import ConfigError
+from hfoil.bounds import wave_source
 from hfoil.solver import (InitialData, ModelParams, evolve_model,
-                          grid_for_run)
+                          grid_for_run, solve_linear_wave_sourced)
 from hfoil.util import FoliationError, SliceCoverageError, lagrange_weights
 from slice_reference import (EVEN, BoxGrid, FieldHistory, LevelCopies,
                              RadialSliceChart, interpolate_to_slice,
@@ -302,6 +303,77 @@ def test_pool_matches_per_query_reference(level_filter):
         pool.assert_resolved()
     scale = np.abs(want[:-1]).max()
     assert np.abs(got[:-1] - want[:-1]).max() <= 1e-12 * scale
+
+
+def _pool_queries(kind, t0, t_end, rng):
+    """(t, r) query sets of the pool-skipping tests."""
+    if kind == "sparse":
+        # a lattice of few t values, many radii each (the wave lattice)
+        t = np.repeat([3.1, 5.537, 5.55, 9.0], 30)
+        return t, rng.uniform(0.0, 9.0, t.size)
+    if kind == "dense":
+        return (rng.uniform(t0, t_end - 0.2, 300),
+                rng.uniform(0.0, 9.0, 300))
+    # at and next to the first level: one-sided windows
+    return (np.array([t0, t0, t0 + 0.01, t0 + 0.2]),
+            np.array([0.0, 4.3, -0.12, 7.7]))
+
+
+class _CountedPool(QueryPool):
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.steps = []
+
+    def on_level(self, t, step, u, v):
+        self.steps.append(step)
+        super().on_level(t, step, u, v)
+
+
+@pytest.mark.parametrize("level_filter", [False, True])
+@pytest.mark.parametrize("kind", ["sparse", "dense", "t0"])
+def test_pool_skipping_levels_answers_bit_for_bit(kind, level_filter):
+    # a pool streamed through the solver takes only the levels it wants;
+    # a pool shown every level (copies of the same run) must give the
+    # same answers, byte for byte
+    g = grid_for_run(0.05, 2.0, 12.0)
+    tq, rq = _pool_queries(kind, 2.0, 12.0, np.random.default_rng(5))
+    lean = _CountedPool(g, level_filter=level_filter)
+    full = QueryPool(g, level_filter=level_filter)
+    h = [pool.add("u", tq, rq) for pool in (lean, full)]
+    copies = LevelCopies()
+    res = solve_linear_wave_sourced(g, wave_source(0.5, 0.5), t0=2.0,
+                                    t_end=12.0, observers=[lean, copies],
+                                    data=InitialData.bump(0.1, 0.0))
+    for k, (t, u, _) in enumerate(copies.levels):
+        full.on_level(t, k, u, None)
+    got = lean.result(h[0])
+    assert got.tobytes() == full.result(h[1]).tobytes()
+    want = reference_pool_values([u for _, u, _ in copies.levels], 2.0,
+                                 res.dt, g.dx, tq, rq, lean.npts,
+                                 lean.kernel)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert lean.unresolved() == full.unresolved() == 0
+    assert lean.last_t == full.last_t == res.t_final
+    assert lean.steps[:2] == [0, 1] and lean.steps[-1] == res.steps
+    if kind == "sparse":
+        assert len(lean.steps) < len(copies.levels) // 4
+
+
+def test_pool_skipping_levels_reports_the_last_level():
+    # the run's last level is off the flush cadence and in no window, yet
+    # the pool is shown it, so a coverage error names the run's end
+    g = grid_for_run(0.05, 2.0, 3.0)
+    pool = _CountedPool(g)
+    pool.add("u", [2.3, 9.0], [1.0, 1.0])
+    res = solve_linear_wave_sourced(g, lambda t, r: 0.0 * r, t0=2.0,
+                                    t_end=3.0, observers=[pool])
+    assert (res.steps + 1) % pool.npts and not pool.wants(res.steps)
+    assert pool.steps[-1] == res.steps and len(pool.steps) < res.steps
+    assert pool.unresolved() == 1
+    with pytest.raises(SliceCoverageError) as err:
+        pool.assert_resolved()
+    assert err.value.needed == 9.0
+    assert err.value.available == res.t_final
 
 
 # === derivative tables on a slice ===

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hfoil import solver
+from hfoil.analysis import QueryPool
 from hfoil.bounds import WaveSourceStack, wave_source
 from hfoil.fields import RadialGrid
 from hfoil.solver import (BLOWUP_GUARD, COEFF_GUARD, InitialData,
@@ -403,6 +404,80 @@ def test_observers_see_every_level_with_exact_times():
     assert len(seen) == res.steps + 1
     for t, step in seen:
         assert t == 2.0 + step * res.dt   # exact float reproduction
+
+
+class _Picky:
+    """Observer that takes the levels its rule picks, and records which
+    steps it was asked about and shown (with copies of u and v)."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.asked = []
+        self.levels = {}
+
+    def wants(self, step):
+        assert step not in self.levels      # asked before it is shown
+        self.asked.append(step)
+        return self.rule(step)
+
+    def on_level(self, t, step, u, v):
+        self.levels[step] = (t, None if u is None else u.copy(),
+                             None if v is None else v.copy())
+
+
+def _run(kind, t_end, observers):
+    g = grid_for_run(0.05, 2.0, 3.0)
+    if kind == "model":
+        return evolve_model(ModelParams.isotropic(1.0, 0.8, 1.2, 0.7, 0.9),
+                            g, InitialData.bump(0.05, 0.08), t0=2.0,
+                            t_end=t_end, observers=observers)
+    if kind == "wave":
+        return solve_linear_wave_sourced(g, wave_source(0.5, 0.5), t0=2.0,
+                                         t_end=t_end, observers=observers)
+    return solve_linear_kg_curved(g, lambda t, r: 0.05 * np.sin(t), 1.3,
+                                  InitialData.bump(0.0, 0.2), t0=2.0,
+                                  t_end=t_end, observers=observers)
+
+
+@pytest.mark.parametrize("kind", ["model", "wave", "kg"])
+@pytest.mark.parametrize("t_end", [3.0, 2.02])     # 2.02: one step
+def test_observer_declining_every_level_sees_the_last(kind, t_end):
+    never, some = _Picky(lambda step: False), _Picky(lambda k: k % 7 == 3)
+    every = LevelCopies()
+    res = _run(kind, t_end, [never, some, every])
+    # every observer is asked once per level, in order
+    assert never.asked == some.asked == list(range(res.steps + 1))
+    assert list(never.levels) == [res.steps]
+    assert sorted(some.levels) == sorted(
+        {k for k in never.asked if k % 7 == 3} | {res.steps})
+    assert_levels_equal([never.levels[res.steps]], every.levels[-1:])
+    assert_levels_equal([some.levels[k] for k in sorted(some.levels)],
+                        [every.levels[k] for k in sorted(some.levels)])
+    alone = _Picky(lambda step: False)
+    _run(kind, t_end, [alone])
+    assert_levels_equal([alone.levels[res.steps]], every.levels[-1:])
+
+
+@pytest.mark.parametrize("other", ["every", "some"])
+def test_stack_row_skipping_levels_leaves_the_other_row_exact(other):
+    # row 0 streams into a query pool that skips most levels; row 1's
+    # observer must still get its solo reference levels bit for bit
+    g = grid_for_run(0.05, 2.0, 12.0)
+    rows = [wave_source(0.5, 0.5, 1.0), wave_source(0.5, -0.25, 0.7)]
+    pool = QueryPool(g)
+    pool.add("u", np.repeat([4.0, 9.0], 5), np.linspace(0.0, 6.0, 10))
+    obs = LevelCopies() if other == "every" else _Picky(lambda k: k % 5 == 0)
+    solve_linear_wave_sourced(g, WaveSourceStack(rows), t0=2.0, t_end=12.0,
+                              observers=[(pool,), (obs,)])
+    want = _ref_solve_linear_wave_sourced(g, rows[1], 2.0, 12.0)
+    if other == "some":
+        steps = sorted(obs.levels)
+        assert steps[-1] == len(want) - 1 and len(steps) < len(want) // 4
+        got, want = [obs.levels[k] for k in steps], [want[k] for k in steps]
+    else:
+        got = obs.levels
+    assert_levels_equal(got, want)
+    assert pool.unresolved() == 0
 
 
 def test_radial_iso_validation():
