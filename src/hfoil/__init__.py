@@ -17,7 +17,7 @@ from .analysis import (PowerFit, QueryPool, SliceDerivativeTable,
                        SliceEnergySuite, SupTracker, combo_expansion,
                        design_lowpass, filter_level, fit_power_law,
                        hierarchy_check, hierarchy_combos, hierarchy_target,
-                       kernel_response, profile_family, slice_cone_margin,
+                       profile_family, slice_cone_margin,
                        sobolev_ratio_profile)
 from .bounds import (BoundParams, MetricPerturb, RayCoords, WaveSourceStack,
                      accumulate_F, envelope_V, h_ray_derivative,
@@ -35,7 +35,7 @@ __all__ = [
     "PowerFit", "QueryPool", "SliceDerivativeTable", "SliceEnergySuite",
     "SupTracker", "combo_expansion", "design_lowpass", "filter_level",
     "fit_power_law", "hierarchy_check", "hierarchy_combos",
-    "hierarchy_target", "kernel_response", "profile_family",
+    "hierarchy_target", "profile_family",
     "slice_cone_margin", "sobolev_ratio_profile",
     "BoundParams", "MetricPerturb", "RayCoords", "WaveSourceStack",
     "accumulate_F",

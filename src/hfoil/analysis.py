@@ -33,8 +33,9 @@ from functools import lru_cache
 import numpy as np
 
 from .solver import grid_for_run
-from .util import (FoliationError, SliceCoverageError, fd_weights,
-                   lagrange_weights, reduce_sum, trapezoid_weights)
+from .util import (INTERP_OFFSETS, FoliationError, SliceCoverageError,
+                   fd_weights, lagrange_weights, reduce_sum,
+                   trapezoid_weights)
 
 
 # === chain-rule expansions on the hyperbola chart ===
@@ -206,14 +207,6 @@ def design_lowpass() -> np.ndarray:
     return kern
 
 
-def kernel_response(kern: np.ndarray, k) -> np.ndarray:
-    """Transfer function of a symmetric kernel at wavenumber k (rad per
-    sample)."""
-    M = (len(kern) - 1) // 2
-    j = np.arange(-M, M + 1)
-    return np.cos(np.multiply.outer(np.asarray(k, dtype=float), j)) @ kern
-
-
 def filter_level(values: np.ndarray, kern: np.ndarray, lo: int = 0,
                  hi=None) -> np.ndarray:
     """Convolve one radial level of an even field with a symmetric
@@ -264,7 +257,7 @@ class QueryPool:
     """
 
     # levels and radial columns per interpolation window
-    npts = 10
+    npts = len(INTERP_OFFSETS)
 
     # gathered window values per contraction (1 MiB of float64): a cap
     # on the transient memory of one flush
@@ -433,8 +426,8 @@ class QueryPool:
         npts, M = self.npts, self.halo
         ring = self._ring[field]
         width = npts + 2 * M
-        Wt = lagrange_weights(plan["frac_t"][lo:hi], npts)
-        Wr = lagrange_weights(plan["frac_r"][lo:hi], npts)
+        Wt = lagrange_weights(plan["frac_t"][lo:hi])
+        Wr = lagrange_weights(plan["frac_r"][lo:hi])
         if M:
             # convolving the weights == filtering the (extended) level
             # before sampling it
@@ -914,13 +907,6 @@ def profile_family(count: int = 10):
     20% either side of PROFILE_WIDTH."""
     widths = PROFILE_WIDTH * (1.0 + 0.2 * np.linspace(-1.0, 1.0, count))
     return [gaussian_profile(float(w)) for w in widths]
-
-
-def shrinking_profile(s: float, base: float = PROFILE_WIDTH,
-                      s_ref: float = 2.0) -> ChiProfile:
-    # concentrating width ~ s^(-1/2); breaks the uniform ratio on purpose
-    return gaussian_profile(base * math.sqrt(s_ref / s),
-                            label=f"shrink@s={s:.3g}")
 
 
 def sobolev_ratio_profile(prof: ChiProfile, s: float,

@@ -206,9 +206,9 @@ class wave_source:
     The switch keeps the support inside the cone and regularizes the
     (t-r) power at the tip; past the band the profile is exact.  Called
     as f(t, r), f is evaluated only on its support t - r > band[0] and is
-    zero elsewhere.  :meth:`fill` is the grid route the sourced wave
-    solver takes, the one-row case of :class:`WaveSourceStack`; on an
-    ascending grid it is bit for bit ``f(t, r)``.
+    zero elsewhere.  The sourced wave solver steps profiles as the rows
+    of a :class:`WaveSourceStack`, whose grid route is bit for bit
+    ``f(t, r)`` on every row.
     """
 
     def __init__(self, mu: float, nu: float, amp: float = 1.0,
@@ -217,7 +217,6 @@ class wave_source:
         self.lo = float(band[0])
         self.wid = float(band[1]) - self.lo
         self.tag = pair_tag(mu, nu)
-        self._stack = WaveSourceStack((self,))
 
     def __call__(self, t, r):
         t, r, q, on = _on_support(t, r, self.lo)
@@ -226,12 +225,6 @@ class wave_source:
         cut = smoothstep((qs - self.lo) / self.wid)
         out[on] = self.amp * cut * _restrict(t, on) ** (-(2.0 + self.nu)) \
             * qs ** (self.mu - 1.0)
-        return out
-
-    def fill(self, t: float, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """f(t, r) into every cell of the (n,) buffer out, for a scalar t
-        and ascending r: :meth:`WaveSourceStack.fill` on one row."""
-        self._stack.fill(t, r, out[None])
         return out
 
 

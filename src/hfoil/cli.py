@@ -16,7 +16,8 @@ Lines whose first non-blank character is ``#`` or ``;`` are comments.
 Section headers are bracketed names; keys live in the section above
 them.  Unknown sections or keys, duplicate keys, malformed values and
 cross-field conflicts all raise :class:`~hfoil.util.ConfigError` with
-the offending line number.  An empty file is a valid config: every key
+the offending line number; a number must be finite (``nan`` and ``inf``
+are malformed values).  An empty file is a valid config: every key
 has a default.  Each key is declared once, as a field of ``RunConfig``
 below whose metadata carries its section, converter and range check;
 the parser, the flags and the config echo all read those fields.
@@ -53,7 +54,8 @@ reads only these keys (a whole section where one is named):
   eps_u
 
 Command line flags override config fields (``--resolution``,
-``--epsilon``, ``--until-s``, ``--deterministic``, ``--out``), and the
+``--epsilon``, ``--until-s``, ``--deterministic``, ``--out``); a flag's
+text is parsed and checked as its key's value in a file, and the
 subcommand always wins over the ``scenario`` key.  Once the subcommand
 has set the scenario, a key or flag that it does not read is a
 ConfigError (with the key's line, or no line for a flag), and so is a
@@ -123,9 +125,12 @@ _T0 = 2.0       # the first time level of a model-evolution run
 
 def _to_float(s: str) -> float:
     try:
-        return float(s)
+        v = float(s)
     except ValueError:
         raise ValueError(f"expected a number, got {s!r}")
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return v
 
 
 def _to_int(s: str) -> int:
@@ -238,8 +243,8 @@ class RunConfig:
     explicit: dict = dc_field(default_factory=dict)
 
     def model_params(self) -> ModelParams:
-        return ModelParams.isotropic(self.p00, self.ps, self.rcoef,
-                                     self.h00, self.hs, mass=self.mass)
+        return ModelParams(self.p00, self.ps, self.rcoef, self.h00, self.hs,
+                           self.mass)
 
     def amplitudes(self):
         """(eps_u, eps_v) with the shared epsilon filling unset fields."""
@@ -370,12 +375,18 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def _apply_flag(cfg: RunConfig, attr: str, value) -> None:
-    """Flag override with the same validation as a file field."""
+def _apply_flag(cfg: RunConfig, attr: str, text: str) -> None:
+    """Flag override, parsed and validated as a file field from the
+    flag's text."""
     for section, opts in _SCHEMA.items():
         for key, f in opts.items():
             if f.name != attr:
                 continue
+            try:
+                value = f.metadata["conv"](text)
+            except ValueError as e:
+                raise ConfigError(f"flag for [{section}] {key}: {e}",
+                                  field=key) from None
             msg = f.metadata["check"](value)
             if msg:
                 raise ConfigError(f"flag for [{section}] {key}: {msg}",
@@ -511,38 +522,6 @@ def write_json(path, obj) -> None:
     with open(path, "w", newline="") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def read_series(path):
-    """Parse a table written by emit_series.
-
-    Returns (schema id or None, header tuple, rows); numeric cells come
-    back as floats, everything else as strings.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise ConfigError(f"cannot read {path}: {e}") from e
-    lines = text.splitlines()
-    if not lines:
-        raise ConfigError(f"{path} is empty, not even a header")
-    header = tuple(lines[0].split(","))
-    schema = None
-    for sid, cols in SERIES_SCHEMAS.items():
-        if cols == header:
-            schema = sid
-            break
-    rows = []
-    for line in lines[1:]:
-        cells = []
-        for cell in line.split(","):
-            try:
-                cells.append(float(cell))
-            except ValueError:
-                cells.append(cell)
-        rows.append(tuple(cells))
-    return schema, header, rows
 
 
 # === report plumbing ===
@@ -769,8 +748,8 @@ def _scn_model_evolution(cfg: RunConfig, out: Path):
     # pointwise rate checks only where the run actually probes them:
     # a long free Klein-Gordon run pins the sharp rate, a long coupled
     # run pins the slow wave rate
-    free = params.h_norm() == 0.0 and np.all(params.P == 0.0) \
-        and params.rcoef == 0.0
+    free = not any((params.p00, params.ps, params.rcoef, params.h00,
+                    params.hs))
     long_run = t_end >= 100.0
     if long_run and free and eps_v > 0 and fit_v is not None:
         criteria.append(CriterionResult(
@@ -1099,7 +1078,8 @@ def _mms_exact():
 
 
 def _mms_sources(params: ModelParams):
-    p00, ps, rcoef, h00, hs = params.radial_iso()
+    p00, ps, rcoef = params.p00, params.ps, params.rcoef
+    h00, hs = params.h00, params.hs
     c2 = params.mass ** 2
     au, dau, ddau, av, dav, ddav = _mms_exact()
 
@@ -1196,13 +1176,15 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in SCENARIOS:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", help="config file path")
-        p.add_argument("--resolution", type=float,
+        # flags stay text; _apply_flag parses them as file values
+        p.add_argument("--resolution",
                        help="grid spacing, overrides [grid] resolution")
-        p.add_argument("--epsilon", type=float,
+        p.add_argument("--epsilon",
                        help="data amplitude, overrides [data] epsilon")
-        p.add_argument("--until-s", type=float, dest="until_s",
+        p.add_argument("--until-s", dest="until_s",
                        help="last hyperboloidal slice, overrides [run]")
-        p.add_argument("--deterministic", action="store_true", default=None,
+        p.add_argument("--deterministic", action="store_const",
+                       const="true",
                        help="leave out wall-time fields, so repeated "
                        "runs write byte-identical trees")
         p.add_argument("--out", dest="out_dir",

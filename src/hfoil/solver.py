@@ -5,7 +5,10 @@
 
 on uniform Cartesian time levels.  Spherically symmetric runs evolve
 W = r * field on a radial grid (odd in r, so the axis column is pinned
-at zero and u = W/r stays regular).
+at zero and u = W/r stays regular).  A radial run takes P and H diagonal
+and isotropic, P = diag(p00, ps, ps, ps) and H = diag(h00, hs, hs, hs),
+so the couplings are the five scalars p00, ps, R = rcoef, h00 and hs
+(:class:`ModelParams`).
 
 The scheme is leapfrog with the mass term averaged over the t-stencil
 ends, the quasilinear coefficient frozen at the center level, and the
@@ -41,43 +44,23 @@ BOUNDARY_GUARD = 1.0e-7  # outer-cell amplitude relative to the run scale
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Coupling data: P and H are symmetric 4x4 arrays indexed (t, x1, x2, x3),
-    rcoef multiplies v^2 in the wave source, mass is the Klein-Gordon mass."""
-    P: np.ndarray
-    H: np.ndarray
-    rcoef: float
+    """The five radial couplings and the Klein-Gordon mass: P =
+    diag(p00, ps, ps, ps) and H = diag(h00, hs, hs, hs) in (t, x1, x2, x3),
+    rcoef multiplies v^2 in the wave source."""
+    p00: float = 1.0
+    ps: float = 1.0
+    rcoef: float = 1.0
+    h00: float = 1.0
+    hs: float = 1.0
     mass: float = 1.0
 
     @classmethod
-    def isotropic(cls, p00: float = 1.0, ps: float = 1.0, rcoef: float = 1.0,
-                  h00: float = 1.0, hs: float = 1.0, mass: float = 1.0):
-        """Rotationally invariant couplings: P = diag(p00, ps, ps, ps) and
-        H = diag(h00, hs, hs, hs)."""
-        P = np.diag([p00, ps, ps, ps]).astype(float)
-        H = np.diag([h00, hs, hs, hs]).astype(float)
-        return cls(P=P, H=H, rcoef=rcoef, mass=mass)
-
-    @classmethod
     def free(cls, mass: float = 1.0):
-        return cls.isotropic(0.0, 0.0, 0.0, 0.0, 0.0, mass)
-
-    def radial_iso(self):
-        """(p00, ps, rcoef, h00, hs) when the couplings are rotationally
-        invariant; raises otherwise."""
-        P, H = self.P, self.H
-        for M, name in ((P, "P"), (H, "H")):
-            off = M - np.diag(np.diag(M))
-            if np.any(off != 0.0):
-                raise ValueError(f"{name} must be diagonal for a radial run")
-            if not (M[1, 1] == M[2, 2] == M[3, 3]):
-                raise ValueError(f"{name} spatial block must be isotropic "
-                                 "for a radial run")
-        return (float(P[0, 0]), float(P[1, 1]), self.rcoef,
-                float(H[0, 0]), float(H[1, 1]))
+        return cls(0.0, 0.0, 0.0, 0.0, 0.0, mass)
 
     def h_norm(self) -> float:
         """Spectral norm of H, used by the coefficient guard."""
-        return float(np.linalg.norm(self.H, 2))
+        return max(abs(self.h00), abs(self.hs))
 
 
 @dataclass(frozen=True)
@@ -363,7 +346,8 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
     sources : optional (fu(t, r), fv(t, r)) added to the two equations,
         used for manufactured solutions.
     """
-    p00, ps, rcoef, h00, hs = params.radial_iso()
+    p00, ps, rcoef = params.p00, params.ps, params.rcoef
+    h00, hs = params.h00, params.hs
     c2 = params.mass ** 2
     hn = params.h_norm()
     dx = grid.dx
@@ -463,27 +447,24 @@ def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
 
     source is one of:
 
-    * a plain callable f(t, r), evaluated on the whole grid at every step;
-    * a profile with the grid route ``fill(t, r, out)``, which writes
-      f(t, r) into every cell of an (n,) buffer the solver owns, for the
-      ascending grid r (:class:`hfoil.bounds.wave_source`);
+    * a plain callable f(t, r), evaluated on the whole grid at every
+      step: one run, a one-row stack, and observers is a sequence of
+      observers;
     * a stack of R profiles with one label per row in ``tags`` and a
       ``fill(t, r, out)`` that writes row i's f_i(t, r) into out[i] of an
-      (R, n) buffer (:class:`hfoil.bounds.WaveSourceStack`).
+      (R, n) buffer, for the ascending grid r
+      (:class:`hfoil.bounds.WaveSourceStack`); observers then holds one
+      sequence of observers per row.
 
-    The first two are one run, a one-row stack, and observers is a
-    sequence of observers; for a stack, observers holds one sequence of
-    observers per row.  All rows start from the same data and step as
-    one (R, n) level, and every row gets the levels of its own one-row
-    run bit for bit, whatever the route.
+    All rows start from the same data and step as one (R, n) level, and
+    every row gets the levels of its own one-row run bit for bit.
 
     Row i's observers get on_level(t, step, u_i, None), the run's only
     output of levels, at the levels `_march` hands them; u_i is a
     reused buffer, valid only during the call.  The blow-up and boundary
     guards of :func:`evolve_model` apply to each row with its own running
     scale.  The first row to trip stops the stack, and its report names
-    the row's label under "row" (a profile's ``tag``; a plain callable
-    has none).
+    the row's label under "row" (a plain callable has none).
     """
     dx = grid.dx
     n = grid.n
@@ -491,27 +472,24 @@ def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
     dt = cfl * dx
     if data is None:
         data = InitialData.zero()
-    stacked = hasattr(source, "tags")
-    if stacked:
+    if hasattr(source, "tags"):
         tags = source.tags
         if len(observers) != len(tags):
             raise ValueError(f"{len(observers)} observer sequences for a "
                              f"stack of {len(tags)} rows")
+        S = np.zeros((len(tags), n))
+        f = lambda t: source.fill(t, r, S)
     else:
-        tags, observers = (getattr(source, "tag", None),), (observers,)
-    fill = getattr(source, "fill", None)
-    S = np.zeros((len(tags), n))
-    S_out = S if stacked else S[0]
+        tags, observers = (None,), (observers,)
+        f = lambda t: source(t, r)
+    shape = (len(tags), n)
 
-    def f(t):
-        return source(t, r) if fill is None else fill(t, r, S_out)
-
-    W = np.empty(S.shape)
+    W = np.empty(shape)
     W[:] = r * np.asarray(data.u0(r), dtype=float)
     dW = r * np.asarray(data.u1(r), dtype=float)
-    ddW = _d2_odd(W, dx, np.empty(S.shape)) + r * f(t0)
+    ddW = _d2_odd(W, dx, np.empty(shape)) + r * f(t0)
     starts = ((W, W + dt * dW + 0.5 * dt * dt * ddW),)
-    lap, work = np.empty(S.shape), np.empty(S.shape)
+    lap, work = np.empty(shape), np.empty(shape)
     dt2 = dt * dt
 
     def advance(k, t_k, prev, cur, nxt, lvl):

@@ -131,31 +131,18 @@ def _basis_coeffs(offsets: tuple) -> np.ndarray:
     return C
 
 
-# node pattern relative to the base index; query offset lies in [0, 1)
-INTERP_OFFSETS = {4: (-1, 0, 1, 2), 6: (-2, -1, 0, 1, 2, 3),
-                  10: tuple(range(-4, 6))}
+# the 10 nodes of QueryPool's window relative to its base index; a
+# centered query offset lies in [0, 1)
+INTERP_OFFSETS = tuple(range(-4, 6))
 
 
-def lagrange_weights(frac, npts: int = 6, deriv: int = 0) -> np.ndarray:
-    """Interpolation (or interpolant-derivative) weights on `npts`
-    uniform nodes for query offsets `frac` relative to the base node.
-
-    Centered use keeps frac in [0, 1); any position covered by the
-    window is valid, which is what one-sided windows at a boundary use.
-    Returns shape (len(frac), npts); multiply by h**-deriv for spacing h.
-    """
-    offs = INTERP_OFFSETS[npts]
-    C = _basis_coeffs(offs)
-    if deriv:
-        D = np.zeros_like(C)
-        for d in range(deriv, npts):
-            fall = 1.0
-            for j in range(deriv):
-                fall *= d - j
-            D[:, d - deriv] = C[:, d] * fall
-        C = D
+def lagrange_weights(frac) -> np.ndarray:
+    """Interpolation weights on the uniform nodes INTERP_OFFSETS for
+    query offsets `frac` relative to the base node; any position the
+    window covers is valid.  Returns shape (len(frac), 10)."""
+    C = _basis_coeffs(INTERP_OFFSETS)
     frac = np.asarray(frac, dtype=float)
-    powers = frac[..., None] ** np.arange(npts)
+    powers = frac[..., None] ** np.arange(len(INTERP_OFFSETS))
     return powers @ C.T
 
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hfoil.analysis import slice_cone_margin
-from hfoil.util import (SliceCoverageError, StencilRangeError, fd_weights,
-                        lagrange_weights, trapezoid_weights)
+from hfoil.util import (SliceCoverageError, StencilRangeError, _basis_coeffs,
+                        fd_weights, trapezoid_weights)
 
 DEFAULT_CHI_STEP = 0.005
 
@@ -66,6 +66,31 @@ def central_offsets(order: int) -> tuple:
 
 def central_weights(order: int) -> np.ndarray:
     return fd_weights(order, central_offsets(order))
+
+
+def window_weights(frac, offsets: tuple, deriv: int = 0) -> np.ndarray:
+    """Lagrange interpolation (or interpolant-derivative) weights on the
+    uniform nodes `offsets` for query offsets `frac` relative to node 0,
+    shape (len(frac), len(offsets)); multiply by h**-deriv for spacing
+    h.  hfoil.util.lagrange_weights is the case of its INTERP_OFFSETS
+    and deriv 0."""
+    npts = len(offsets)
+    C = _basis_coeffs(tuple(offsets))
+    if deriv:
+        D = np.zeros_like(C)
+        for d in range(deriv, npts):
+            fall = 1.0
+            for j in range(deriv):
+                fall *= d - j
+            D[:, d - deriv] = C[:, d] * fall
+        C = D
+    frac = np.asarray(frac, dtype=float)
+    powers = frac[..., None] ** np.arange(npts)
+    return powers @ C.T
+
+
+# the 4-point window of the reference slice route
+WINDOW4 = (-1, 0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -415,10 +440,10 @@ def interpolate_to_slice(h: FieldHistory, s: float,
         jb = np.floor(rq / h.grid.dx).astype(int)
         jb = np.clip(jb, -2, h.grid.n - 4 + 1)      # ext has 3 ghost cols
         fr = rq / h.grid.dx - jb
-        wt = lagrange_weights(ft, 4)                 # (n, 4)
-        wtd = lagrange_weights(ft, 4, deriv=1) / dt
-        wr = lagrange_weights(fr, 4)
-        wrd = lagrange_weights(fr, 4, deriv=1) / h.grid.dx
+        wt = window_weights(ft, WINDOW4)             # (n, 4)
+        wtd = window_weights(ft, WINDOW4, deriv=1) / dt
+        wr = window_weights(fr, WINDOW4)
+        wrd = window_weights(fr, WINDOW4, deriv=1) / h.grid.dx
         lev = ib[:, None] + np.arange(-1, 3)[None, :]
         col = (jb + 3)[:, None] + np.arange(-1, 3)[None, :]
         cube = ext[lev[:, :, None], col[:, None, :]]  # (n, 4t, 4r)
@@ -432,8 +457,8 @@ def interpolate_to_slice(h: FieldHistory, s: float,
     ib = np.floor((tq - times[0]) / dt).astype(int)
     ib = np.clip(ib, 1, len(times) - 3)
     ft = (tq - times[ib]) / dt
-    wt = lagrange_weights(ft, 4)
-    wtd = lagrange_weights(ft, 4, deriv=1) / dt
+    wt = window_weights(ft, WINDOW4)
+    wtd = window_weights(ft, WINDOW4, deriv=1) / dt
     ii, jj, kk = chart.idx
     cols = h.values[:, ii - h.lo[0], jj - h.lo[1], kk - h.lo[2]]  # (L, n)
     lev = ib[:, None] + np.arange(-1, 3)[None, :]

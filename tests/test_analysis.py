@@ -6,25 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfoil.fields import RadialGrid
-from hfoil.analysis import (QueryPool, SliceDerivativeTable,
+from hfoil.analysis import (PROFILE_WIDTH, QueryPool, SliceDerivativeTable,
                             SliceEnergySuite, SupTracker,
                             _apply, chart_nodes, combo_expansion,
                             combo_label, design_lowpass, filter_level,
                             fit_power_law, gaussian_profile,
                             hierarchy_check, hierarchy_combos,
-                            hierarchy_target, kernel_response,
-                            profile_family, shrinking_profile,
+                            hierarchy_target, profile_family,
                             sobolev_ratio_profile)
 from hfoil.cli import emit_series
 from hfoil.util import ConfigError
 from hfoil.bounds import wave_source
 from hfoil.solver import (InitialData, ModelParams, evolve_model,
                           grid_for_run, solve_linear_wave_sourced)
-from hfoil.util import FoliationError, SliceCoverageError, lagrange_weights
+from hfoil.util import FoliationError, SliceCoverageError
 from slice_reference import (EVEN, BoxGrid, FieldHistory, LevelCopies,
                              RadialSliceChart, interpolate_to_slice,
                              sample_history, sample_radial_history,
-                             sobolev_ratio_history)
+                             sobolev_ratio_history, window_weights)
 
 sympy = pytest.importorskip("sympy")
 
@@ -171,6 +170,14 @@ def test_pool_query_leaving_grid_rejected():
 
 # === grid-noise lowpass ===
 
+def kernel_response(kern: np.ndarray, k) -> np.ndarray:
+    """Transfer function of a symmetric kernel at wavenumber k (rad per
+    sample)."""
+    M = (len(kern) - 1) // 2
+    j = np.arange(-M, M + 1)
+    return np.cos(np.multiply.outer(np.asarray(k, dtype=float), j)) @ kern
+
+
 def test_lowpass_kernel_properties():
     kern = design_lowpass()
     assert len(kern) == 41
@@ -236,6 +243,7 @@ def reference_pool_values(levels, t0, dt, dx, tq, rq, npts, kernel):
     the first levels), radial weights convolved with the lowpass
     kernel, columns below r = 0 folded evenly."""
     lead = npts // 2 - 1
+    window = tuple(range(-lead, npts - lead))
     M = 0 if kernel is None else (len(kernel) - 1) // 2
     out = np.full(len(tq), np.nan)
     for q, (t, r) in enumerate(zip(tq, rq)):
@@ -244,8 +252,8 @@ def reference_pool_values(levels, t0, dt, dx, tq, rq, npts, kernel):
         if base + npts > len(levels):
             continue
         j0 = int(math.floor(r / dx)) - lead
-        Wt = lagrange_weights(np.array([t_idx - (base + lead)]), npts)[0]
-        Wr = lagrange_weights(np.array([r / dx - (j0 + lead)]), npts)[0]
+        Wt = window_weights(np.array([t_idx - (base + lead)]), window)[0]
+        Wr = window_weights(np.array([r / dx - (j0 + lead)]), window)[0]
         if M:
             Wr = np.convolve(Wr, kernel)
         cols = j0 - M + np.arange(npts + 2 * M)
@@ -516,7 +524,7 @@ def test_suite_stage_sups_smoke():
     suite, grid, t_end = SliceEnergySuite.plan(0.1, [3.0, 4.5], order=4,
                                                t0=2.0)
     data = InitialData.bump(0.01, 0.01)
-    evolve_model(ModelParams.isotropic(), grid, data, t0=2.0, t_end=t_end,
+    evolve_model(ModelParams(), grid, data, t0=2.0, t_end=t_end,
                  observers=(suite,))
     rows = suite.stage_sups(delta=0.02)
     labels = {row["field"] for row in rows}
@@ -711,7 +719,7 @@ def test_bounded_sup_tracks_evolution_like_full_route():
     grid = grid_for_run(0.05, 2.0, 6.0, support_radius=1.0)
     trackers = [(SupTracker(f, grid),
                  _FullRouteTracker(f, grid)) for f in ("u", "v")]
-    evolve_model(ModelParams.isotropic(), grid, InitialData.bump(0.05, 0.05),
+    evolve_model(ModelParams(), grid, InitialData.bump(0.05, 0.05),
                  t0=2.0, t_end=6.0,
                  observers=[trk for pair in trackers for trk in pair])
     for trk, ref in trackers:
@@ -762,6 +770,13 @@ def test_sobolev_profile_matches_history_route():
     want = sobolev_ratio_profile(prof, s0, cone_margin=m)
     # routes converge at 2nd order: rel err 3.2e-2 at dx=0.1, 7.9e-3 at 0.05
     assert got == pytest.approx(want, rel=5e-2)
+
+
+def shrinking_profile(s: float, base: float = PROFILE_WIDTH,
+                      s_ref: float = 2.0):
+    # concentrating width ~ s^(-1/2); breaks the uniform ratio on purpose
+    return gaussian_profile(base * math.sqrt(s_ref / s),
+                            label=f"shrink@s={s:.3g}")
 
 
 def test_sobolev_family_uniform_but_shrinking_fails():

@@ -601,8 +601,9 @@ def test_metric_pull_value_matches_full_grid_formula(band, amp):
 
 # === the grid route of the wave source ===
 #
-# wave_source.fill is the route solve_linear_wave_sourced takes; it must
-# equal f(t, r) bit for bit on every cell of the buffer.
+# WaveSourceStack.fill is the route solve_linear_wave_sourced takes for
+# wave_source profiles, one row for a lone profile; every row must equal
+# its f(t, r) bit for bit on every cell of the buffer.
 
 def bits_equal(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -623,23 +624,23 @@ STACK_PARTNERS = {(0.5, 0.5, (1.0, 1.5)): wave_source(0.5, -0.25, 0.9),
                                         (0.5, 0.5, (0.25, 2.0))])
 def test_wave_source_fill_matches_call_at_every_step(dx, mu, nu, band):
     # the step times of the wave-march grids: t0 = 2, t_end = 60, cfl 0.5;
-    # the one-row fill and every row of a two-row stack
+    # a one-row stack and every row of a two-row stack
     f = wave_source(mu, nu, 1.03, band=band)
     partner = STACK_PARTNERS[(mu, nu, band)]
-    stack = WaveSourceStack([f, partner])
+    solo, stack = WaveSourceStack((f,)), WaveSourceStack([f, partner])
     g = grid_for_run(dx, 2.0, 60.0)
     r = g.r(0, g.n)
     dt = 0.5 * dx
     n_steps = int(np.ceil((60.0 - 2.0) / dt - 1e-9))
     times = [2.0] + [2.0 + k * dt for k in range(1, n_steps)]
-    out = np.full(g.n, np.nan)
+    out = np.full((1, g.n), np.nan)
     rows = np.full((2, g.n), np.nan)
     block = 128
     got, want = np.empty((3, block, g.n)), np.empty((3, block, g.n))
     for b in range(0, len(times), block):
         ts = times[b:b + block]
         for i, t in enumerate(ts):
-            got[0, i] = f.fill(t, r, out)
+            got[:1, i] = solo.fill(t, r, out)
             got[1:, i] = stack.fill(t, r, rows)
             want[0, i] = want[1, i] = f(t, r)
             want[2, i] = partner(t, r)
@@ -688,9 +689,9 @@ def test_wave_source_fill_edges_and_garbage_buffer(case):
     garbage = np.array([np.nan, -0.0, 1e300, -np.inf, 5e-324])
     for amp in (2.0, -2.0):
         f = wave_source(0.5, 0.5, amp, band=band)
-        out = np.resize(garbage, r.size)
-        assert f.fill(t, r, out) is out
-        assert bits_equal(out, f(t, r))
+        out = np.resize(garbage, (1, r.size))
+        assert WaveSourceStack((f,)).fill(t, r, out) is out
+        assert bits_equal(out[0], f(t, r))
     # a stack with rows of both signs, two powers and two bands
     fs = [wave_source(0.5, 0.5, 2.0, band=band),
           wave_source(0.5, -0.25, -2.0, band=band),
@@ -705,12 +706,13 @@ def test_wave_source_fill_edges_and_garbage_buffer(case):
 def test_wave_source_fill_does_not_rely_on_rising_t():
     # one buffer, step times out of order: every call writes every cell
     f = wave_source(0.5, -0.25)
+    solo = WaveSourceStack((f,))
     g = grid_for_run(0.02, 2.0, 20.0)
     r = g.r(0, g.n)
-    out = np.zeros(g.n)
+    out = np.zeros((1, g.n))
     ts = 2.0 + 0.01 * np.random.default_rng(4).permutation(1800)
     for t in np.concatenate([ts, [0.5, 19.0, 1.1, 3.0]]):
-        assert bits_equal(f.fill(t, r, out), f(t, r))
+        assert bits_equal(solo.fill(t, r, out)[0], f(t, r))
 
 
 # === margin checks on tiny runs ===

@@ -89,6 +89,46 @@ def test_config_error_reports_line_and_field(text, line, field):
     assert ei.value.field == field
 
 
+# every float key, set to a non-finite value, on a line below a comment
+FLOAT_KEYS = [(f.metadata["section"], f.metadata["key"] or f.name)
+              for f in dataclasses.fields(cli.RunConfig)
+              if f.metadata and f.metadata["conv"] is cli._to_float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS)
+def test_non_finite_float_reports_line_and_field(section, key, value):
+    with pytest.raises(ConfigError) as ei:
+        cli.parse_config(f"# c\n[{section}]\n{key} = {value}\n")
+    assert ei.value.line == 3
+    assert ei.value.field == key
+    assert "finite" in str(ei.value)
+
+
+def test_float_keys_cover_the_model_couplings():
+    assert {"p00", "ps", "rcoef", "h00", "hs", "mass", "mu", "nu",
+            "until_s", "resolution", "epsilon"} <= {k for _, k in FLOAT_KEYS}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("scenario, flag, field", [
+    ("model-evolution", "--resolution", "resolution"),
+    ("linear-kg-bound", "--epsilon", "epsilon"),
+    ("sobolev-suite", "--until-s", "until_s"),
+])
+def test_non_finite_flag_exits_with_config_error(tmp_path, capsys, scenario,
+                                                 flag, field, value):
+    # flag=value: argparse would take a bare -inf for an option
+    out = tmp_path / "out"
+    assert cli.main([scenario, f"{flag}={value}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: flag for [") and field in err
+    assert not out.exists()
+    with pytest.raises(ConfigError) as ei:
+        cli.build_config([scenario, f"{flag}={value}"])
+    assert ei.value.line is None and ei.value.field == field
+
+
 def test_cfl_cap_is_inclusive():
     assert cli.parse_config("[grid]\ncfl = 0.9\n").cfl == 0.9
 
@@ -387,6 +427,26 @@ def bits(x):
     return struct.pack("<d", x)
 
 
+def read_series(path):
+    """Parse a table written by cli.emit_series: (schema id or None,
+    header tuple, rows), numeric cells as floats and the rest as
+    strings."""
+    header, *lines = Path(path).read_text().splitlines()
+    header = tuple(header.split(","))
+    schema = next((sid for sid, cols in cli.SERIES_SCHEMAS.items()
+                   if cols == header), None)
+    rows = []
+    for line in lines:
+        cells = []
+        for cell in line.split(","):
+            try:
+                cells.append(float(cell))
+            except ValueError:
+                cells.append(cell)
+        rows.append(tuple(cells))
+    return schema, header, rows
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from("uv"), st.sampled_from(("-", "t",
                                                                   "rr")),
@@ -395,7 +455,7 @@ def bits(x):
 def test_emit_series_round_trips_bit_exact(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("series") / "energies.csv"
     cli.emit_series(rows, "energy/v1", path)
-    schema, header, back = cli.read_series(path)
+    schema, header, back = read_series(path)
     assert schema == "energy/v1"
     assert header == cli.SERIES_SCHEMAS["energy/v1"]
     assert len(back) == len(rows)
@@ -436,6 +496,48 @@ def test_only_cli_writes_files():
     calls = ("open(p)", "json.dump(x, f)", "p.write_text(s)",
              "p.write_bytes(b)", "p.open('w')")
     assert len(list(file_writes(ast.parse("\n".join(calls))))) == len(calls)
+
+
+# --- every package name is reached from the package ---
+
+REACH_ALLOWED = {"main"}   # the console-script entry point
+
+
+def unreached(modules):
+    """Module-level functions and classes of `modules` (name -> syntax
+    tree) that no code of any of them names, as module:name, outside
+    the definition itself.  Imports are not uses, so a name that only
+    __init__.py re-exports, or only a test calls, is unreached."""
+    defs, used = [], set()
+    for mod, tree in modules.items():
+        for stmt in tree.body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                owner = stmt.name
+                defs.append((mod, owner))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        None)
+                if name is not None and name != owner:
+                    used.add(name)
+    return [f"{mod}:{name}" for mod, name in defs
+            if name not in used and name not in REACH_ALLOWED]
+
+
+def test_every_package_name_is_reached_from_the_package():
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}
+    missing = unreached(modules)
+    assert not missing, "reached only from outside src/hfoil: " + \
+        ", ".join(missing)
+    # the check sees an unused name, a self-reference, and an import
+    probe = {"a": ast.parse("from .b import g\ndef f():\n    return f()\n"
+                            "class C:\n    pass\nC()\n"),
+             "b": ast.parse("def g():\n    pass\ndef main():\n    pass\n")}
+    assert unreached(probe) == ["a:f", "b:g"]
 
 
 # --- --deterministic output trees ---
@@ -529,7 +631,7 @@ def test_quick_scenarios_pass_at_defaults(tmp_path, capsys, scenario, table,
     assert cli.main([scenario, "--out", str(tmp_path), "--deterministic"]) \
         == 0
     assert capsys.readouterr().out.startswith(f"{scenario}: PASS")
-    got_schema, header, back = cli.read_series(tmp_path / table)
+    got_schema, header, back = read_series(tmp_path / table)
     assert got_schema == schema
     assert header == cli.SERIES_SCHEMAS[schema]
     assert len(back) == rows

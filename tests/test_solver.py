@@ -102,7 +102,7 @@ def manufactured_sources():
 
 def test_coupled_model_manufactured_convergence():
     fu, fv, u_ex, v_ex, ut_ex, vt_ex = manufactured_sources()
-    params = ModelParams.isotropic(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+    params = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
     t0, t1 = 2.0, 4.0
     errs = []
     for dx in (0.08, 0.04, 0.02):
@@ -185,7 +185,7 @@ def test_linear_wave_matches_free_model_evolution():
 
 def test_identical_runs_produce_identical_snapshots():
     # every level a run hands its observers repeats bit for bit
-    params = ModelParams.isotropic()
+    params = ModelParams()
     g = grid_for_run(0.05, 2.0, 8.0)
     a, b = LevelCopies(), LevelCopies()
     for obs in (a, b):
@@ -199,14 +199,14 @@ def test_identical_runs_produce_identical_snapshots():
 def test_coefficient_guard_on_initial_data():
     g = RadialGrid(dx=0.05, n=100)
     with pytest.raises(StabilityError) as ei:
-        evolve_model(ModelParams.isotropic(), g, InitialData.bump(0.9, 0.0),
+        evolve_model(ModelParams(), g, InitialData.bump(0.9, 0.0),
                      t0=2.0, t_end=3.0)
     assert ei.value.report["kind"] == "coefficient"
 
 
 def _guard_run(t_end, observers=()):
     # the source drives u up until max|u| * |H| reaches the guard
-    return evolve_model(ModelParams.isotropic(), grid_for_run(0.05, 2.0, 6.0),
+    return evolve_model(ModelParams(), grid_for_run(0.05, 2.0, 6.0),
                         InitialData.bump(0.1, 0.0), t0=2.0, t_end=t_end,
                         observers=observers,
                         sources=(lambda t, r: 2.0 * np.exp(-(r - 1.0) ** 2),
@@ -221,7 +221,7 @@ def test_coefficient_guard_trips_mid_run(monkeypatch):
         m.setattr(solver, "COEFF_GUARD", np.inf)
         ref = LevelCopies()
         _guard_run(6.0, [ref])
-    hn = ModelParams.isotropic().h_norm()
+    hn = ModelParams().h_norm()
     peaks = [np.max(np.abs(u)) * hn for _, u, _ in ref.levels]
     k = next(k for k in range(1, len(peaks)) if peaks[k] >= COEFF_GUARD)
     obs = LevelCopies()
@@ -293,7 +293,7 @@ def shifted_data(amp_u, center, width=0.1):
 def test_coefficient_guard_on_initial_data_reports_location():
     g = RadialGrid(dx=0.05, n=100)
     with pytest.raises(StabilityError) as ei:
-        evolve_model(ModelParams.isotropic(), g, shifted_data(0.9, 2.0),
+        evolve_model(ModelParams(), g, shifted_data(0.9, 2.0),
                      t0=2.0, t_end=3.0)
     rep = ei.value.report
     assert rep["kind"] == "coefficient" and rep["step"] == 0
@@ -305,7 +305,7 @@ def test_cfl_guard_reports_location():
     # locally; the fastest cell sits on the bump
     g = grid_for_run(0.05, 2.0, 6.0, support_radius=4.0)
     with pytest.raises(StabilityError) as ei:
-        evolve_model(ModelParams.isotropic(), g, shifted_data(-0.3, 3.0),
+        evolve_model(ModelParams(), g, shifted_data(-0.3, 3.0),
                      t0=2.0, t_end=6.0, cfl=1.15)
     rep = ei.value.report
     assert rep["kind"] == "cfl"
@@ -428,7 +428,7 @@ class _Picky:
 def _run(kind, t_end, observers):
     g = grid_for_run(0.05, 2.0, 3.0)
     if kind == "model":
-        return evolve_model(ModelParams.isotropic(1.0, 0.8, 1.2, 0.7, 0.9),
+        return evolve_model(ModelParams(1.0, 0.8, 1.2, 0.7, 0.9),
                             g, InitialData.bump(0.05, 0.08), t0=2.0,
                             t_end=t_end, observers=observers)
     if kind == "wave":
@@ -480,19 +480,29 @@ def test_stack_row_skipping_levels_leaves_the_other_row_exact(other):
     assert pool.unresolved() == 0
 
 
-def test_radial_iso_validation():
-    p = ModelParams.isotropic(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    assert p.radial_iso() == (1.0, 2.0, 3.0, 4.0, 5.0)
-    assert p.h_norm() == pytest.approx(5.0)
-    assert p.mass == 6.0
-    # off-diagonal or anisotropic couplings have no radial reduction
-    P = np.diag([1.0, 0.8, 0.9, 1.0])
-    H = np.diag([0.5, 0.4, 0.4, 0.4])
-    H[0, 1] = H[1, 0] = 0.1
-    for bad in (ModelParams(P=P, H=np.diag([0.5, 0.4, 0.4, 0.4]), rcoef=0.5),
-                ModelParams(P=np.eye(4), H=H, rcoef=0.5)):
-        with pytest.raises(ValueError):
-            bad.radial_iso()
+def test_model_params_compare_and_hash_by_value():
+    a, b = ModelParams(1.0, 2.0, 3.0, 4.0, 5.0, 6.0), \
+        ModelParams(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    assert a == b and hash(a) == hash(b)
+    assert a != ModelParams(1.0, 2.0, 3.0, 4.0, 5.0, 7.0)
+    assert ModelParams.free(2.0) == ModelParams(0.0, 0.0, 0.0, 0.0, 0.0, 2.0)
+    assert len({ModelParams(), ModelParams(), ModelParams.free()}) == 2
+
+
+# signs, zeros, unequal magnitudes; (1, 1) is every scenario's [model]
+# default and (0, 0) the free model, (0.7, 0.9) the solver tests' H
+_H_SAMPLE = [(1.0, 1.0), (0.0, 0.0), (0.7, 0.9), (0.9, 0.7), (-0.7, 0.9),
+             (0.7, -0.9), (-2.5, -0.25), (0.0, -3.0), (-0.0, 0.0),
+             (1e-3, -4.5e2), (0.1, 0.1 + 2 ** -52), (-0.3, 0.3)]
+
+
+@pytest.mark.parametrize("h00, hs", _H_SAMPLE)
+def test_h_norm_is_the_spectral_norm_of_diag_h(h00, hs):
+    # the coefficient guard reads h_norm; it must equal the spectral norm
+    # of H = diag(h00, hs, hs, hs) bit for bit
+    want = float(np.linalg.norm(np.diag([h00, hs, hs, hs]), 2))
+    got = ModelParams(0.5, 0.5, 0.5, h00, hs).h_norm()
+    assert got == want and np.signbit(got) == np.signbit(want)
 
 
 # --- buffered radial loops against the allocating reference loops ---
@@ -524,7 +534,8 @@ def _ref_d2_odd(W, dx):
 
 
 def _ref_evolve_model(params, grid, data, t0, t_end, cfl=0.5, sources=None):
-    p00, ps, rcoef, h00, hs = params.radial_iso()
+    p00, ps, rcoef = params.p00, params.ps, params.rcoef
+    h00, hs = params.h00, params.hs
     c2 = params.mass ** 2
     dx, r = grid.dx, grid.r(0, grid.n)
     u0 = np.asarray(data.u0(r), dtype=float)
@@ -652,7 +663,7 @@ def assert_levels_equal(got, want):
 
 @pytest.mark.parametrize("sourced", [False, True])
 def test_evolve_model_matches_allocating_reference(sourced):
-    params = ModelParams.isotropic(1.0, 0.8, 1.2, 0.7, 0.9, 1.1)
+    params = ModelParams(1.0, 0.8, 1.2, 0.7, 0.9, 1.1)
     g = grid_for_run(0.05, 2.0, 5.0)
     data = InitialData.bump(0.05, 0.08)
     sources = None
@@ -666,27 +677,20 @@ def test_evolve_model_matches_allocating_reference(sourced):
     assert_levels_equal(obs.levels, want)
 
 
-def test_linear_wave_matches_allocating_reference(monkeypatch):
-    # the profile takes the grid route, a one-row WaveSourceStack.fill;
-    # wrapped in a lambda it is a plain callable; both must give the
-    # reference levels bit for bit
+def test_linear_wave_matches_allocating_reference():
+    # the profile as a one-row WaveSourceStack and wrapped in a lambda as a
+    # plain callable; both must give the reference levels bit for bit
     g = grid_for_run(0.05, 2.0, 12.0)
     f = wave_source(0.5, -0.25, 1.0)
     data = InitialData.bump(0.1, 0.0)
     want = _ref_solve_linear_wave_sourced(g, f, 2.0, 12.0, data=data)
-    fills = []
-    fill = WaveSourceStack.fill
-    monkeypatch.setattr(WaveSourceStack, "fill", lambda self, t, r, out: (
-        fills.append((t, out.shape)), fill(self, t, r, out))[1])
-    for source in (f, lambda t, r: f(t, r)):
-        obs = LevelCopies()
-        solve_linear_wave_sourced(g, source, t0=2.0, t_end=12.0,
-                                  observers=[obs], data=data)
+    stacked, plain = LevelCopies(), LevelCopies()
+    solve_linear_wave_sourced(g, WaveSourceStack((f,)), t0=2.0, t_end=12.0,
+                              observers=[(stacked,)], data=data)
+    solve_linear_wave_sourced(g, lambda t, r: f(t, r), t0=2.0, t_end=12.0,
+                              observers=[plain], data=data)
+    for obs in (stacked, plain):
         assert_levels_equal(obs.levels, want)
-    # only the profile took the stacked route, one row at a time: the
-    # Taylor start and one read per step
-    assert len(fills) == len(want) - 1
-    assert {shape for _, shape in fills} == {(1, g.n)}
 
 
 def test_stacked_wave_rows_match_their_solo_references():
@@ -739,9 +743,11 @@ def test_stack_guard_report_names_its_row(kind, calm, hot):
     solve_linear_wave_sourced(g, calm, t0=2.0, t_end=12.0, observers=[solo])
     assert len(a.levels) == len(b.levels) == rep["step"]
     assert_levels_equal(a.levels, solo.levels[:rep["step"]])
-    # the hot row alone trips at the same level, with the same report
+    # the hot row alone, a one-row stack, trips at the same level, with the
+    # same report
     with pytest.raises(StabilityError) as alone:
-        solve_linear_wave_sourced(g, hot, t0=2.0, t_end=12.0)
+        solve_linear_wave_sourced(g, WaveSourceStack([hot]), t0=2.0,
+                                  t_end=12.0, observers=[()])
     assert alone.value.report == rep
 
 

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hfoil.util import (StencilRangeError, fd_weights, lagrange_weights,
-                        reduce_sum, smoothstep, smoothstep_d,
-                        trapezoid_weights)
-from slice_reference import central_offsets, central_weights
+from hfoil.util import (INTERP_OFFSETS, StencilRangeError, fd_weights,
+                        lagrange_weights, reduce_sum, smoothstep,
+                        smoothstep_d, trapezoid_weights)
+from slice_reference import central_offsets, central_weights, window_weights
 
 
 def _exact_solve(A, b):
@@ -91,10 +91,17 @@ def test_fd_weights_fornberg_matches_vandermonde_reference():
         fd_weights(1, (0, 1, 1))
 
 
+WINDOW6 = (-2, -1, 0, 1, 2, 3)
+
+
 def test_lagrange_weights_reproduce_nodes():
-    w = lagrange_weights(np.array([0.0]), 6)
+    w = window_weights(np.array([0.0]), WINDOW6)
     # frac 0 sits on the third node of the 6 point window (-2..3)
     assert np.allclose(w[0], [0, 0, 1, 0, 0, 0], atol=1e-12)
+    # the pool's 10-point window (-4..5): frac 0 is its fifth node
+    w = lagrange_weights(np.array([0.0, 1.0]))
+    assert w.shape == (2, 10)
+    assert np.allclose(w, np.eye(10)[[4, 5]], atol=1e-12)
 
 
 def test_lagrange_weights_interpolate_quintic_exactly():
@@ -104,10 +111,17 @@ def test_lagrange_weights_interpolate_quintic_exactly():
     offs = np.arange(-2, 4, dtype=float)
     vals = poly(offs)
     for frac in (0.13, 0.5, 0.92):
-        w = lagrange_weights(np.array([frac]), 6)
+        w = window_weights(np.array([frac]), WINDOW6)
         assert w[0] @ vals == pytest.approx(poly(frac), rel=1e-12)
-        wd = lagrange_weights(np.array([frac]), 6, deriv=1)
+        wd = window_weights(np.array([frac]), WINDOW6, deriv=1)
         assert wd[0] @ vals == pytest.approx(poly.deriv()(frac), rel=1e-10)
+    # the pool's weights reproduce the same quintic on their 10 nodes, and
+    # are the test helper's deriv-0 weights bit for bit
+    fracs = np.array([0.13, 0.5, 0.92, -3.5, 4.75])
+    w = lagrange_weights(fracs)
+    assert np.allclose(w @ poly(np.array(INTERP_OFFSETS, dtype=float)),
+                       poly(fracs), rtol=1e-10)
+    assert w.tobytes() == window_weights(fracs, INTERP_OFFSETS).tobytes()
 
 
 def test_smoothstep_clamps_and_is_smooth():
