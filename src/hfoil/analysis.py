@@ -34,8 +34,7 @@ import numpy as np
 
 from .solver import grid_for_run
 from .util import (INTERP_OFFSETS, FoliationError, SliceCoverageError,
-                   fd_weights, lagrange_weights, reduce_sum,
-                   trapezoid_weights)
+                   fd_weights, lagrange_weights, trapezoid_weights)
 
 
 # === chain-rule expansions on the hyperbola chart ===
@@ -673,11 +672,11 @@ class SliceEnergySuite:
                     dens = (Wt / ch) ** 2 + (Wl / (s * ch)) ** 2
                     if field == "v":
                         dens = dens + (self.mass * W) ** 2
-                    E = reduce_sum(dmu * dens)
+                    E = float(np.sum(dmu * dens))
                     self._values[(field, s, it, ir, j)] = W
                     self._energies.append(
                         {"field": field, "it": it, "ir": ir, "j": j,
-                         "s": s, "value": float(E)})
+                         "s": s, "value": E})
 
     def energies(self):
         """Rows {field, it, ir, j, s, value} for every combo and slice."""

@@ -6,6 +6,10 @@ origin, and a piecewise power-law bound for the sourced wave equation.
 Margin checks run the matching linear solver and report the measured
 ratio field/envelope over a lattice of cone-interior sample points; the
 wave check steps all its (mu, nu) pairs as one stack of sources.
+
+The wave sources (wave_source records, evaluated only as the rows of a
+WaveSourceStack) and the metric pull both switch on over one band of
+t - r, SWITCH_ON, and each is evaluated only on its support.
 """
 import math
 from dataclasses import dataclass, replace
@@ -128,68 +132,56 @@ ZERO_METRIC = MetricPerturb(lambda t, r: np.zeros_like(np.asarray(r, float)),
                             dr=lambda t, r: np.zeros_like(np.asarray(r, float)))
 
 
-def _on_support(t, r, lo):
-    """(t, r, q, on): t and r as float arrays (a scalar t stays 0-d),
-    q = t - r, and the mask on = q > lo outside which a profile switched
-    on over a band starting at lo vanishes."""
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    q = t - r
-    return t, r, q, q > lo
+# the band of t - r over which wave_source and metric_pull switch on:
+# zero up to its start, the C^2 smoothstep ramp across it, one past it
+SWITCH_ON = (1.0, 1.5)
+_LO, _WID = SWITCH_ON[0], SWITCH_ON[1] - SWITCH_ON[0]
 
 
 def _restrict(a, on):
     """a on the support mask, leaving a 0-d a as it is."""
     if a.ndim == 0:
         return a
-    if a.shape != on.shape:
-        a = np.broadcast_to(a, on.shape)
-    return a[on]
+    return (a if a.shape == on.shape else np.broadcast_to(a, on.shape))[on]
 
 
-def metric_pull(amp: float = 0.1, band=(1.0, 1.5)) -> MetricPerturb:
-    """h = amp*(s/t) switched on over the band in t-r.
+def metric_pull(amp: float = 0.1) -> MetricPerturb:
+    """h = amp*(s/t) switched on over SWITCH_ON in t-r.
 
     s/t is constant along rays, so the ray derivative comes entirely
-    from the switch; the ramp is C^2 so perp h exists classically.
-    The value is evaluated only on its support t - r > band[0] and is
-    zero elsewhere.
+    from the switch; the ramp is C^2 so perp h exists classically.  h,
+    d_t h and d_r h are evaluated only on the support t - r >
+    SWITCH_ON[0], where s/t and the switch are positive, and are zero
+    elsewhere.
     """
-    lo, wid = float(band[0]), float(band[1]) - float(band[0])
-
-    def parts(t, r):
-        t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
-        cut = smoothstep((t - r - lo) / wid)
-        with np.errstate(invalid="ignore"):
+    def on_support(profile):
+        # profile(t, r, g, x) on the support, with g = s/t and x the
+        # switch's argument; a 0-d t or r stays 0-d
+        def evaluate(t, r):
+            t = np.asarray(t, dtype=float)
+            r = np.asarray(r, dtype=float)
+            q = t - r
+            on = q > _LO
+            t, r = _restrict(t, on), _restrict(r, on)
             g = np.sqrt(np.maximum(1.0 - (r / t) ** 2, 0.0))
-        return t, r, g, cut
+            out = np.zeros(on.shape)
+            out[on] = profile(t, r, g, (q[on] - _LO) / _WID)
+            return out
+        return evaluate
 
-    def value(t, r):
-        t, r, q, on = _on_support(t, r, lo)
-        out = np.zeros(on.shape)
-        tt, rr = _restrict(t, on), _restrict(r, on)
-        cut = smoothstep((q[on] - lo) / wid)
-        with np.errstate(invalid="ignore"):
-            g = np.sqrt(np.maximum(1.0 - (rr / tt) ** 2, 0.0))
-        out[on] = amp * g * cut
-        return out
+    def value(t, r, g, x):
+        return amp * g * smoothstep(x)
 
-    def dt(t, r):
-        t, r, g, cut = parts(t, r)
-        dcut = smoothstep_d((t - r - lo) / wid) / wid
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dg = np.where(g > 0, r * r / (np.maximum(g, 1e-300) * t ** 3), 0.0)
-        return amp * np.where(cut > 0, dg * cut + g * dcut, 0.0)
+    def dt(t, r, g, x):
+        return amp * (r * r / (g * t ** 3) * smoothstep(x)
+                      + g * (smoothstep_d(x) / _WID))
 
-    def dr(t, r):
-        t, r, g, cut = parts(t, r)
-        dcut = -smoothstep_d((t - r - lo) / wid) / wid
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dg = np.where(g > 0, -r / (np.maximum(g, 1e-300) * t ** 2), 0.0)
-        return amp * np.where(cut > 0, dg * cut + g * dcut, 0.0)
+    def dr(t, r, g, x):
+        return amp * (-r / (g * t ** 2) * smoothstep(x)
+                      + g * (-smoothstep_d(x) / _WID))
 
-    return MetricPerturb(value, dt=dt, dr=dr)
+    return MetricPerturb(on_support(value), dt=on_support(dt),
+                         dr=on_support(dr))
 
 
 def pair_tag(mu: float, nu: float) -> str:
@@ -200,84 +192,71 @@ def pair_tag(mu: float, nu: float) -> str:
     return f"mu{one(mu)}_nu{one(nu)}"
 
 
+@dataclass(frozen=True)
 class wave_source:
-    """f = amp * t^-(2+nu) * (t-r)^(mu-1), switched on over the band.
+    """The source f = amp * t^-(2+nu) * (t-r)^(mu-1), switched on over
+    SWITCH_ON in t-r, as the record a :class:`WaveSourceStack` row reads.
 
     The switch keeps the support inside the cone and regularizes the
-    (t-r) power at the tip; past the band the profile is exact.  Called
-    as f(t, r), f is evaluated only on its support t - r > band[0] and is
-    zero elsewhere.  The sourced wave solver steps profiles as the rows
-    of a :class:`WaveSourceStack`, whose grid route is bit for bit
-    ``f(t, r)`` on every row.
+    (t-r) power at the tip; past the band the profile is exact.  tag
+    labels the row in guard reports.
     """
+    mu: float
+    nu: float
+    amp: float = 1.0
 
-    def __init__(self, mu: float, nu: float, amp: float = 1.0,
-                 band=(1.0, 1.5)):
-        self.mu, self.nu, self.amp = mu, nu, amp
-        self.lo = float(band[0])
-        self.wid = float(band[1]) - self.lo
-        self.tag = pair_tag(mu, nu)
-
-    def __call__(self, t, r):
-        t, r, q, on = _on_support(t, r, self.lo)
-        out = np.zeros(on.shape)
-        qs = q[on]
-        cut = smoothstep((qs - self.lo) / self.wid)
-        out[on] = self.amp * cut * _restrict(t, on) ** (-(2.0 + self.nu)) \
-            * qs ** (self.mu - 1.0)
-        return out
+    @property
+    def tag(self) -> str:
+        return pair_tag(self.mu, self.nu)
 
 
 class WaveSourceStack:
     """wave_source profiles as the rows of one (R, n) source buffer.
 
     The sourced wave solver steps the rows as one stack; tags label
-    them in guard reports.  :meth:`fill` groups the rows by band, which
-    fixes the support, the ramp and the smoothstep, and within a band by
-    mu, which fixes the (t-r) power, so each is computed once per step
-    for the rows that share it.
+    them in guard reports.  :meth:`fill` groups the rows by mu, which
+    fixes the (t-r) power, so each power, like the support and the
+    switch, is computed once per step for the rows that share it.
     """
 
     def __init__(self, rows):
         self.rows = tuple(rows)
         self.tags = tuple(f.tag for f in self.rows)
-        bands = {}
+        powers = {}
         for i, f in enumerate(self.rows):
-            bands.setdefault((f.lo, f.wid), {}).setdefault(
-                f.mu - 1.0, []).append((i, f))
-        self._bands = [(lo, wid, list(powers.items()))
-                       for (lo, wid), powers in bands.items()]
+            powers.setdefault(f.mu - 1.0, []).append((i, f))
+        self._powers = list(powers.items())
 
     def fill(self, t: float, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Row i of the (R, n) buffer out gets rows[i](t, r) in every
-        cell, for a scalar t and ascending r, bit for bit.
+        """Row i of the (R, n) buffer out gets rows[i]'s f(t, r) in every
+        cell, for a scalar t and ascending r, and is zero off the
+        support t - r > SWITCH_ON[0].
 
-        The support t - r > lo is a prefix [0, m) of r, and the ramp
-        (t - r - lo)/wid < 1 is its tail [k, m); the plateau [0, k) has
-        cut = 1, so amp * cut is amp there.  Only the support takes the
-        (t-r) power and only the ramp the smoothstep, each in the
-        operation order of ``f(t, r)``.  m and k are estimated by binary
-        search and settled with the scalar form of the same IEEE
-        operations.
+        The support is a prefix [0, m) of r, and the ramp (t - r -
+        lo)/wid < 1 is its tail [k, m); the plateau [0, k) has cut = 1,
+        so amp * cut is amp there.  Only the support takes the (t-r)
+        power and only the ramp the smoothstep, each in the operation
+        order amp * cut * t^-(2+nu) * (t-r)^(mu-1).  m and k are
+        estimated by binary search and settled with the scalar form of
+        the same IEEE operations.
         """
-        # the ufunc power of a 0-d array, as f(t, r) takes it: scalar
+        # the ufunc power of a 0-d array, as an array t takes it: scalar
         # float64 ** uses libm pow, which can differ by one ulp
         t_arr = np.asarray(t, dtype=float)
-        for lo, wid, powers in self._bands:
-            m = _prefix_end(lambda i: t - r[i] > lo,
-                            r.searchsorted(t - lo), r.size)
-            k = _prefix_end(lambda i: (t - r[i] - lo) / wid >= 1.0,
-                            r.searchsorted(t - lo - wid), m)
-            q = t - r[:m]
-            cut = smoothstep((q[k:] - lo) / wid)
-            for e, members in powers:
-                qp = q ** e
-                for i, f in members:
-                    row = out[i]
-                    row[m:] = 0.0
-                    tp = t_arr ** (-(2.0 + f.nu))
-                    np.multiply(f.amp * tp, qp[:k], out=row[:k])
-                    row[k:m] = f.amp * cut * tp * qp[k:]
+        m = _prefix_end(lambda i: t - r[i] > _LO,
+                        r.searchsorted(t - _LO), r.size)
+        k = _prefix_end(lambda i: (t - r[i] - _LO) / _WID >= 1.0,
+                        r.searchsorted(t - _LO - _WID), m)
+        q = t - r[:m]
+        cut = smoothstep((q[k:] - _LO) / _WID)
+        for e, members in self._powers:
+            qp = q ** e
+            for i, f in members:
+                row = out[i]
+                row[m:] = 0.0
+                tp = t_arr ** (-(2.0 + f.nu))
+                np.multiply(f.amp * tp, qp[:k], out=row[:k])
+                row[k:m] = f.amp * cut * tp * qp[k:]
         return out
 
 
@@ -468,10 +447,10 @@ class _CrossProbe:
 
 
 def kg_bound_margin(h: MetricPerturb, data: InitialData, params: BoundParams,
-                    f: Optional[Callable] = None, dx: float = 0.05,
-                    s_max: float = 8.0, n_rays: int = 16, n_s: int = 20,
-                    t0: float = 2.0, cfl: float = 0.5,
-                    tr_min: float = 1.25, delta: float = 0.08) -> dict:
+                    f: Optional[Callable] = None, *, dx: float,
+                    s_max: float, cfl: float, n_rays: int = 16,
+                    n_s: int = 20, t0: float = 2.0, tr_min: float = 1.25,
+                    delta: float = 0.08) -> dict:
     """Run the curved linear Klein-Gordon problem and measure
     [s^{3/2}|v| + (t/s) s^{3/2} |perp v|] / V over a ray lattice.
 
@@ -595,10 +574,10 @@ def format_c(c: float) -> str:
     return str(int(c)) if float(c).is_integer() else repr(float(c))
 
 
-def wave_bound_margin(pairs, amp: float = 1.0, dx: float = 0.04,
-                      t_lo: float = 10.0, t_end: float = 100.0,
-                      n_rays: int = 16, n_t: int = 20, t0: float = 2.0,
-                      cfl: float = 0.5, tr_min: float = 2.0) -> list:
+def wave_bound_margin(pairs, *, amp: float, dx: float, t_lo: float,
+                      t_end: float, cfl: float, n_rays: int = 16,
+                      n_t: int = 20, t0: float = 2.0,
+                      tr_min: float = 2.0) -> list:
     """Run the sourced wave problem for every (mu, nu) of pairs and
     measure |u| / wave_bound_value over a ray lattice, grouped by decade
     of t: one report per pair, in order.

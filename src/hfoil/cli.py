@@ -55,7 +55,8 @@ reads only these keys (a whole section where one is named):
 
 Command line flags override config fields (``--resolution``,
 ``--epsilon``, ``--until-s``, ``--deterministic``, ``--out``); a flag's
-text is parsed and checked as its key's value in a file, and the
+text, given after ``=`` or as the next argument (``--until-s -inf``
+too), is parsed and checked as its key's value in a file, and the
 subcommand always wins over the ``scenario`` key.  Once the subcommand
 has set the scenario, a key or flag that it does not read is a
 ConfigError (with the key's line, or no line for a flag), and so is a
@@ -543,12 +544,6 @@ class ReportSummary:
     out_dir: str
     wall_time_s: Optional[float] = None
     error: Optional[dict] = None
-
-    def criterion(self, cid: str) -> CriterionResult:
-        for c in self.criteria:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
 
 
 def _check_unique(criteria) -> None:
@@ -1192,8 +1187,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# the flags that take a value, as _build_parser declares them
+_VALUE_FLAGS = ("--config", "--resolution", "--epsilon", "--until-s",
+                "--out")
+
+
+def _join_values(argv) -> list:
+    """argv with every value that starts with a single "-" joined to its
+    flag ("--until-s", "-inf" -> "--until-s=-inf"): argparse would take
+    a separate -inf or -1e-3 for an option, so the value would never
+    reach its key's converter and range check."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in _VALUE_FLAGS and arg.startswith("-")
+                and not arg.startswith("--")):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def build_config(argv) -> RunConfig:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_values(argv))
     text = ""
     if args.config is not None:
         try:

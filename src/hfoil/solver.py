@@ -20,10 +20,11 @@ hand out their levels only by streaming them to observers; `_march`
 states which levels an observer gets.
 
 A field's levels are (n,) arrays, or (R, n) for a stack of R runs that
-share the grid, dt and step count: the sourced wave solver steps its
-rows that way, each row bit for bit its own run (a single run is a
-one-row stack), with its own guards and observers.  The radial helpers
-work on the last axis, so both shapes share them.
+share the grid, dt and step count: the sourced wave solver takes only a
+stack of sources and steps its rows that way from rest, each row bit
+for bit its own run (a single source is a one-row stack), with its own
+guards and observers.  The radial helpers work on the last axis, so
+both shapes share them.
 """
 from __future__ import annotations
 
@@ -88,11 +89,6 @@ class InitialData:
         return cls(u0=lambda r: eps_u * shape(r), u1=zero,
                    v0=lambda r: eps_v * shape(r), v1=zero,
                    support_radius=radius)
-
-    @classmethod
-    def zero(cls):
-        z = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-        return cls(u0=z, u1=z, v0=z, v1=z, support_radius=0.0)
 
 
 @dataclass
@@ -254,8 +250,9 @@ def _march(grid, fields, starts, t0, t_end, dt, advance, rows,
 
     fields names the stepped fields, ("u",), ("v",) or ("u", "v"), and
     starts gives each its W at t0 and at t0 + dt; only those fields get
-    buffers.  A W is (n,) for one run or (R, n) for a stack of R runs
-    that share the grid, dt and step count; rows holds one (tag,
+    buffers.  A W is (n,) for one run (the coupled model, the Klein-Gordon
+    solver) or (R, n) for a stack of R runs that share the grid, dt and
+    step count (the sourced wave solver); rows holds one (tag,
     observers) pair per run.  Step k calls advance(k, t_k, prev, cur,
     nxt, lvl), which writes level k + 1 of every field into nxt from
     levels k - 1 and k (prev, cur); lvl holds the u or v of level k
@@ -438,62 +435,46 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
 
 # === linear solvers for the envelope scenarios ===
 
-def solve_linear_wave_sourced(grid: RadialGrid, source: Callable,
+def solve_linear_wave_sourced(grid: RadialGrid, source, observers: Sequence,
                               t0: float = 2.0, t_end: float = 10.0,
-                              cfl: float = 0.5, observers: Sequence = (),
-                              data: Optional[InitialData] = None) -> RunResult:
-    """-box u = f(t, r) with compactly supported data (zero by default),
-    for one source or for a stack of sources stepped together.
+                              cfl: float = 0.5) -> RunResult:
+    """-box u = f_i(t, r) from rest, for a stack of R sources stepped
+    together.
 
-    source is one of:
-
-    * a plain callable f(t, r), evaluated on the whole grid at every
-      step: one run, a one-row stack, and observers is a sequence of
-      observers;
-    * a stack of R profiles with one label per row in ``tags`` and a
-      ``fill(t, r, out)`` that writes row i's f_i(t, r) into out[i] of an
-      (R, n) buffer, for the ascending grid r
-      (:class:`hfoil.bounds.WaveSourceStack`); observers then holds one
-      sequence of observers per row.
-
-    All rows start from the same data and step as one (R, n) level, and
-    every row gets the levels of its own one-row run bit for bit.
+    source labels its rows in ``tags`` and has a ``fill(t, r, out)``
+    that writes row i's f_i(t, r) into out[i] of an (R, n) buffer, for
+    the ascending grid r (:class:`hfoil.bounds.WaveSourceStack`);
+    observers holds one sequence of observers per row.  The rows step as
+    one (R, n) level, and every row gets the levels of its own one-row
+    run bit for bit.
 
     Row i's observers get on_level(t, step, u_i, None), the run's only
     output of levels, at the levels `_march` hands them; u_i is a
     reused buffer, valid only during the call.  The blow-up and boundary
     guards of :func:`evolve_model` apply to each row with its own running
     scale.  The first row to trip stops the stack, and its report names
-    the row's label under "row" (a plain callable has none).
+    the row's label under "row".
     """
     dx = grid.dx
     n = grid.n
     r = grid.r(0, n)
     dt = cfl * dx
-    if data is None:
-        data = InitialData.zero()
-    if hasattr(source, "tags"):
-        tags = source.tags
-        if len(observers) != len(tags):
-            raise ValueError(f"{len(observers)} observer sequences for a "
-                             f"stack of {len(tags)} rows")
-        S = np.zeros((len(tags), n))
-        f = lambda t: source.fill(t, r, S)
-    else:
-        tags, observers = (None,), (observers,)
-        f = lambda t: source(t, r)
+    tags = source.tags
+    if len(observers) != len(tags):
+        raise ValueError(f"{len(observers)} observer sequences for a "
+                         f"stack of {len(tags)} rows")
     shape = (len(tags), n)
+    S = np.zeros(shape)
 
-    W = np.empty(shape)
-    W[:] = r * np.asarray(data.u0(r), dtype=float)
-    dW = r * np.asarray(data.u1(r), dtype=float)
-    ddW = _d2_odd(W, dx, np.empty(shape)) + r * f(t0)
-    starts = ((W, W + dt * dW + 0.5 * dt * dt * ddW),)
+    W = np.zeros(shape)
+    ddW = _d2_odd(W, dx, np.empty(shape)) + r * source.fill(t0, r, S)
+    starts = ((W, W + 0.5 * dt * dt * ddW),)
     lap, work = np.empty(shape), np.empty(shape)
     dt2 = dt * dt
 
     def advance(k, t_k, prev, cur, nxt, lvl):
-        _wave_update(prev[0], cur[0], f(t_k), r, dx, dt2, nxt[0], lap, work)
+        _wave_update(prev[0], cur[0], source.fill(t_k, r, S), r, dx, dt2,
+                     nxt[0], lap, work)
 
     return _march(grid, ("u",), starts, t0, t_end, dt, advance,
                   list(zip(tags, observers)))

@@ -1,7 +1,8 @@
 """Shared numerical plumbing: finite-difference weights, Lagrange
-interpolation, deterministic reductions, errors."""
+interpolation, smooth cutoffs, quadrature weights, errors."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -110,25 +111,16 @@ def fd_weights(order: int, offsets: tuple) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _basis_coeffs(offsets: tuple) -> np.ndarray:
     """Polynomial coefficients (ascending) of each Lagrange basis
-    function on the given nodes, exact rationals rounded to float."""
+    function on the given nodes, exact rationals rounded to float.
+
+    The d-th derivative at x = 0 of basis function k is its weight in
+    the order-d row of the Fornberg table, so its x^d coefficient is
+    that weight over d!.
+    """
+    table = _fornberg_table(offsets)
     n = len(offsets)
-    C = np.zeros((n, n))
-    for k in range(n):
-        poly = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == k:
-                continue
-            # multiply poly by (x - offsets[j])
-            new = [Fraction(0)] * (len(poly) + 1)
-            for d, c in enumerate(poly):
-                new[d] -= c * offsets[j]
-                new[d + 1] += c
-            poly = new
-            denom *= Fraction(offsets[k] - offsets[j])
-        for d, c in enumerate(poly):
-            C[k, d] = float(c / denom)
-    return C
+    return np.array([[float(table[d][k] / math.factorial(d))
+                      for d in range(n)] for k in range(n)])
 
 
 # the 10 nodes of QueryPool's window relative to its base index; a
@@ -167,16 +159,7 @@ def smoothstep_d(x):
     return 30.0 * y * y * (y - 1.0) * (y - 1.0)
 
 
-# === reductions ===
-
-def reduce_sum(values) -> float:
-    """Pairwise sum, whose reduction order is fixed by the length of
-    `values`, so repeated sums are bit-identical."""
-    a = np.asarray(values, dtype=float).ravel()
-    if a.size == 0:
-        return 0.0
-    return float(np.sum(a))
-
+# === quadrature ===
 
 def trapezoid_weights(x) -> np.ndarray:
     """Trapezoid quadrature weights for (possibly nonuniform) nodes."""

@@ -17,7 +17,11 @@ independent second route the tests compare them with:
   ``sobolev_ratio_profile``;
 * the solvers hand out their levels to observers only; the tests
   that compare a run's levels, or build a radial history from them,
-  keep copies with :class:`LevelCopies`.
+  keep copies with :class:`LevelCopies`;
+* the sourced wave solver steps a source stack; :class:`CallableSource`
+  makes one of plain callables, and :func:`full_grid_wave_source` is the
+  whole-grid formula of a ``wave_source`` profile that tests compare
+  ``WaveSourceStack.fill`` with and hand to the callable-source solvers.
 
 Not a test module (pytest collects ``test_*.py`` only); the test
 modules import it by name from this directory.
@@ -30,8 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hfoil.analysis import slice_cone_margin
+from hfoil.bounds import SWITCH_ON
 from hfoil.util import (SliceCoverageError, StencilRangeError, _basis_coeffs,
-                        fd_weights, trapezoid_weights)
+                        fd_weights, smoothstep, trapezoid_weights)
 
 DEFAULT_CHI_STEP = 0.005
 
@@ -52,6 +57,41 @@ class LevelCopies:
         assert step == len(self.levels)
         self.levels.append((t, None if u is None else u.copy(),
                             None if v is None else v.copy()))
+
+
+# === sources of sourced wave runs ===
+
+class CallableSource:
+    """Plain callables f_i(t, r) as the rows of a source stack for
+    solve_linear_wave_sourced: row i gets f_i on the whole grid, and
+    tags (None by default) label the rows in guard reports."""
+
+    def __init__(self, fs, tags=None):
+        self.fs = list(fs)
+        self.tags = tuple(tags) if tags is not None else (None,) * len(self.fs)
+
+    def fill(self, t, r, out):
+        for row, f in zip(out, self.fs):
+            row[:] = f(t, r)
+        return out
+
+
+def full_grid_wave_source(mu, nu, amp=1.0):
+    """wave_source(mu, nu, amp) as a callable f(t, r) evaluated on every
+    point, in the operation order of WaveSourceStack.fill."""
+    lo, wid = SWITCH_ON[0], SWITCH_ON[1] - SWITCH_ON[0]
+
+    def f(t, r):
+        t = np.asarray(t, dtype=float)
+        r = np.asarray(r, dtype=float)
+        q = t - r
+        cut = smoothstep((q - lo) / wid)
+        on = cut > 0.0
+        qq = np.where(on, q, 1.0)
+        return np.where(on, amp * cut * t ** (-(2.0 + nu)) * qq ** (mu - 1.0),
+                        0.0)
+
+    return f
 
 
 # === box grids and field histories ===

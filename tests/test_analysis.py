@@ -16,12 +16,13 @@ from hfoil.analysis import (PROFILE_WIDTH, QueryPool, SliceDerivativeTable,
                             sobolev_ratio_profile)
 from hfoil.cli import emit_series
 from hfoil.util import ConfigError
-from hfoil.bounds import wave_source
+from hfoil.bounds import WaveSourceStack, wave_source
 from hfoil.solver import (InitialData, ModelParams, evolve_model,
                           grid_for_run, solve_linear_wave_sourced)
 from hfoil.util import FoliationError, SliceCoverageError
 from slice_reference import (EVEN, BoxGrid, FieldHistory, LevelCopies,
-                             RadialSliceChart, interpolate_to_slice,
+                             RadialSliceChart, full_grid_wave_source,
+                             interpolate_to_slice,
                              sample_history, sample_radial_history,
                              sobolev_ratio_history, window_weights)
 
@@ -349,9 +350,11 @@ def test_pool_skipping_levels_answers_bit_for_bit(kind, level_filter):
     full = QueryPool(g, level_filter=level_filter)
     h = [pool.add("u", tq, rq) for pool in (lean, full)]
     copies = LevelCopies()
-    res = solve_linear_wave_sourced(g, wave_source(0.5, 0.5), t0=2.0,
-                                    t_end=12.0, observers=[lean, copies],
-                                    data=InitialData.bump(0.1, 0.0))
+    # the free model from bump data, so the one-sided windows at t0 read
+    # a field of order one
+    res = evolve_model(ModelParams.free(), g, InitialData.bump(0.1, 0.0),
+                       t0=2.0, t_end=12.0, observers=[lean, copies],
+                       sources=(full_grid_wave_source(0.5, 0.5), None))
     for k, (t, u, _) in enumerate(copies.levels):
         full.on_level(t, k, u, None)
     got = lean.result(h[0])
@@ -373,8 +376,9 @@ def test_pool_skipping_levels_reports_the_last_level():
     g = grid_for_run(0.05, 2.0, 3.0)
     pool = _CountedPool(g)
     pool.add("u", [2.3, 9.0], [1.0, 1.0])
-    res = solve_linear_wave_sourced(g, lambda t, r: 0.0 * r, t0=2.0,
-                                    t_end=3.0, observers=[pool])
+    res = solve_linear_wave_sourced(
+        g, WaveSourceStack([wave_source(0.5, 0.5)]), t0=2.0, t_end=3.0,
+        observers=[(pool,)])
     assert (res.steps + 1) % pool.npts and not pool.wants(res.steps)
     assert pool.steps[-1] == res.steps and len(pool.steps) < res.steps
     assert pool.unresolved() == 1

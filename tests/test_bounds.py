@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 import hfoil.bounds as bounds
-from hfoil.bounds import (BoundParams, MetricPerturb, RayCoords, ZERO_METRIC,
-                          RayIntegral, accumulate_F, envelope_V,
+from hfoil.bounds import (SWITCH_ON, BoundParams, MetricPerturb, RayCoords,
+                          ZERO_METRIC, RayIntegral, accumulate_F, envelope_V,
                           h_ray_derivative, kg_bound_margin, lam_grid,
                           WaveSourceStack, metric_pull, wave_bound_margin,
                           wave_bound_value, wave_source)
 from hfoil.cli import _refined, relative_change
 from hfoil.solver import InitialData, grid_for_run
-from hfoil.util import smoothstep
+from hfoil.util import smoothstep, smoothstep_d
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from slice_reference import full_grid_wave_source
 
 
 P = BoundParams(C=10.0, mass=1.0, dlam=0.01, s0=2.0)
@@ -173,7 +174,7 @@ def test_envelope_reads_F_at_each_points_own_s():
     # point; each must read F(s) at its own s, not the top's total.  The
     # shared and the own trapezoid sums use steps of at most dlam, so
     # they agree to O(dlam^2) = 1e-4 relative
-    f = wave_source(0.5, 0.5, amp=0.1)
+    f = full_grid_wave_source(0.5, 0.5, amp=0.1)
     chi = 0.3
     rays = [RayCoords(s * math.cosh(chi), s * math.sinh(chi), P)
             for s in (2.5, 5.0, 7.3)]
@@ -403,7 +404,7 @@ def test_envelope_work_count(block, per_ray, monkeypatch):
     # lattice point and C
     calls.update(dt=0, dr=0)
     rep = kg_bound_margin(h, InitialData.bump(0.0, 0.1), P, dx=0.1,
-                          s_max=4.0, n_rays=6, n_s=5)
+                          s_max=4.0, cfl=0.5, n_rays=6, n_s=5)
     counts = rep["regime_counts"]
     points = counts["far"] + counts["near"]
     if per_ray:
@@ -413,7 +414,7 @@ def test_envelope_work_count(block, per_ray, monkeypatch):
 
 
 # a source inside the cone, so the run never reaches the outer boundary
-CONE_SRC = wave_source(0.5, 0.5, amp=0.1)
+CONE_SRC = full_grid_wave_source(0.5, 0.5, amp=0.1)
 
 MARGIN_CASES = [
     ("zero", None, P),
@@ -436,7 +437,7 @@ def margin_metric(name):
 def test_kg_margin_report_matches_per_point_route(name, f, params,
                                                   monkeypatch):
     args = (margin_metric(name), InitialData.bump(0.0, 0.1), params)
-    kw = dict(f=f, dx=0.1, s_max=5.0, n_rays=6, n_s=6)
+    kw = dict(f=f, dx=0.1, s_max=5.0, cfl=0.5, n_rays=6, n_s=6)
     monkeypatch.setattr(bounds, "ENVELOPE_BLOCK", 1500)  # rays split
     got = kg_bound_margin(*args, **kw)
     monkeypatch.setattr(bounds, "_lattice_envelopes", ref_lattice_envelopes)
@@ -452,7 +453,7 @@ def test_margin_looks_up_envelope_V_on_the_module(monkeypatch):
     """A tracer that wraps hfoil.bounds.envelope_V by name sees every
     envelope evaluation of a margin run, and changes nothing."""
     args = (metric_pull(0.1), InitialData.bump(0.0, 0.1), P)
-    kw = dict(dx=0.1, s_max=4.0, n_rays=5, n_s=4)
+    kw = dict(dx=0.1, s_max=4.0, cfl=0.5, n_rays=5, n_s=4)
     plain = kg_bound_margin(*args, **kw)
     seen = []
     inner = bounds.envelope_V
@@ -508,54 +509,63 @@ def test_wave_bound_value_continuity_and_blowup():
 
 def test_wave_source_profile():
     f = wave_source(0.5, 0.5, amp=2.0)
-    r = np.array([0.0, 9.5, 5.0])
+    assert f.tag == "mup05_nup05"
+    r = np.array([0.0, 5.0, 9.5])
     t = 10.0
-    out = f(t, r)
-    assert out[1] == 0.0                       # outside the cone band
-    assert out[2] == pytest.approx(2.0 * 10.0 ** -2.5 * 5.0 ** -0.5)
+    out = stack_at(WaveSourceStack((f,)), t, r)[0]
+    assert out[2] == 0.0                       # outside the cone band
+    assert out[1] == pytest.approx(2.0 * 10.0 ** -2.5 * 5.0 ** -0.5)
     assert out[0] == pytest.approx(2.0 * 10.0 ** -2.5 * 10.0 ** -0.5)
-    assert np.all(f(2.0, np.linspace(0.0, 3.0, 7)) >= 0.0)
+    assert np.all(stack_at(WaveSourceStack((f,)), 2.0,
+                           np.linspace(0.0, 3.0, 7)) >= 0.0)
 
 
 # === support-limited profiles against the full-grid formulas ===
 #
-# The profiles evaluate only where t - r > band[0]; the reference
-# formulas below evaluate everywhere, in the same operation order.
+# The profiles evaluate only where t - r > SWITCH_ON[0]; the reference
+# formulas evaluate everywhere, in the same operation order.  The wave
+# source's is full_grid_wave_source (slice_reference.py), the formula
+# the callable-source tests also run on.
 
 
-def full_grid_wave_source(mu, nu, amp=1.0, band=(1.0, 1.5)):
-    lo, wid = float(band[0]), float(band[1]) - float(band[0])
+def full_grid_metric(amp=0.1):
+    """(value, dt, dr) of metric_pull(amp) on every point."""
+    lo, wid = SWITCH_ON[0], SWITCH_ON[1] - SWITCH_ON[0]
 
-    def f(t, r):
-        t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
-        q = t - r
-        cut = smoothstep((q - lo) / wid)
-        on = cut > 0.0
-        qq = np.where(on, q, 1.0)
-        return np.where(on, amp * cut * t ** (-(2.0 + nu)) * qq ** (mu - 1.0),
-                        0.0)
-
-    return f
-
-
-def full_grid_metric_value(amp=0.1, band=(1.0, 1.5)):
-    lo, wid = float(band[0]), float(band[1]) - float(band[0])
-
-    def value(t, r):
+    def parts(t, r):
         t = np.asarray(t, dtype=float)
         r = np.asarray(r, dtype=float)
         cut = smoothstep((t - r - lo) / wid)
         with np.errstate(invalid="ignore"):
             g = np.sqrt(np.maximum(1.0 - (r / t) ** 2, 0.0))
+        return t, r, g, cut
+
+    def value(t, r):
+        t, r, g, cut = parts(t, r)
         return amp * g * cut
 
-    return value
+    def dt(t, r):
+        t, r, g, cut = parts(t, r)
+        dcut = smoothstep_d((t - r - lo) / wid) / wid
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dg = np.where(g > 0, r * r / (np.maximum(g, 1e-300) * t ** 3), 0.0)
+        return amp * np.where(cut > 0, dg * cut + g * dcut, 0.0)
+
+    def dr(t, r):
+        t, r, g, cut = parts(t, r)
+        dcut = -smoothstep_d((t - r - lo) / wid) / wid
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dg = np.where(g > 0, -r / (np.maximum(g, 1e-300) * t ** 2), 0.0)
+        return amp * np.where(cut > 0, dg * cut + g * dcut, 0.0)
+
+    return value, dt, dr
 
 
 def support_probe_points(band):
     """(t, r) pairs with t - r below, at and above band[0], through the
-    smoothstep interior and past the band, for scalar and array t."""
+    interior of band and past it, for scalar and array t.  The profiles
+    switch on over SWITCH_ON; a wider band probes the same profile off
+    its support and on its plateau."""
     lo, hi = band
     rng = np.random.default_rng(5)
     r = np.concatenate([np.linspace(0.0, 40.0, 4001),
@@ -575,23 +585,42 @@ def support_probe_points(band):
     return cases
 
 
-@pytest.mark.parametrize("band", [(1.0, 1.5), (0.25, 2.0)])
+# the probe bands: the switch-on band itself and a wider one around it
+PROBE_BANDS = [SWITCH_ON, (0.25, 2.0)]
+
+
+def stack_at(stack, t, r):
+    """Every row of stack at the points (t, r), shape (R,) + the
+    broadcast shape: one fill per distinct t, over its points' r in
+    ascending order."""
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
+                               np.asarray(r, dtype=float))
+    rows = len(stack.rows)
+    got = np.full((rows,) + t.shape, np.nan)
+    flat_t, flat_r, flat = t.ravel(), r.ravel(), got.reshape(rows, -1)
+    for tv in np.unique(flat_t):
+        idx = np.nonzero(flat_t == tv)[0]
+        idx = idx[np.argsort(flat_r[idx], kind="stable")]
+        flat[:, idx] = stack.fill(float(tv), flat_r[idx],
+                                  np.empty((rows, idx.size)))
+    return got
+
+
+@pytest.mark.parametrize("band", PROBE_BANDS)
 @pytest.mark.parametrize("mu,nu,amp", [(0.5, 0.5, 1.0), (0.5, -0.25, 0.97),
                                        (0.3, 0.2, 2.5)])
 def test_wave_source_matches_full_grid_formula(band, mu, nu, amp):
-    got_f = wave_source(mu, nu, amp, band=band)
-    want_f = full_grid_wave_source(mu, nu, amp, band=band)
+    stack = WaveSourceStack((wave_source(mu, nu, amp),))
+    want_f = full_grid_wave_source(mu, nu, amp)
     for t, r in support_probe_points(band):
-        got, want = got_f(t, r), want_f(t, r)
-        assert np.shape(got) == np.shape(want)
-        assert np.array_equal(got, want)
+        assert bits_equal(stack_at(stack, t, r)[0], want_f(t, r))
 
 
-@pytest.mark.parametrize("band", [(1.0, 1.5), (0.25, 2.0)])
+@pytest.mark.parametrize("band", PROBE_BANDS)
 @pytest.mark.parametrize("amp", [0.1, 0.45])
 def test_metric_pull_value_matches_full_grid_formula(band, amp):
-    got_h = metric_pull(amp, band=band)
-    want_h = full_grid_metric_value(amp, band=band)
+    got_h = metric_pull(amp)
+    want_h, _, _ = full_grid_metric(amp)
     for t, r in support_probe_points(band):
         got, want = got_h(t, r), want_h(t, r)
         assert np.shape(got) == np.shape(want)
@@ -599,11 +628,21 @@ def test_metric_pull_value_matches_full_grid_formula(band, amp):
         assert np.array_equal(got_h.value(t, r), want)
 
 
+@pytest.mark.parametrize("band", PROBE_BANDS)
+@pytest.mark.parametrize("amp", [0.1, 0.45])
+def test_metric_pull_derivatives_match_full_grid_formula(band, amp):
+    got_h = metric_pull(amp)
+    _, want_dt, want_dr = full_grid_metric(amp)
+    for t, r in support_probe_points(band):
+        assert bits_equal(got_h.dt(t, r), want_dt(t, r))
+        assert bits_equal(got_h.dr(t, r), want_dr(t, r))
+
+
 # === the grid route of the wave source ===
 #
-# WaveSourceStack.fill is the route solve_linear_wave_sourced takes for
-# wave_source profiles, one row for a lone profile; every row must equal
-# its f(t, r) bit for bit on every cell of the buffer.
+# WaveSourceStack.fill is the route solve_linear_wave_sourced takes;
+# every row must equal its full-grid formula bit for bit on every cell
+# of the buffer.
 
 def bits_equal(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -611,23 +650,23 @@ def bits_equal(a, b):
                                                  b.view(np.uint64))
 
 
-# each case's second row of the stack: the same band and mu (one power
-# table), another mu in the same band, and another band
-STACK_PARTNERS = {(0.5, 0.5, (1.0, 1.5)): wave_source(0.5, -0.25, 0.9),
-                  (0.5, -0.25, (1.0, 1.5)): wave_source(0.3, 0.2, 1.1),
-                  (0.5, 0.5, (0.25, 2.0)): wave_source(0.5, 0.5, 0.8)}
+# each case's second row of the stack: the same mu (one power table),
+# another mu, and the same pair with another amp
+STACK_CASES = {"same-mu": (0.5, 0.5, wave_source(0.5, -0.25, 0.9)),
+               "other-mu": (0.5, -0.25, wave_source(0.3, 0.2, 1.1)),
+               "same-pair": (0.5, 0.5, wave_source(0.5, 0.5, 0.8))}
 
 
 @pytest.mark.parametrize("dx", [0.01, 0.02])
-@pytest.mark.parametrize("mu,nu,band", [(0.5, 0.5, (1.0, 1.5)),
-                                        (0.5, -0.25, (1.0, 1.5)),
-                                        (0.5, 0.5, (0.25, 2.0))])
-def test_wave_source_fill_matches_call_at_every_step(dx, mu, nu, band):
+@pytest.mark.parametrize("case", list(STACK_CASES))
+def test_wave_source_fill_matches_full_grid_formula_at_every_step(dx, case):
     # the step times of the wave-march grids: t0 = 2, t_end = 60, cfl 0.5;
     # a one-row stack and every row of a two-row stack
-    f = wave_source(mu, nu, 1.03, band=band)
-    partner = STACK_PARTNERS[(mu, nu, band)]
+    mu, nu, partner = STACK_CASES[case]
+    f = wave_source(mu, nu, 1.03)
     solo, stack = WaveSourceStack((f,)), WaveSourceStack([f, partner])
+    want_f = full_grid_wave_source(mu, nu, 1.03)
+    want_p = full_grid_wave_source(partner.mu, partner.nu, partner.amp)
     g = grid_for_run(dx, 2.0, 60.0)
     r = g.r(0, g.n)
     dt = 0.5 * dx
@@ -642,18 +681,19 @@ def test_wave_source_fill_matches_call_at_every_step(dx, mu, nu, band):
         for i, t in enumerate(ts):
             got[:1, i] = solo.fill(t, r, out)
             got[1:, i] = stack.fill(t, r, rows)
-            want[0, i] = want[1, i] = f(t, r)
-            want[2, i] = partner(t, r)
+            want[0, i] = want[1, i] = want_f(t, r)
+            want[2, i] = want_p(t, r)
         assert bits_equal(got[:, :len(ts)], want[:, :len(ts)]), ts[0]
 
 
 def fill_cases():
-    """(name, t, r, band): the edges of the support prefix and ramp."""
+    """(name, t, r): the edges of the support prefix and ramp."""
     r = 0.01 * np.arange(300)
     rng = np.random.default_rng(9)
     uneven = np.sort(rng.uniform(0.0, 3.0, 257))
+    lo, hi = SWITCH_ON
 
-    def ulps(t, lo, hi):
+    def ulps(t):
         # the ulp neighbours of both support edges, where the estimate
         # from np.searchsorted can land past the true edge (t = 1.088)
         v = np.array([t - lo, t - hi])
@@ -664,62 +704,64 @@ def fill_cases():
             out += [below, above]
         return np.unique(np.concatenate(out))
 
+    # t - r = lo + wid on a node (r[75]) while t - r = lo falls between
+    # nodes: the ramp's far edge alone sits on the grid
+    r3 = 0.03 * np.arange(100)
     return [
-        ("empty support", 0.5, r, (1.0, 1.5)),
-        ("support edge at t = lo", 1.0, r, (1.0, 1.5)),
-        ("support r = 0 only", 1.0 + 0.005, r, (1.0, 1.5)),
-        ("support past grid end", 30.0, r, (1.0, 1.5)),
-        ("ramp starts at r = 0", 1.2, r, (1.0, 1.5)),
-        ("ramp ends at grid end", 1.0 + 2.99 + 0.25, r, (1.0, 1.5)),
-        ("ramp longer than grid", 1.0, r[:50], (0.25, 2.0)),
-        ("t - r hits lo on a node", 2.5, r, (1.0, 1.5)),
-        ("t - r hits lo + wid on a node", 2.5, r, (0.5, 1.5)),
-        ("uneven ascending grid", 2.7, uneven, (1.0, 1.5)),
-        ("uneven grid, ramp inside", 2.1, uneven, (0.25, 2.0)),
-        ("ulps of the edges", 1.088, ulps(1.088, 1.0, 1.5), (1.0, 1.5)),
-        ("ulps of the edges, far", 37.3, ulps(37.3, 1.0, 1.5), (1.0, 1.5)),
+        ("empty support", 0.5, r),
+        ("support edge at t = lo", 1.0, r),
+        ("support r = 0 only", 1.0 + 0.005, r),
+        ("support past grid end", 30.0, r),
+        ("ramp starts at r = 0", 1.2, r),
+        ("ramp ends at grid end", 1.0 + 2.99 + 0.25, r),
+        ("ramp longer than grid", 1.495, r[:49]),
+        ("t - r hits lo on a node", 2.5, r),
+        ("t - r hits lo + wid on a node", hi + r3[75], r3),
+        ("uneven ascending grid", 2.7, uneven),
+        ("uneven grid, ramp inside", 1.6, uneven),
+        ("ulps of the edges", 1.088, ulps(1.088)),
+        ("ulps of the edges, far", 37.3, ulps(37.3)),
     ]
 
 
 @pytest.mark.parametrize("case", fill_cases(), ids=lambda c: c[0])
 def test_wave_source_fill_edges_and_garbage_buffer(case):
-    # a negative amp gives -0.0, not the +0.0 of f(t, r), on any cell
+    # a negative amp gives -0.0, not the +0.0 of the formula, on any cell
     # the route takes past the support edge
-    _, t, r, band = case
+    _, t, r = case
     garbage = np.array([np.nan, -0.0, 1e300, -np.inf, 5e-324])
     for amp in (2.0, -2.0):
-        f = wave_source(0.5, 0.5, amp, band=band)
+        f = wave_source(0.5, 0.5, amp)
         out = np.resize(garbage, (1, r.size))
         assert WaveSourceStack((f,)).fill(t, r, out) is out
-        assert bits_equal(out[0], f(t, r))
-    # a stack with rows of both signs, two powers and two bands
-    fs = [wave_source(0.5, 0.5, 2.0, band=band),
-          wave_source(0.5, -0.25, -2.0, band=band),
-          wave_source(0.3, 0.2, -2.0, band=band),
-          wave_source(0.5, 0.5, 2.0, band=(0.5, 1.25))]
+        assert bits_equal(out[0], full_grid_wave_source(0.5, 0.5, amp)(t, r))
+    # a stack with rows of both signs, two powers and a repeated pair
+    fs = [wave_source(0.5, 0.5, 2.0), wave_source(0.5, -0.25, -2.0),
+          wave_source(0.3, 0.2, -2.0), wave_source(0.5, 0.5, 0.5)]
     out = np.resize(garbage, (len(fs), r.size))
     assert WaveSourceStack(fs).fill(t, r, out) is out
     for f, row in zip(fs, out):
-        assert bits_equal(row, f(t, r))
+        assert bits_equal(row, full_grid_wave_source(f.mu, f.nu, f.amp)(t, r))
 
 
 def test_wave_source_fill_does_not_rely_on_rising_t():
     # one buffer, step times out of order: every call writes every cell
     f = wave_source(0.5, -0.25)
+    want_f = full_grid_wave_source(0.5, -0.25)
     solo = WaveSourceStack((f,))
     g = grid_for_run(0.02, 2.0, 20.0)
     r = g.r(0, g.n)
     out = np.zeros((1, g.n))
     ts = 2.0 + 0.01 * np.random.default_rng(4).permutation(1800)
     for t in np.concatenate([ts, [0.5, 19.0, 1.1, 3.0]]):
-        assert bits_equal(solo.fill(t, r, out)[0], f(t, r))
+        assert bits_equal(solo.fill(t, r, out)[0], want_f(t, r))
 
 
 # === margin checks on tiny runs ===
 
 def test_kg_margin_zero_field_and_report_shape():
-    rep = kg_bound_margin(ZERO_METRIC, InitialData.zero(), P, dx=0.1,
-                          s_max=3.0, n_rays=5, n_s=4)
+    rep = kg_bound_margin(ZERO_METRIC, InitialData.bump(0.0, 0.0), P,
+                          dx=0.1, s_max=3.0, cfl=0.5, n_rays=5, n_s=4)
     assert rep["proposition"] == "kg-envelope"
     assert rep["max_ratio"] == 0.0
     assert rep["zero_envelope"]["max_weighted_value"] == 0.0
@@ -729,7 +771,7 @@ def test_kg_margin_zero_field_and_report_shape():
 
 def test_kg_margin_flat_bump():
     rep = kg_bound_margin(ZERO_METRIC, InitialData.bump(0.0, 0.1), P,
-                          dx=0.05, s_max=4.0, n_rays=8, n_s=8)
+                          dx=0.05, s_max=4.0, cfl=0.5, n_rays=8, n_s=8)
     assert 0.0 < rep["max_ratio"] < 50.0
     # near-regime samples carry a zero envelope when f = 0
     assert rep["zero_envelope"]["count"] > 0
@@ -744,7 +786,7 @@ def test_kg_margin_flat_bump():
 
 def test_kg_margin_curved_metric_runs():
     rep = kg_bound_margin(metric_pull(0.1), InitialData.bump(0.0, 0.1), P,
-                          dx=0.05, s_max=4.0, n_rays=6, n_s=6)
+                          dx=0.05, s_max=4.0, cfl=0.5, n_rays=6, n_s=6)
     assert np.isfinite(rep["max_ratio"])
     assert rep["params"]["sourced"] is False
     json.dumps(rep)
@@ -752,13 +794,14 @@ def test_kg_margin_curved_metric_runs():
 
 def test_wave_margin_zero_source():
     [rep] = wave_bound_margin([(0.5, 0.5)], amp=0.0, dx=0.1, t_lo=6.0,
-                              t_end=16.0, n_rays=5, n_t=4)
+                              t_end=16.0, cfl=0.5, n_rays=5, n_t=4)
     assert rep["max_ratio"] == 0.0
     json.dumps(rep)
 
 
 def test_wave_margin_small_run_both_branches():
-    kw = dict(dx=0.1, t_lo=6.0, t_end=20.0, n_rays=6, n_t=5)
+    kw = dict(amp=1.0, dx=0.1, t_lo=6.0, t_end=20.0, cfl=0.5, n_rays=6,
+              n_t=5)
     stacked = wave_bound_margin([(0.5, 0.5), (0.5, -0.25)], **kw)
     for nu, both in zip((0.5, -0.25), stacked):
         [rep] = wave_bound_margin([(0.5, nu)], **kw)

@@ -18,6 +18,12 @@ def tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def criterion(summary, cid):
+    """The criterion of a run summary with the given id."""
+    [c] = [c for c in summary.criteria if c.id == cid]
+    return c
+
+
 # --- the environment belongs to the caller ---
 
 @pytest.mark.parametrize("before", [None, "3"])
@@ -118,7 +124,8 @@ def test_float_keys_cover_the_model_couplings():
 ])
 def test_non_finite_flag_exits_with_config_error(tmp_path, capsys, scenario,
                                                  flag, field, value):
-    # flag=value: argparse would take a bare -inf for an option
+    # the flag=value form; test_negative_flag_value_as_separate_argument
+    # passes a value as the next argument
     out = tmp_path / "out"
     assert cli.main([scenario, f"{flag}={value}", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -126,6 +133,25 @@ def test_non_finite_flag_exits_with_config_error(tmp_path, capsys, scenario,
     assert not out.exists()
     with pytest.raises(ConfigError) as ei:
         cli.build_config([scenario, f"{flag}={value}"])
+    assert ei.value.line is None and ei.value.field == field
+
+
+@pytest.mark.parametrize("scenario, flag, value, field", [
+    ("sobolev-suite", "--until-s", "-inf", "until_s"),
+    ("linear-kg-bound", "--epsilon", "-1e-3", "epsilon"),
+    ("model-evolution", "--resolution", "-1E-2", "resolution"),
+])
+def test_negative_flag_value_as_separate_argument(tmp_path, capsys, scenario,
+                                                  flag, value, field):
+    # argparse would take a separate -inf or -1e-3 for an option; it must
+    # reach the key's converter and range check like flag=value does
+    out = tmp_path / "out"
+    assert cli.main([scenario, flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: flag for [") and field in err
+    assert not out.exists()
+    with pytest.raises(ConfigError) as ei:
+        cli.build_config([scenario, flag, value])
     assert ei.value.line is None and ei.value.field == field
 
 
@@ -503,26 +529,44 @@ def test_only_cli_writes_files():
 REACH_ALLOWED = {"main"}   # the console-script entry point
 
 
+FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def unreached(modules):
     """Module-level functions and classes of `modules` (name -> syntax
-    tree) that no code of any of them names, as module:name, outside
+    tree), and the non-dunder methods of those classes, that no code of
+    any of them names, as module:name or module:Class.method, outside
     the definition itself.  Imports are not uses, so a name that only
-    __init__.py re-exports, or only a test calls, is unreached."""
+    __init__.py re-exports, or only a test calls, is unreached; a method
+    counts as named wherever its name is (any obj.method)."""
     defs, used = [], set()
+
+    def collect(node, own):
+        for sub in ast.walk(node):
+            name = (sub.id if isinstance(sub, ast.Name) else
+                    sub.attr if isinstance(sub, ast.Attribute) else None)
+            if name is not None and name not in own:
+                used.add(name)
+
     for mod, tree in modules.items():
         for stmt in tree.body:
-            owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                owner = stmt.name
-                defs.append((mod, owner))
-            for node in ast.walk(stmt):
-                name = (node.id if isinstance(node, ast.Name) else
-                        node.attr if isinstance(node, ast.Attribute) else
-                        None)
-                if name is not None and name != owner:
-                    used.add(name)
-    return [f"{mod}:{name}" for mod, name in defs
+            if not isinstance(stmt, FUNCTION_DEFS + (ast.ClassDef,)):
+                collect(stmt, ())
+                continue
+            defs.append((mod, stmt.name, stmt.name))
+            if not isinstance(stmt, ast.ClassDef):
+                collect(stmt, (stmt.name,))
+                continue
+            for node in stmt.bases + stmt.keywords + stmt.decorator_list:
+                collect(node, (stmt.name,))
+            for item in stmt.body:
+                if (isinstance(item, FUNCTION_DEFS)
+                        and not item.name.startswith("__")):
+                    defs.append((mod, f"{stmt.name}.{item.name}", item.name))
+                    collect(item, (stmt.name, item.name))
+                else:
+                    collect(item, (stmt.name,))
+    return [f"{mod}:{label}" for mod, label, name in defs
             if name not in used and name not in REACH_ALLOWED]
 
 
@@ -533,11 +577,16 @@ def test_every_package_name_is_reached_from_the_package():
     missing = unreached(modules)
     assert not missing, "reached only from outside src/hfoil: " + \
         ", ".join(missing)
-    # the check sees an unused name, a self-reference, and an import
+    # the check sees an unused name, a self-reference, and an import, and
+    # a method named only in its own body; dunder methods are exempt
     probe = {"a": ast.parse("from .b import g\ndef f():\n    return f()\n"
-                            "class C:\n    pass\nC()\n"),
+                            "class C:\n    def m(self):\n"
+                            "        return self.m()\n"
+                            "    def n(self):\n        pass\n"
+                            "    def __len__(self):\n        return 0\n"
+                            "C().n()\n"),
              "b": ast.parse("def g():\n    pass\ndef main():\n    pass\n")}
-    assert unreached(probe) == ["a:f", "b:g"]
+    assert unreached(probe) == ["a:f", "a:C.m", "b:g"]
 
 
 # --- --deterministic output trees ---
@@ -650,6 +699,6 @@ def test_frame_identity_fails_on_a_wrong_box(monkeypatch, tmp_path):
     summary = cli.run_scenario(cli.build_config(
         ["frame-identity-suite", "--out", str(tmp_path), "--deterministic"]))
     assert not summary.passed
-    order = summary.criterion("frame-identity-order")
+    order = criterion(summary, "frame-identity-order")
     assert not order.passed and order.details["min_order"] < 1.0
-    assert summary.criterion("frame-assembly-gap").passed
+    assert criterion(summary, "frame-assembly-gap").passed

@@ -9,7 +9,7 @@ from hfoil.solver import (BLOWUP_GUARD, COEFF_GUARD, InitialData,
                           ModelParams, evolve_model, grid_for_run,
                           solve_linear_kg_curved, solve_linear_wave_sourced)
 from hfoil.util import StabilityError
-from slice_reference import LevelCopies
+from slice_reference import CallableSource, LevelCopies, full_grid_wave_source
 
 
 def smooth_data(amp_u, amp_v, width=4.0):
@@ -52,7 +52,8 @@ def test_sourced_wave_matches_retarded_integral():
     t0 = 2.0
     g = grid_for_run(0.025, t0, 8.0, support_radius=6.0)
     obs = LevelCopies()
-    res = solve_linear_wave_sourced(g, f, t0=t0, t_end=8.0, observers=[obs])
+    res = solve_linear_wave_sourced(g, CallableSource([f]), t0=t0,
+                                    t_end=8.0, observers=[(obs,)])
 
     def oracle(t, r):
         # u = W/r with W the 1D Duhamel integral of the odd extension of rho*f
@@ -170,15 +171,15 @@ def test_linear_kg_matches_free_model_evolution():
 
 
 def test_linear_wave_matches_free_model_evolution():
+    # both from rest; the free model takes the profile's full-grid formula
     g = grid_for_run(0.05, 2.0, 12.0)
-    f = wave_source(0.5, -0.25, 1.0)
-    for data in (InitialData.zero(), InitialData.bump(0.1, 0.0)):
-        a, b = LevelCopies(), LevelCopies()
-        solve_linear_wave_sourced(g, f, t0=2.0, t_end=12.0, observers=[a],
-                                  data=data)
-        evolve_model(ModelParams.free(), g, data, t0=2.0, t_end=12.0,
-                     observers=[b], sources=(f, None))
-        assert np.array_equal(field_levels(a, 1), field_levels(b, 1))
+    a, b = LevelCopies(), LevelCopies()
+    solve_linear_wave_sourced(g, WaveSourceStack([wave_source(0.5, -0.25)]),
+                              t0=2.0, t_end=12.0, observers=[(a,)])
+    evolve_model(ModelParams.free(), g, InitialData.bump(0.0, 0.0), t0=2.0,
+                 t_end=12.0, observers=[b],
+                 sources=(full_grid_wave_source(0.5, -0.25), None))
+    assert np.array_equal(field_levels(a, 1), field_levels(b, 1))
 
 
 # --- determinism ---
@@ -259,14 +260,17 @@ def test_cfl_guard_rejects_oversized_step():
     assert ei.value.report["kind"] == "cfl"
 
 
+# a short source pulse at the axis, for runs from rest
+PULSE = lambda t, r: 0.1 * np.exp(-4.0 * r * r - 20.0 * (t - 2.3) ** 2)
+
+
 def test_blowup_guard_reports_location():
     # the linear path has no step-size guard, so an unstable run grows
     # until the amplitude guard trips, long before finiteness is lost
     g = grid_for_run(0.05, 2.0, 90.0)
     with pytest.raises(StabilityError) as ei:
-        solve_linear_wave_sourced(
-            g, lambda t, r: 0.0 * r, t0=2.0, t_end=90.0, cfl=1.15,
-            data=InitialData.bump(0.5, 0.0))
+        solve_linear_wave_sourced(g, CallableSource([PULSE]), t0=2.0,
+                                  t_end=90.0, cfl=1.15, observers=[()])
     rep = ei.value.report
     assert rep["kind"] == "blowup"
     assert BLOWUP_GUARD < rep["value"] < 10.0 * BLOWUP_GUARD
@@ -318,28 +322,26 @@ def test_linear_wave_finiteness_guard_reports_location():
                                 np.inf, 0.0)
     with np.errstate(invalid="ignore"):
         with pytest.raises(StabilityError) as ei:
-            solve_linear_wave_sourced(g, hot, t0=2.0, t_end=4.0)
+            solve_linear_wave_sourced(g, CallableSource([hot]), t0=2.0,
+                                      t_end=4.0, observers=[()])
     rep = ei.value.report
     assert rep["kind"] == "blowup"
     assert rep["location"] == pytest.approx(2.5, abs=0.01)
     assert rep["t"] > 2.2
 
 
-def run_radial(solver, grid, t_end, data=None, source=None):
-    """A free radial run of one of the three solvers; data fills the
-    evolved field (v for the Klein-Gordon solver), source drives it."""
-    data = data or InitialData.zero()
+def run_radial(solver, grid, t_end, source):
+    """A free radial run of one of the three solvers from rest, with
+    source driving the evolved field (v for the Klein-Gordon solver)."""
+    rest = InitialData.bump(0.0, 0.0)
     if solver == "model":
-        return evolve_model(ModelParams.free(), grid, data, t0=2.0,
-                            t_end=t_end,
-                            sources=(source, None) if source else None)
+        return evolve_model(ModelParams.free(), grid, rest, t0=2.0,
+                            t_end=t_end, sources=(source, None))
     if solver == "wave":
-        return solve_linear_wave_sourced(
-            grid, source or (lambda t, r: 0.0 * r), t0=2.0, t_end=t_end,
-            data=data)
-    data = InitialData(u0=data.v0, u1=data.v1, v0=data.u0, v1=data.u1,
-                       support_radius=data.support_radius)
-    return solve_linear_kg_curved(grid, lambda t, r: 0.0 * r, 1.0, data,
+        return solve_linear_wave_sourced(grid, CallableSource([source]),
+                                         t0=2.0, t_end=t_end,
+                                         observers=[()])
+    return solve_linear_kg_curved(grid, lambda t, r: 0.0 * r, 1.0, rest,
                                   t0=2.0, t_end=t_end, source=source)
 
 
@@ -363,7 +365,7 @@ def test_radial_blowup_guard_reports_location(solver):
 def test_radial_boundary_guard_reports_location(solver):
     g = RadialGrid(dx=0.05, n=60)   # r_max = 2.95, too small for t_end
     with pytest.raises(StabilityError) as ei:
-        run_radial(solver, g, 12.0, data=InitialData.bump(0.1, 0.0))
+        run_radial(solver, g, 12.0, PULSE)
     rep = ei.value.report
     assert rep["kind"] == "boundary"
     # the last cell is pinned, so the leak sits in one of the two before it
@@ -432,8 +434,9 @@ def _run(kind, t_end, observers):
                             g, InitialData.bump(0.05, 0.08), t0=2.0,
                             t_end=t_end, observers=observers)
     if kind == "wave":
-        return solve_linear_wave_sourced(g, wave_source(0.5, 0.5), t0=2.0,
-                                         t_end=t_end, observers=observers)
+        return solve_linear_wave_sourced(
+            g, WaveSourceStack([wave_source(0.5, 0.5)]), t0=2.0,
+            t_end=t_end, observers=[observers])
     return solve_linear_kg_curved(g, lambda t, r: 0.05 * np.sin(t), 1.3,
                                   InitialData.bump(0.0, 0.2), t0=2.0,
                                   t_end=t_end, observers=observers)
@@ -469,7 +472,7 @@ def test_stack_row_skipping_levels_leaves_the_other_row_exact(other):
     obs = LevelCopies() if other == "every" else _Picky(lambda k: k % 5 == 0)
     solve_linear_wave_sourced(g, WaveSourceStack(rows), t0=2.0, t_end=12.0,
                               observers=[(pool,), (obs,)])
-    want = _ref_solve_linear_wave_sourced(g, rows[1], 2.0, 12.0)
+    want = _ref_solve_linear_wave_sourced(g, formula(rows[1]), 2.0, 12.0)
     if other == "some":
         steps = sorted(obs.levels)
         assert steps[-1] == len(want) - 1 and len(steps) < len(want) // 4
@@ -596,15 +599,18 @@ def _ref_evolve_model(params, grid, data, t0, t_end, cfl=0.5, sources=None):
     return levels
 
 
-def _ref_solve_linear_wave_sourced(grid, source, t0, t_end, cfl=0.5,
-                                   data=None):
+def formula(f):
+    """The full-grid formula of the wave_source record f."""
+    return full_grid_wave_source(f.mu, f.nu, f.amp)
+
+
+def _ref_solve_linear_wave_sourced(grid, source, t0, t_end, cfl=0.5):
+    """Levels of -box u = source(t, r) from rest."""
     dx, r = grid.dx, grid.r(0, grid.n)
     dt = cfl * dx
-    data = data or InitialData.zero()
-    W = r * np.asarray(data.u0(r), dtype=float)
-    dW = r * np.asarray(data.u1(r), dtype=float)
+    W = np.zeros(grid.n)
     ddW = _ref_d2_odd(W, dx) + r * source(t0, r)
-    W_prev, W_cur = W, W + dt * dW + 0.5 * dt * dt * ddW
+    W_prev, W_cur = W, W + 0.5 * dt * dt * ddW
     levels = [(t0, _ref_over_r(W_prev, r, dx), None),
               (t0 + dt, _ref_over_r(W_cur, r, dx), None)]
     n_steps = int(np.ceil((t_end - t0) / dt - 1e-9))
@@ -678,19 +684,15 @@ def test_evolve_model_matches_allocating_reference(sourced):
 
 
 def test_linear_wave_matches_allocating_reference():
-    # the profile as a one-row WaveSourceStack and wrapped in a lambda as a
-    # plain callable; both must give the reference levels bit for bit
+    # the profile as a one-row WaveSourceStack must give the levels of the
+    # reference run on its full-grid formula bit for bit
     g = grid_for_run(0.05, 2.0, 12.0)
     f = wave_source(0.5, -0.25, 1.0)
-    data = InitialData.bump(0.1, 0.0)
-    want = _ref_solve_linear_wave_sourced(g, f, 2.0, 12.0, data=data)
-    stacked, plain = LevelCopies(), LevelCopies()
+    want = _ref_solve_linear_wave_sourced(g, formula(f), 2.0, 12.0)
+    obs = LevelCopies()
     solve_linear_wave_sourced(g, WaveSourceStack((f,)), t0=2.0, t_end=12.0,
-                              observers=[(stacked,)], data=data)
-    solve_linear_wave_sourced(g, lambda t, r: f(t, r), t0=2.0, t_end=12.0,
-                              observers=[plain], data=data)
-    for obs in (stacked, plain):
-        assert_levels_equal(obs.levels, want)
+                              observers=[(obs,)])
+    assert_levels_equal(obs.levels, want)
 
 
 def test_stacked_wave_rows_match_their_solo_references():
@@ -699,16 +701,14 @@ def test_stacked_wave_rows_match_their_solo_references():
     g = grid_for_run(0.05, 2.0, 12.0)
     rows = [wave_source(0.5, 0.5, 1.0), wave_source(0.5, -0.25, 0.7),
             wave_source(0.3, 0.2, 1.3)]
-    data = InitialData.bump(0.1, 0.0)
     obs = [LevelCopies() for _ in rows]
     res = solve_linear_wave_sourced(g, WaveSourceStack(rows), t0=2.0,
-                                    t_end=12.0, observers=[(o,) for o in obs],
-                                    data=data)
+                                    t_end=12.0, observers=[(o,) for o in obs])
     for f, o in zip(rows, obs):
         assert_levels_equal(o.levels, _ref_solve_linear_wave_sourced(
-            g, f, 2.0, 12.0, data=data))
-    solo = solve_linear_wave_sourced(g, rows[0], t0=2.0, t_end=12.0,
-                                     data=data)
+            g, formula(f), 2.0, 12.0))
+    solo = solve_linear_wave_sourced(g, WaveSourceStack(rows[:1]), t0=2.0,
+                                     t_end=12.0, observers=[()])
     assert (res.grid, res.t0, res.dt, res.steps, res.t_final) == \
         (solo.grid, solo.t0, solo.dt, solo.steps, solo.t_final)
     with pytest.raises(ValueError):
@@ -716,38 +716,44 @@ def test_stacked_wave_rows_match_their_solo_references():
                                   t_end=3.0, observers=[(), ()])
 
 
-# mu = 1 and a band far below the cone: a source on the whole grid,
-# outer cells included
-EVERYWHERE = dict(mu=1.0, nu=0.5, band=(-50.0, -49.5))
+def everywhere(amp=1.0):
+    """amp * t^-2.5 on the whole grid, outer cells included: the
+    wave_source(1.0, 0.5, amp) profile without its switch."""
+    return lambda t, r: amp * np.asarray(t, dtype=float) ** -2.5 + 0.0 * r
 
 
+# calm and hot are (tag, f) rows of a CallableSource
 @pytest.mark.parametrize("kind, calm, hot", [
-    ("blowup", wave_source(0.5, 0.5), wave_source(0.5, -0.25, 1e7)),
-    ("boundary", wave_source(0.5, 0.5), wave_source(**EVERYWHERE)),
+    ("blowup", ("calm", full_grid_wave_source(0.5, 0.5)),
+     ("hot", full_grid_wave_source(0.5, -0.25, 1e7))),
+    ("boundary", ("calm", full_grid_wave_source(0.5, 0.5)),
+     ("hot", everywhere())),
     # each row has its own running scale: a faint leak trips its row even
     # beside a row a billion times stronger
-    ("boundary", wave_source(0.5, 0.5, 1e3),
-     wave_source(amp=1e-6, **EVERYWHERE)),
+    ("boundary", ("calm", full_grid_wave_source(0.5, 0.5, 1e3)),
+     ("hot", everywhere(1e-6))),
 ])
 def test_stack_guard_report_names_its_row(kind, calm, hot):
     g = grid_for_run(0.05, 2.0, 12.0)
     a, b = LevelCopies(), LevelCopies()
+    stack = CallableSource([calm[1], hot[1]], tags=[calm[0], hot[0]])
     with pytest.raises(StabilityError) as ei:
-        solve_linear_wave_sourced(g, WaveSourceStack([calm, hot]), t0=2.0,
-                                  t_end=12.0, observers=[(a,), (b,)])
+        solve_linear_wave_sourced(g, stack, t0=2.0, t_end=12.0,
+                                  observers=[(a,), (b,)])
     rep = ei.value.report
-    assert rep["kind"] == kind and rep["row"] == hot.tag
+    assert rep["kind"] == kind and rep["row"] == "hot"
     # the tripping level reaches no observer; the calm row's observers saw
     # exactly the first levels of its solo run, which does not trip
     solo = LevelCopies()
-    solve_linear_wave_sourced(g, calm, t0=2.0, t_end=12.0, observers=[solo])
+    solve_linear_wave_sourced(g, CallableSource([calm[1]], tags=["calm"]),
+                              t0=2.0, t_end=12.0, observers=[(solo,)])
     assert len(a.levels) == len(b.levels) == rep["step"]
     assert_levels_equal(a.levels, solo.levels[:rep["step"]])
     # the hot row alone, a one-row stack, trips at the same level, with the
     # same report
     with pytest.raises(StabilityError) as alone:
-        solve_linear_wave_sourced(g, WaveSourceStack([hot]), t0=2.0,
-                                  t_end=12.0, observers=[()])
+        solve_linear_wave_sourced(g, CallableSource([hot[1]], tags=["hot"]),
+                                  t0=2.0, t_end=12.0, observers=[()])
     assert alone.value.report == rep
 
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hfoil.util import (INTERP_OFFSETS, StencilRangeError, fd_weights,
-                        lagrange_weights, reduce_sum, smoothstep,
+from hfoil.util import (INTERP_OFFSETS, StencilRangeError, _basis_coeffs,
+                        fd_weights, lagrange_weights, smoothstep,
                         smoothstep_d, trapezoid_weights)
 from slice_reference import central_offsets, central_weights, window_weights
 
@@ -94,6 +94,28 @@ def test_fd_weights_fornberg_matches_vandermonde_reference():
 WINDOW6 = (-2, -1, 0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("offsets", [INTERP_OFFSETS, (-1, 0, 1, 2), WINDOW6,
+                                     tuple(range(-2, 5))],
+                         ids=["10-point", "4-point", "6-point", "7-point"])
+def test_basis_coeffs_match_sympy_lagrange_basis(offsets):
+    # the ascending coefficients of sympy's exact Lagrange basis, each
+    # rounded to float once, bit for bit
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    want = np.zeros((len(offsets), len(offsets)))
+    for k, ok in enumerate(offsets):
+        basis = sympy.Integer(1)
+        for oj in offsets:
+            if oj != ok:
+                basis *= sympy.Rational(1, ok - oj) * (x - oj)
+        poly = sympy.Poly(sympy.expand(basis), x)
+        for (d,), c in poly.terms():
+            c = sympy.Rational(c)
+            want[k, d] = float(Fraction(int(c.p), int(c.q)))
+    assert np.array_equal(_basis_coeffs(tuple(offsets)).view(np.uint64),
+                          want.view(np.uint64))
+
+
 def test_lagrange_weights_reproduce_nodes():
     w = window_weights(np.array([0.0]), WINDOW6)
     # frac 0 sits on the third node of the 6 point window (-2..3)
@@ -175,18 +197,6 @@ def test_smoothstep_matches_clip_formula_bitwise(fn, ref):
             x = big[off:off + size]
             same(fn(x), ref(x))
     same(fn(big[:3000].reshape(30, 100)), ref(big[:3000].reshape(30, 100)))
-
-
-def test_reduce_sum_modes_agree_and_are_deterministic():
-    # the pairwise sum agrees with a left-to-right sum to rounding and
-    # repeats bit for bit
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal(1000)
-    s = reduce_sum(a)
-    assert s == pytest.approx(float(np.cumsum(a)[-1]), rel=1e-12)
-    assert reduce_sum(a) == s
-    assert reduce_sum(a.reshape(10, 100)) == s
-    assert reduce_sum([]) == 0.0
 
 
 def test_trapezoid_weights_integrate_linear_exactly():
