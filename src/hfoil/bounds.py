@@ -3,6 +3,11 @@
 Two closed-form majorants are evaluated here: a Klein-Gordon envelope V
 built from integrals of the metric perturbation along rays through the
 origin, and a piecewise power-law bound for the sourced wave equation.
+The base points of one lattice ray share one quadrature: one node set
+(the farthest point's nodes merged with every point's own s), one
+evaluation of |h'| and its cumulative integral H, read at each point's
+own node; the far regime's Gronwall boost int |h'| e^{C int_lam^s |h'|}
+is taken in its closed form (e^{C H(s)} - 1) / C.
 Margin checks run the matching linear solver and report the measured
 ratio field/envelope over a lattice of cone-interior sample points; the
 wave check steps all its (mu, nu) pairs as one stack of sources.
@@ -83,35 +88,10 @@ class RayCoords:
         return lam * (self.t / self.s), lam * (self.r / self.s)
 
     def lam_nodes(self, dlam: float) -> np.ndarray:
-        return lam_grid(self.lam_min, self.s, dlam)[0][0]
-
-
-def lam_count(lam_min, s, dlam: float) -> np.ndarray:
-    """Quadrature node counts of rays from lam_min to s with step at
-    most dlam: max(2, ceil((s - lam_min) / dlam) + 1) per ray."""
-    lo = np.atleast_1d(np.asarray(lam_min, dtype=float))
-    hi = np.atleast_1d(np.asarray(s, dtype=float))
-    return np.maximum(2, np.ceil((hi - lo) / dlam).astype(int) + 1)
-
-
-def lam_grid(lam_min, s, dlam: float):
-    """(nodes, n): quadrature nodes of rays from lam_min to s, one row
-    per ray, and each row's node count n = lam_count(lam_min, s, dlam).
-
-    Row i is np.linspace(lam_min[i], s[i], n[i]) bit for bit: k*step +
-    lam_min[i] with step = (s[i] - lam_min[i]) / (n[i] - 1) and the last
-    node pinned to s[i] (lam_min >= s0 > 1, so step is never a
-    subnormal that rounds to 0).  Past its own n[i] nodes a row repeats
-    s[i], so the padding adds nothing to a cumulative trapezoid sum.
-    """
-    n = lam_count(lam_min, s, dlam)
-    lo = np.atleast_1d(np.asarray(lam_min, dtype=float))[:, None]
-    hi = np.atleast_1d(np.asarray(s, dtype=float))[:, None]
-    last = (n - 1)[:, None]
-    k = np.arange(int(n.max()), dtype=float)
-    lam = k * ((hi - lo) / last) + lo
-    np.copyto(lam, hi, where=k >= last)
-    return lam, n
+        """Quadrature nodes from lam_min to s with step at most dlam:
+        max(2, ceil((s - lam_min) / dlam) + 1) of them."""
+        n = max(2, math.ceil((self.s - self.lam_min) / dlam) + 1)
+        return np.linspace(self.lam_min, self.s, n)
 
 
 class MetricPerturb:
@@ -273,27 +253,21 @@ def _prefix_end(holds, guess, n: int) -> int:
 
 # === ray integrals ===
 
-# cap on points x nodes of one envelope block, so the 2D quadrature
-# arrays stay small the way QueryPool's cap keeps one flush small; at
-# 2048 linear-kg-bound peaks at the RSS of the per-point route, at 4096
-# it peaked 0.3 MB higher
-ENVELOPE_BLOCK = 2048
-
-
-def h_ray_derivative(h: MetricPerturb, rays, lam):
-    """d/dlam of h along each ray, at the nodes in the matching row of
-    the 2D lam (one row per RayCoords in rays): (t/s) d_t h + (r/s) d_r h
-    at the ray point, which is (t/s) times the perp derivative there.
-    Every node must lie in its own ray's [lam_min, s]."""
+def h_ray_derivative(h: MetricPerturb, ray: RayCoords, lam):
+    """d/dlam of h along the ray at the nodes lam: (t/s) d_t h + (r/s)
+    d_r h at the ray point, which is (t/s) times the perp derivative
+    there.  Every node must lie in [lam_min, s]."""
     lam = np.asarray(lam, dtype=float)
-    lo = np.array([[ray.lam_min] for ray in rays])
-    hi = np.array([[ray.s] for ray in rays])
-    if np.any(lam < lo - 1e-9) or np.any(lam > hi + 1e-9):
+    if np.any(lam < ray.lam_min - 1e-9) or np.any(lam > ray.s + 1e-9):
         raise ValueError("lambda outside the ray range")
-    a = np.array([[ray.t / ray.s] for ray in rays])
-    b = np.array([[ray.r / ray.s] for ray in rays])
-    tp, rp = lam * a, lam * b
-    return a * h.dt(tp, rp) + b * h.dr(tp, rp)
+    tp, rp = ray.points(lam)
+    return (ray.t / ray.s) * h.dt(tp, rp) + (ray.r / ray.s) * h.dr(tp, rp)
+
+
+def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid sums of y over the nodes x, 0 at x[0]."""
+    return np.concatenate([[0.0],
+                           np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
 
 
 class RayIntegral:
@@ -315,77 +289,47 @@ def accumulate_F(f: Optional[Callable], ray: RayCoords,
         return RayIntegral(lam, np.zeros_like(lam))
     tp, rp = ray.points(lam)
     g = lam ** 1.5 * np.abs(np.asarray(f(tp, rp), dtype=float))
-    cum = np.concatenate([[0.0],
-                          np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(lam))])
-    return RayIntegral(lam, cum)
+    return RayIntegral(lam, _cumtrapz(g, lam))
 
 
 def envelope_V(rays, data_norms, F: RayIntegral, h, params: BoundParams,
                Cs=None) -> np.ndarray:
-    """The Klein-Gordon majorant at the base points of one ray.
+    """The Klein-Gordon majorant at the base points of one lattice ray.
 
-    far:  (|v0|+|v1|)(1 + int |h'| e^{C int_tail |h'|})
-          + F(s) + int F |h'| e^{C int_tail |h'|}
-    near: F(s) + int F |h'| e^{C int_tail |h'|}
-    with all integrals along the ray from lam_min to s.
+    far:  (|v0|+|v1|)(1 + int |h'| e^{C int_lam^s |h'|})
+          + F(s) + int F |h'| e^{C int_lam^s |h'|}
+    near: F(s) + int F |h'| e^{C int_lam^s |h'|}
+    with the outer integrals over lam from lam_min to s.  With H the
+    cumulative int |h'| from lam_min, the far boost is exactly
+    (e^{C H(s)} - 1)/C and the source term e^{C H(s)} int F |h'| e^{-C H}.
 
-    rays are the RayCoords of base points on one lattice ray, which
-    share the source integral F (accumulated to the farthest of them);
-    each point reads F at its own s.  Cs are the weights C (default:
-    params.C).  Returns V with shape (len(Cs), len(rays)).
-
-    Block contract: consecutive base points go in blocks whose rows x
-    longest row stays within ENVELOPE_BLOCK node values (one point at
-    least); a block is one (points x nodes) array on lam_grid rows, and
-    one h_ray_derivative call serves it for every C.  Each entry is bit
-    for bit the one-point, one-C quadrature on RayCoords.lam_nodes: the
-    cumulative sum runs along each row, and each total is np.sum over
-    the row's own nodes, never over its padding (a pairwise sum depends
-    on the length).
+    rays are the RayCoords of base points of one direction, hence of one
+    lam_min and regime (ValueError otherwise).  They share F, accumulated
+    to the farthest of them, and one node set: that point's
+    lam_nodes(dlam) merged with every point's own s.  |h'| is evaluated
+    once on it, and each point reads F, H and the source sum at its own
+    node.  Cs are the weights C (default: params.C); V has shape
+    (len(Cs), len(rays)).
     """
     Cs = (params.C,) if Cs is None else tuple(float(c) for c in Cs)
+    top = max(rays, key=lambda ray: ray.s)
+    if any(abs(ray.rho - top.rho) > 1e-12 or ray.far != top.far
+           for ray in rays):
+        raise ValueError("envelope_V takes base points of one lattice ray")
+    s = np.array([ray.s for ray in rays])
+    lam = np.union1d(top.lam_nodes(params.dlam), s)
+    at = np.searchsorted(lam, s)
+    hp = np.abs(h_ray_derivative(h, top, lam))
+    H = _cumtrapz(hp, lam)
+    Fh, Fs = F(lam) * hp, F(s)
     norm = float(data_norms[0]) + float(data_norms[1])
-    n = lam_count([ray.lam_min for ray in rays], [ray.s for ray in rays],
-                  params.dlam)
     V = np.empty((len(Cs), len(rays)))
-    for lo, hi in _blocks(n):
-        block = rays[lo:hi]
-        lam, nb = lam_grid([ray.lam_min for ray in block],
-                           [ray.s for ray in block], params.dlam)
-        hp = np.abs(h_ray_derivative(h, block, lam))
-        dl = np.diff(lam, axis=1)
-        cum = np.zeros(lam.shape)
-        np.cumsum(0.5 * (hp[:, 1:] + hp[:, :-1]) * dl, axis=1,
-                  out=cum[:, 1:])
-        # int_{lam}^{s} |h'|, taken from each row's own last node
-        tail = cum[np.arange(hi - lo), nb - 1][:, None] - cum
-        Fv = F(lam)
-        far = any(ray.far for ray in block)
-        for ci, C in enumerate(Cs):
-            kern = hp * np.exp(C * tail)
-            kF = kern * Fv
-            grow = 0.5 * (kF[:, 1:] + kF[:, :-1]) * dl
-            if far:
-                boost = 0.5 * (kern[:, 1:] + kern[:, :-1]) * dl
-            for i, (ray, m) in enumerate(zip(block, nb - 1)):
-                v = float(F(ray.s)) + float(np.sum(grow[i, :m]))
-                if ray.far:
-                    v += norm * (1.0 + float(np.sum(boost[i, :m])))
-                V[ci, lo + i] = v
+    for ci, C in enumerate(Cs):
+        grow = np.exp(C * H[at]) * _cumtrapz(Fh * np.exp(-C * H), lam)[at]
+        V[ci] = Fs + grow
+        if top.far:
+            V[ci] += norm * (1.0 + np.expm1(C * H[at]) / C)
     return V
-
-
-def _blocks(n):
-    """(lo, hi) ranges of consecutive rays with node counts n whose
-    rows x longest row stays within ENVELOPE_BLOCK (one ray at least)."""
-    lo, width = 0, 0
-    for i, m in enumerate(n):
-        width = max(width, int(m))
-        if i > lo and (i + 1 - lo) * width > ENVELOPE_BLOCK:
-            yield lo, i
-            lo, width = i, int(m)
-    if len(n):
-        yield lo, len(n)
 
 
 # === wave envelope ===
@@ -462,11 +406,11 @@ def kg_bound_margin(h: MetricPerturb, data: InitialData, params: BoundParams,
     same quantity is measured at every resolution.
 
     Envelopes are taken per lattice ray, not per point: one envelope_V
-    call per ray for every distinct C of (params.C, *C_SWEEP) at
-    dlam and one at dlam/2 (quad_refinement_delta), each evaluated in
-    blocks of ENVELOPE_BLOCK node values.  Every V is bit for bit the
-    one-point, one-C quadrature, so the report does not depend on the
-    blocking.
+    call per ray for every distinct C of (params.C, *C_SWEEP) at dlam
+    and one at dlam/2 (quad_refinement_delta), each on the ray's one
+    shared node set, with the far boost in closed form.
+    c_dependent_points counts the lattice points whose V differs across
+    C_SWEEP; only points with H(s) > 0 that are far or sourced can.
     """
     chi = _ray_fan(n_rays, math.log(s_max / tr_min))
     s_vals = np.geomspace(1.1 * params.s0, s_max, n_s)
@@ -528,6 +472,8 @@ def kg_bound_margin(h: MetricPerturb, data: InitialData, params: BoundParams,
                           "near": int((~regimes).sum())},
         "quadrature_step": params.dlam,
         "quad_refinement_delta": quad,
+        "c_dependent_points": int(np.sum(np.ptp([Vs[c] for c in C_SWEEP],
+                                                axis=0) > 0)),
         "C_sensitivity": {format_c(c): float(np.max(
             weighted[pos & (Vs[c] > 0)] / Vs[c][pos & (Vs[c] > 0)]))
             if (pos & (Vs[c] > 0)).any() else 0.0
@@ -547,7 +493,8 @@ def _lattice_envelopes(h, f, params: BoundParams, ts, rs, ci, data_norms):
     One envelope_V call per lattice ray and quadrature step: at dlam for
     every distinct C of (params.C, *C_SWEEP), and at dlam/2 for
     params.C.  Each ray's source integral is accumulated once per step,
-    to its farthest base point.  Vs maps each C of the sweep to its V.
+    to its farthest base point, and envelope_V takes the ray's points on
+    one shared node set.  Vs maps each C of the sweep to its V.
     """
     half = replace(params, dlam=params.dlam / 2)
     Cs = list(dict.fromkeys(float(c) for c in (params.C, *C_SWEEP)))

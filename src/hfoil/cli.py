@@ -826,7 +826,8 @@ def _scn_linear_kg_bound(cfg: RunConfig, out: Path):
         criteria.append(CriterionResult(
             f"kg-envelope-c-sweep-{name}",
             all(v < 0.10 for v in sweep_rel.values()),
-            {"per_C_rel_change": dict(sorted(sweep_rel.items()))}))
+            {"per_C_rel_change": dict(sorted(sweep_rel.items())),
+             "c_dependent_points": fine["c_dependent_points"]}))
         exponents[f"kg_margin_{name}"] = ratio
     return criteria, exponents
 
@@ -987,6 +988,12 @@ def _scn_frame_identity(cfg: RunConfig, out: Path):
     return criteria, orders
 
 
+def _poly_bump(r, R: float):
+    """(1 - (r/R)^2)^4 inside r < R, zero outside."""
+    w = np.square(np.asarray(r, dtype=float) / R)
+    return np.where(w < 1.0, (1.0 - np.minimum(w, 1.0)) ** 4, 0.0)
+
+
 def _drift_data(eps: float) -> InitialData:
     """Polynomial bump (1 - (r/R)^2)^4 with R = 0.8, zero velocity.
 
@@ -999,10 +1006,7 @@ def _drift_data(eps: float) -> InitialData:
     variation into a layer too thin for any practical step.
     """
     R = 0.8
-
-    def shape(r):
-        q = np.square(np.asarray(r, dtype=float) / R)
-        return eps * np.where(q < 1.0, (1.0 - np.minimum(q, 1.0)) ** 4, 0.0)
+    shape = lambda r: eps * _poly_bump(r, R)
     zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
     return InitialData(u0=shape, u1=zero, v0=zero, v1=zero,
                        support_radius=R)
@@ -1023,7 +1027,7 @@ def _energy_drift(dx: float, cfg: RunConfig) -> tuple:
     data = _drift_data(eps_u)
     suite, grid, t_need = SliceEnergySuite.plan(
         dx, s_vals, order=0, t0=2.0, support_radius=data.support_radius,
-        fields=("u",), mass=cfg.mass, cfl=CFL_CAP,
+        pad_cells=cfg.pad_cells, fields=("u",), mass=cfg.mass, cfl=CFL_CAP,
         chi_step=0.01, h_chi_u=0.02, h_s=0.05)
     evolve_model(ModelParams.free(cfg.mass), grid, data, t0=2.0,
                  t_end=t_need, cfl=CFL_CAP, observers=(suite,))
@@ -1040,11 +1044,6 @@ _MMS_AU = 0.08
 _MMS_AV = 0.08
 _MMS_WU = 1.3
 _MMS_WV = 1.7
-
-
-def _mms_phi(r):
-    w = np.square(np.asarray(r, dtype=float) / _MMS_R)
-    return np.where(w < 1.0, (1.0 - np.minimum(w, 1.0)) ** 4, 0.0)
 
 
 def _mms_dphi(r):
@@ -1079,13 +1078,14 @@ def _mms_sources(params: ModelParams):
     au, dau, ddau, av, dav, ddav = _mms_exact()
 
     def fu(t, r):
-        phi, dphi, lap = _mms_phi(r), _mms_dphi(r), _mms_lap_phi(r)
+        phi = _poly_bump(r, _MMS_R)
+        dphi, lap = _mms_dphi(r), _mms_lap_phi(r)
         N = (p00 * (dav(t) * phi) ** 2 + ps * (av(t) * dphi) ** 2
              + rcoef * (av(t) * phi) ** 2)
         return ddau(t) * phi - au(t) * lap - N
 
     def fv(t, r):
-        phi, lap = _mms_phi(r), _mms_lap_phi(r)
+        phi, lap = _poly_bump(r, _MMS_R), _mms_lap_phi(r)
         u = au(t) * phi
         return ((1.0 + u * h00) * ddav(t) * phi
                 - (1.0 - u * hs) * av(t) * lap + c2 * av(t) * phi)
@@ -1105,10 +1105,10 @@ def _mms_error(dx: float, cfg: RunConfig) -> float:
     params = cfg.model_params()
     au, dau, _, av, dav, _ = _mms_exact()
     data = InitialData(
-        u0=lambda r: au(2.0) * _mms_phi(r),
-        u1=lambda r: dau(2.0) * _mms_phi(r),
-        v0=lambda r: av(2.0) * _mms_phi(r),
-        v1=lambda r: dav(2.0) * _mms_phi(r),
+        u0=lambda r: au(2.0) * _poly_bump(r, _MMS_R),
+        u1=lambda r: dau(2.0) * _poly_bump(r, _MMS_R),
+        v0=lambda r: av(2.0) * _poly_bump(r, _MMS_R),
+        v1=lambda r: dav(2.0) * _poly_bump(r, _MMS_R),
         support_radius=_MMS_R)
     grid = grid_for_run(dx, 2.0, 4.2, support_radius=_MMS_R,
                         pad_cells=cfg.pad_cells)
@@ -1116,8 +1116,8 @@ def _mms_error(dx: float, cfg: RunConfig) -> float:
     evolve_model(params, grid, data, t0=2.0, t_end=4.0, cfl=cfg.cfl,
                  observers=(last,), sources=_mms_sources(params))
     r = grid.r()
-    eu = np.max(np.abs(last.u - au(last.t) * _mms_phi(r)))
-    ev = np.max(np.abs(last.v - av(last.t) * _mms_phi(r)))
+    eu = np.max(np.abs(last.u - au(last.t) * _poly_bump(r, _MMS_R)))
+    ev = np.max(np.abs(last.v - av(last.t) * _poly_bump(r, _MMS_R)))
     return float(max(eu, ev))
 
 

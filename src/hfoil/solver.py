@@ -197,10 +197,8 @@ def _coefficient_guard(detail, t, step, r, u, peak, hn):
     """Trips when max|u| (peak) times the norm of H reaches COEFF_GUARD."""
     guard = peak * hn
     if guard >= COEFF_GUARD:
-        i = int(np.argmax(np.abs(u)))
-        raise StabilityError(detail, report={
-            "kind": "coefficient", "t": t, "step": step,
-            "location": float(r[i]), "value": float(guard)})
+        _trip(detail, "coefficient", t, step, r[int(np.argmax(np.abs(u)))],
+              guard)
 
 
 def _guard_level(t, step, r, levels, scratch, scale, tags):
@@ -236,7 +234,10 @@ def _guard_level(t, step, r, levels, scratch, scale, tags):
                   r[len(r) - 3 + int(np.argmax(w))], leak, tags[j])
 
 
-def _trip(detail, kind, t, step, location, value, tag):
+def _trip(detail, kind, t, step, location, value, tag=None):
+    """Raise StabilityError with the report every solver guard gives:
+    kind, t, step, location and value, plus the run's tag under "row"
+    when it has one."""
     report = {"kind": kind, "t": t, "step": step,
               "location": float(location), "value": float(value)}
     if tag is not None:
@@ -404,11 +405,8 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
         sp2 = work.max()
         # leapfrog is stable for Courant numbers below one
         if np.sqrt(max(sp2, 0.0)) * dt / dx >= 1.0:
-            i = int(np.argmax(work))
-            raise StabilityError(
-                "quasilinear signal speed exceeded the step budget",
-                report={"kind": "cfl", "t": t_k, "step": k,
-                        "location": float(r[i]), "value": float(np.sqrt(sp2))})
+            _trip("quasilinear signal speed exceeded the step budget",
+                  "cfl", t_k, k, r[int(np.argmax(work))], np.sqrt(sp2))
 
         # Klein-Gordon first, mass term averaged over the stencil ends
         _kg_update(Wv_prev, Wv_cur, denom, cs,
@@ -505,10 +503,8 @@ def solve_linear_kg_curved(grid: RadialGrid, h00: Callable, mass: float,
         np.add(np.asarray(h00(t, r), dtype=float), 1.0, out=denom)
         if denom.min() <= 0.1:
             i = int(np.argmin(denom))
-            raise StabilityError("metric perturbation too large",
-                                 report={"kind": "coefficient", "t": t,
-                                         "step": step, "location": float(r[i]),
-                                         "value": float(denom[i])})
+            _trip("metric perturbation too large", "coefficient", t, step,
+                  r[i], denom[i])
         return denom
 
     W = r * np.asarray(data.v0(r), dtype=float)

@@ -669,6 +669,46 @@ def test_deterministic_solver_runs_are_byte_identical(monkeypatch, tmp_path,
     assert trees[0] == trees[1]
 
 
+def test_convergence_suite_grids_take_pad_cells(monkeypatch, tmp_path):
+    # both routes of the suite, the free-wave drift runs and the MMS
+    # runs, plan their grids with [grid] pad_cells
+    path = tmp_path / "pad.txt"
+    path.write_text("[grid]\npad_cells = 7\n")
+    cfg = cli.build_config(["convergence-suite", "--config", str(path)])
+    seen = []
+
+    class Planned(Exception):
+        pass
+
+    def plan(dx, t0, t_end, support_radius=1.0, pad_cells=60):
+        seen.append(pad_cells)
+        raise Planned
+
+    monkeypatch.setattr("hfoil.analysis.grid_for_run", plan)
+    monkeypatch.setattr("hfoil.cli.grid_for_run", plan)
+    for route in (cli._energy_drift, cli._mms_error):
+        with pytest.raises(Planned):
+            route(cfg.dx(), cfg)
+    assert seen == [7, 7]
+
+
+def test_kg_c_sweep_reports_c_dependent_points(tmp_path):
+    # the points whose envelope moves with C: none on the flat metric,
+    # some but not all on the pull
+    assert cli.main(["linear-kg-bound", "--until-s", "4", "--out",
+                     str(tmp_path), "--deterministic"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    counts = {}
+    for name in ("flat", "pull"):
+        margin = json.loads((tmp_path / f"kg_margin_{name}.json").read_text())
+        [sweep] = [c for c in report["criteria"]
+                   if c["id"] == f"kg-envelope-c-sweep-{name}"]
+        counts[name] = margin["c_dependent_points"]
+        assert sweep["details"]["c_dependent_points"] == counts[name]
+        points = sum(margin["regime_counts"].values())
+    assert counts["flat"] == 0 < counts["pull"] < points
+
+
 # --- smoke runs of the quick scenarios at their defaults ---
 
 @pytest.mark.parametrize("scenario, table, schema, rows", [

@@ -262,6 +262,9 @@ def test_cfl_guard_rejects_oversized_step():
 
 # a short source pulse at the axis, for runs from rest
 PULSE = lambda t, r: 0.1 * np.exp(-4.0 * r * r - 20.0 * (t - 2.3) ** 2)
+# a finite spike at r = 2.5 from t = 2.2 on, far above the blow-up guard
+SPIKE = lambda t, r: np.where((t > 2.2) & (np.abs(r - 2.5) < 0.01), 1e12,
+                              0.0)
 
 
 def test_blowup_guard_reports_location():
@@ -350,10 +353,8 @@ def test_radial_blowup_guard_reports_location(solver):
     # a finite spike far above the guard, so the amplitude guard (not
     # finiteness) trips
     g = grid_for_run(0.05, 2.0, 4.0)
-    hot = lambda t, r: np.where((t > 2.2) & (np.abs(r - 2.5) < 0.01),
-                                1e12, 0.0)
     with pytest.raises(StabilityError) as ei:
-        run_radial(solver, g, 4.0, source=hot)
+        run_radial(solver, g, 4.0, source=SPIKE)
     rep = ei.value.report
     assert rep["kind"] == "blowup"
     assert BLOWUP_GUARD < rep["value"] < np.inf
@@ -373,22 +374,79 @@ def test_radial_boundary_guard_reports_location(solver):
     assert rep["t"] < 12.0
 
 
+def _metric_dip(t_on):
+    """An h00 whose dip breaks the metric floor at r = 2, from the start
+    (t_on None) or from t_on on."""
+    def h00(t, r):
+        dip = -0.95 * np.exp(-(r - 2.0) ** 2 / 0.05)
+        return dip if t_on is None or t > t_on else 0.0 * r
+    return h00
+
+
 @pytest.mark.parametrize("t_on", [None, 2.3])
 def test_kg_metric_floor_guards_report_location(t_on):
     # t_on None: the floor is violated by the initial metric; else the
     # dip switches on mid-run and the step guard catches it
-    def h00(t, r):
-        dip = -0.95 * np.exp(-(r - 2.0) ** 2 / 0.05)
-        return dip if t_on is None or t > t_on else 0.0 * r
-
     g = grid_for_run(0.05, 2.0, 3.0)
     with pytest.raises(StabilityError) as ei:
-        solve_linear_kg_curved(g, h00, 1.0, InitialData.bump(0.0, 0.01),
-                               t0=2.0, t_end=3.0)
+        solve_linear_kg_curved(g, _metric_dip(t_on), 1.0,
+                               InitialData.bump(0.0, 0.01), t0=2.0, t_end=3.0)
     rep = ei.value.report
     assert rep["kind"] == "coefficient"
     assert (rep["step"] == 0) == (t_on is None)
     assert rep["location"] == pytest.approx(2.0, abs=0.05)
+
+
+# one run per guard of every solver: (kind, stacked, run)
+GUARD_TRIPS = {
+    "coefficient-initial": ("coefficient", False, lambda: evolve_model(
+        ModelParams(), RadialGrid(dx=0.05, n=100),
+        InitialData.bump(0.9, 0.0), t0=2.0, t_end=3.0)),
+    "coefficient-step": ("coefficient", False, lambda: _guard_run(6.0)),
+    "cfl": ("cfl", False, lambda: evolve_model(
+        ModelParams.free(), grid_for_run(0.05, 2.0, 40.0),
+        InitialData.bump(0.5, 0.5), t0=2.0, t_end=40.0, cfl=1.15)),
+    **{f"metric-floor-{when}": ("coefficient", False, (
+        lambda t_on=t_on: solve_linear_kg_curved(
+            grid_for_run(0.05, 2.0, 3.0), _metric_dip(t_on), 1.0,
+            InitialData.bump(0.0, 0.01), t0=2.0, t_end=3.0)))
+       for when, t_on in (("initial", None), ("step", 2.3))},
+    **{f"blowup-{name}": ("blowup", False, (
+        lambda name=name: run_radial(name, grid_for_run(0.05, 2.0, 4.0),
+                                     4.0, SPIKE)))
+       for name in ("model", "wave", "kg")},
+    **{f"boundary-{name}": ("boundary", False, (
+        lambda name=name: run_radial(name, RadialGrid(dx=0.05, n=60), 12.0,
+                                     PULSE)))
+       for name in ("model", "wave", "kg")},
+    "blowup-stack": ("blowup", True, lambda: solve_linear_wave_sourced(
+        grid_for_run(0.05, 2.0, 4.0),
+        CallableSource([PULSE, SPIKE], tags=["calm", "hot"]), t0=2.0,
+        t_end=4.0, observers=[(), ()])),
+    "boundary-stack": ("boundary", True, lambda: solve_linear_wave_sourced(
+        RadialGrid(dx=0.05, n=60),
+        CallableSource([PULSE, lambda t, r: 2.0 * PULSE(t, r)],
+                       tags=["calm", "hot"]), t0=2.0, t_end=12.0,
+        observers=[(), ()])),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARD_TRIPS))
+def test_every_guard_reports_the_same_keys(name):
+    # kind, t, step, location and value, in that order, plus the row's
+    # tag under "row" for a stack
+    kind, stacked, run = GUARD_TRIPS[name]
+    with pytest.raises(StabilityError) as ei:
+        run()
+    rep = ei.value.report
+    want = ["kind", "t", "step", "location", "value"] + (
+        ["row"] if stacked else [])
+    assert list(rep) == want
+    assert rep["kind"] == kind
+    assert type(rep["location"]) is float and type(rep["value"]) is float
+    assert int(rep["step"]) == rep["step"] >= 0
+    if stacked:
+        assert rep["row"] in ("calm", "hot")
 
 
 # --- observers ---
