@@ -243,16 +243,24 @@ class QueryPool:
     the same polynomial order.
 
     Wanted levels are written in place into a ring of 2*npts rows per
-    queried field.  Every npts steps one flush answers all queries whose
-    window has closed since the last flush; a query can wait up to
-    npts - 1 levels past its window, hence two windows of rows.
-    result(), unresolved() and assert_resolved() flush whatever is
-    still pending up to the last streamed level.
+    queried field.  A ring row is P + n columns: the level w in columns
+    P.., and its even mirror in columns ..P - 1 (column c < P holds
+    w[P - c]), P being sized once from the most negative query radius.
+    One sliding-window view per ring, built with the plan, hands every
+    (level, first column) pair its npts + 2*halo columns as one
+    contiguous row, so a window is read by plain row indexing.
+    Every npts steps one flush answers all queries whose window has
+    closed since the last flush; a query can wait up to npts - 1 levels
+    past its window, hence two windows of rows.  result(), unresolved()
+    and assert_resolved() flush whatever is still pending up to the
+    last streamed level.
 
     wants() names the levels the pool reads, for the solver's `_march`
-    (which states the observer rule); a level it declines would write
-    nothing and answer nothing, so the answers are those of a pool shown
-    every level, bit for bit.  Levels must arrive in step order.
+    (which states the observer rule): the levels inside some query
+    window and the flush steps that answer a query.  A level it declines
+    would write nothing and answer nothing, so the answers are those of
+    a pool shown every level, bit for bit.  Levels must arrive in step
+    order.
     """
 
     # levels and radial columns per interpolation window
@@ -278,6 +286,7 @@ class QueryPool:
         self._count = {"u": 0, "v": 0}
         self.results = {}
         self._ring = None
+        self._pad = 0
         self._plan = None
         self._targets = None
         self._next = 0
@@ -293,6 +302,8 @@ class QueryPool:
         r = np.ravel(np.asarray(r, dtype=float)).copy()
         if t.shape != r.shape:
             raise ValueError("query t and r must have matching shapes")
+        if not (np.isfinite(t).all() and np.isfinite(r).all()):
+            raise ValueError("query t and r must be finite")
         start = self._count[field]
         self._pts[field].append((t, r))
         self._count[field] += t.size
@@ -326,8 +337,7 @@ class QueryPool:
         self.last_t = t
         self._last_step = step
         if self._ring is None:
-            self._ring = {f: np.zeros((2 * self.npts, self.grid.n))
-                          for f in ("u", "v") if self._count[f]}
+            self._open_ring()
         if self._t0 is None:
             self._t0 = t
         elif self._dt is None and step == 1:
@@ -339,7 +349,7 @@ class QueryPool:
             # window reading level 0 reads level 1, which checks fields)
             for f, ring in self._ring.items():
                 if fields[f] is not None:
-                    ring[step % len(ring)] = fields[f]
+                    self._write(ring, step, fields[f])
             return
         if self._want_level(step):
             for f, ring in self._ring.items():
@@ -347,15 +357,16 @@ class QueryPool:
                     raise FoliationError(
                         f"queries registered for field {f!r} but the run "
                         "does not produce it")
-                ring[step % len(ring)] = fields[f]
+                self._write(ring, step, fields[f])
         if (step + 1) % self.npts == 0:
             self._flush(step)
 
     def wants(self, step: int) -> bool:
         """Every level until the plan exists (levels 0 and 1), then the
-        levels some query window reads and those a flush falls due on."""
-        return (self._plan is None or (step + 1) % self.npts == 0
-                or self._want_level(step))
+        levels some query window reads and the flush steps that answer
+        a query."""
+        return (self._plan is None or self._want_level(step)
+                or ((step + 1) % self.npts == 0 and self._answers(step)))
 
     def _want_level(self, step: int) -> bool:
         """Whether step lies in some query window [T - npts + 1, T]: a
@@ -366,6 +377,32 @@ class QueryPool:
             i += 1
         self._next = i
         return ends[i] < step + self.npts
+
+    def _answers(self, step: int) -> bool:
+        """Whether some target T lies in (step - npts, step], i.e. a
+        flush at step answers a query (a flush answers every T <= step,
+        and the one npts steps earlier took every T <= step - npts).
+        Reads the cursor _want_level(step) left."""
+        ends, i = self._targets, self._next
+        return ends[i] == step or (i > 0 and ends[i - 1] > step - self.npts)
+
+    def _open_ring(self):
+        """The rings of the queried fields, with a mirror pad wide enough
+        for the window of the most negative query radius (a window
+        reaching past the mirror of the whole grid is rejected in
+        _start, so the pad stops at n - 1 columns)."""
+        lead = self.npts // 2 - 1
+        r_min = min((float(r.min()) for pts in self._pts.values()
+                     for _, r in pts if r.size), default=0.0)
+        reach = lead + self.halo - math.floor(r_min / self.grid.dx)
+        self._pad = min(max(reach, 0), self.grid.n - 1)
+        self._ring = {f: np.zeros((2 * self.npts, self._pad + self.grid.n))
+                      for f in ("u", "v") if self._count[f]}
+
+    def _write(self, ring, step, w):
+        row = ring[step % len(ring)]
+        row[self._pad:] = w
+        row[:self._pad] = w[self._pad:0:-1]
 
     def _start(self):
         npts, dx, n, M = self.npts, self.grid.dx, self.grid.n, self.halo
@@ -401,6 +438,9 @@ class QueryPool:
                 "frac_t": t_idx[order] - (base[order] + lead),
                 "frac_r": r_idx[order] - (j0[order] + lead),
                 "col0": j0[order] - M,
+                # win[row, P + c] is the window of columns c, c + 1, ...
+                "win": np.lib.stride_tricks.sliding_window_view(
+                    self._ring[field], npts + 2 * M, axis=1),
                 "done": 0}
             self.results[field] = np.full(t.size, np.nan)
             targets.append(target)
@@ -422,19 +462,17 @@ class QueryPool:
             plan["done"] = max(lo, hi)
 
     def _eval(self, field, plan, lo, hi):
-        npts, M = self.npts, self.halo
-        ring = self._ring[field]
-        width = npts + 2 * M
+        npts = self.npts
         Wt = lagrange_weights(plan["frac_t"][lo:hi])
         Wr = lagrange_weights(plan["frac_r"][lo:hi])
-        if M:
+        if self.halo:
             # convolving the weights == filtering the (extended) level
             # before sampling it
             Wr = Wr @ self._shift
-        # columns below the axis gather their mirror images: the even fold
-        cols = plan["col0"][lo:hi, None] + np.arange(width)
-        rows = (plan["base"][lo:hi, None] + np.arange(npts)) % len(ring)
-        G = ring[rows[:, :, None], np.abs(cols)[:, None, :]]  # (b, npts, width)
+        # columns below the axis read the ring's mirror pad (the even
+        # fold); G is (b, npts, npts + 2 * halo)
+        rows = (plan["base"][lo:hi, None] + np.arange(npts)) % (2 * npts)
+        G = plan["win"][rows, plan["col0"][lo:hi, None] + self._pad]
         self.results[field][plan["order"][lo:hi]] = np.einsum(
             "bi,bi->b", np.einsum("bij,bj->bi", G, Wr), Wt)
 

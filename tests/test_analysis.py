@@ -19,7 +19,7 @@ from hfoil.util import ConfigError
 from hfoil.bounds import WaveSourceStack, wave_source
 from hfoil.solver import (InitialData, ModelParams, evolve_model,
                           grid_for_run, solve_linear_wave_sourced)
-from hfoil.util import FoliationError, SliceCoverageError
+from hfoil.util import FoliationError, SliceCoverageError, lagrange_weights
 from slice_reference import (EVEN, BoxGrid, FieldHistory, LevelCopies,
                              RadialSliceChart, full_grid_wave_source,
                              interpolate_to_slice,
@@ -162,11 +162,21 @@ def test_pool_missing_field_rejected():
 
 def test_pool_query_leaving_grid_rejected():
     grid = RadialGrid(dx=0.05, n=100)
-    pool = QueryPool(grid)
-    pool.add("u", [3.2], [4.9])
-    pool.on_level(3.0, 0, np.zeros(grid.n), None)
-    with pytest.raises(SliceCoverageError):
-        pool.on_level(3.05, 1, np.zeros(grid.n), None)
+    for r in (4.9, -6.0):       # past the last column, or its mirror
+        pool = QueryPool(grid)
+        pool.add("u", [3.2], [r])
+        pool.on_level(3.0, 0, np.zeros(grid.n), None)
+        with pytest.raises(SliceCoverageError):
+            pool.on_level(3.05, 1, np.zeros(grid.n), None)
+
+
+@pytest.mark.parametrize("t, r", [(math.nan, 1.0), (3.2, math.nan),
+                                  (math.inf, 1.0), (3.2, -math.inf)])
+def test_pool_non_finite_query_rejected(t, r):
+    pool = QueryPool(RadialGrid(dx=0.05, n=100))
+    with pytest.raises(ValueError, match="finite"):
+        pool.add("u", [3.2, t], [1.0, r])
+    assert pool.unresolved() == 0       # nothing was registered
 
 
 # === grid-noise lowpass ===
@@ -261,6 +271,73 @@ def reference_pool_values(levels, t0, dt, dx, tq, rq, npts, kernel):
         A = np.stack([levels[base + i][np.abs(cols)] for i in range(npts)])
         out[q] = Wt @ (A @ Wr)
     return out
+
+
+class FoldPool(QueryPool):
+    """The pool with its former window read: every streamed level kept
+    whole, each window gathered cell by cell with np.abs(cols) folding
+    the columns below r = 0, then the same weights and contractions."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.levels = {}
+
+    def on_level(self, t, step, u, v):
+        self.levels[step] = {"u": None if u is None else u.copy(),
+                             "v": None if v is None else v.copy()}
+        super().on_level(t, step, u, v)
+
+    def _eval(self, field, plan, lo, hi):
+        npts, M = self.npts, self.halo
+        width = npts + 2 * M
+        Wt = lagrange_weights(plan["frac_t"][lo:hi])
+        Wr = lagrange_weights(plan["frac_r"][lo:hi])
+        if M:
+            Wr = Wr @ self._shift
+        cols = plan["col0"][lo:hi, None] + np.arange(width)
+        rows = plan["base"][lo:hi, None] + np.arange(npts)
+        hist = np.stack([self.levels[k][field]
+                         for k in range(rows.max() + 1)])
+        G = hist[rows[:, :, None], np.abs(cols)[:, None, :]]
+        self.results[field][plan["order"][lo:hi]] = np.einsum(
+            "bi,bi->b", np.einsum("bij,bj->bi", G, Wr), Wt)
+
+
+@pytest.mark.parametrize("level_filter", [False, True])
+def test_pool_window_read_matches_fold_gather(level_filter):
+    # the strided read of the mirror-padded ring gives the fold gather's
+    # answers byte for byte: windows reaching ~40 cells across the axis,
+    # one-sided windows at the first levels, a window ending on the
+    # grid's last column
+    grid = RadialGrid(dx=0.05, n=240)
+    t0, dt, steps = 3.0, 0.03, 57
+    npts, lead = QueryPool.npts, QueryPool.npts // 2 - 1
+    M = (len(design_lowpass()) - 1) // 2 if level_filter else 0
+
+    def fn(t, r):
+        smooth = np.sin(0.6 * t + 0.2) * np.exp(-r ** 2 / 9.0)
+        ripple = 5e-3 * np.cos(1.8 * r / grid.dx) * np.cos(41.0 * t + 0.3)
+        return smooth + ripple
+
+    r_edge = (grid.n - npts - M + lead + 0.5) * grid.dx
+    assert math.floor(r_edge / grid.dx) - lead + npts - 1 + M == grid.n - 1
+    rng = np.random.default_rng(19)
+    t_last = t0 + (steps - 1) * dt
+    tq = np.concatenate([rng.uniform(t0, t_last - npts * dt, 300),
+                         [t0, t0, t0 + 0.3 * dt, t0 + 2.5 * dt, 3.9]])
+    rq = np.concatenate([rng.uniform(-2.0, 9.0, 300),
+                         [-2.0, 0.0, -1.3, 0.7, r_edge]])
+    tv, rv = rng.uniform(t0, t_last - npts * dt, 50), rng.uniform(0, 9, 50)
+    pool = QueryPool(grid, level_filter=level_filter)
+    fold = FoldPool(grid, level_filter=level_filter)
+    hu = [p.add("u", tq, rq) for p in (pool, fold)]
+    hv = [p.add("v", tv, rv) for p in (pool, fold)]
+    for p in (pool, fold):
+        stream_levels(p, fn, t0, dt, steps, grid)
+    for got, want in ((pool.result(hu[0]), fold.result(hu[1])),
+                      (pool.result(hv[0]), fold.result(hv[1]))):
+        assert not np.isnan(got).any()
+        assert got.tobytes() == want.tobytes()
 
 
 # the ids read parity-level_filter-npts: the pool's fields are even
@@ -368,6 +445,17 @@ def test_pool_skipping_levels_answers_bit_for_bit(kind, level_filter):
     assert lean.steps[:2] == [0, 1] and lean.steps[-1] == res.steps
     if kind == "sparse":
         assert len(lean.steps) < len(copies.levels) // 4
+        # every level the pool is shown is a start level, lies in a query
+        # window, is a flush step that answers a query, or is the last
+        npts, lead = lean.npts, lean.npts // 2 - 1
+        dt = (2.0 + res.dt) - 2.0       # the pool's dt: t_1 - t_0
+        T = np.maximum(np.floor((tq - 2.0) / dt).astype(int) - lead,
+                       0) + npts - 1
+        for k in lean.steps:
+            in_window = ((T - npts < k) & (k <= T)).any()
+            answers = (k + 1) % npts == 0 and (
+                (k - npts < T) & (T <= k)).any()
+            assert k < 2 or in_window or answers or k == res.steps
 
 
 def test_pool_skipping_levels_reports_the_last_level():
