@@ -7,8 +7,8 @@ norms, decay exponents, and explicit pointwise envelope bounds.  A
 run's slice derivatives are all read through one frame algebra, the
 chain-rule expansions of :mod:`hfoil.analysis`.
 """
-from .util import (ConfigError, FoliationError, SliceCoverageError,
-                   StabilityError, StencilRangeError)
+from .util import (ConfigError, EmptyLatticeError, FoliationError,
+                   SliceCoverageError, StabilityError, StencilRangeError)
 from .fields import RadialGrid
 from .solver import (InitialData, ModelParams, RunResult, evolve_model,
                      grid_for_run, solve_linear_kg_curved,
@@ -27,8 +27,8 @@ from .bounds import (BoundParams, MetricPerturb, RayCoords, WaveSourceStack,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "FoliationError", "SliceCoverageError", "StabilityError",
-    "StencilRangeError",
+    "ConfigError", "EmptyLatticeError", "FoliationError",
+    "SliceCoverageError", "StabilityError", "StencilRangeError",
     "RadialGrid",
     "InitialData", "ModelParams", "RunResult", "evolve_model",
     "grid_for_run", "solve_linear_kg_curved", "solve_linear_wave_sourced",

@@ -10,7 +10,8 @@ own node; the far regime's Gronwall boost int |h'| e^{C int_lam^s |h'|}
 is taken in its closed form (e^{C H(s)} - 1) / C.
 Margin checks run the matching linear solver and report the measured
 ratio field/envelope over a lattice of cone-interior sample points; the
-wave check steps all its (mu, nu) pairs as one stack of sources.
+wave check steps all its (mu, nu) pairs as one stack of sources, the
+Klein-Gordon check all its metrics as one stack of backgrounds.
 
 The wave sources (wave_source records, evaluated only as the rows of a
 WaveSourceStack) and the metric pull both switch on over one band of
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .util import smoothstep, smoothstep_d
+from .util import EmptyLatticeError, smoothstep, smoothstep_d
 from .solver import (InitialData, grid_for_run, solve_linear_kg_curved,
                      solve_linear_wave_sourced)
 from .analysis import QueryPool
@@ -390,20 +391,24 @@ class _CrossProbe:
         return c, (tp - tm) / (2 * self.delta), (rp - rm) / (2 * self.delta)
 
 
-def kg_bound_margin(h: MetricPerturb, data: InitialData, params: BoundParams,
+def kg_bound_margin(metrics, data: InitialData, params: BoundParams,
                     f: Optional[Callable] = None, *, dx: float,
                     s_max: float, cfl: float, n_rays: int = 16,
                     n_s: int = 20, t0: float = 2.0, tr_min: float = 1.25,
-                    delta: float = 0.08) -> dict:
-    """Run the curved linear Klein-Gordon problem and measure
-    [s^{3/2}|v| + (t/s) s^{3/2} |perp v|] / V over a ray lattice.
+                    delta: float = 0.08) -> list:
+    """Run the curved linear Klein-Gordon problem for every (tag, h) of
+    metrics, as one stack with a QueryPool per row, and measure
+    [s^{3/2}|v| + (t/s) s^{3/2} |perp v|] / V over a ray lattice: one
+    report per metric, in order, each bit for bit that of its metric
+    alone.
 
     Ratios are taken where V > 0; lattice points with V = 0 (near
     regime with no source) are counted apart with their largest
     weighted field value.  Points the grid or run cannot cover are
-    skipped with a count.  delta is the physical step of the centered
-    cross estimating perp v; it is deliberately not tied to dx so the
-    same quantity is measured at every resolution.
+    skipped with a count, and EmptyLatticeError says that none is left.
+    delta is the physical step of the centered cross estimating perp v;
+    it is deliberately not tied to dx so the same quantity is measured
+    at every resolution.
 
     Envelopes are taken per lattice ray, not per point: one envelope_V
     call per ray for every distinct C of (params.C, *C_SWEEP) at dlam
@@ -427,64 +432,72 @@ def kg_bound_margin(h: MetricPerturb, data: InitialData, params: BoundParams,
     covered = inside & (T - delta >= t0) & \
         (R + delta <= grid.r_max - _POOL_EDGE_CELLS * dx)
     skipped = int(inside.sum() - covered.sum())
-
-    pool = QueryPool(grid)
-    probe = _CrossProbe(pool, "v", T[covered], R[covered], delta)
-    solve_linear_kg_curved(grid, h, params.mass, data, t0=t0, t_end=t_end,
-                           cfl=cfl, observers=(pool,), source=f)
-    pool.assert_resolved()
-    v, v_t, v_r = probe.read(pool)
+    if not covered.any():
+        raise EmptyLatticeError(
+            f"no lattice point up to s_max = {s_max:g} lies in the run: "
+            f"each needs t - r >= {tr_min:g}, t >= {t0 + delta:g} and room "
+            f"on the grid")
 
     _, ci = np.nonzero(covered)          # ray index, aligned with ts/rs
     ts, rs = T[covered], R[covered]
-    ss = np.sqrt(ts * ts - rs * rs)
-    perp = v_t + (rs / ts) * v_r
-    weighted = ss ** 1.5 * np.abs(v) + (ts / ss) * ss ** 1.5 * np.abs(perp)
+    pools = [QueryPool(grid) for _ in metrics]
+    probes = [_CrossProbe(pool, "v", ts, rs, delta) for pool in pools]
+    solve_linear_kg_curved(grid, metrics, params.mass, data,
+                           [(pool,) for pool in pools], t0=t0, t_end=t_end,
+                           cfl=cfl, source=f)
 
+    ss = np.sqrt(ts * ts - rs * rs)
     rr = grid.r(0, grid.n)
     n0 = float(np.max(np.abs(np.asarray(data.v0(rr), dtype=float))))
     n1 = float(np.max(np.abs(np.asarray(data.v1(rr), dtype=float))))
 
-    V, V_half, Vs, regimes = _lattice_envelopes(h, f, params, ts, rs, ci,
-                                                (n0, n1))
-    pos = V > 0
-    ratio = np.zeros(ts.size)
-    ratio[pos] = weighted[pos] / V[pos]
+    reports = []
+    for (_, h), pool, probe in zip(metrics, pools, probes):
+        pool.assert_resolved()
+        v, v_t, v_r = probe.read(pool)
+        perp = v_t + (rs / ts) * v_r
+        weighted = (ss ** 1.5 * np.abs(v)
+                    + (ts / ss) * ss ** 1.5 * np.abs(perp))
+        V, V_half, Vs, regimes = _lattice_envelopes(h, f, params, ts, rs, ci,
+                                                    (n0, n1))
+        pos = V > 0
+        ratio = np.zeros(ts.size)
+        ratio[pos] = weighted[pos] / V[pos]
 
-    per_s = []
-    for s in s_vals:
-        m = np.abs(ss - s) < 1e-9 * s
-        if not (m & pos).any():
-            continue
-        per_s.append({"s": float(s),
-                      "max_ratio": float(np.max(ratio[m & pos]))})
-    quad = float(np.max(np.abs(V_half[pos] - V[pos]) / V[pos])) \
-        if pos.any() else 0.0
-    rep = {
-        "proposition": "kg-envelope",
-        "params": {"C": params.C, "mass": params.mass, "dlam": params.dlam,
-                   "s0": params.s0, "dx": dx, "s_max": s_max,
-                   "tr_min": tr_min, "delta": delta,
-                   "data_norms": [n0, n1], "sourced": f is not None},
-        "per_s_max_ratio": per_s,
-        "max_ratio": float(np.max(ratio[pos])) if pos.any() else 0.0,
-        "regime_counts": {"far": int(regimes.sum()),
-                          "near": int((~regimes).sum())},
-        "quadrature_step": params.dlam,
-        "quad_refinement_delta": quad,
-        "c_dependent_points": int(np.sum(np.ptp([Vs[c] for c in C_SWEEP],
-                                                axis=0) > 0)),
-        "C_sensitivity": {format_c(c): float(np.max(
-            weighted[pos & (Vs[c] > 0)] / Vs[c][pos & (Vs[c] > 0)]))
-            if (pos & (Vs[c] > 0)).any() else 0.0
-            for c in C_SWEEP},
-        "skipped": skipped,
-        "zero_envelope": {
-            "count": int((~pos).sum()),
-            "max_weighted_value": float(np.max(weighted[~pos]))
-            if (~pos).any() else 0.0},
-    }
-    return rep
+        per_s = []
+        for s in s_vals:
+            m = np.abs(ss - s) < 1e-9 * s
+            if not (m & pos).any():
+                continue
+            per_s.append({"s": float(s),
+                          "max_ratio": float(np.max(ratio[m & pos]))})
+        quad = float(np.max(np.abs(V_half[pos] - V[pos]) / V[pos])) \
+            if pos.any() else 0.0
+        reports.append({
+            "proposition": "kg-envelope",
+            "params": {"C": params.C, "mass": params.mass,
+                       "dlam": params.dlam, "s0": params.s0, "dx": dx,
+                       "s_max": s_max, "tr_min": tr_min, "delta": delta,
+                       "data_norms": [n0, n1], "sourced": f is not None},
+            "per_s_max_ratio": per_s,
+            "max_ratio": float(np.max(ratio[pos])) if pos.any() else 0.0,
+            "regime_counts": {"far": int(regimes.sum()),
+                              "near": int((~regimes).sum())},
+            "quadrature_step": params.dlam,
+            "quad_refinement_delta": quad,
+            "c_dependent_points": int(np.sum(np.ptp(
+                [Vs[c] for c in C_SWEEP], axis=0) > 0)),
+            "C_sensitivity": {format_c(c): float(np.max(
+                weighted[pos & (Vs[c] > 0)] / Vs[c][pos & (Vs[c] > 0)]))
+                if (pos & (Vs[c] > 0)).any() else 0.0
+                for c in C_SWEEP},
+            "skipped": skipped,
+            "zero_envelope": {
+                "count": int((~pos).sum()),
+                "max_weighted_value": float(np.max(weighted[~pos]))
+                if (~pos).any() else 0.0},
+        })
+    return reports
 
 
 def _lattice_envelopes(h, f, params: BoundParams, ts, rs, ci, data_norms):
@@ -533,10 +546,16 @@ def wave_bound_margin(pairs, *, amp: float, dx: float, t_lo: float,
     are solved as one stack (WaveSourceStack), each row with its own
     QueryPool.  Every row is bit for bit its own one-pair run, so a
     report does not depend on which other pairs ran beside it; one pair
-    is a one-row stack.
+    is a one-row stack.  A t_end that leaves no lattice time past t_lo is
+    an EmptyLatticeError.
     """
     dt = cfl * dx
     t_hi = t_end - _POOL_TAIL_STEPS * dt
+    if t_hi < t_lo:
+        raise EmptyLatticeError(
+            f"no lattice time lies in the run: the lattice would run from "
+            f"t_lo = {t_lo:g} to {t_hi:g}, t_end = {t_end:g} less "
+            f"{_POOL_TAIL_STEPS} steps")
     t_vals = np.geomspace(t_lo, t_hi, n_t)
     chi = _ray_fan(n_rays, 0.5 * math.log(2.0 * t_hi / tr_min))
     rho = np.tanh(chi)

@@ -61,15 +61,17 @@ subcommand always wins over the ``scenario`` key.  Once the subcommand
 has set the scenario, a key or flag that it does not read is a
 ConfigError (with the key's line, or no line for a flag), and so is a
 zero data amplitude (eps_v, eps_u or the epsilon that fills them) for
-linear-kg-bound and convergence-suite, and an s0 below t0 = 2 for
-model-evolution.  until_t can only lengthen a model-evolution run; one
+linear-kg-bound and convergence-suite, an s0 below t0 = 2 for
+model-evolution, and an s0 at or past the last slice, until_s or the
+scenario's default.  until_t can only lengthen a model-evolution run; one
 that would cut it short is a ConfigError, raised once the scenario has
-planned its ladder; a ConfigError raised inside a scenario leaves no
-partial tree (the echo is removed, and so is the output directory if
-the run made it).  Every run writes
-``config.echo.txt`` (the fully resolved config), ``report.json`` and a
-human-readable ``report.txt`` next to its data tables, all through this
-module: it is the one owner of the output formats.  With
+planned its ladder, and so is an until_s or until_t that leaves a margin
+lattice of linear-kg-bound or linear-wave-bound no point to measure; a
+ConfigError raised inside a scenario leaves no partial tree (the echo is
+removed, and so is the output directory if the run made it).  Every run
+writes ``config.echo.txt`` (the fully resolved config), ``report.json``
+and a human-readable ``report.txt`` next to its data tables, all through
+this module: it is the one owner of the output formats.  With
 ``--deterministic`` the wall-time field is omitted, so two runs of the
 same config produce byte-identical trees.
 """
@@ -98,7 +100,8 @@ from .bounds import (ZERO_METRIC, BoundParams, kg_bound_margin,
                      metric_pull, pair_tag, wave_bound_margin)
 from .fields import RadialGrid
 from .solver import (InitialData, ModelParams, evolve_model, grid_for_run)
-from .util import ConfigError, FoliationError, StabilityError
+from .util import (ConfigError, EmptyLatticeError, FoliationError,
+                   StabilityError)
 
 SCENARIOS = ("model-evolution", "linear-kg-bound", "linear-wave-bound",
              "sobolev-suite", "frame-identity-suite", "convergence-suite")
@@ -258,17 +261,24 @@ class RunConfig:
             return self.resolution
         return _DEFAULT_RESOLUTION[self.scenario]
 
+    def last_slice(self) -> float:
+        """The last slice s the scenario reads: until_s, or its default."""
+        if self.until_s is not None:
+            return self.until_s
+        return _DEFAULT_LAST_SLICE[self.scenario]
+
     def bound_params(self) -> BoundParams:
         return BoundParams(C=self.C, mass=self.mass, dlam=self.dlam,
                            s0=self.s0)
 
 
-# section -> file key -> RunConfig field, in declaration order
+# RunConfig field by attribute name, and section -> file key -> field,
+# both in declaration order
+_FIELDS = {f.name: f for f in fields(RunConfig) if f.metadata}
 _SCHEMA = {}
-for _f in fields(RunConfig):
-    if _f.metadata:
-        _SCHEMA.setdefault(_f.metadata["section"], {})[
-            _f.metadata["key"] or _f.name] = _f
+for _f in _FIELDS.values():
+    _SCHEMA.setdefault(_f.metadata["section"], {})[
+        _f.metadata["key"] or _f.name] = _f
 
 
 def _attrs(*sections):
@@ -302,6 +312,13 @@ _DEFAULT_RESOLUTION = {
     "convergence-suite": 0.02,
 }
 
+# the last slice of the scenarios that read until_s, when it is unset
+_DEFAULT_LAST_SLICE = {
+    "model-evolution": 10.0,
+    "linear-kg-bound": 8.0,
+    "sobolev-suite": 20.0,
+}
+
 
 def _cross_validate(cfg: RunConfig) -> None:
     """Checks that need more than one field."""
@@ -318,6 +335,23 @@ def _cross_validate(cfg: RunConfig) -> None:
         raise ConfigError(
             f"until_s = {cfg.until_s:g} must exceed the first slice "
             f"s0 = {cfg.s0:g}", line=lines.get("until_s"), field="until_s")
+
+
+def _set(cfg: RunConfig, f, text: str, line: Optional[int]) -> None:
+    """Parse text as field f's value, range-check it and set it on cfg,
+    recording its config line in cfg.explicit: line None for a flag,
+    which its error messages name as such."""
+    section, key = f.metadata["section"], f.metadata["key"] or f.name
+    where = f"{'flag for ' if line is None else ''}[{section}] {key}"
+    try:
+        value = f.metadata["conv"](text)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}", line=line, field=key) from None
+    msg = f.metadata["check"](value)
+    if msg:
+        raise ConfigError(f"{where}: {msg}", line=line, field=key)
+    setattr(cfg, f.name, value)
+    cfg.explicit[f.name] = line
 
 
 def parse_config(text: str) -> RunConfig:
@@ -361,41 +395,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"[{section}] {key} already set on line {lines[f.name]}",
                 line=num, field=key)
-        try:
-            value = f.metadata["conv"](val)
-        except ValueError as e:
-            raise ConfigError(f"[{section}] {key}: {e}", line=num,
-                              field=key) from None
-        msg = f.metadata["check"](value)
-        if msg:
-            raise ConfigError(f"[{section}] {key}: {msg}", line=num,
-                              field=key)
-        setattr(cfg, f.name, value)
-        lines[f.name] = num
+        _set(cfg, f, val, num)
     _cross_validate(cfg)
     return cfg
-
-
-def _apply_flag(cfg: RunConfig, attr: str, text: str) -> None:
-    """Flag override, parsed and validated as a file field from the
-    flag's text."""
-    for section, opts in _SCHEMA.items():
-        for key, f in opts.items():
-            if f.name != attr:
-                continue
-            try:
-                value = f.metadata["conv"](text)
-            except ValueError as e:
-                raise ConfigError(f"flag for [{section}] {key}: {e}",
-                                  field=key) from None
-            msg = f.metadata["check"](value)
-            if msg:
-                raise ConfigError(f"flag for [{section}] {key}: {msg}",
-                                  field=key)
-            setattr(cfg, attr, value)
-            cfg.explicit[attr] = None
-            return
-    raise KeyError(attr)
 
 
 def _check_read(cfg: RunConfig) -> None:
@@ -427,11 +429,19 @@ def _check_amplitude(cfg: RunConfig) -> None:
 
 
 def _check_first_slice(cfg: RunConfig) -> None:
-    """Reject a model-evolution s0 before the run's first level _T0."""
+    """Reject a model-evolution s0 before the run's first level _T0, and
+    an s0 at or past the scenario's default last slice (_cross_validate
+    checks an until_s that is set)."""
     if cfg.scenario == "model-evolution" and cfg.s0 < _T0:
         raise ConfigError(f"s0 = {cfg.s0:g} lies before the start t0 = "
                           f"{_T0:g} of a {cfg.scenario} run",
                           line=cfg.explicit.get("s0"), field="s0")
+    if (cfg.scenario in _DEFAULT_LAST_SLICE and cfg.until_s is None
+            and cfg.s0 >= cfg.last_slice()):
+        raise ConfigError(f"s0 = {cfg.s0:g} must lie before the last slice, "
+                          f"{cfg.last_slice():g} by default in "
+                          f"{cfg.scenario}", line=cfg.explicit.get("s0"),
+                          field="s0")
 
 
 def config_text(cfg: RunConfig) -> str:
@@ -677,7 +687,7 @@ def _fit_or_none(t, y):
 
 def _scn_model_evolution(cfg: RunConfig, out: Path):
     dx = cfg.dx()
-    s_top = cfg.until_s if cfg.until_s is not None else 10.0
+    s_top = cfg.last_slice()
     eps_u, eps_v = cfg.amplitudes()
     params = cfg.model_params()
     data = InitialData.bump(eps_u, eps_v, cfg.radius)
@@ -766,14 +776,13 @@ def relative_change(a: float, b: float) -> float:
 
 
 def _refined(margin, dx: float, *args, **kw) -> tuple:
-    """(fine, coarse): margin(*args, dx=..., **kw) at dx and at 2 dx, each
-    fine report carrying its refinement record against the coarse one
-    under "refinement_deltas".  A margin returns one report, or a list
-    of them (one per row of a stacked run), matched by position."""
+    """(fine, coarse): the reports of margin(*args, dx=..., **kw) at dx
+    and at 2 dx, one per row of its stacked run, each fine report
+    carrying its refinement record against the coarse one of its row
+    under "refinement_deltas"."""
     fine = margin(*args, dx=dx, **kw)
     coarse = margin(*args, dx=2.0 * dx, **kw)
-    pairs = zip(fine, coarse) if isinstance(fine, list) else [(fine, coarse)]
-    for f, c in pairs:
+    for f, c in zip(fine, coarse):
         f["refinement_deltas"] = {
             "coarse_dx": c["params"]["dx"],
             "fine_dx": f["params"]["dx"],
@@ -783,9 +792,19 @@ def _refined(margin, dx: float, *args, **kw) -> tuple:
     return fine, coarse
 
 
+def _lattice_refined(cfg: RunConfig, key: str, *args, **kw) -> tuple:
+    """_refined(*args, **kw), with a lattice that holds no point a
+    ConfigError at the line of key, which sets where the lattice ends."""
+    try:
+        return _refined(*args, **kw)
+    except EmptyLatticeError as e:
+        raise ConfigError(f"{key}: {e}", line=cfg.explicit.get(key),
+                          field=key) from None
+
+
 def _scn_linear_kg_bound(cfg: RunConfig, out: Path):
     dx = cfg.dx()
-    s_max = cfg.until_s if cfg.until_s is not None else 8.0
+    s_max = cfg.last_slice()
     params = cfg.bound_params()
     _, eps_v = cfg.amplitudes()
     data = InitialData.bump(0.0, eps_v, cfg.radius)
@@ -796,10 +815,13 @@ def _scn_linear_kg_bound(cfg: RunConfig, out: Path):
     if cfg.metric in ("pull", "both"):
         metrics.append(("pull", metric_pull(cfg.metric_amp)))
 
+    # every metric is one row of a stacked run at dx and one at 2 dx; a
+    # row's report is bit for bit that of a run of its metric alone
+    fines, coarses = _lattice_refined(cfg, "until_s", kg_bound_margin, dx,
+                                      metrics, data, params, s_max=s_max,
+                                      cfl=cfg.cfl)
     criteria, exponents = [], {}
-    for name, h in metrics:
-        fine, coarse = _refined(kg_bound_margin, dx, h, data, params,
-                                s_max=s_max, cfl=cfg.cfl)
+    for (name, _), fine, coarse in zip(metrics, fines, coarses):
         ratio = fine["max_ratio"]
         rel = fine["refinement_deltas"]["max_ratio_rel_change"]
         sweep = fine["C_sensitivity"]
@@ -842,8 +864,9 @@ def _scn_linear_wave_bound(cfg: RunConfig, out: Path):
 
     # every pair is one row of a stacked run at dx and one at 2 dx; a
     # row's report is bit for bit that of a run of its pair alone
-    fines, _ = _refined(wave_bound_margin, dx, pairs, amp=cfg.source_amp,
-                        t_lo=10.0, t_end=t_hi, cfl=cfg.cfl)
+    fines, _ = _lattice_refined(cfg, "until_t", wave_bound_margin, dx, pairs,
+                                amp=cfg.source_amp, t_lo=10.0, t_end=t_hi,
+                                cfl=cfg.cfl)
     criteria, exponents = [], {}
     for (mu, nu), fine in zip(pairs, fines):
         tag = pair_tag(mu, nu)
@@ -867,7 +890,7 @@ def _scn_linear_wave_bound(cfg: RunConfig, out: Path):
 
 
 def _scn_sobolev_suite(cfg: RunConfig, out: Path):
-    s_top = cfg.until_s if cfg.until_s is not None else 20.0
+    s_top = cfg.last_slice()
     s_vals = _slice_ladder(cfg.s0, s_top, n=10)
     fam = profile_family(10)
 
@@ -1171,7 +1194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in SCENARIOS:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", help="config file path")
-        # flags stay text; _apply_flag parses them as file values
+        # flags stay text; _set parses them as file values
         p.add_argument("--resolution",
                        help="grid spacing, overrides [grid] resolution")
         p.add_argument("--epsilon",
@@ -1220,7 +1243,7 @@ def build_config(argv) -> RunConfig:
     for attr in ("resolution", "epsilon", "until_s", "deterministic",
                  "out_dir"):
         if getattr(args, attr) is not None:
-            _apply_flag(cfg, attr, getattr(args, attr))
+            _set(cfg, _FIELDS[attr], getattr(args, attr), None)
     _check_read(cfg)
     _check_amplitude(cfg)
     _check_first_slice(cfg)

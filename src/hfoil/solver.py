@@ -19,12 +19,12 @@ model and the two linear solvers share one leapfrog loop, `_march`, and
 hand out their levels only by streaming them to observers; `_march`
 states which levels an observer gets.
 
-A field's levels are (n,) arrays, or (R, n) for a stack of R runs that
-share the grid, dt and step count: the sourced wave solver takes only a
-stack of sources and steps its rows that way from rest, each row bit
-for bit its own run (a single source is a one-row stack), with its own
-guards and observers.  The radial helpers work on the last axis, so
-both shapes share them.
+Every run is a stack: a field's levels are (R, n) arrays whose R rows
+share the grid, dt and step count, each row bit for bit its own run,
+with its own guards, tag and observers.  The sourced wave solver stacks
+its sources, the Klein-Gordon solver its metrics (one set of data on R
+backgrounds), and the coupled model is a one-row stack.  The radial
+helpers work on the last axis, and observers get (n,) row views.
 """
 from __future__ import annotations
 
@@ -204,13 +204,13 @@ def _coefficient_guard(detail, t, step, r, u, peak, hn):
 def _guard_level(t, step, r, levels, scratch, scale, tags):
     """Blow-up and boundary guards on a freshly stepped level.
 
-    levels are the new W arrays, each (n,) for one run or (R, n) for a
-    stack of R runs; tags label the runs, and a report carries its run's
-    tag under "row" unless that is None.  Each array gets one |W| pass
-    into the (R, n) `scratch`, which yields every run's peak and
-    outer-three-cell leak.  A run's leak is compared with its running
-    scale, the largest |W| of that run so far, this level included;
-    scale holds one value per run and is updated in place.
+    levels are the new (R, n) W arrays of a stack of R runs; tags label
+    the runs, and a report carries its run's tag under "row" unless that
+    is None.  Each array gets one |W| pass into the (R, n) `scratch`,
+    which yields every run's peak and outer-three-cell leak.  A run's
+    leak is compared with its running scale, the largest |W| of that run
+    so far, this level included; scale holds one value per run and is
+    updated in place.
     """
     leaks = None
     for W in levels:
@@ -227,7 +227,7 @@ def _guard_level(t, step, r, levels, scratch, scale, tags):
     for j, leak in enumerate(leaks):
         if leak > BOUNDARY_GUARD * scale[j]:
             for W in levels:
-                w = np.abs(W.reshape(-1, len(r))[j, -3:])
+                w = np.abs(W[j, -3:])
                 if w.max() == leak:
                     break
             _trip("signal reached the outer boundary", "boundary", t, step,
@@ -245,27 +245,27 @@ def _trip(detail, kind, t, step, location, value, tag=None):
     raise StabilityError(detail, report=report)
 
 
-def _march(grid, fields, starts, t0, t_end, dt, advance, rows,
+def _march(grid, fields, starts, t0, t_end, dt, advance, tags, observers,
            check=None) -> RunResult:
     """The leapfrog loop shared by the radial solvers.
 
     fields names the stepped fields, ("u",), ("v",) or ("u", "v"), and
     starts gives each its W at t0 and at t0 + dt; only those fields get
-    buffers.  A W is (n,) for one run (the coupled model, the Klein-Gordon
-    solver) or (R, n) for a stack of R runs that share the grid, dt and
-    step count (the sourced wave solver); rows holds one (tag,
-    observers) pair per run.  Step k calls advance(k, t_k, prev, cur,
-    nxt, lvl), which writes level k + 1 of every field into nxt from
-    levels k - 1 and k (prev, cur); lvl holds the u or v of level k
-    only when check is given, so an advance that reads it needs one.
-    The loop then trips the blow-up and boundary guards of each run (the
-    first run to trip stops them all, its report tagged), rotates the
-    buffers and emits the new level.
+    buffers.  Every W is (R, n), a stack of R runs that share the grid,
+    dt and step count; tags label the runs and observers holds one
+    sequence of observers per run (ValueError if the counts differ).
+    Step k calls advance(k, t_k, prev, cur, nxt, lvl), which writes
+    level k + 1 of every field into nxt from levels k - 1 and k (prev,
+    cur); lvl holds the u or v of level k only when check is given, so
+    an advance that reads it needs one.  The loop then trips the blow-up
+    and boundary guards of each run (the first run to trip stops them
+    all, its report tagged), rotates the buffers and emits the new level.
 
     Observers are the only way levels leave the loop, and this is the
-    one statement of what they see.  An observer gets on_level(t, step,
-    u, v) (None for a field that is not stepped; u and v are reused
-    buffers, valid only during the call) at a level when:
+    one statement of what they see.  An observer of run i gets
+    on_level(t, step, u, v), with u and v the (n,) row i of the level
+    (None for a field that is not stepped; reused buffers, valid only
+    during the call), at a level when:
 
     * it has no wants(step) method, or wants(step) is true: an observer
       without wants sees every level, the two start levels included;
@@ -277,27 +277,27 @@ def _march(grid, fields, starts, t0, t_end, dt, advance, rows,
     if given, reads; check sees every level, the last one included,
     before the observers do.
     """
+    if len(observers) != len(tags):
+        raise ValueError(f"{len(observers)} observer sequences for a "
+                         f"stack of {len(tags)} rows")
     n, dx = grid.n, grid.dx
     r = grid.r(0, n)
     prev = [W0 for W0, _ in starts]
     cur = [W1 for _, W1 in starts]
     nxt = [np.empty(W.shape) for W in prev]
     lvl = [np.empty(W.shape) for W in prev]
-    work = np.empty((len(rows), n))
-    tags = [tag for tag, _ in rows]
+    work = np.empty((len(tags), n))
 
     def per_run(name):
         if name not in fields:
-            return [None] * len(rows)
-        out = lvl[fields.index(name)]
-        return [out] if out.ndim == 1 else list(out)
+            return [None] * len(tags)
+        return list(lvl[fields.index(name)])
 
     # (on_level, wants or None, u, v) of every observer of every run
     sinks = [(obs.on_level, getattr(obs, "wants", None), u, v)
-             for u, v, (_, observers) in zip(per_run("u"), per_run("v"),
-                                             rows)
-             for obs in observers]
-    scale = [1e-300] * len(rows)
+             for u, v, run in zip(per_run("u"), per_run("v"), observers)
+             for obs in run]
+    scale = [1e-300] * len(tags)
     for W in prev:
         for j, peak in enumerate(np.abs(W, out=work).max(axis=1).tolist()):
             scale[j] = max(scale[j], peak)
@@ -333,7 +333,8 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
                  t0: float = 2.0, t_end: float = 10.0, cfl: float = 0.5,
                  observers: Sequence = (),
                  sources: Optional[tuple] = None) -> RunResult:
-    """March the coupled system from t0 to t_end on a radial grid.
+    """March the coupled system from t0 to t_end on a radial grid, as a
+    one-row stack.
 
     observers : objects with on_level(t, step, u, v) and optionally
         wants(step); `_march` states which levels each gets.  u and v
@@ -383,9 +384,9 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
         rhs_v = rhs_v + r * fv(t0, r)
     ddWv = rhs_v / (1.0 + u0 * h00)
 
-    starts = ((Wu, Wu + dt * dWu + 0.5 * dt * dt * ddWu),
-              (Wv, Wv + dt * dWv + 0.5 * dt * dt * ddWv))
-    denom, cs, A, dtv, drv, N, lap, work = (buf() for _ in range(8))
+    starts = ((Wu[None], (Wu + dt * dWu + 0.5 * dt * dt * ddWu)[None]),
+              (Wv[None], (Wv + dt * dWv + 0.5 * dt * dt * ddWv)[None]))
+    denom, cs, A, dtv, drv, N, lap, work = (buf()[None] for _ in range(8))
     inv_dt2 = 1.0 / (dt * dt)
     dt2 = dt * dt
     half_c2 = 0.5 * c2
@@ -428,7 +429,7 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
         _wave_update(Wu_prev, Wu_cur, N, r, dx, dt2, Wu_next, lap, work)
 
     return _march(grid, ("u", "v"), starts, t0, t_end, dt, advance,
-                  ((None, observers),), check)
+                  (None,), (observers,), check)
 
 
 # === linear solvers for the envelope scenarios ===
@@ -457,11 +458,7 @@ def solve_linear_wave_sourced(grid: RadialGrid, source, observers: Sequence,
     n = grid.n
     r = grid.r(0, n)
     dt = cfl * dx
-    tags = source.tags
-    if len(observers) != len(tags):
-        raise ValueError(f"{len(observers)} observer sequences for a "
-                         f"stack of {len(tags)} rows")
-    shape = (len(tags), n)
+    shape = (len(source.tags), n)
     S = np.zeros(shape)
 
     W = np.zeros(shape)
@@ -475,36 +472,42 @@ def solve_linear_wave_sourced(grid: RadialGrid, source, observers: Sequence,
                      nxt[0], lap, work)
 
     return _march(grid, ("u",), starts, t0, t_end, dt, advance,
-                  list(zip(tags, observers)))
+                  source.tags, observers)
 
 
-def solve_linear_kg_curved(grid: RadialGrid, h00: Callable, mass: float,
-                           data: InitialData, t0: float = 2.0,
-                           t_end: float = 10.0, cfl: float = 0.5,
-                           observers: Sequence = (),
+def solve_linear_kg_curved(grid: RadialGrid, metrics: Sequence, mass: float,
+                           data: InitialData, observers: Sequence,
+                           t0: float = 2.0, t_end: float = 10.0,
+                           cfl: float = 0.5,
                            source: Optional[Callable] = None) -> RunResult:
-    """(1 + h00(t, r)) d_t^2 v = Lap v - mass^2 v + f on a radial grid;
-    h00 is a prescribed metric perturbation profile (array or scalar).
+    """(1 + h00_i(t, r)) d_t^2 v = Lap v - mass^2 v + f on a radial grid,
+    for a stack of R metrics stepped together from one set of data and
+    one source f.
 
-    Observers get on_level(t, step, None, v), the run's only output of
-    levels, at the levels `_march` hands them; v is a reused buffer,
-    valid only during the call.  Besides the metric floor, the blow-up
-    and boundary guards of :func:`evolve_model` apply.
+    metrics holds one (tag, h00) pair per row, h00(t, r) a prescribed
+    profile (array or scalar).  Tags, observers (one sequence per row),
+    guards and reports work as in :func:`solve_linear_wave_sourced`, and
+    row i's observers get on_level(t, step, None, v_i), bit for bit the
+    levels of its own one-row run.  Each row's 1 + h00 is also held
+    above the floor 0.1.
     """
     dx = grid.dx
     n = grid.n
     r = grid.r(0, n)
     dt = cfl * dx
     c2 = mass ** 2
-    denom, A, lap = np.empty(n), np.empty(n), np.empty(n)
+    shape = (len(metrics), n)
+    denom, A, lap = np.empty(shape), np.empty(shape), np.empty(shape)
 
     def metric(t, step):
-        """1 + h00 at t into denom, held above the floor 0.1."""
-        np.add(np.asarray(h00(t, r), dtype=float), 1.0, out=denom)
-        if denom.min() <= 0.1:
-            i = int(np.argmin(denom))
-            _trip("metric perturbation too large", "coefficient", t, step,
-                  r[i], denom[i])
+        """Each row's 1 + h00 at t into its row of denom, held above the
+        floor 0.1."""
+        for (tag, h00), row in zip(metrics, denom):
+            np.add(np.asarray(h00(t, r), dtype=float), 1.0, out=row)
+            if row.min() <= 0.1:
+                i = int(np.argmin(row))
+                _trip("metric perturbation too large", "coefficient", t,
+                      step, r[i], row[i], tag)
         return denom
 
     W = r * np.asarray(data.v0(r), dtype=float)
@@ -512,7 +515,8 @@ def solve_linear_kg_curved(grid: RadialGrid, h00: Callable, mass: float,
     rhs0 = _d2_odd(W, dx, np.empty(n)) - c2 * W
     if source is not None:
         rhs0 = rhs0 + r * source(t0, r)
-    starts = ((W, W + dt * dW + 0.5 * dt * dt * rhs0 / metric(t0, 0)),)
+    starts = ((np.repeat(W[None], len(metrics), axis=0),
+               W + dt * dW + 0.5 * dt * dt * rhs0 / metric(t0, 0)),)
     inv_dt2 = 1.0 / (dt * dt)
     half_c2 = 0.5 * c2
 
@@ -523,4 +527,4 @@ def solve_linear_kg_curved(grid: RadialGrid, h00: Callable, mass: float,
                    inv_dt2, half_c2, nxt[0], A, lap)
 
     return _march(grid, ("v",), starts, t0, t_end, dt, advance,
-                  ((None, observers),))
+                  [tag for tag, _ in metrics], observers)

@@ -28,6 +28,10 @@ class SliceCoverageError(FoliationError):
         self.available = available
 
 
+class EmptyLatticeError(FoliationError):
+    """A margin check's sample lattice holds no point its run can measure."""
+
+
 class StabilityError(FoliationError):
     """Blow-up, CFL violation or hyperbolicity loss during evolution.
 

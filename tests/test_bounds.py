@@ -467,8 +467,8 @@ def test_envelope_work_count(chunk, per_ray, monkeypatch):
     # a margin run: one call per lattice ray and quadrature step, not one
     # per lattice point and C
     calls.update(dt=0, dr=0)
-    rep = kg_bound_margin(h, InitialData.bump(0.0, 0.1), P, dx=0.1,
-                          s_max=4.0, cfl=0.5, n_rays=6, n_s=5)
+    [rep] = kg_bound_margin([("pull", h)], InitialData.bump(0.0, 0.1), P,
+                            dx=0.1, s_max=4.0, cfl=0.5, n_rays=6, n_s=5)
     counts = rep["regime_counts"]
     points = counts["far"] + counts["near"]
     if per_ray:
@@ -503,11 +503,12 @@ def test_kg_margin_report_matches_per_point_route(name, f, params,
     # every ratio within ENVELOPE_REL_TOL, the refinement delta (a
     # difference of two envelopes) within twice it, the rest exact; the
     # zero metric's report is exact throughout
-    args = (margin_metric(name), InitialData.bump(0.0, 0.1), params)
+    args = ([(name, margin_metric(name))], InitialData.bump(0.0, 0.1),
+            params)
     kw = dict(f=f, dx=0.1, s_max=5.0, cfl=0.5, n_rays=6, n_s=6)
-    got = kg_bound_margin(*args, **kw)
+    [got] = kg_bound_margin(*args, **kw)
     monkeypatch.setattr(bounds, "_lattice_envelopes", ref_lattice_envelopes)
-    want = kg_bound_margin(*args, **kw)
+    [want] = kg_bound_margin(*args, **kw)
     assert got["regime_counts"]["far"] > 0 and got["regime_counts"]["near"] > 0
     if name == "wavy":                  # the sweep tells C apart here
         assert len(set(got["C_sensitivity"].values())) == 3
@@ -536,8 +537,8 @@ def test_kg_margin_counts_c_dependent_points(monkeypatch):
     # metric_pull is monotone along rays, so H(s) = h(s) - h(lam_min)
     kw = dict(dx=0.1, s_max=5.0, cfl=0.5, n_rays=6, n_s=6)
     data = InitialData.bump(0.0, 0.1)
-    assert kg_bound_margin(ZERO_METRIC, data, P, **kw)[
-        "c_dependent_points"] == 0
+    [flat] = kg_bound_margin([("flat", ZERO_METRIC)], data, P, **kw)
+    assert flat["c_dependent_points"] == 0
     seen = {}
     inner = bounds._lattice_envelopes
 
@@ -547,7 +548,7 @@ def test_kg_margin_counts_c_dependent_points(monkeypatch):
 
     monkeypatch.setattr(bounds, "_lattice_envelopes", spy)
     h = metric_pull(0.1)
-    rep = kg_bound_margin(h, data, P, **kw)
+    [rep] = kg_bound_margin([("pull", h)], data, P, **kw)
     rays = [RayCoords(t, r, P) for t, r in zip(seen["ts"], seen["rs"])]
     want = sum(ray.far and float(h(*ray.points(ray.s))
                                  - h(*ray.points(ray.lam_min))) > 0
@@ -558,9 +559,9 @@ def test_kg_margin_counts_c_dependent_points(monkeypatch):
 def test_margin_looks_up_envelope_V_on_the_module(monkeypatch):
     """A tracer that wraps hfoil.bounds.envelope_V by name sees every
     envelope evaluation of a margin run, and changes nothing."""
-    args = (metric_pull(0.1), InitialData.bump(0.0, 0.1), P)
+    args = ([("pull", metric_pull(0.1))], InitialData.bump(0.0, 0.1), P)
     kw = dict(dx=0.1, s_max=4.0, cfl=0.5, n_rays=5, n_s=4)
-    plain = kg_bound_margin(*args, **kw)
+    [plain] = kg_bound_margin(*args, **kw)
     seen = []
     inner = bounds.envelope_V
 
@@ -570,7 +571,7 @@ def test_margin_looks_up_envelope_V_on_the_module(monkeypatch):
         return out
 
     monkeypatch.setattr(bounds, "envelope_V", span)
-    traced = kg_bound_margin(*args, **kw)
+    [traced] = kg_bound_margin(*args, **kw)
     assert seen and sum(shape[1] for shape in seen) == 2 * (
         traced["regime_counts"]["far"] + traced["regime_counts"]["near"])
     assert traced == plain
@@ -866,8 +867,9 @@ def test_wave_source_fill_does_not_rely_on_rising_t():
 # === margin checks on tiny runs ===
 
 def test_kg_margin_zero_field_and_report_shape():
-    rep = kg_bound_margin(ZERO_METRIC, InitialData.bump(0.0, 0.0), P,
-                          dx=0.1, s_max=3.0, cfl=0.5, n_rays=5, n_s=4)
+    [rep] = kg_bound_margin([("flat", ZERO_METRIC)],
+                            InitialData.bump(0.0, 0.0), P, dx=0.1, s_max=3.0,
+                            cfl=0.5, n_rays=5, n_s=4)
     assert rep["proposition"] == "kg-envelope"
     assert rep["max_ratio"] == 0.0
     assert rep["zero_envelope"]["max_weighted_value"] == 0.0
@@ -876,8 +878,9 @@ def test_kg_margin_zero_field_and_report_shape():
 
 
 def test_kg_margin_flat_bump():
-    rep = kg_bound_margin(ZERO_METRIC, InitialData.bump(0.0, 0.1), P,
-                          dx=0.05, s_max=4.0, cfl=0.5, n_rays=8, n_s=8)
+    [rep] = kg_bound_margin([("flat", ZERO_METRIC)],
+                            InitialData.bump(0.0, 0.1), P, dx=0.05,
+                            s_max=4.0, cfl=0.5, n_rays=8, n_s=8)
     assert 0.0 < rep["max_ratio"] < 50.0
     # near-regime samples carry a zero envelope when f = 0
     assert rep["zero_envelope"]["count"] > 0
@@ -891,11 +894,26 @@ def test_kg_margin_flat_bump():
 
 
 def test_kg_margin_curved_metric_runs():
-    rep = kg_bound_margin(metric_pull(0.1), InitialData.bump(0.0, 0.1), P,
-                          dx=0.05, s_max=4.0, cfl=0.5, n_rays=6, n_s=6)
+    [rep] = kg_bound_margin([("pull", metric_pull(0.1))],
+                            InitialData.bump(0.0, 0.1), P, dx=0.05,
+                            s_max=4.0, cfl=0.5, n_rays=6, n_s=6)
     assert np.isfinite(rep["max_ratio"])
     assert rep["params"]["sourced"] is False
     json.dumps(rep)
+
+
+@pytest.mark.parametrize("f", [None, CONE_SRC], ids=["unsourced", "sourced"])
+def test_kg_margin_stacked_metrics_match_their_solo_reports(f):
+    # a metric's report does not depend on the metrics stacked beside it
+    metrics = [("flat", ZERO_METRIC), ("pull", metric_pull(0.1)),
+               ("wavy", WAVY)]
+    args = (InitialData.bump(0.0, 0.1), P, f)
+    kw = dict(dx=0.1, s_max=4.0, cfl=0.5, n_rays=5, n_s=4)
+    stacked = kg_bound_margin(metrics, *args, **kw)
+    assert len(stacked) == len(metrics)
+    for metric, rep in zip(metrics, stacked):
+        [solo] = kg_bound_margin([metric], *args, **kw)
+        assert json.dumps(rep) == json.dumps(solo)
 
 
 def test_wave_margin_zero_source():
@@ -927,14 +945,15 @@ def test_refinement_helpers():
         calls.append((name, dx, scale))
         return {"max_ratio": scale * (1.0 + dx), "params": {"dx": dx}}
 
-    fine, coarse = _refined(margin, 0.05, "m", scale=2.0)
+    [fine], [coarse] = _refined(lambda *a, **k: [margin(*a, **k)], 0.05,
+                                "m", scale=2.0)
     assert calls == [("m", 0.05, 2.0), ("m", 0.1, 2.0)]
     assert coarse == {"max_ratio": 2.2, "params": {"dx": 0.1}}
     assert "refinement_deltas" not in coarse
     assert fine["refinement_deltas"] == {
         "coarse_dx": 0.1, "fine_dx": 0.05,
         "max_ratio_rel_change": relative_change(2.2, 2.1)}
-    # a stacked margin returns one report per row, matched by position
+    # a stack of rows: the reports are matched by position
     fines, coarses = _refined(
         lambda dx: [margin("a", dx), margin("b", dx, 3.0)], 0.05)
     assert [c["max_ratio"] for c in coarses] == [1.1, 3.3000000000000003]

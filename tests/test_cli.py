@@ -270,6 +270,31 @@ def test_config_error_in_a_scenario_leaves_no_tree(tmp_path, capsys):
     assert tree_bytes(kept) == {"notes.txt": b"mine"}
 
 
+# windows with nothing to measure: an s0 at or past the default last
+# slice (the ladder would run backwards, or the lattice start past its
+# end), and an end that leaves a margin lattice no point
+@pytest.mark.parametrize("scenario, text, line, key", [
+    ("linear-wave-bound", "[run]\nuntil_t = 5\n", 2, "until_t"),
+    ("linear-wave-bound", "[run]\n\nuntil_t = 10.1\n", 3, "until_t"),
+    ("linear-kg-bound", "[bounds]\ns0 = 9\n", 2, "s0"),
+    ("linear-kg-bound", "[bounds]\ns0 = 1.05\n[run]\nuntil_s = 1.2\n", 4,
+     "until_s"),
+    ("model-evolution", "[bounds]\ns0 = 12\n", 2, "s0"),
+    ("sobolev-suite", "# c\n[bounds]\ns0 = 25\n", 3, "s0"),
+])
+def test_empty_window_is_a_config_error_at_its_key(tmp_path, capsys,
+                                                   scenario, text, line,
+                                                   key):
+    path = tmp_path / "config.txt"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main([scenario, "--config", str(path), "--out", str(out),
+                     "--deterministic"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {line}: {key}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scenario", ["model-evolution", "linear-kg-bound"])
 def test_flags_match_the_same_keys_in_a_file(tmp_path, scenario):
     path = tmp_path / "config.txt"
@@ -642,6 +667,33 @@ def test_stacked_wave_pairs_write_their_solo_tables(tmp_path):
             "config.echo.txt", "report.json", "report.txt"}
         for name in names:
             assert trees["both"][name] == solo[name]
+
+
+def test_stacked_kg_metrics_write_their_solo_tables(tmp_path):
+    # metric = both steps flat and pull as one stack; each metric alone is
+    # a one-row stack; every table and criterion of a metric must be the
+    # same in both (at this coarse dx the refinement gates may fail)
+    trees = {}
+    for metric in ("both", "flat", "pull"):
+        path = tmp_path / f"{metric}.txt"
+        path.write_text(f"[run]\nuntil_s = 4\n[bounds]\nmetric = {metric}\n")
+        out = tmp_path / metric
+        assert cli.main(["linear-kg-bound", "--config", str(path),
+                         "--resolution", "0.05", "--out", str(out),
+                         "--deterministic"]) in (0, 1)
+        trees[metric] = tree_bytes(out)
+    criteria = {metric: json.loads(tree["report.json"])["criteria"]
+                for metric, tree in trees.items()}
+    assert "error" not in json.loads(trees["both"]["report.json"])
+    for metric in ("flat", "pull"):
+        names = {f"kg_margin_{metric}.json", f"kg_margin_{metric}.csv"}
+        solo = trees[metric]
+        assert names <= set(solo) <= names | {
+            "config.echo.txt", "report.json", "report.txt"}
+        for name in names:
+            assert trees["both"][name] == solo[name]
+        assert criteria[metric] == [c for c in criteria["both"]
+                                    if c["id"].endswith(f"-{metric}")]
 
 
 def test_stack_guard_trip_names_its_pair_in_the_report(monkeypatch,

@@ -3,7 +3,8 @@ import pytest
 
 from hfoil import solver
 from hfoil.analysis import QueryPool
-from hfoil.bounds import WaveSourceStack, wave_source
+from hfoil.bounds import (ZERO_METRIC, WaveSourceStack, metric_pull,
+                          wave_source)
 from hfoil.fields import RadialGrid
 from hfoil.solver import (BLOWUP_GUARD, COEFF_GUARD, InitialData,
                           ModelParams, evolve_model, grid_for_run,
@@ -138,9 +139,9 @@ def test_kg_energy_drift_is_small():
             if step in want:
                 collected[step] = v.copy()
 
-    res = solve_linear_kg_curved(g, lambda t, r: 0.0 * r, 1.0,
-                                 smooth_data(0.0, 0.3), t0=2.0, t_end=12.0,
-                                 observers=[LevelProbe()])
+    res = solve_linear_kg_curved(g, [(None, lambda t, r: 0.0 * r)], 1.0,
+                                 smooth_data(0.0, 0.3), [[LevelProbe()]],
+                                 t0=2.0, t_end=12.0)
 
     def energy(center):
         v = collected[center]
@@ -163,8 +164,8 @@ def test_linear_kg_matches_free_model_evolution():
     g = grid_for_run(0.05, 2.0, 6.0)
     data = InitialData.bump(0.0, 0.2)
     a, b = LevelCopies(), LevelCopies()
-    solve_linear_kg_curved(g, lambda t, r: 0.0 * r, 1.0, data,
-                           t0=2.0, t_end=6.0, observers=[a])
+    solve_linear_kg_curved(g, [(None, lambda t, r: 0.0 * r)], 1.0, data,
+                           [[a]], t0=2.0, t_end=6.0)
     evolve_model(ModelParams.free(), g, data, t0=2.0, t_end=6.0,
                  observers=[b])
     assert np.array_equal(field_levels(a, 2), field_levels(b, 2))
@@ -344,8 +345,9 @@ def run_radial(solver, grid, t_end, source):
         return solve_linear_wave_sourced(grid, CallableSource([source]),
                                          t0=2.0, t_end=t_end,
                                          observers=[()])
-    return solve_linear_kg_curved(grid, lambda t, r: 0.0 * r, 1.0, rest,
-                                  t0=2.0, t_end=t_end, source=source)
+    return solve_linear_kg_curved(grid, [(None, lambda t, r: 0.0 * r)], 1.0,
+                                  rest, [()], t0=2.0, t_end=t_end,
+                                  source=source)
 
 
 @pytest.mark.parametrize("solver", ["model", "wave", "kg"])
@@ -389,12 +391,35 @@ def test_kg_metric_floor_guards_report_location(t_on):
     # dip switches on mid-run and the step guard catches it
     g = grid_for_run(0.05, 2.0, 3.0)
     with pytest.raises(StabilityError) as ei:
-        solve_linear_kg_curved(g, _metric_dip(t_on), 1.0,
-                               InitialData.bump(0.0, 0.01), t0=2.0, t_end=3.0)
+        solve_linear_kg_curved(g, [(None, _metric_dip(t_on))], 1.0,
+                               InitialData.bump(0.0, 0.01), [()], t0=2.0,
+                               t_end=3.0)
     rep = ei.value.report
     assert rep["kind"] == "coefficient"
     assert (rep["step"] == 0) == (t_on is None)
     assert rep["location"] == pytest.approx(2.0, abs=0.05)
+
+
+# the rows "calm" (flat) and "hot" of a Klein-Gordon stack from one set of
+# data; per guard kind, the hot row's metric that trips it, with the grid
+# and end time.  1 + h00 = 0.15 lifts the Courant number to 0.5 /
+# sqrt(0.15) = 1.29, so that row blows up; 1 + h00 = 0.5 speeds its
+# signal to sqrt(2), so it reaches the outer boundary first
+KG_DATA = InitialData.bump(0.0, 0.01)
+KG_HOT = {
+    "coefficient": (_metric_dip(2.3), lambda: grid_for_run(0.05, 2.0, 3.0),
+                    3.0),
+    "blowup": (lambda t, r: -0.85, lambda: grid_for_run(0.05, 2.0, 12.0),
+               12.0),
+    "boundary": (lambda t, r: -0.5, lambda: RadialGrid(dx=0.05, n=60), 12.0),
+}
+
+
+def kg_stack(kind, observers=((), ())):
+    hot, grid, t_end = KG_HOT[kind]
+    return solve_linear_kg_curved(grid(), [("calm", ZERO_METRIC),
+                                           ("hot", hot)], 1.0, KG_DATA,
+                                  observers, t0=2.0, t_end=t_end)
 
 
 # one run per guard of every solver: (kind, stacked, run)
@@ -408,8 +433,8 @@ GUARD_TRIPS = {
         InitialData.bump(0.5, 0.5), t0=2.0, t_end=40.0, cfl=1.15)),
     **{f"metric-floor-{when}": ("coefficient", False, (
         lambda t_on=t_on: solve_linear_kg_curved(
-            grid_for_run(0.05, 2.0, 3.0), _metric_dip(t_on), 1.0,
-            InitialData.bump(0.0, 0.01), t0=2.0, t_end=3.0)))
+            grid_for_run(0.05, 2.0, 3.0), [(None, _metric_dip(t_on))], 1.0,
+            InitialData.bump(0.0, 0.01), [()], t0=2.0, t_end=3.0)))
        for when, t_on in (("initial", None), ("step", 2.3))},
     **{f"blowup-{name}": ("blowup", False, (
         lambda name=name: run_radial(name, grid_for_run(0.05, 2.0, 4.0),
@@ -428,6 +453,8 @@ GUARD_TRIPS = {
         CallableSource([PULSE, lambda t, r: 2.0 * PULSE(t, r)],
                        tags=["calm", "hot"]), t0=2.0, t_end=12.0,
         observers=[(), ()])),
+    **{f"{kind}-kg-stack": (kind, True, lambda kind=kind: kg_stack(kind))
+       for kind in KG_HOT},
 }
 
 
@@ -495,9 +522,9 @@ def _run(kind, t_end, observers):
         return solve_linear_wave_sourced(
             g, WaveSourceStack([wave_source(0.5, 0.5)]), t0=2.0,
             t_end=t_end, observers=[observers])
-    return solve_linear_kg_curved(g, lambda t, r: 0.05 * np.sin(t), 1.3,
-                                  InitialData.bump(0.0, 0.2), t0=2.0,
-                                  t_end=t_end, observers=observers)
+    return solve_linear_kg_curved(g, [(None, lambda t, r: 0.05 * np.sin(t))],
+                                  1.3, InitialData.bump(0.0, 0.2),
+                                  [observers], t0=2.0, t_end=t_end)
 
 
 @pytest.mark.parametrize("kind", ["model", "wave", "kg"])
@@ -817,7 +844,6 @@ def test_stack_guard_report_names_its_row(kind, calm, hot):
 
 @pytest.mark.parametrize("case", ["scalar-h00", "sourced"])
 def test_linear_kg_matches_allocating_reference(case):
-    from hfoil.bounds import metric_pull
     g = grid_for_run(0.05, 2.0, 8.0)
     data = InitialData.bump(0.0, 0.2)
     if case == "scalar-h00":
@@ -826,8 +852,75 @@ def test_linear_kg_matches_allocating_reference(case):
         h00 = metric_pull(0.1)
         source = lambda t, r: 0.1 * np.exp(-(t - 4.0) ** 2 - r * r)
     obs = LevelCopies()
-    solve_linear_kg_curved(g, h00, 1.3, data, t0=2.0, t_end=8.0,
-                           observers=[obs], source=source)
+    solve_linear_kg_curved(g, [(None, h00)], 1.3, data, [[obs]], t0=2.0,
+                           t_end=8.0, source=source)
     want = _ref_solve_linear_kg_curved(g, h00, 1.3, data, 2.0, 8.0,
                                        source=source)
     assert_levels_equal(obs.levels, want)
+
+
+# scalar, pull and flat rows of one Klein-Gordon stack
+KG_ROWS = [("scalar", lambda t, r: 0.05 * np.sin(t)),
+           ("pull", metric_pull(0.1)), ("flat", ZERO_METRIC)]
+
+
+@pytest.mark.parametrize("sourced", [False, True])
+def test_stacked_kg_rows_match_their_solo_references(sourced):
+    # every row, with the source shared across the stack, gets the levels
+    # of the allocating reference run on its metric bit for bit
+    g = grid_for_run(0.05, 2.0, 8.0)
+    data = InitialData.bump(0.0, 0.2)
+    source = None
+    if sourced:
+        source = lambda t, r: 0.1 * np.exp(-(t - 4.0) ** 2 - r * r)
+    obs = [LevelCopies() for _ in KG_ROWS]
+    res = solve_linear_kg_curved(g, KG_ROWS, 1.3, data,
+                                 [(o,) for o in obs], t0=2.0, t_end=8.0,
+                                 source=source)
+    for (_, h00), o in zip(KG_ROWS, obs):
+        assert_levels_equal(o.levels, _ref_solve_linear_kg_curved(
+            g, h00, 1.3, data, 2.0, 8.0, source=source))
+    solo = solve_linear_kg_curved(g, KG_ROWS[:1], 1.3, data, [()], t0=2.0,
+                                  t_end=8.0, source=source)
+    assert (res.grid, res.t0, res.dt, res.steps, res.t_final) == \
+        (solo.grid, solo.t0, solo.dt, solo.steps, solo.t_final)
+
+
+@pytest.mark.parametrize("kind", list(KG_HOT))
+def test_kg_stack_guard_report_names_its_row(kind):
+    a, b = LevelCopies(), LevelCopies()
+    with pytest.raises(StabilityError) as ei:
+        kg_stack(kind, [(a,), (b,)])
+    rep = ei.value.report
+    assert rep["kind"] == kind and rep["row"] == "hot"
+    # a metric floor trip stops the step that would make level step + 1,
+    # a blow-up or a leak keeps level step itself from the observers; the
+    # calm row's observers saw exactly the first levels of its solo run
+    seen = rep["step"] + (kind == "coefficient")
+    assert len(a.levels) == len(b.levels) == seen > 1
+    hot, grid, _ = KG_HOT[kind]
+    solo = LevelCopies()
+    solve_linear_kg_curved(grid(), [("calm", ZERO_METRIC)], 1.0, KG_DATA,
+                           [(solo,)], t0=2.0, t_end=rep["t"])
+    assert_levels_equal(a.levels, solo.levels[:seen])
+    # the hot row alone, a one-row stack, trips at the same level, with
+    # the same report
+    with pytest.raises(StabilityError) as alone:
+        solve_linear_kg_curved(grid(), [("hot", hot)], 1.0, KG_DATA, [()],
+                               t0=2.0, t_end=KG_HOT[kind][2])
+    assert alone.value.report == rep
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("solver", ["wave", "kg"])
+def test_stacked_solvers_take_one_observer_sequence_per_row(solver, count):
+    g = grid_for_run(0.05, 2.0, 3.0)
+    observers = [()] * count
+    with pytest.raises(ValueError, match="observer sequences"):
+        if solver == "wave":
+            solve_linear_wave_sourced(
+                g, WaveSourceStack([wave_source(0.5, 0.5)] * 2), observers,
+                t0=2.0, t_end=3.0)
+        else:
+            solve_linear_kg_curved(g, KG_ROWS[1:], 1.0, KG_DATA, observers,
+                                   t0=2.0, t_end=3.0)
