@@ -15,7 +15,7 @@ from .solver import (InitialData, ModelParams, RunResult, evolve_model,
                      solve_linear_wave_sourced)
 from .analysis import (PowerFit, QueryPool, SliceDerivativeTable,
                        SliceEnergySuite, SupTracker, combo_expansion,
-                       design_lowpass, filter_level, fit_power_law,
+                       design_lowpass, fit_power_law,
                        hierarchy_check, hierarchy_combos, hierarchy_target,
                        profile_family, slice_cone_margin,
                        sobolev_ratio_profile)
@@ -33,9 +33,9 @@ __all__ = [
     "InitialData", "ModelParams", "RunResult", "evolve_model",
     "grid_for_run", "solve_linear_kg_curved", "solve_linear_wave_sourced",
     "PowerFit", "QueryPool", "SliceDerivativeTable", "SliceEnergySuite",
-    "SupTracker", "combo_expansion", "design_lowpass", "filter_level",
-    "fit_power_law", "hierarchy_check", "hierarchy_combos",
-    "hierarchy_target", "profile_family",
+    "SupTracker", "combo_expansion", "design_lowpass", "fit_power_law",
+    "hierarchy_check", "hierarchy_combos", "hierarchy_target",
+    "profile_family",
     "slice_cone_margin", "sobolev_ratio_profile",
     "BoundParams", "MetricPerturb", "RayCoords", "WaveSourceStack",
     "accumulate_F",

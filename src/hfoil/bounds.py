@@ -369,6 +369,10 @@ def wave_bound_value(mu: float, nu: float, t, r):
 _POOL_EDGE_CELLS = 16
 _POOL_TAIL_STEPS = 12
 
+# kg_bound_margin's lattice starts on the slice KG_LATTICE_LEAD * s0,
+# a tenth past the first hyperboloid of the envelopes
+KG_LATTICE_LEAD = 1.1
+
 
 def _ray_fan(n_rays: int, chi_cap: float) -> np.ndarray:
     # uniform in hyperbolic angle: clusters toward the cone in r/t
@@ -417,8 +421,12 @@ def kg_bound_margin(metrics, data: InitialData, params: BoundParams,
     c_dependent_points counts the lattice points whose V differs across
     C_SWEEP; only points with H(s) > 0 that are far or sourced can.
     """
+    s_first = KG_LATTICE_LEAD * params.s0
+    if not s_first < s_max:
+        raise ValueError(f"the lattice's first slice {KG_LATTICE_LEAD:g} s0 "
+                         f"= {s_first:g} must lie before s_max = {s_max:g}")
     chi = _ray_fan(n_rays, math.log(s_max / tr_min))
-    s_vals = np.geomspace(1.1 * params.s0, s_max, n_s)
+    s_vals = np.geomspace(s_first, s_max, n_s)
     SS, CC = np.meshgrid(s_vals, np.cosh(chi), indexing="ij")
     _, HH = np.meshgrid(s_vals, np.sinh(chi), indexing="ij")
     T = SS * CC

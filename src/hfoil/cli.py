@@ -62,13 +62,15 @@ has set the scenario, a key or flag that it does not read is a
 ConfigError (with the key's line, or no line for a flag), and so is a
 zero data amplitude (eps_v, eps_u or the epsilon that fills them) for
 linear-kg-bound and convergence-suite, an s0 below t0 = 2 for
-model-evolution, and an s0 at or past the last slice, until_s or the
-scenario's default.  until_t can only lengthen a model-evolution run; one
-that would cut it short is a ConfigError, raised once the scenario has
-planned its ladder, and so is an until_s or until_t that leaves a margin
-lattice of linear-kg-bound or linear-wave-bound no point to measure; a
-ConfigError raised inside a scenario leaves no partial tree (the echo is
-removed, and so is the output directory if the run made it).  Every run
+model-evolution, and a first slice at or past the last slice, until_s
+or the scenario's default (the first slice is s0, and KG_LATTICE_LEAD
+s0 for linear-kg-bound, whose lattice starts there).  until_t can only
+lengthen a model-evolution run; one that would cut it short is a
+ConfigError, raised once the scenario has planned its ladder, and so is
+an until_s or until_t that leaves a margin lattice of linear-kg-bound or
+linear-wave-bound no point to measure; a ConfigError raised inside a
+scenario leaves no partial tree (the echo is removed, and so is the
+output directory if the run made it).  Every run
 writes ``config.echo.txt`` (the fully resolved config), ``report.json``
 and a human-readable ``report.txt`` next to its data tables, all through
 this module: it is the one owner of the output formats.  With
@@ -96,8 +98,9 @@ from .analysis import (TINY, QueryPool, SliceDerivativeTable,
                        combo_evaluator, fit_power_law, hierarchy_check,
                        lattice_reach, profile_family, slice_cone_margin,
                        sobolev_ratio_profile)
-from .bounds import (ZERO_METRIC, BoundParams, kg_bound_margin,
-                     metric_pull, pair_tag, wave_bound_margin)
+from .bounds import (KG_LATTICE_LEAD, ZERO_METRIC, BoundParams,
+                     kg_bound_margin, metric_pull, pair_tag,
+                     wave_bound_margin)
 from .fields import RadialGrid
 from .solver import (InitialData, ModelParams, evolve_model, grid_for_run)
 from .util import (ConfigError, EmptyLatticeError, FoliationError,
@@ -260,6 +263,13 @@ class RunConfig:
         if self.resolution is not None:
             return self.resolution
         return _DEFAULT_RESOLUTION[self.scenario]
+
+    def first_slice(self) -> float:
+        """The first slice s the scenario reads: s0, or for
+        linear-kg-bound its lattice's first slice, KG_LATTICE_LEAD s0."""
+        if self.scenario == "linear-kg-bound":
+            return KG_LATTICE_LEAD * self.s0
+        return self.s0
 
     def last_slice(self) -> float:
         """The last slice s the scenario reads: until_s, or its default."""
@@ -430,18 +440,25 @@ def _check_amplitude(cfg: RunConfig) -> None:
 
 def _check_first_slice(cfg: RunConfig) -> None:
     """Reject a model-evolution s0 before the run's first level _T0, and
-    an s0 at or past the scenario's default last slice (_cross_validate
-    checks an until_s that is set)."""
+    a first slice at or past the last one: at the s0 line when the last
+    slice is the scenario's default, else at the until_s line."""
     if cfg.scenario == "model-evolution" and cfg.s0 < _T0:
         raise ConfigError(f"s0 = {cfg.s0:g} lies before the start t0 = "
                           f"{_T0:g} of a {cfg.scenario} run",
                           line=cfg.explicit.get("s0"), field="s0")
-    if (cfg.scenario in _DEFAULT_LAST_SLICE and cfg.until_s is None
-            and cfg.s0 >= cfg.last_slice()):
-        raise ConfigError(f"s0 = {cfg.s0:g} must lie before the last slice, "
-                          f"{cfg.last_slice():g} by default in "
-                          f"{cfg.scenario}", line=cfg.explicit.get("s0"),
-                          field="s0")
+    if cfg.scenario not in _DEFAULT_LAST_SLICE:
+        return
+    first, last = cfg.first_slice(), cfg.last_slice()
+    if first < last:
+        return
+    key = "s0" if cfg.until_s is None else "until_s"
+    where = ("" if first == cfg.s0 else
+             f" {KG_LATTICE_LEAD:g} s0 = {first:g}")
+    default = " by default" if cfg.until_s is None else ""
+    raise ConfigError(f"{key} = {getattr(cfg, key):g}: the first slice"
+                      f"{where} must lie before the last slice, {last:g}"
+                      f"{default} in {cfg.scenario}",
+                      line=cfg.explicit.get(key), field=key)
 
 
 def config_text(cfg: RunConfig) -> str:
@@ -701,8 +718,8 @@ def _scn_model_evolution(cfg: RunConfig, out: Path):
             f"until_t = {cfg.until_t:g} ends the run before the slice "
             f"ladder is read, which takes until t = {t_end:g}",
             line=cfg.explicit.get("until_t"), field="until_t")
-    trk_u = SupTracker("u", grid)
-    trk_v = SupTracker("v", grid)
+    trk_u = SupTracker("u")
+    trk_v = SupTracker("v")
 
     result = evolve_model(params, grid, data, t0=_T0, t_end=t_end,
                           cfl=cfg.cfl, observers=(suite, trk_u, trk_v))
@@ -1246,8 +1263,8 @@ def build_config(argv) -> RunConfig:
             _set(cfg, _FIELDS[attr], getattr(args, attr), None)
     _check_read(cfg)
     _check_amplitude(cfg)
-    _check_first_slice(cfg)
     _cross_validate(cfg)
+    _check_first_slice(cfg)
     return cfg
 
 

@@ -2,14 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hfoil.fields import RadialGrid
 from hfoil.analysis import (PROFILE_WIDTH, QueryPool, SliceDerivativeTable,
                             SliceEnergySuite, SupTracker,
                             _apply, chart_nodes, combo_expansion,
-                            combo_label, design_lowpass, filter_level,
+                            combo_label, design_lowpass,
                             fit_power_law, gaussian_profile,
                             hierarchy_check, hierarchy_combos,
                             hierarchy_target, profile_family,
@@ -200,15 +198,6 @@ def test_lowpass_kernel_properties():
     ks = np.linspace(1.4, math.pi, 300)
     assert np.abs(kernel_response(kern, ks)).max() < 1e-6
     assert kernel_response(kern, 0.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_filter_level_polynomial_and_parity():
-    kern = design_lowpass()
-    x = np.arange(300) * 0.1
-    vals = 2.0 - 0.4 * x ** 2 + 0.003 * x ** 4
-    out = filter_level(vals, kern)
-    # interior nodes exact (even fold at the origin, zero pad far out)
-    assert out[:250] == pytest.approx(vals[:250], rel=1e-11, abs=1e-9)
 
 
 def test_pool_filter_polynomial_exact():
@@ -679,7 +668,7 @@ def test_hierarchy_targets_and_check():
 
 def test_sup_tracker_records_running_sup():
     grid = RadialGrid(dx=0.1, n=50)
-    trk = SupTracker("v", grid)
+    trk = SupTracker("v")
     r = grid.r(0, grid.n)
     for k, t in enumerate([2.0, 2.1, 2.2, 2.3]):
         v = np.exp(-(r - t / 2) ** 2) / t
@@ -687,157 +676,36 @@ def test_sup_tracker_records_running_sup():
     ts, sups = trk.series()
     assert list(ts) == [2.0, 2.1, 2.2, 2.3]
     assert sups == pytest.approx([1.0 / t for t in ts], rel=1e-2)
-    assert trk.r_at == pytest.approx([t / 2 for t in ts], abs=grid.dx)
 
 
-def test_sup_tracker_filter_sees_through_ripple():
-    grid = RadialGrid(dx=0.05, n=400)
-    r = grid.r(0, grid.n)
-    smooth = 1e-4 * np.exp(-(r - 4.0) ** 2)
-    ripple = 3e-3 * np.cos(1.8 * r / grid.dx) * np.exp(-(r - 1.0) ** 2)
-    filt = SupTracker("u", grid)
-    filt.on_level(2.0, 0, smooth + ripple, None)
-    raw = np.abs(smooth + ripple).max()
-    assert raw == pytest.approx(3e-3, rel=0.2)             # ripple wins
-    assert filt.sup[0] == pytest.approx(1e-4, rel=1e-3)    # signal wins
-    assert filt.r_at[0] == pytest.approx(4.0, abs=grid.dx)
-
-
-# --- bounded filtered sup against the whole-level route ---
-
-def _full_route_sup(w):
-    """The filtered sup by the plain route: filter the whole level
-    (even fold at the origin, zero pad past the edge), then take the
-    first argmax of |.|."""
-    kern = design_lowpass()
-    M = (len(kern) - 1) // 2
-    ext = np.concatenate([w[M:0:-1], w, np.zeros(M)])
-    out = np.abs(np.convolve(ext, kern, mode="valid"))
-    i = int(np.argmax(out))
-    return i, float(out[i])
-
-
-class _FullRouteTracker:
-    def __init__(self, field, grid):
-        self.field, self.grid = field, grid
-        self.t, self.sup, self.r_at = [], [], []
-
-    def on_level(self, t, step, u, v):
-        i, sup = _full_route_sup(u if self.field == "u" else v)
-        self.t.append(float(t))
-        self.sup.append(sup)
-        self.r_at.append(i * self.grid.dx)
-
-
-def _unit_tracker(w):
-    """A tracker whose grid has unit spacing, so r_at is a cell index."""
-    return SupTracker("u", RadialGrid(dx=1.0, n=len(w)))
-
-
-def _assert_matches_full_route(w):
-    trk = _unit_tracker(w)
-    trk.on_level(0.0, 0, w, None)
-    i, sup = _full_route_sup(w)
-    assert trk.r_at == [float(i)]
-    if math.isnan(sup):
-        assert math.isnan(trk.sup[0])
-    else:
-        assert trk.sup == [sup]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(-8.0, 8.0).map(lambda x: round(x, 1)),
-                min_size=41, max_size=600),
-       st.sampled_from([1.0, 1e-7, 3e5]))
-def test_bounded_sup_equals_full_route(vals, scale):
-    # one-decimal values force ties, in |w| and in the filtered output
-    _assert_matches_full_route(scale * np.array(vals))
-
-
-def test_bounded_sup_edge_cases():
-    n = 300
-    bump = np.exp(-np.linspace(-2.0, 2.0, 21) ** 2)
-    # two equal bumps: equal filtered peaks, the first index wins
-    w = np.zeros(n)
-    w[90:111] = bump
-    w[190:211] = bump
-    trk = _unit_tracker(w)
-    trk.on_level(0.0, 0, w, None)
-    assert trk.r_at == [100.0]
-    _assert_matches_full_route(w)
-    # peak inside the origin fold, peak at the last cell, ramp to the edge
-    w = np.zeros(n)
-    w[:8] = bump[10:18]
-    _assert_matches_full_route(w)
-    w = np.zeros(n)
-    w[-1] = 1.0
-    _assert_matches_full_route(w)
-    _assert_matches_full_route(np.linspace(0.0, 1.0, n))
-    _assert_matches_full_route(np.zeros(n))
-    # the bound is tight: the kernel's sign pattern filters to |k|_1
-    # times its height, above a taller smooth bump
-    kern = design_lowpass()
-    w = 1.2 * np.exp(-((np.arange(n) - 220.0) / 15.0) ** 2)
-    w[80:121] = np.sign(kern)
-    trk = _unit_tracker(w)
-    trk.on_level(0.0, 0, w, None)
-    assert trk.r_at == [100.0]
-    assert trk.sup[0] == pytest.approx(np.abs(kern).sum(), rel=1e-12)
-    _assert_matches_full_route(w)
-    # NaN and infinities anywhere, alone or with a second bad cell
-    base = np.sin(np.arange(n) * 0.05)
-    for bad in (math.nan, math.inf, -math.inf):
-        for pos in (0, 3, 20, 150, n - 21, n - 1):
-            w = base.copy()
-            w[pos] = bad
-            _assert_matches_full_route(w)
-            w[(pos + 7) % n] = -bad
-            _assert_matches_full_route(w)
-
-
-def test_filter_level_range_is_a_slice():
-    rng = np.random.default_rng(5)
-    kern = design_lowpass()
-    for n in (41, 57, 400):
-        w = rng.standard_normal(n)
-        full = filter_level(w, kern)
-        for lo in (0, 1, 19, 20, 21, n // 2, n - 21, n - 1):
-            for hi in (lo + 1, min(lo + 40, n), n):
-                part = filter_level(w, kern, lo=lo, hi=hi)
-                assert np.array_equal(part, full[lo:hi])
-
-
-def test_bounded_sup_tracks_evolution_like_full_route():
+def test_sup_tracker_is_the_raw_max_of_every_level():
     grid = grid_for_run(0.05, 2.0, 6.0, support_radius=1.0)
-    trackers = [(SupTracker(f, grid),
-                 _FullRouteTracker(f, grid)) for f in ("u", "v")]
+    trackers = [SupTracker(f) for f in ("u", "v")]
+    copies = LevelCopies()
     evolve_model(ModelParams(), grid, InitialData.bump(0.05, 0.05),
-                 t0=2.0, t_end=6.0,
-                 observers=[trk for pair in trackers for trk in pair])
-    for trk, ref in trackers:
-        assert len(trk.t) > 50
-        assert trk.t == ref.t
-        assert trk.sup == ref.sup
-        assert trk.r_at == ref.r_at
+                 t0=2.0, t_end=6.0, observers=[*trackers, copies])
+    assert len(copies.levels) > 50
+    for col, trk in enumerate(trackers, start=1):
+        ts, sups = trk.series()
+        assert ts.tolist() == [float(lv[0]) for lv in copies.levels]
+        want = [np.abs(lv[col]).max() for lv in copies.levels]
+        assert sups.tobytes() == np.array(want).tobytes()
+        assert sups[-1] == want[-1] > 0.0
 
 
-def test_bounded_sup_convolves_a_narrow_window(monkeypatch):
-    n = 4000
-    r = np.arange(n) * 0.05
-    shell = 1e-3 * np.exp(-(r - 60.0) ** 2)
-    cells = []
-    convolve = np.convolve
-
-    def spy(a, v, mode="full"):
-        out = convolve(a, v, mode=mode)
-        cells.append(out.size)
-        return out
-
-    trk = _unit_tracker(shell)
-    monkeypatch.setattr(np, "convolve", spy)
-    trk.on_level(0.0, 0, shell, None)
-    assert trk.r_at == [1200.0]
-    assert 0 < sum(cells) <= 0.05 * n
+def test_sup_tracker_propagates_non_finite_and_rejects_a_missing_field():
+    w = np.sin(np.arange(300) * 0.05)
+    for bad in (math.nan, math.inf, -math.inf):
+        trk = SupTracker("u")
+        level = w.copy()
+        level[150] = bad
+        trk.on_level(0.0, 0, level, None)
+        assert np.array_equal(trk.sup, [abs(bad)], equal_nan=True)
+    trk = SupTracker("u")
+    trk.on_level(0.0, 0, np.zeros(300), None)
+    assert trk.sup == [0.0]
+    with pytest.raises(FoliationError):
+        SupTracker("v").on_level(0.0, 0, w, None)
 
 
 # === Sobolev ratios ===

@@ -311,7 +311,7 @@ WAVY = MetricPerturb(lambda t, r: 0.02 * np.sin(t - 0.5 * r),
 def kg_lattice_rays(params, s_max=8.0, tr_min=1.25, n_rays=16, n_s=20):
     """The base points of kg_bound_margin's lattice at its defaults, one
     list per lattice ray (before the grid-coverage cut)."""
-    s_vals = np.geomspace(1.1 * params.s0, s_max, n_s)
+    s_vals = np.geomspace(bounds.KG_LATTICE_LEAD * params.s0, s_max, n_s)
     return [lattice_ray(chi, s_vals[s_vals >= math.exp(chi) * tr_min], params)
             for chi in np.linspace(0.0, math.log(s_max / tr_min), n_rays)
             if s_max >= math.exp(chi) * tr_min]
@@ -875,6 +875,16 @@ def test_kg_margin_zero_field_and_report_shape():
     assert rep["zero_envelope"]["max_weighted_value"] == 0.0
     assert rep["regime_counts"]["far"] + rep["regime_counts"]["near"] > 0
     json.dumps(rep)                             # fully serializable
+
+
+def test_kg_margin_lattice_starts_before_s_max():
+    # the lattice starts on KG_LATTICE_LEAD s0; an s_max at or before
+    # that slice would run it backwards, and is refused before any solve
+    for s_max in (2.0, bounds.KG_LATTICE_LEAD * P.s0):
+        with pytest.raises(ValueError, match="first slice"):
+            kg_bound_margin([("flat", ZERO_METRIC)],
+                            InitialData.bump(0.0, 0.1), P, dx=0.1,
+                            s_max=s_max, cfl=0.5)
 
 
 def test_kg_margin_flat_bump():

@@ -270,13 +270,17 @@ def test_config_error_in_a_scenario_leaves_no_tree(tmp_path, capsys):
     assert tree_bytes(kept) == {"notes.txt": b"mine"}
 
 
-# windows with nothing to measure: an s0 at or past the default last
+# windows with nothing to measure: a first slice at or past the last
 # slice (the ladder would run backwards, or the lattice start past its
-# end), and an end that leaves a margin lattice no point
+# end; linear-kg-bound's lattice starts on KG_LATTICE_LEAD s0), and an
+# end that leaves a margin lattice no point
 @pytest.mark.parametrize("scenario, text, line, key", [
     ("linear-wave-bound", "[run]\nuntil_t = 5\n", 2, "until_t"),
     ("linear-wave-bound", "[run]\n\nuntil_t = 10.1\n", 3, "until_t"),
     ("linear-kg-bound", "[bounds]\ns0 = 9\n", 2, "s0"),
+    ("linear-kg-bound", "[bounds]\ns0 = 7.5\n", 2, "s0"),   # 8.25 past 8
+    ("linear-kg-bound", "[bounds]\ns0 = 3\n[run]\nuntil_s = 3.2\n", 4,
+     "until_s"),
     ("linear-kg-bound", "[bounds]\ns0 = 1.05\n[run]\nuntil_s = 1.2\n", 4,
      "until_s"),
     ("model-evolution", "[bounds]\ns0 = 12\n", 2, "s0"),
