@@ -10,9 +10,12 @@ High derivative ladders are therefore tabulated as mixed
 Cartesian d_t^i d_r^k and boost combinations by exact chain-rule
 expansions whose coefficients are polynomials in
 (cosh chi, sinh chi, 1/s).  These expansions are the package's one
-frame algebra: the energy ladder contracts them with
-:func:`combo_evaluator`, and the frame-identity suite checks the
-d'Alembertian they assemble against its hyperboloidal form
+frame algebra: :func:`combo_evaluator` contracts every expansion of a
+key list with a chart's tables in a few blocked array operations,
+returning one (keys, nodes) array per table whose values are each the
+left-to-right sum of their terms.  The energy ladder reads its rows,
+and the frame-identity suite checks the d'Alembertian they assemble
+against its hyperboloidal form
 -d_s^2 - (3/s) d_s + s^-2 (d_chi^2 + 2 coth(chi) d_chi).
 
 Slices live in the working region {r <= t - 1}, inside which
@@ -78,35 +81,39 @@ def _apply(exp, op: str):
     return {key: c for key, c in out.items() if c}
 
 
-@lru_cache(maxsize=None)
 def combo_expansion(it: int, ir: int, j: int, outer: str = ""):
     """Expansion of d_t^it d_r^ir L^j (optionally with one more outer
     d_t or L) over the (d_s^p d_chi^q) derivative table; treat as
-    immutable."""
-    if outer in ("t", "chi"):
-        return _apply(combo_expansion(it, ir, j), outer)
+    immutable.
+
+    Expansions are cached per (it, ir, j, outer), whichever way the
+    arguments are passed, and an outer d_t is d_t^(it + 1) by the
+    recursion: combo_expansion(it, ir, j, "t") is the object
+    combo_expansion(it + 1, ir, j).
+    """
+    return _expansion(it, ir, j, outer)
+
+
+@lru_cache(maxsize=None)
+def _expansion(it: int, ir: int, j: int, outer: str):
+    if outer == "t":
+        return _expansion(it + 1, ir, j, "")
+    if outer == "chi":
+        return _apply(_expansion(it, ir, j, ""), outer)
     if outer:
         raise ValueError(f"unknown outer derivative {outer!r}")
     if it:
-        return _apply(combo_expansion(it - 1, ir, j), "t")
+        return _apply(_expansion(it - 1, ir, j, ""), "t")
     if ir:
-        return _apply(combo_expansion(it, ir - 1, j), "r")
+        return _apply(_expansion(it, ir - 1, j, ""), "r")
     if j:
-        return _apply(combo_expansion(0, 0, j - 1), "chi")
+        return _apply(_expansion(0, 0, j - 1, ""), "chi")
     return {(0, 0, 0, 0, 0): 1}
 
 
-def eval_combo(comp, tables, CH, SH, ZI):
-    """Contract an expansion with (d_s, d_chi) tables.
-
-    comp is (idx, coef): the expansion's keys as rows P, Q, A, B, K and
-    its coefficients.  tables has shape (nodes, K+1, K+1); CH/SH are
-    power tables of cosh/sinh over nodes, ZI the power vector of 1/s.
-    """
-    (P, Q, A, B, K), coef = comp
-    sel = tables[:, P, Q]                                  # (nodes, M)
-    w = (coef * ZI[K])[None, :] * CH[A].T * SH[B].T
-    return (sel * w).sum(axis=1)
+# terms per contraction block (256 KiB of float64): a cap on the weights
+# and products one evaluate call holds at a time
+_BLOCK_VALUES = 1 << 15
 
 
 def combo_evaluator(keys):
@@ -115,22 +122,66 @@ def combo_evaluator(keys):
 
     Returns on_chart(s, chi), which builds the cosh/sinh power tables
     of the chart nodes chi and the 1/s powers of slice s once, and
-    returns evaluate(key, tables): :func:`eval_combo` of key's expansion
-    with that chart's (nodes, K+1, K+1) tables.
+    returns evaluate(tables).  tables is a sequence of that chart's
+    (nodes, K+1, K+1) tables, and evaluate returns the
+    (len(tables), len(keys), nodes) array whose row [i, k] is key k's
+    expansion contracted with tables[i].  Each value is the
+    left-to-right sum, in expansion order, of the terms
+    D[p, q] * (((c s^-k) cosh^a) sinh^b).
+
+    Keys whose expansions are one object (combo_expansion's aliases)
+    share one row of work.  Expansions of equal term count M are
+    contracted together, G at a time, as C-contiguous (G, M, nodes)
+    blocks summed over M; each block's term weights are built once and
+    shared by the tables.
     """
-    comps = {}
-    for key in keys:
+    keys = tuple(keys)
+    homes, aliases, by_size = {}, [], {}
+    for row, key in enumerate(keys):
         exp = combo_expansion(*key)
-        comps[key] = (np.array(list(exp)).T, np.fromiter(exp.values(), float))
-    amax, bmax, kmax = np.max([idx.max(axis=1) for idx, _ in
-                               comps.values()], axis=0)[2:]
+        if id(exp) in homes:
+            aliases.append((row, homes[id(exp)]))
+        else:
+            homes[id(exp)] = row
+            by_size.setdefault(len(exp), []).append((row, exp))
+    # the term table: the expansions of each size M are one run of
+    # G * M terms, and groups holds (M, first term, the G output rows)
+    groups, terms, coef = [], [], []
+    for M, members in sorted(by_size.items()):
+        groups.append((M, len(coef), np.array([row for row, _ in members])))
+        for _, exp in members:
+            terms.extend(exp)
+            coef.extend(exp.values())
+    P, Q, A, B, K = np.array(terms).T
+    coef = np.array(coef, dtype=float)
+    dst, src = np.array(aliases, dtype=np.int64).reshape(-1, 2).T
 
     def on_chart(s, chi):
         ch, sh = np.cosh(chi), np.sinh(chi)
-        CH = ch[None, :] ** np.arange(amax + 1)[:, None]
-        SH = sh[None, :] ** np.arange(bmax + 1)[:, None]
-        ZI = (1.0 / s) ** np.arange(kmax + 1)
-        return lambda key, tables: eval_combo(comps[key], tables, CH, SH, ZI)
+        CH = ch[None, :] ** np.arange(A.max() + 1)[:, None]
+        SH = sh[None, :] ** np.arange(B.max() + 1)[:, None]
+        cz = coef * ((1.0 / s) ** np.arange(K.max() + 1))[K]
+        n = ch.size
+
+        def evaluate(tables):
+            # each table as rows p * (K+1) + q of node values
+            flat = [(np.moveaxis(D, 0, -1).reshape(-1, n), P * D.shape[2] + Q)
+                    for D in tables]
+            out = np.empty((len(flat), len(keys), n))
+            for M, lo, rows in groups:
+                per = max(_BLOCK_VALUES // (M * n), 1)
+                for g in range(0, rows.size, per):
+                    a, b = lo + g * M, lo + min(g + per, rows.size) * M
+                    w = cz[a:b, None] * CH[A[a:b]]
+                    w *= SH[B[a:b]]
+                    for (T, idx), o in zip(flat, out):
+                        prod = T[idx[a:b]]
+                        prod *= w
+                        o[rows[g:g + per]] = prod.reshape(-1, M, n).sum(axis=1)
+            out[:, dst] = out[:, src]
+            return out
+
+        return evaluate
 
     return on_chart
 
@@ -594,6 +645,13 @@ class SliceEnergySuite:
     stage_sups() once the run is past the last slice.
     h_s defaults to, and the level filter follows, :func:`ladder_s_step`
     of the order.
+
+    The first consumer call contracts every slice: one combo_evaluator
+    holds every combo bare, under d_t and under L, and one evaluate call
+    per slice gives both fields' rows as stacked arrays, whose energies
+    are summed row by row.  The suite then keeps only the bare rows, one
+    C-contiguous (combos, nodes) array per (field, slice), in
+    hierarchy_combos order; stage_sups reads those.
     """
 
     def __init__(self, grid, s_values, order: int = 0, mass: float = 1.0,
@@ -672,29 +730,29 @@ class SliceEnergySuite:
             return
         self.pool.assert_resolved()
         combos = hierarchy_combos(self.order)
-        on_chart = combo_evaluator(combo + (outer,) for combo in combos
-                                   for outer in ("", "t", "chi"))
+        # rows: every combo bare, then under d_t, then under L
+        on_chart = combo_evaluator(combo + (outer,)
+                                   for outer in ("", "t", "chi")
+                                   for combo in combos)
         self._values = {}
         self._energies = []
         for s in self.s_values:
             chi = self._charts[s]
-            evaluate = on_chart(s, chi)
             ch, sh = np.cosh(chi), np.sinh(chi)
             dmu = 4.0 * math.pi * s ** 3 * trapezoid_weights(chi) * sh * sh * ch
-            for field in self.fields:
-                D = self._tables[(field, s)].tables()
-                for (it, ir, j) in combos:
-                    W = evaluate((it, ir, j, ""), D)
-                    Wt = evaluate((it, ir, j, "t"), D)
-                    Wl = evaluate((it, ir, j, "chi"), D)
-                    dens = (Wt / ch) ** 2 + (Wl / (s * ch)) ** 2
-                    if field == "v":
-                        dens = dens + (self.mass * W) ** 2
-                    E = float(np.sum(dmu * dens))
-                    self._values[(field, s, it, ir, j)] = W
-                    self._energies.append(
-                        {"field": field, "it": it, "ir": ir, "j": j,
-                         "s": s, "value": E})
+            vals = on_chart(s, chi)([self._tables[(field, s)].tables()
+                                     for field in self.fields])
+            for field, (W, Wt, Wl) in zip(self.fields, vals.reshape(
+                    len(self.fields), 3, len(combos), chi.size)):
+                dens = (Wt / ch) ** 2 + (Wl / (s * ch)) ** 2
+                if field == "v":
+                    dens = dens + (self.mass * W) ** 2
+                E = (dmu * dens).sum(axis=1)
+                # a copy, so the stacked rows under d_t and L are freed
+                self._values[(field, s)] = W.copy()
+                self._energies.extend(
+                    {"field": field, "it": it, "ir": ir, "j": j, "s": s,
+                     "value": float(e)} for (it, ir, j), e in zip(combos, E))
 
     def energies(self):
         """Rows {field, it, ir, j, s, value} for every combo and slice."""
@@ -706,7 +764,8 @@ class SliceEnergySuite:
 
         Stages split each field into low and high order (is_low_order);
         wave stages weigh by t, Klein-Gordon stages by
-        (t/s)^(1/2-7 delta) t^(3/2).
+        (t/s)^(1/2-7 delta) t^(3/2).  A combo whose weighted values hold
+        a NaN is left out of its stage's sup.
         """
         self._ensure_values()
         pv = 0.5 - 7.0 * delta
@@ -714,6 +773,8 @@ class SliceEnergySuite:
                   ("v:low", "v", pv, 1.5, True),
                   ("u:high", "u", 0.0, 1.0, False),
                   ("v:high", "v", pv, 1.5, False)]
+        low_rows = np.array([is_low_order(sum(combo), self.order)
+                             for combo in hierarchy_combos(self.order)])
         rows = []
         for label, field, p, q, low in stages:
             if field not in self.fields:
@@ -722,14 +783,11 @@ class SliceEnergySuite:
                 chi = self._charts[s]
                 t = s * np.cosh(chi)
                 weight = (t / s) ** p * t ** q
-                best = 0.0
-                for (it, ir, j) in hierarchy_combos(self.order):
-                    if is_low_order(it + ir + j, self.order) != low:
-                        continue
-                    W = self._values[(field, s, it, ir, j)]
-                    best = max(best, float(np.max(weight * np.abs(W))))
+                W = self._values[(field, s)][low_rows == low]
+                best = np.fmax.reduce(np.max(weight * np.abs(W), axis=1),
+                                      initial=0.0)
                 rows.append({"field": label, "p": p, "q": q, "s": s,
-                             "value": best})
+                             "value": float(best)})
         return rows
 
 

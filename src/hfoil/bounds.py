@@ -542,20 +542,18 @@ def format_c(c: float) -> str:
     return str(int(c)) if float(c).is_integer() else repr(float(c))
 
 
-def wave_bound_margin(pairs, *, amp: float, dx: float, t_lo: float,
-                      t_end: float, cfl: float, n_rays: int = 16,
-                      n_t: int = 20, t0: float = 2.0,
-                      tr_min: float = 2.0) -> list:
-    """Run the sourced wave problem for every (mu, nu) of pairs and
-    measure |u| / wave_bound_value over a ray lattice, grouped by decade
-    of t: one report per pair, in order.
+def wave_lattice(*, dx: float, t_lo: float, t_end: float, cfl: float,
+                 n_rays: int = 16, n_t: int = 20, t0: float = 2.0,
+                 tr_min: float = 2.0) -> tuple:
+    """(grid, t_vals, ts, rs, skipped): the ray lattice of
+    wave_bound_margin on the grid of a run from t0 to t_end at step dx.
 
-    The pairs share the grid, the step count and the lattice, so they
-    are solved as one stack (WaveSourceStack), each row with its own
-    QueryPool.  Every row is bit for bit its own one-pair run, so a
-    report does not depend on which other pairs ran beside it; one pair
-    is a one-row stack.  A t_end that leaves no lattice time past t_lo is
-    an EmptyLatticeError.
+    n_t times t_vals from t_lo up to t_end less _POOL_TAIL_STEPS steps,
+    each crossed with n_rays rays; (ts, rs) are the points with
+    t - r >= tr_min that the grid covers, and skipped counts those it
+    does not.  A t_end that leaves no lattice time past t_lo is an
+    EmptyLatticeError; the lattice is cheap, so callers can build it
+    before any solve.
     """
     dt = cfl * dx
     t_hi = t_end - _POOL_TAIL_STEPS * dt
@@ -573,8 +571,26 @@ def wave_bound_margin(pairs, *, amp: float, dx: float, t_lo: float,
     grid = grid_for_run(dx, t0, t_end)
     covered = inside & (R <= grid.r_max - _POOL_EDGE_CELLS * dx)
     skipped = int(inside.sum() - covered.sum())
-    ts, rs = T[covered], R[covered]
+    return grid, t_vals, T[covered], R[covered], skipped
 
+
+def wave_bound_margin(pairs, *, amp: float, dx: float, t_lo: float,
+                      t_end: float, cfl: float, n_rays: int = 16,
+                      n_t: int = 20, t0: float = 2.0,
+                      tr_min: float = 2.0) -> list:
+    """Run the sourced wave problem for every (mu, nu) of pairs and
+    measure |u| / wave_bound_value over the wave_lattice of the run,
+    grouped by decade of t: one report per pair, in order.
+
+    The pairs share the grid, the step count and the lattice, so they
+    are solved as one stack (WaveSourceStack), each row with its own
+    QueryPool.  Every row is bit for bit its own one-pair run, so a
+    report does not depend on which other pairs ran beside it; one pair
+    is a one-row stack.  An empty lattice raises before the solve.
+    """
+    grid, t_vals, ts, rs, skipped = wave_lattice(
+        dx=dx, t_lo=t_lo, t_end=t_end, cfl=cfl, n_rays=n_rays, n_t=n_t,
+        t0=t0, tr_min=tr_min)
     stack = WaveSourceStack(wave_source(mu, nu, amp) for mu, nu in pairs)
     pools = [QueryPool(grid) for _ in stack.rows]
     handles = [pool.add("u", ts, rs) for pool in pools]
@@ -598,7 +614,7 @@ def wave_bound_margin(pairs, *, amp: float, dx: float, t_lo: float,
             "per_t_max_ratio": per_t,
             "per_decade_max_ratio": per_decade,
             "max_ratio": float(np.max(ratio)) if ratio.size else 0.0,
-            "regime_counts": {"inside_cone": int(covered.sum())},
+            "regime_counts": {"inside_cone": int(ts.size)},
             "quadrature_step": None,
             "skipped": skipped,
         })

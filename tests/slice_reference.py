@@ -21,7 +21,13 @@ independent second route the tests compare them with:
 * the sourced wave solver steps a source stack; :class:`CallableSource`
   makes one of plain callables, and :func:`full_grid_wave_source` is the
   whole-grid formula of a ``wave_source`` profile that tests compare
-  ``WaveSourceStack.fill`` with and hand to the callable-source solvers.
+  ``WaveSourceStack.fill`` with and hand to the callable-source solvers;
+* :func:`eval_combo` contracts one expansion with a derivative table,
+  one key at a time, and :func:`reference_rows` applies it to a key
+  list: the per-combo route the blocked ``combo_evaluator`` must match
+  bit for bit; :func:`reference_energies` and
+  :func:`reference_stage_sups` are ``SliceEnergySuite``'s energies and
+  stage sups by that route, one combo at a time.
 
 Not a test module (pytest collects ``test_*.py`` only); the test
 modules import it by name from this directory.
@@ -33,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hfoil.analysis import slice_cone_margin
+from hfoil.analysis import (combo_expansion, hierarchy_combos,
+                            is_low_order, slice_cone_margin)
 from hfoil.bounds import SWITCH_ON
 from hfoil.util import (SliceCoverageError, StencilRangeError, _basis_coeffs,
                         fd_weights, smoothstep, trapezoid_weights)
@@ -92,6 +99,91 @@ def full_grid_wave_source(mu, nu, amp=1.0):
                         0.0)
 
     return f
+
+
+# === per-combo contraction of the chain-rule expansions ===
+
+def eval_combo(comp, tables, CH, SH, ZI):
+    """Contract an expansion with (d_s, d_chi) tables.
+
+    comp is (idx, coef): the expansion's keys as rows P, Q, A, B, K and
+    its coefficients.  tables has shape (nodes, K+1, K+1); CH/SH are
+    power tables of cosh/sinh over nodes, ZI the power vector of 1/s.
+    """
+    (P, Q, A, B, K), coef = comp
+    sel = tables[:, P, Q]                                  # (nodes, M)
+    w = (coef * ZI[K])[None, :] * CH[A].T * SH[B].T
+    return (sel * w).sum(axis=1)
+
+
+def reference_rows(keys, s, chi, tables) -> np.ndarray:
+    """(len(keys), nodes): eval_combo of every key's expansion
+    (combo_expansion(*key)) with tables on the chart nodes chi of slice
+    s, one key at a time."""
+    comps = []
+    for key in keys:
+        exp = combo_expansion(*key)
+        comps.append((np.array(list(exp)).T,
+                      np.fromiter(exp.values(), float)))
+    amax, bmax, kmax = np.max([idx.max(axis=1) for idx, _ in comps],
+                              axis=0)[2:]
+    ch, sh = np.cosh(chi), np.sinh(chi)
+    CH = ch[None, :] ** np.arange(amax + 1)[:, None]
+    SH = sh[None, :] ** np.arange(bmax + 1)[:, None]
+    ZI = (1.0 / s) ** np.arange(kmax + 1)
+    return np.stack([eval_combo(comp, tables, CH, SH, ZI) for comp in comps])
+
+
+def _reference_values(suite):
+    """({(field, s, it, ir, j): W}, energy rows) of a SliceEnergySuite
+    whose run is done, one combo at a time."""
+    values, rows = {}, []
+    for s in suite.s_values:
+        chi = suite._charts[s]
+        ch, sh = np.cosh(chi), np.sinh(chi)
+        dmu = 4.0 * math.pi * s ** 3 * trapezoid_weights(chi) * sh * sh * ch
+        for field in suite.fields:
+            D = suite._tables[(field, s)].tables()
+            for (it, ir, j) in hierarchy_combos(suite.order):
+                W, Wt, Wl = reference_rows(
+                    [(it, ir, j, outer) for outer in ("", "t", "chi")],
+                    s, chi, D)
+                dens = (Wt / ch) ** 2 + (Wl / (s * ch)) ** 2
+                if field == "v":
+                    dens = dens + (suite.mass * W) ** 2
+                values[(field, s, it, ir, j)] = W
+                rows.append({"field": field, "it": it, "ir": ir, "j": j,
+                             "s": s, "value": float(np.sum(dmu * dens))})
+    return values, rows
+
+
+def reference_energies(suite) -> list:
+    """suite.energies(), one combo at a time."""
+    return _reference_values(suite)[1]
+
+
+def reference_stage_sups(suite, delta: float) -> list:
+    """suite.stage_sups(delta), one combo at a time."""
+    values = _reference_values(suite)[0]
+    pv = 0.5 - 7.0 * delta
+    rows = []
+    for label, field, p, q, low in (("u:low", "u", 0.0, 1.0, True),
+                                    ("v:low", "v", pv, 1.5, True),
+                                    ("u:high", "u", 0.0, 1.0, False),
+                                    ("v:high", "v", pv, 1.5, False)):
+        if field not in suite.fields:
+            continue
+        for s in suite.s_values:
+            t = s * np.cosh(suite._charts[s])
+            weight = (t / s) ** p * t ** q
+            best = 0.0
+            for (it, ir, j) in hierarchy_combos(suite.order):
+                if is_low_order(it + ir + j, suite.order) == low:
+                    W = values[(field, s, it, ir, j)]
+                    best = max(best, float(np.max(weight * np.abs(W))))
+            rows.append({"field": label, "p": p, "q": q, "s": s,
+                         "value": best})
+    return rows
 
 
 # === box grids and field histories ===

@@ -6,13 +6,13 @@ import pytest
 from hfoil.fields import RadialGrid
 from hfoil.analysis import (PROFILE_WIDTH, QueryPool, SliceDerivativeTable,
                             SliceEnergySuite, SupTracker,
-                            _apply, chart_nodes, combo_expansion,
-                            combo_label, design_lowpass,
+                            _apply, chart_nodes, combo_evaluator,
+                            combo_expansion, combo_label, design_lowpass,
                             fit_power_law, gaussian_profile,
                             hierarchy_check, hierarchy_combos,
                             hierarchy_target, profile_family,
                             sobolev_ratio_profile)
-from hfoil.cli import emit_series
+from hfoil.cli import _BOX_TERMS, emit_series
 from hfoil.util import ConfigError
 from hfoil.bounds import WaveSourceStack, wave_source
 from hfoil.solver import (InitialData, ModelParams, evolve_model,
@@ -20,7 +20,8 @@ from hfoil.solver import (InitialData, ModelParams, evolve_model,
 from hfoil.util import FoliationError, SliceCoverageError, lagrange_weights
 from slice_reference import (EVEN, BoxGrid, FieldHistory, LevelCopies,
                              RadialSliceChart, full_grid_wave_source,
-                             interpolate_to_slice,
+                             interpolate_to_slice, reference_energies,
+                             reference_rows, reference_stage_sups,
                              sample_history, sample_radial_history,
                              sobolev_ratio_history, window_weights)
 
@@ -47,6 +48,13 @@ def test_first_order_expansions():
     assert combo_expansion(0, 0, 1) == {(0, 1, 0, 0, 0): 1}
     assert combo_expansion(0, 0, 0, "chi") == combo_expansion(0, 0, 1)
     assert combo_expansion(0, 0, 0, "t") == combo_expansion(1, 0, 0)
+    # an outer d_t is the cached expansion one d_t up, the same object
+    # whichever way the arguments are passed
+    for it, ir, j in hierarchy_combos(7):
+        up = combo_expansion(it + 1, ir, j)
+        assert combo_expansion(it, ir, j, "t") is up
+        assert combo_expansion(it + 1, ir, j, "") is up
+        assert combo_expansion(it, ir, j, outer="t") is up
     with pytest.raises(ValueError):
         combo_expansion(0, 0, 0, "r")
 
@@ -109,6 +117,48 @@ def test_hierarchy_combo_count():
     assert len(hierarchy_combos(0)) == 1
     assert combo_label("v", 2, 1, 3) == "v.ttr.L3"
     assert combo_label("u", 0, 0, 0) == "u.-.L0"
+
+
+def _random_tables(rng, nodes: int, width: int, count: int = 2):
+    """count random (nodes, width, width) tables spanning eight decades."""
+    shape = (nodes, width, width)
+    return [rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)
+            for _ in range(count)]
+
+
+# slices and chart nodes: a node on the axis (where order 8 splits its
+# larger size groups over several contraction blocks), one node, one
+# node on the axis, unordered nodes, and a chart on which the largest
+# order-8 expansion alone exceeds a block
+_CHARTS = ((3.0, np.linspace(0.0, 1.7, 43)), (7.5, np.array([0.9])),
+           (2.2, np.array([0.0])), (12.0, np.array([2.1, 0.4, 1.3, 2.7])),
+           (20.0, np.linspace(0.0, 3.0, 160)))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 8])
+def test_blocked_contraction_matches_per_combo_reference(order):
+    # every combo under each outer, in the suite's row order; the rows
+    # must be the per-combo contraction's, bit for bit
+    keys = [combo + (outer,) for outer in ("", "t", "chi")
+            for combo in hierarchy_combos(order)]
+    on_chart = combo_evaluator(keys)
+    rng = np.random.default_rng(order)
+    for s, chi in _CHARTS:
+        tables = _random_tables(rng, chi.size, order + 2)
+        got = on_chart(s, chi)(tables)
+        assert got.shape == (2, len(keys), chi.size)
+        for rows, D in zip(got, tables):
+            assert rows.tobytes() == reference_rows(keys, s, chi, D).tobytes()
+
+
+def test_box_term_contraction_matches_per_combo_reference():
+    on_chart = combo_evaluator(_BOX_TERMS)
+    rng = np.random.default_rng(5)
+    for s, chi in _CHARTS:
+        [D] = _random_tables(rng, chi.size, 3, count=1)
+        [got] = on_chart(s, chi)([D])
+        assert got.tobytes() == reference_rows(_BOX_TERMS, s, chi,
+                                               D).tobytes()
 
 
 # === the query pool ===
@@ -612,6 +662,27 @@ def test_suite_stage_sups_smoke():
     assert labels == {"u:low", "v:low", "u:high", "v:high"}
     assert all(math.isfinite(row["value"]) for row in rows)
     assert all(row["value"] > 0 for row in rows if row["field"] == "v:high")
+
+
+def test_suite_matches_the_per_combo_route_bit_for_bit():
+    order, delta = 4, 0.02
+    suite, grid, t_end = SliceEnergySuite.plan(0.1, [3.0, 4.5], order=order,
+                                               t0=2.0)
+    evolve_model(ModelParams(), grid, InitialData.bump(0.01, 0.01), t0=2.0,
+                 t_end=t_end, observers=(suite,))
+    for got, want in ((suite.energies(), reference_energies(suite)),
+                      (suite.stage_sups(delta),
+                       reference_stage_sups(suite, delta))):
+        assert got == want
+        assert np.array([row["value"] for row in got]).tobytes() == \
+            np.array([row["value"] for row in want]).tobytes()
+    # the suite keeps only the bare rows, one owned (combos, nodes)
+    # array per field and slice
+    assert sorted(suite._values) == sorted(
+        (field, s) for field in suite.fields for s in suite.s_values)
+    for (_, s), W in suite._values.items():
+        assert W.shape == (len(hierarchy_combos(order)), suite._charts[s].size)
+        assert W.flags.c_contiguous and W.base is None
 
 
 def test_suite_unresolved_slice_raises():

@@ -299,6 +299,27 @@ def test_empty_window_is_a_config_error_at_its_key(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_empty_coarse_wave_lattice_fails_before_any_solve(tmp_path, capsys,
+                                                         monkeypatch):
+    # until_t = 10.3 at dx 0.04 leaves the dx lattice times up to 10.06,
+    # but the 2 dx lattice would end at 9.82, before t_lo = 10
+    from hfoil import bounds
+    calls = []
+    solve = bounds.solve_linear_wave_sourced
+    monkeypatch.setattr(bounds, "solve_linear_wave_sourced",
+                        lambda *a, **kw: calls.append(a) or solve(*a, **kw))
+    path = tmp_path / "config.txt"
+    path.write_text("[grid]\nresolution = 0.04\n[run]\nuntil_t = 10.3\n")
+    out = tmp_path / "out"
+    assert cli.main(["linear-wave-bound", "--config", str(path), "--out",
+                     str(out), "--deterministic"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 4: until_t: ")
+    assert "to 9.82" in err
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scenario", ["model-evolution", "linear-kg-bound"])
 def test_flags_match_the_same_keys_in_a_file(tmp_path, scenario):
     path = tmp_path / "config.txt"
