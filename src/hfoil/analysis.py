@@ -933,10 +933,9 @@ class ChiProfile:
     psi: object
     dpsi: object
     ddpsi: object
-    label: str = ""
 
 
-def gaussian_profile(width: float, label: str = "") -> ChiProfile:
+def gaussian_profile(width: float) -> ChiProfile:
     w2 = float(width) ** 2
 
     def psi(chi):
@@ -948,7 +947,7 @@ def gaussian_profile(width: float, label: str = "") -> ChiProfile:
     def ddpsi(chi):
         return (4.0 * np.square(chi) / (w2 * w2) - 2.0 / w2) * psi(chi)
 
-    return ChiProfile(psi, dpsi, ddpsi, label or f"w={width:.4g}")
+    return ChiProfile(psi, dpsi, ddpsi)
 
 
 PROFILE_WIDTH = 0.45     # the middle width of the Sobolev profiles

@@ -9,9 +9,13 @@ evaluation of |h'| and its cumulative integral H, read at each point's
 own node; the far regime's Gronwall boost int |h'| e^{C int_lam^s |h'|}
 is taken in its closed form (e^{C H(s)} - 1) / C.
 Margin checks run the matching linear solver and report the measured
-ratio field/envelope over a lattice of cone-interior sample points; the
-wave check steps all its (mu, nu) pairs as one stack of sources, the
-Klein-Gordon check all its metrics as one stack of backgrounds.
+ratio field/envelope over a RayLattice: rays crossed with slices s
+(kg_lattice) or times t (wave_lattice), cut by one coverage rule to the
+cone-interior points the run can measure.  A lattice is built, with its
+grid and run length, before any solve, and each level's points are its
+rows.  The wave check steps all its (mu, nu) pairs as one stack of
+sources, the Klein-Gordon check all its metrics as one stack of
+backgrounds.
 
 The wave sources (wave_source records, evaluated only as the rows of a
 WaveSourceStack) and the metric pull both switch on over one band of
@@ -24,6 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .util import EmptyLatticeError, smoothstep, smoothstep_d
+from .fields import RadialGrid
 from .solver import (InitialData, grid_for_run, solve_linear_kg_curved,
                      solve_linear_wave_sourced)
 from .analysis import QueryPool
@@ -362,6 +367,22 @@ def wave_bound_value(mu: float, nu: float, t, r):
 
 # === sample lattices and margin reports ===
 
+# the size of both ray lattices: rays uniform in hyperbolic angle, which
+# clusters them toward the cone in r/t, crossed with geometric levels
+_N_RAYS = 16
+_N_LEVELS = 20
+
+# both checks run from t0 = 2, the wave envelope's first admissible time
+_T0 = 2.0
+
+# the Klein-Gordon lattice keeps t - r >= _KG_TR_MIN, and _KG_DELTA is
+# the physical step of the centered cross estimating perp v; it is
+# deliberately not tied to dx so the same quantity is measured at every
+# resolution.  The wave lattice keeps t - r >= _WAVE_TR_MIN.
+_KG_TR_MIN = 1.25
+_KG_DELTA = 0.08
+_WAVE_TR_MIN = 2.0
+
 # QueryPool coverage margins of the lattices: a query's 10-point window
 # of radial columns and levels must lie on the run, so lattice points
 # stay _POOL_EDGE_CELLS cells inside the outer edge and the run goes on
@@ -369,50 +390,103 @@ def wave_bound_value(mu: float, nu: float, t, r):
 _POOL_EDGE_CELLS = 16
 _POOL_TAIL_STEPS = 12
 
-# kg_bound_margin's lattice starts on the slice KG_LATTICE_LEAD * s0,
-# a tenth past the first hyperboloid of the envelopes
+# kg_lattice starts on the slice KG_LATTICE_LEAD * s0, a tenth past the
+# first hyperboloid of the envelopes
 KG_LATTICE_LEAD = 1.1
 
 
-def _ray_fan(n_rays: int, chi_cap: float) -> np.ndarray:
-    # uniform in hyperbolic angle: clusters toward the cone in r/t
-    return np.linspace(0.0, chi_cap, n_rays)
+@dataclass(frozen=True, eq=False)
+class RayLattice:
+    """The sample points of an envelope check, and the run that covers
+    them; two lattices compare equal only when they are one object.
+
+    The run goes from _T0 to t_end on grid at Courant number cfl.
+    levels are the lattice's slices s or times t, one row each; ts and
+    rs are the covered points in row-major order, and row and ray give
+    each point's level and ray.  skipped counts the points inside the
+    cone that the run cannot cover; geometry holds the lattice's entries
+    of a report's params.
+    """
+    grid: RadialGrid
+    cfl: float
+    t_end: float
+    levels: np.ndarray
+    ts: np.ndarray
+    rs: np.ndarray
+    row: np.ndarray
+    ray: np.ndarray
+    skipped: int
+    geometry: dict
+
+    def level_max(self, values, keep=None) -> list:
+        """(level, max of values over the level's kept points) for every
+        level that keeps a point, in order; keep (a mask over the
+        points) defaults to all of them."""
+        keep = np.ones(self.row.size, dtype=bool) if keep is None else keep
+        return [(float(self.levels[i]),
+                 float(np.max(values[(self.row == i) & keep])))
+                for i in np.unique(self.row[keep])]
 
 
-class _CrossProbe:
-    """Pool queries for values and a centered first-derivative cross."""
+def _ray_lattice(levels, T, R, inside, *, dx: float, cfl: float,
+                 t_end: float, reach: float, geometry: dict,
+                 span: str) -> RayLattice:
+    """The points (T, R) of rays crossed with levels that lie inside the
+    cone (t - r >= geometry["tr_min"]) and on the run from _T0 to t_end
+    at step dx.  A point's queries reach reach past it in t and r, so
+    T - reach must not precede _T0 and R + reach must stay
+    _POOL_EDGE_CELLS cells inside the grid's edge.  A lattice that keeps
+    no point is an EmptyLatticeError; span names its levels' range."""
+    grid = grid_for_run(dx, _T0, t_end)
+    covered = inside & (T - reach >= _T0) & \
+        (R + reach <= grid.r_max - _POOL_EDGE_CELLS * dx)
+    if not covered.any():
+        raise EmptyLatticeError(
+            f"no lattice point {span} lies in the run: each needs t - r >= "
+            f"{geometry['tr_min']:g}, t >= {_T0 + reach:g} and room on the "
+            f"grid")
+    return RayLattice(grid, cfl, t_end, levels, T[covered], R[covered],
+                      *np.nonzero(covered), int(inside.sum() - covered.sum()),
+                      geometry)
 
-    def __init__(self, pool: QueryPool, field: str, t, r, delta: float):
-        self.delta = delta
-        self.h = [pool.add(field, t, r),
-                  pool.add(field, t + delta, r),
-                  pool.add(field, t - delta, r),
-                  pool.add(field, t, r + delta),
-                  pool.add(field, t, r - delta)]
 
-    def read(self, pool: QueryPool):
-        c, tp, tm, rp, rm = (pool.result(h) for h in self.h)
-        return c, (tp - tm) / (2 * self.delta), (rp - rm) / (2 * self.delta)
+def kg_lattice(params: BoundParams, *, dx: float, s_max: float,
+               cfl: float) -> RayLattice:
+    """The lattice of kg_bound_margin at step dx: _N_LEVELS slices s from
+    KG_LATTICE_LEAD s0 to s_max, each crossed with _N_RAYS rays from
+    the axis to the ray through t - r = _KG_TR_MIN on the last slice,
+    kept where t - r >= _KG_TR_MIN.  The run ends _POOL_TAIL_STEPS
+    steps past the cross of the latest point.  A first slice at or past
+    s_max is a ValueError."""
+    s_first = KG_LATTICE_LEAD * params.s0
+    if not s_first < s_max:
+        raise ValueError(f"the lattice's first slice {KG_LATTICE_LEAD:g} s0 "
+                         f"= {s_first:g} must lie before s_max = {s_max:g}")
+    chi = np.linspace(0.0, math.log(s_max / _KG_TR_MIN), _N_RAYS)
+    s = np.geomspace(s_first, s_max, _N_LEVELS)
+    T, R = np.outer(s, np.cosh(chi)), np.outer(s, np.sinh(chi))
+    inside = s[:, None] >= np.exp(chi) * _KG_TR_MIN  # t - r >= _KG_TR_MIN
+    t_max = float(np.max(T[inside])) if inside.any() else _T0
+    return _ray_lattice(
+        s, T, R, inside, dx=dx, cfl=cfl, reach=_KG_DELTA,
+        t_end=t_max + _KG_DELTA + _POOL_TAIL_STEPS * (cfl * dx),
+        geometry={"dx": dx, "s_max": s_max, "tr_min": _KG_TR_MIN,
+                  "delta": _KG_DELTA}, span=f"up to s_max = {s_max:g}")
 
 
-def kg_bound_margin(metrics, data: InitialData, params: BoundParams,
-                    f: Optional[Callable] = None, *, dx: float,
-                    s_max: float, cfl: float, n_rays: int = 16,
-                    n_s: int = 20, t0: float = 2.0, tr_min: float = 1.25,
-                    delta: float = 0.08) -> list:
+def kg_bound_margin(lattice: RayLattice, metrics, data: InitialData,
+                    params: BoundParams,
+                    f: Optional[Callable] = None) -> list:
     """Run the curved linear Klein-Gordon problem for every (tag, h) of
-    metrics, as one stack with a QueryPool per row, and measure
-    [s^{3/2}|v| + (t/s) s^{3/2} |perp v|] / V over a ray lattice: one
-    report per metric, in order, each bit for bit that of its metric
-    alone.
+    metrics on the run of lattice (a kg_lattice), as one stack with a
+    QueryPool per row, and measure [s^{3/2}|v| + (t/s) s^{3/2} |perp v|]
+    / V at its points: one report per metric, in order, each bit for bit
+    that of its metric alone.
 
-    Ratios are taken where V > 0; lattice points with V = 0 (near
-    regime with no source) are counted apart with their largest
-    weighted field value.  Points the grid or run cannot cover are
-    skipped with a count, and EmptyLatticeError says that none is left.
-    delta is the physical step of the centered cross estimating perp v;
-    it is deliberately not tied to dx so the same quantity is measured
-    at every resolution.
+    perp v is read from a centered cross of half-width _KG_DELTA about
+    each point.  Ratios are taken where V > 0; lattice points with V = 0
+    (near regime with no source) are counted apart with their largest
+    weighted field value.
 
     Envelopes are taken per lattice ray, not per point: one envelope_V
     call per ray for every distinct C of (params.C, *C_SWEEP) at dlam
@@ -421,38 +495,14 @@ def kg_bound_margin(metrics, data: InitialData, params: BoundParams,
     c_dependent_points counts the lattice points whose V differs across
     C_SWEEP; only points with H(s) > 0 that are far or sourced can.
     """
-    s_first = KG_LATTICE_LEAD * params.s0
-    if not s_first < s_max:
-        raise ValueError(f"the lattice's first slice {KG_LATTICE_LEAD:g} s0 "
-                         f"= {s_first:g} must lie before s_max = {s_max:g}")
-    chi = _ray_fan(n_rays, math.log(s_max / tr_min))
-    s_vals = np.geomspace(s_first, s_max, n_s)
-    SS, CC = np.meshgrid(s_vals, np.cosh(chi), indexing="ij")
-    _, HH = np.meshgrid(s_vals, np.sinh(chi), indexing="ij")
-    T = SS * CC
-    R = SS * HH
-    inside = SS >= np.exp(chi)[None, :] * tr_min    # t - r >= tr_min
-
-    t_max = float(np.max(T[inside])) if inside.any() else t0
-    dt = cfl * dx
-    t_end = t_max + delta + _POOL_TAIL_STEPS * dt
-    grid = grid_for_run(dx, t0, t_end)
-    covered = inside & (T - delta >= t0) & \
-        (R + delta <= grid.r_max - _POOL_EDGE_CELLS * dx)
-    skipped = int(inside.sum() - covered.sum())
-    if not covered.any():
-        raise EmptyLatticeError(
-            f"no lattice point up to s_max = {s_max:g} lies in the run: "
-            f"each needs t - r >= {tr_min:g}, t >= {t0 + delta:g} and room "
-            f"on the grid")
-
-    _, ci = np.nonzero(covered)          # ray index, aligned with ts/rs
-    ts, rs = T[covered], R[covered]
+    ts, rs, grid, d = lattice.ts, lattice.rs, lattice.grid, _KG_DELTA
     pools = [QueryPool(grid) for _ in metrics]
-    probes = [_CrossProbe(pool, "v", ts, rs, delta) for pool in pools]
+    # the values and their centered cross
+    probes = [(ts, rs), (ts + d, rs), (ts - d, rs), (ts, rs + d), (ts, rs - d)]
+    crosses = [[pool.add("v", t, r) for t, r in probes] for pool in pools]
     solve_linear_kg_curved(grid, metrics, params.mass, data,
-                           [(pool,) for pool in pools], t0=t0, t_end=t_end,
-                           cfl=cfl, source=f)
+                           [(pool,) for pool in pools], t0=_T0,
+                           t_end=lattice.t_end, cfl=lattice.cfl, source=f)
 
     ss = np.sqrt(ts * ts - rs * rs)
     rr = grid.r(0, grid.n)
@@ -460,34 +510,28 @@ def kg_bound_margin(metrics, data: InitialData, params: BoundParams,
     n1 = float(np.max(np.abs(np.asarray(data.v1(rr), dtype=float))))
 
     reports = []
-    for (_, h), pool, probe in zip(metrics, pools, probes):
+    for (_, h), pool, cross in zip(metrics, pools, crosses):
         pool.assert_resolved()
-        v, v_t, v_r = probe.read(pool)
-        perp = v_t + (rs / ts) * v_r
+        v, tp, tm, rp, rm = (pool.result(q) for q in cross)
+        perp = (tp - tm) / (2 * d) + (rs / ts) * ((rp - rm) / (2 * d))
         weighted = (ss ** 1.5 * np.abs(v)
                     + (ts / ss) * ss ** 1.5 * np.abs(perp))
-        V, V_half, Vs, regimes = _lattice_envelopes(h, f, params, ts, rs, ci,
-                                                    (n0, n1))
+        V, V_half, Vs, regimes = _lattice_envelopes(h, f, params, ts, rs,
+                                                    lattice.ray, (n0, n1))
         pos = V > 0
         ratio = np.zeros(ts.size)
         ratio[pos] = weighted[pos] / V[pos]
 
-        per_s = []
-        for s in s_vals:
-            m = np.abs(ss - s) < 1e-9 * s
-            if not (m & pos).any():
-                continue
-            per_s.append({"s": float(s),
-                          "max_ratio": float(np.max(ratio[m & pos]))})
         quad = float(np.max(np.abs(V_half[pos] - V[pos]) / V[pos])) \
             if pos.any() else 0.0
         reports.append({
             "proposition": "kg-envelope",
             "params": {"C": params.C, "mass": params.mass,
-                       "dlam": params.dlam, "s0": params.s0, "dx": dx,
-                       "s_max": s_max, "tr_min": tr_min, "delta": delta,
+                       "dlam": params.dlam, "s0": params.s0,
+                       **lattice.geometry,
                        "data_norms": [n0, n1], "sourced": f is not None},
-            "per_s_max_ratio": per_s,
+            "per_s_max_ratio": [{"s": s, "max_ratio": m} for s, m
+                                in lattice.level_max(ratio, pos)],
             "max_ratio": float(np.max(ratio[pos])) if pos.any() else 0.0,
             "regime_counts": {"far": int(regimes.sum()),
                               "near": int((~regimes).sum())},
@@ -499,7 +543,7 @@ def kg_bound_margin(metrics, data: InitialData, params: BoundParams,
                 weighted[pos & (Vs[c] > 0)] / Vs[c][pos & (Vs[c] > 0)]))
                 if (pos & (Vs[c] > 0)).any() else 0.0
                 for c in C_SWEEP},
-            "skipped": skipped,
+            "skipped": lattice.skipped,
             "zero_envelope": {
                 "count": int((~pos).sum()),
                 "max_weighted_value": float(np.max(weighted[~pos]))
@@ -542,80 +586,66 @@ def format_c(c: float) -> str:
     return str(int(c)) if float(c).is_integer() else repr(float(c))
 
 
-def wave_lattice(*, dx: float, t_lo: float, t_end: float, cfl: float,
-                 n_rays: int = 16, n_t: int = 20, t0: float = 2.0,
-                 tr_min: float = 2.0) -> tuple:
-    """(grid, t_vals, ts, rs, skipped): the ray lattice of
-    wave_bound_margin on the grid of a run from t0 to t_end at step dx.
-
-    n_t times t_vals from t_lo up to t_end less _POOL_TAIL_STEPS steps,
-    each crossed with n_rays rays; (ts, rs) are the points with
-    t - r >= tr_min that the grid covers, and skipped counts those it
-    does not.  A t_end that leaves no lattice time past t_lo is an
-    EmptyLatticeError; the lattice is cheap, so callers can build it
-    before any solve.
-    """
-    dt = cfl * dx
-    t_hi = t_end - _POOL_TAIL_STEPS * dt
+def wave_lattice(*, dx: float, t_lo: float, t_end: float,
+                 cfl: float) -> RayLattice:
+    """The lattice of wave_bound_margin on the run from _T0 to t_end at
+    step dx: _N_LEVELS times t from t_lo up to t_end less
+    _POOL_TAIL_STEPS steps, each crossed with _N_RAYS rays, kept where
+    t - r >= _WAVE_TR_MIN.  A t_end that leaves no lattice time past
+    t_lo is an EmptyLatticeError."""
+    t_hi = t_end - _POOL_TAIL_STEPS * (cfl * dx)
     if t_hi < t_lo:
         raise EmptyLatticeError(
             f"no lattice time lies in the run: the lattice would run from "
             f"t_lo = {t_lo:g} to {t_hi:g}, t_end = {t_end:g} less "
             f"{_POOL_TAIL_STEPS} steps")
-    t_vals = np.geomspace(t_lo, t_hi, n_t)
-    chi = _ray_fan(n_rays, 0.5 * math.log(2.0 * t_hi / tr_min))
-    rho = np.tanh(chi)
-    T, P = np.meshgrid(t_vals, rho, indexing="ij")
-    R = T * P
-    inside = T - R >= tr_min
-    grid = grid_for_run(dx, t0, t_end)
-    covered = inside & (R <= grid.r_max - _POOL_EDGE_CELLS * dx)
-    skipped = int(inside.sum() - covered.sum())
-    return grid, t_vals, T[covered], R[covered], skipped
+    t_vals = np.geomspace(t_lo, t_hi, _N_LEVELS)
+    chi = np.linspace(0.0, 0.5 * math.log(2.0 * t_hi / _WAVE_TR_MIN),
+                      _N_RAYS)
+    T = np.repeat(t_vals[:, None], _N_RAYS, axis=1)
+    R = T * np.tanh(chi)
+    return _ray_lattice(
+        t_vals, T, R, T - R >= _WAVE_TR_MIN, dx=dx, cfl=cfl, t_end=t_end,
+        reach=0.0,
+        geometry={"dx": dx, "t_range": [t_lo, t_end],
+                  "tr_min": _WAVE_TR_MIN},
+        span=f"from t = {t_lo:g} to {t_hi:g}")
 
 
-def wave_bound_margin(pairs, *, amp: float, dx: float, t_lo: float,
-                      t_end: float, cfl: float, n_rays: int = 16,
-                      n_t: int = 20, t0: float = 2.0,
-                      tr_min: float = 2.0) -> list:
-    """Run the sourced wave problem for every (mu, nu) of pairs and
-    measure |u| / wave_bound_value over the wave_lattice of the run,
-    grouped by decade of t: one report per pair, in order.
+def wave_bound_margin(lattice: RayLattice, pairs, *, amp: float) -> list:
+    """Run the sourced wave problem for every (mu, nu) of pairs on the run
+    of lattice (a wave_lattice) and measure |u| / wave_bound_value at
+    its points, also grouped by decade of t: one report per pair, in
+    order.
 
-    The pairs share the grid, the step count and the lattice, so they
-    are solved as one stack (WaveSourceStack), each row with its own
-    QueryPool.  Every row is bit for bit its own one-pair run, so a
-    report does not depend on which other pairs ran beside it; one pair
-    is a one-row stack.  An empty lattice raises before the solve.
+    The pairs share the run and the lattice, so they are solved as one
+    stack (WaveSourceStack), each row with its own QueryPool.  Every row
+    is bit for bit its own one-pair run, so a report does not depend on
+    which other pairs ran beside it; one pair is a one-row stack.
     """
-    grid, t_vals, ts, rs, skipped = wave_lattice(
-        dx=dx, t_lo=t_lo, t_end=t_end, cfl=cfl, n_rays=n_rays, n_t=n_t,
-        t0=t0, tr_min=tr_min)
+    ts, rs = lattice.ts, lattice.rs
     stack = WaveSourceStack(wave_source(mu, nu, amp) for mu, nu in pairs)
-    pools = [QueryPool(grid) for _ in stack.rows]
+    pools = [QueryPool(lattice.grid) for _ in stack.rows]
     handles = [pool.add("u", ts, rs) for pool in pools]
-    solve_linear_wave_sourced(grid, stack, t0=t0, t_end=t_end, cfl=cfl,
+    solve_linear_wave_sourced(lattice.grid, stack, t0=_T0,
+                              t_end=lattice.t_end, cfl=lattice.cfl,
                               observers=[(pool,) for pool in pools])
+    decade = np.floor(np.log10(ts)).astype(int)
     reports = []
     for (mu, nu), pool, handle in zip(pairs, pools, handles):
         pool.assert_resolved()
         ratio = np.abs(pool.result(handle)) / wave_bound_value(mu, nu, ts, rs)
-        per_decade = {}
-        for dec in np.unique(np.floor(np.log10(ts)).astype(int)):
-            m = np.floor(np.log10(ts)).astype(int) == dec
-            per_decade[f"1e{dec}"] = float(np.max(ratio[m]))
-        per_t = [{"t": float(t),
-                  "max_ratio": float(np.max(ratio[np.abs(ts - t) < 1e-9 * t]))}
-                 for t in t_vals if (np.abs(ts - t) < 1e-9 * t).any()]
         reports.append({
             "proposition": "wave-envelope",
-            "params": {"mu": mu, "nu": nu, "amp": amp, "dx": dx,
-                       "t_range": [t_lo, t_end], "tr_min": tr_min},
-            "per_t_max_ratio": per_t,
-            "per_decade_max_ratio": per_decade,
-            "max_ratio": float(np.max(ratio)) if ratio.size else 0.0,
+            "params": {"mu": mu, "nu": nu, "amp": amp, **lattice.geometry},
+            "per_t_max_ratio": [{"t": t, "max_ratio": m}
+                                for t, m in lattice.level_max(ratio)],
+            "per_decade_max_ratio": {
+                f"1e{dec}": float(np.max(ratio[decade == dec]))
+                for dec in np.unique(decade)},
+            "max_ratio": float(np.max(ratio)),
             "regime_counts": {"inside_cone": int(ts.size)},
             "quadrature_step": None,
-            "skipped": skipped,
+            "skipped": lattice.skipped,
         })
     return reports

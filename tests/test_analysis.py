@@ -806,8 +806,7 @@ def test_sobolev_profile_matches_history_route():
 def shrinking_profile(s: float, base: float = PROFILE_WIDTH,
                       s_ref: float = 2.0):
     # concentrating width ~ s^(-1/2); breaks the uniform ratio on purpose
-    return gaussian_profile(base * math.sqrt(s_ref / s),
-                            label=f"shrink@s={s:.3g}")
+    return gaussian_profile(base * math.sqrt(s_ref / s))
 
 
 def test_sobolev_family_uniform_but_shrinking_fails():

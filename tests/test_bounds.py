@@ -7,10 +7,11 @@ import pytest
 import hfoil.bounds as bounds
 from hfoil.bounds import (SWITCH_ON, BoundParams, MetricPerturb, RayCoords,
                           ZERO_METRIC, RayIntegral, accumulate_F, envelope_V,
-                          h_ray_derivative, kg_bound_margin,
+                          h_ray_derivative, kg_bound_margin, kg_lattice,
                           WaveSourceStack, metric_pull, wave_bound_margin,
-                          wave_bound_value, wave_source)
-from hfoil.cli import _refined, relative_change
+                          wave_bound_value, wave_lattice, wave_source)
+from hfoil.cli import _refined, parse_config, relative_change
+from hfoil.util import ConfigError, EmptyLatticeError
 from hfoil.solver import InitialData, grid_for_run
 from hfoil.util import smoothstep, smoothstep_d
 from slice_reference import full_grid_wave_source
@@ -308,13 +309,13 @@ WAVY = MetricPerturb(lambda t, r: 0.02 * np.sin(t - 0.5 * r),
                      dr=lambda t, r: -0.01 * np.cos(t - 0.5 * r))
 
 
-def kg_lattice_rays(params, s_max=8.0, tr_min=1.25, n_rays=16, n_s=20):
-    """The base points of kg_bound_margin's lattice at its defaults, one
-    list per lattice ray (before the grid-coverage cut)."""
-    s_vals = np.geomspace(bounds.KG_LATTICE_LEAD * params.s0, s_max, n_s)
-    return [lattice_ray(chi, s_vals[s_vals >= math.exp(chi) * tr_min], params)
-            for chi in np.linspace(0.0, math.log(s_max / tr_min), n_rays)
-            if s_max >= math.exp(chi) * tr_min]
+def kg_lattice_rays(params, s_max=8.0):
+    """The base points of kg_lattice at dx 0.1, one list per lattice ray,
+    each in rising s."""
+    lat = kg_lattice(params, dx=0.1, s_max=s_max, cfl=0.5)
+    return [[RayCoords(t, r, params) for t, r in
+             zip(lat.ts[lat.ray == j], lat.rs[lat.ray == j])]
+            for j in np.unique(lat.ray)]
 
 
 def test_lam_nodes_and_envelope_rows_share_one_rule(monkeypatch):
@@ -467,12 +468,12 @@ def test_envelope_work_count(chunk, per_ray, monkeypatch):
     # a margin run: one call per lattice ray and quadrature step, not one
     # per lattice point and C
     calls.update(dt=0, dr=0)
-    [rep] = kg_bound_margin([("pull", h)], InitialData.bump(0.0, 0.1), P,
-                            dx=0.1, s_max=4.0, cfl=0.5, n_rays=6, n_s=5)
+    [rep] = kg_bound_margin(kg_lattice(P, dx=0.1, s_max=4.0, cfl=0.5),
+                            [("pull", h)], InitialData.bump(0.0, 0.1), P)
     counts = rep["regime_counts"]
     points = counts["far"] + counts["near"]
     if per_ray:
-        assert calls["dt"] == calls["dr"] <= 2 * 6 < points
+        assert calls["dt"] == calls["dr"] <= 2 * bounds._N_RAYS < points
     else:
         assert calls == {"dt": 2 * points, "dr": 2 * points}
 
@@ -503,12 +504,12 @@ def test_kg_margin_report_matches_per_point_route(name, f, params,
     # every ratio within ENVELOPE_REL_TOL, the refinement delta (a
     # difference of two envelopes) within twice it, the rest exact; the
     # zero metric's report is exact throughout
-    args = ([(name, margin_metric(name))], InitialData.bump(0.0, 0.1),
-            params)
-    kw = dict(f=f, dx=0.1, s_max=5.0, cfl=0.5, n_rays=6, n_s=6)
-    [got] = kg_bound_margin(*args, **kw)
+    args = (kg_lattice(params, dx=0.1, s_max=5.0, cfl=0.5),
+            [(name, margin_metric(name))], InitialData.bump(0.0, 0.1),
+            params, f)
+    [got] = kg_bound_margin(*args)
     monkeypatch.setattr(bounds, "_lattice_envelopes", ref_lattice_envelopes)
-    [want] = kg_bound_margin(*args, **kw)
+    [want] = kg_bound_margin(*args)
     assert got["regime_counts"]["far"] > 0 and got["regime_counts"]["near"] > 0
     if name == "wavy":                  # the sweep tells C apart here
         assert len(set(got["C_sensitivity"].values())) == 3
@@ -535,9 +536,9 @@ def test_kg_margin_report_matches_per_point_route(name, f, params,
 def test_kg_margin_counts_c_dependent_points(monkeypatch):
     # unsourced, V moves with C exactly at the far points with H(s) > 0;
     # metric_pull is monotone along rays, so H(s) = h(s) - h(lam_min)
-    kw = dict(dx=0.1, s_max=5.0, cfl=0.5, n_rays=6, n_s=6)
+    lat = kg_lattice(P, dx=0.1, s_max=5.0, cfl=0.5)
     data = InitialData.bump(0.0, 0.1)
-    [flat] = kg_bound_margin([("flat", ZERO_METRIC)], data, P, **kw)
+    [flat] = kg_bound_margin(lat, [("flat", ZERO_METRIC)], data, P)
     assert flat["c_dependent_points"] == 0
     seen = {}
     inner = bounds._lattice_envelopes
@@ -548,7 +549,7 @@ def test_kg_margin_counts_c_dependent_points(monkeypatch):
 
     monkeypatch.setattr(bounds, "_lattice_envelopes", spy)
     h = metric_pull(0.1)
-    [rep] = kg_bound_margin([("pull", h)], data, P, **kw)
+    [rep] = kg_bound_margin(lat, [("pull", h)], data, P)
     rays = [RayCoords(t, r, P) for t, r in zip(seen["ts"], seen["rs"])]
     want = sum(ray.far and float(h(*ray.points(ray.s))
                                  - h(*ray.points(ray.lam_min))) > 0
@@ -559,9 +560,9 @@ def test_kg_margin_counts_c_dependent_points(monkeypatch):
 def test_margin_looks_up_envelope_V_on_the_module(monkeypatch):
     """A tracer that wraps hfoil.bounds.envelope_V by name sees every
     envelope evaluation of a margin run, and changes nothing."""
-    args = ([("pull", metric_pull(0.1))], InitialData.bump(0.0, 0.1), P)
-    kw = dict(dx=0.1, s_max=4.0, cfl=0.5, n_rays=5, n_s=4)
-    [plain] = kg_bound_margin(*args, **kw)
+    args = (kg_lattice(P, dx=0.1, s_max=4.0, cfl=0.5),
+            [("pull", metric_pull(0.1))], InitialData.bump(0.0, 0.1), P)
+    [plain] = kg_bound_margin(*args)
     seen = []
     inner = bounds.envelope_V
 
@@ -571,7 +572,7 @@ def test_margin_looks_up_envelope_V_on_the_module(monkeypatch):
         return out
 
     monkeypatch.setattr(bounds, "envelope_V", span)
-    [traced] = kg_bound_margin(*args, **kw)
+    [traced] = kg_bound_margin(*args)
     assert seen and sum(shape[1] for shape in seen) == 2 * (
         traced["regime_counts"]["far"] + traced["regime_counts"]["near"])
     assert traced == plain
@@ -864,12 +865,80 @@ def test_wave_source_fill_does_not_rely_on_rising_t():
         assert bits_equal(solo.fill(t, r, out)[0], want_f(t, r))
 
 
+# === ray lattices ===
+
+LATTICES = {
+    "kg": lambda: kg_lattice(P, dx=0.1, s_max=5.0, cfl=0.5),
+    "wave": lambda: wave_lattice(dx=0.1, t_lo=6.0, t_end=20.0, cfl=0.5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LATTICES))
+def test_lattice_points_lie_on_their_levels_and_rays(kind):
+    # a kg level is a slice s, on which t = s cosh(chi) and r = s sinh(chi)
+    # of the point's ray; a wave level is the time t itself.  Rays rise in
+    # angle from the axis ray, which is always kept
+    lat = LATTICES[kind]()
+    level = lat.levels[lat.row]
+    rays = np.unique(lat.ray)
+    if kind == "kg":
+        ch, sh = lat.ts / level, lat.rs / level
+        assert ch * ch - sh * sh == pytest.approx(1.0, rel=1e-12)
+        chi = np.arccosh(ch)
+        assert lat.geometry == {"dx": 0.1, "s_max": 5.0, "tr_min": 1.25,
+                                "delta": 0.08}
+        reach, tr_min = 0.08, 1.25
+    else:
+        assert np.array_equal(lat.ts, level)
+        chi = np.arctanh(lat.rs / lat.ts)
+        assert lat.geometry == {"dx": 0.1, "t_range": [6.0, 20.0],
+                                "tr_min": 2.0}
+        reach, tr_min = 0.0, 2.0
+    angle = [chi[lat.ray == j] for j in rays]
+    for a in angle:
+        assert a == pytest.approx(a[0], abs=1e-12)
+    assert rays[0] == 0 and np.all(angle[0] == 0.0)
+    assert np.all(np.diff([a[0] for a in angle]) > 0)
+    assert np.all(np.diff(lat.row) >= 0)            # row-major
+    # the coverage rule
+    assert np.all(lat.ts - lat.rs >= tr_min)
+    assert np.all(lat.ts - reach >= 2.0)
+    assert np.all(lat.rs + reach <= lat.grid.r_max - 16 * lat.grid.dx)
+    assert lat.t_end > lat.ts.max() + reach and lat.skipped >= 0
+
+
+@pytest.mark.parametrize("kind", sorted(LATTICES))
+def test_level_max_reads_each_level_row(kind):
+    # the levels that keep a point, in order, each with the max over its
+    # row's kept points
+    lat = LATTICES[kind]()
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(lat.ts.size)
+    keep = rng.random(lat.ts.size) < 0.5
+    keep[lat.row == lat.row[0]] = False              # a level left empty
+    for mask in (None, keep):
+        kept = np.ones(lat.ts.size, bool) if mask is None else mask
+        want = []
+        for i, level in enumerate(lat.levels):
+            row = [v for v, j, k in zip(values, lat.row, kept) if j == i and k]
+            if row:
+                want.append((float(level), max(row)))
+        assert lat.level_max(values, mask) == want
+    assert len(lat.level_max(values, keep)) < len(lat.level_max(values))
+
+
+def test_wave_lattice_before_the_run_start_is_empty():
+    # every lattice time precedes the run's start t0 = 2
+    with pytest.raises(EmptyLatticeError, match="no lattice point"):
+        wave_lattice(dx=0.1, t_lo=0.5, t_end=1.9, cfl=0.5)
+
+
 # === margin checks on tiny runs ===
 
 def test_kg_margin_zero_field_and_report_shape():
-    [rep] = kg_bound_margin([("flat", ZERO_METRIC)],
-                            InitialData.bump(0.0, 0.0), P, dx=0.1, s_max=3.0,
-                            cfl=0.5, n_rays=5, n_s=4)
+    [rep] = kg_bound_margin(kg_lattice(P, dx=0.1, s_max=3.0, cfl=0.5),
+                            [("flat", ZERO_METRIC)],
+                            InitialData.bump(0.0, 0.0), P)
     assert rep["proposition"] == "kg-envelope"
     assert rep["max_ratio"] == 0.0
     assert rep["zero_envelope"]["max_weighted_value"] == 0.0
@@ -882,15 +951,13 @@ def test_kg_margin_lattice_starts_before_s_max():
     # that slice would run it backwards, and is refused before any solve
     for s_max in (2.0, bounds.KG_LATTICE_LEAD * P.s0):
         with pytest.raises(ValueError, match="first slice"):
-            kg_bound_margin([("flat", ZERO_METRIC)],
-                            InitialData.bump(0.0, 0.1), P, dx=0.1,
-                            s_max=s_max, cfl=0.5)
+            kg_lattice(P, dx=0.1, s_max=s_max, cfl=0.5)
 
 
 def test_kg_margin_flat_bump():
-    [rep] = kg_bound_margin([("flat", ZERO_METRIC)],
-                            InitialData.bump(0.0, 0.1), P, dx=0.05,
-                            s_max=4.0, cfl=0.5, n_rays=8, n_s=8)
+    [rep] = kg_bound_margin(kg_lattice(P, dx=0.05, s_max=4.0, cfl=0.5),
+                            [("flat", ZERO_METRIC)],
+                            InitialData.bump(0.0, 0.1), P)
     assert 0.0 < rep["max_ratio"] < 50.0
     # near-regime samples carry a zero envelope when f = 0
     assert rep["zero_envelope"]["count"] > 0
@@ -904,9 +971,9 @@ def test_kg_margin_flat_bump():
 
 
 def test_kg_margin_curved_metric_runs():
-    [rep] = kg_bound_margin([("pull", metric_pull(0.1))],
-                            InitialData.bump(0.0, 0.1), P, dx=0.05,
-                            s_max=4.0, cfl=0.5, n_rays=6, n_s=6)
+    [rep] = kg_bound_margin(kg_lattice(P, dx=0.05, s_max=4.0, cfl=0.5),
+                            [("pull", metric_pull(0.1))],
+                            InitialData.bump(0.0, 0.1), P)
     assert np.isfinite(rep["max_ratio"])
     assert rep["params"]["sourced"] is False
     json.dumps(rep)
@@ -917,28 +984,28 @@ def test_kg_margin_stacked_metrics_match_their_solo_reports(f):
     # a metric's report does not depend on the metrics stacked beside it
     metrics = [("flat", ZERO_METRIC), ("pull", metric_pull(0.1)),
                ("wavy", WAVY)]
+    lat = kg_lattice(P, dx=0.1, s_max=4.0, cfl=0.5)
     args = (InitialData.bump(0.0, 0.1), P, f)
-    kw = dict(dx=0.1, s_max=4.0, cfl=0.5, n_rays=5, n_s=4)
-    stacked = kg_bound_margin(metrics, *args, **kw)
+    stacked = kg_bound_margin(lat, metrics, *args)
     assert len(stacked) == len(metrics)
     for metric, rep in zip(metrics, stacked):
-        [solo] = kg_bound_margin([metric], *args, **kw)
+        [solo] = kg_bound_margin(lat, [metric], *args)
         assert json.dumps(rep) == json.dumps(solo)
 
 
 def test_wave_margin_zero_source():
-    [rep] = wave_bound_margin([(0.5, 0.5)], amp=0.0, dx=0.1, t_lo=6.0,
-                              t_end=16.0, cfl=0.5, n_rays=5, n_t=4)
+    [rep] = wave_bound_margin(
+        wave_lattice(dx=0.1, t_lo=6.0, t_end=16.0, cfl=0.5), [(0.5, 0.5)],
+        amp=0.0)
     assert rep["max_ratio"] == 0.0
     json.dumps(rep)
 
 
 def test_wave_margin_small_run_both_branches():
-    kw = dict(amp=1.0, dx=0.1, t_lo=6.0, t_end=20.0, cfl=0.5, n_rays=6,
-              n_t=5)
-    stacked = wave_bound_margin([(0.5, 0.5), (0.5, -0.25)], **kw)
+    lat = wave_lattice(dx=0.1, t_lo=6.0, t_end=20.0, cfl=0.5)
+    stacked = wave_bound_margin(lat, [(0.5, 0.5), (0.5, -0.25)], amp=1.0)
     for nu, both in zip((0.5, -0.25), stacked):
-        [rep] = wave_bound_margin([(0.5, nu)], **kw)
+        [rep] = wave_bound_margin(lat, [(0.5, nu)], amp=1.0)
         assert 0.0 < rep["max_ratio"] < 10.0
         assert rep["skipped"] >= 0
         assert rep["per_decade_max_ratio"]
@@ -948,16 +1015,24 @@ def test_wave_margin_small_run_both_branches():
 
 
 def test_refinement_helpers():
-    # a margin report of the ratio 1 + dx: one run at dx, one at 2 dx
+    # a margin report of the ratio 1 + dx: both lattices first, then one
+    # run at dx and one at 2 dx
     calls = []
+    cfg = parse_config("[grid]\nresolution = 0.05\n\n[run]\nuntil_t = 20\n")
 
-    def margin(name, dx, scale=1.0):
+    def lattice(h):
+        calls.append(("lattice", h))
+        return h
+
+    def margin(dx, name, scale=1.0):
         calls.append((name, dx, scale))
         return {"max_ratio": scale * (1.0 + dx), "params": {"dx": dx}}
 
-    [fine], [coarse] = _refined(lambda *a, **k: [margin(*a, **k)], 0.05,
-                                "m", scale=2.0)
-    assert calls == [("m", 0.05, 2.0), ("m", 0.1, 2.0)]
+    [fine], [coarse] = _refined(cfg, "until_t", lattice,
+                                lambda *a, **k: [margin(*a, **k)], "m",
+                                scale=2.0)
+    assert calls == [("lattice", 0.05), ("lattice", 0.1), ("m", 0.05, 2.0),
+                     ("m", 0.1, 2.0)]
     assert coarse == {"max_ratio": 2.2, "params": {"dx": 0.1}}
     assert "refinement_deltas" not in coarse
     assert fine["refinement_deltas"] == {
@@ -965,7 +1040,8 @@ def test_refinement_helpers():
         "max_ratio_rel_change": relative_change(2.2, 2.1)}
     # a stack of rows: the reports are matched by position
     fines, coarses = _refined(
-        lambda dx: [margin("a", dx), margin("b", dx, 3.0)], 0.05)
+        cfg, "until_t", lattice,
+        lambda dx: [margin(dx, "a"), margin(dx, "b", 3.0)])
     assert [c["max_ratio"] for c in coarses] == [1.1, 3.3000000000000003]
     for fine, coarse in zip(fines, coarses):
         assert "refinement_deltas" not in coarse
@@ -975,6 +1051,19 @@ def test_refinement_helpers():
                                                     fine["max_ratio"])}
     assert fine["refinement_deltas"]["max_ratio_rel_change"] == \
         pytest.approx(0.1 / 2.1)
+    # a lattice with no point at either step is a ConfigError at the
+    # key's line, and no margin runs
+    for bad in (0.05, 0.1):
+        def empty_at(h):
+            calls.append(("lattice", h))
+            if h == bad:
+                raise EmptyLatticeError("no point")
+            return h
+
+        calls.clear()
+        with pytest.raises(ConfigError, match="^line 5: until_t: no point$"):
+            _refined(cfg, "until_t", empty_at, lambda dx: [margin(dx, "m")])
+        assert calls == [("lattice", h) for h in (0.05, 0.1) if h <= bad]
     # the scalar rule behind it, which the per-C sweep of linear-kg-bound
     # also takes: coarse a against fine b
     assert relative_change(0.0, 0.0) == 0.0
