@@ -202,32 +202,46 @@ class WaveSourceStack:
     The sourced wave solver steps the rows as one stack; tags label
     them in guard reports.  :meth:`fill` groups the rows by mu, which
     fixes the (t-r) power, so each power, like the support and the
-    switch, is computed once per step for the rows that share it.
+    switch, is computed once per step for the rows that share it; a
+    group's runs of adjacent rows are filled as one block each.
     """
 
     def __init__(self, rows):
         self.rows = tuple(rows)
         self.tags = tuple(f.tag for f in self.rows)
-        powers = {}
+        powers = {}                   # (t-r) power -> runs of row indices
         for i, f in enumerate(self.rows):
-            powers.setdefault(f.mu - 1.0, []).append((i, f))
-        self._powers = list(powers.items())
+            runs = powers.setdefault(f.mu - 1.0, [])
+            if runs and runs[-1][-1] == i - 1:
+                runs[-1].append(i)
+            else:
+                runs.append([i])
+        # each run as (its rows, their amps as a column, their t powers)
+        self._powers = [
+            (e, [(slice(run[0], run[-1] + 1),
+                  np.array([[self.rows[i].amp] for i in run]),
+                  np.array([-(2.0 + self.rows[i].nu) for i in run]))
+                 for run in runs])
+            for e, runs in powers.items()]
 
-    def fill(self, t: float, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Row i of the (R, n) buffer out gets rows[i]'s f(t, r) in every
-        cell, for a scalar t and ascending r, and is zero off the
-        support t - r > SWITCH_ON[0].
+    def fill(self, t: float, r: np.ndarray, weight: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+        """Row i of the (R, n) buffer out gets rows[i]'s f(t, r) * weight
+        in every cell, for a scalar t, ascending r and a per-cell weight
+        (the solver's dt^2 r), and is zero off the support t - r >
+        SWITCH_ON[0].
 
         The support is a prefix [0, m) of r, and the ramp (t - r -
         lo)/wid < 1 is its tail [k, m); the plateau [0, k) has cut = 1,
         so amp * cut is amp there.  Only the support takes the (t-r)
         power and only the ramp the smoothstep, each in the operation
-        order amp * cut * t^-(2+nu) * (t-r)^(mu-1).  m and k are
-        estimated by binary search and settled with the scalar form of
-        the same IEEE operations.
+        order amp * cut * t^-(2+nu) * (t-r)^(mu-1), and every row takes
+        the weight last, on the support alone, so a row is its f times
+        weight bit for bit.  m and k are estimated by binary search and
+        settled with the scalar form of the same IEEE operations.
         """
-        # the ufunc power of a 0-d array, as an array t takes it: scalar
-        # float64 ** uses libm pow, which can differ by one ulp
+        # t's powers through the array ufunc, as an array t takes them:
+        # scalar float64 ** uses libm pow, which can differ by one ulp
         t_arr = np.asarray(t, dtype=float)
         m = _prefix_end(lambda i: t - r[i] > _LO,
                         r.searchsorted(t - _LO), r.size)
@@ -235,14 +249,14 @@ class WaveSourceStack:
                         r.searchsorted(t - _LO - _WID), m)
         q = t - r[:m]
         cut = smoothstep((q[k:] - _LO) / _WID)
-        for e, members in self._powers:
+        out[:, m:] = 0.0
+        for e, runs in self._powers:
             qp = q ** e
-            for i, f in members:
-                row = out[i]
-                row[m:] = 0.0
-                tp = t_arr ** (-(2.0 + f.nu))
-                np.multiply(f.amp * tp, qp[:k], out=row[:k])
-                row[k:m] = f.amp * cut * tp * qp[k:]
+            for rows, amp, pw in runs:
+                tp = (t_arr ** pw)[:, None]
+                np.multiply(amp * tp, qp[:k], out=out[rows, :k])
+                np.multiply(amp * cut * tp, qp[k:], out=out[rows, k:m])
+        np.multiply(out[:, :m], weight[:m], out=out[:, :m])
         return out
 
 
@@ -466,6 +480,9 @@ def kg_lattice(params: BoundParams, *, dx: float, s_max: float,
     s = np.geomspace(s_first, s_max, _N_LEVELS)
     T, R = np.outer(s, np.cosh(chi)), np.outer(s, np.sinh(chi))
     inside = s[:, None] >= np.exp(chi) * _KG_TR_MIN  # t - r >= _KG_TR_MIN
+    # the fan ends on the last slice's t - r = _KG_TR_MIN, so that slice
+    # keeps every ray, the outermost too whatever exp(log) rounds to
+    inside[-1] = True
     t_max = float(np.max(T[inside])) if inside.any() else _T0
     return _ray_lattice(
         s, T, R, inside, dx=dx, cfl=cfl, reach=_KG_DELTA,

@@ -763,7 +763,8 @@ def _scn_model_evolution(cfg: RunConfig, out: Path):
             ln["pass"] for ln in lines), {
             "lines": len(lines),
             "failing": sum(0 if ln["pass"] else 1 for ln in lines),
-            "worst_excess": worst}))
+            "worst_excess": worst,
+            "widths": {ln["line"]: ln["width"] for ln in lines}}))
     else:
         emit_series([], "hierarchy/v1", out / "hierarchy.csv")
 

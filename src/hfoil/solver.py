@@ -13,11 +13,16 @@ so the couplings are the five scalars p00, ps, R = rcoef, h00 and hs
 The scheme is leapfrog with the mass term averaged over the t-stencil
 ends, the quasilinear coefficient frozen at the center level, and the
 Klein-Gordon field updated first so the wave source can use a centered
-time derivative of v.  Everything is second order; starts are built
-from a Taylor step using the equations at the initial time.  The coupled
-model and the two linear solvers share one leapfrog loop, `_march`, and
-hand out their levels only by streaming them to observers; `_march`
-states which levels an observer gets.
+time derivative of v.  Each step kernel is its update multiplied
+through by dt^2, with the run's constants folded into scalars once
+(lam2 = dt^2/dx^2, c0 = 2 - 2 lam2, hc = mass^2 dt^2 / 2) and the
+source weighted by dt^2 r, so it takes fewer array passes than the
+textbook form; the two agree algebraically and differ only in rounding
+(see `# === radial helpers ===`).  Everything is second order; starts
+are built from a Taylor step using the equations at the initial time.
+The coupled model and the two linear solvers share one leapfrog loop,
+`_march`, and hand out their levels only by streaming them to
+observers; `_march` states which levels an observer gets.
 
 Every run is a stack: a field's levels are (R, n) arrays whose R rows
 share the grid, dt and step count, each row bit for bit its own run,
@@ -113,10 +118,20 @@ def grid_for_run(dx: float, t0: float, t_end: float,
 # === radial helpers ===
 #
 # Each helper writes into a caller-owned `out` (never aliasing its input),
-# so the radial loops step in preallocated buffers.  The ufunc sequences
-# here and in the loops follow the evaluation order of the plain array
-# expressions they stand for, so the results match those bit for bit.
-# They act on the last axis, so an (R, n) stack steps every row at once.
+# so the radial loops step in preallocated buffers.  They act on the last
+# axis, so an (R, n) stack steps every row at once; the step kernels run
+# over flat views of the whole stack and pin every row's ends after.
+#
+# The step kernels are the leapfrog updates multiplied through by dt^2,
+# with each run's constants folded into scalars once: lam2 = dt^2/dx^2
+# (exactly 0.25 at Courant number 0.5), c0 = 2 - 2 lam2 and hc = c^2
+# dt^2 / 2 (`_folded`).  Sources arrive already weighted by w = dt^2 r,
+# one (n,) weight each run builds once.  A wave step is six array passes
+# over the stack and a Klein-Gordon step nine to eleven.
+# tests/test_solver.py pins the kernels' expressions, in their operation
+# order, bit for bit with allocating reference loops, and keeps the
+# textbook updates as a second reference that every solver stays within
+# a stated relative bound of.
 
 def _over_r(W: np.ndarray, r: np.ndarray, dx: float,
             out: np.ndarray) -> np.ndarray:
@@ -149,47 +164,71 @@ def _d2_odd(W: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _wave_update(W_prev, W_cur, S, r, dx, dt2, out, lap, work):
-    """out = 2 W_cur - W_prev + dt2 (d2 W_cur + r S), pinned at both ends.
-    lap and work are scratch; S is only read (one row broadcasts over a
-    stack)."""
-    np.multiply(W_cur, 2.0, out=out)
-    np.subtract(out, W_prev, out=out)
-    _d2_odd(W_cur, dx, lap)
-    np.multiply(r, S, out=work)
-    np.add(lap, work, out=lap)
-    np.multiply(lap, dt2, out=lap)
-    np.add(out, lap, out=out)
-    out[..., 0] = 0.0
-    out[..., -1] = 0.0
+def _folded(dt: float, dx: float, r: np.ndarray, c2: float = 0.0):
+    """A run's step constants (lam2, c0, hc, w): lam2 = dt^2/dx^2, c0 = 2
+    - 2 lam2, hc = c2 dt^2 / 2 for the squared mass c2, and the source
+    weight w = dt^2 r."""
+    lam2 = (dt / dx) * (dt / dx)
+    return lam2, 2.0 - 2.0 * lam2, 0.5 * c2 * dt * dt, dt * dt * r
+
+
+def _flat(*arrays):
+    """One-axis views of C-contiguous (R, n) arrays (never copies).  The
+    cells that sit between two rows' interiors are row ends, so a
+    stencil step over a flat view is every row's step, plus garbage in
+    the row ends that the kernels then pin to zero."""
+    views = []
+    for a in arrays:
+        v = a.view()
+        v.shape = (a.size,)           # raises where a reshape would copy
+        views.append(v)
+    return views
+
+
+def _wave_update(W_prev, W_cur, S, c0, lam2, out, work):
+    """out = c0 W_cur + lam2 (W_cur[j+1] + W_cur[j-1]) - W_prev + S on the
+    interior, pinned to zero at both ends; S is the weighted source
+    dt^2 r f, only read.  All are (R, n) and work is scratch."""
+    o, tmp, Wp, Wc, S = _flat(out, work, W_prev, W_cur, S)
+    mid, tmp = o[1:-1], tmp[1:-1]
+    np.add(Wc[2:], Wc[:-2], out=mid)
+    np.multiply(mid, lam2, out=mid)
+    np.multiply(Wc[1:-1], c0, out=tmp)
+    np.add(tmp, mid, out=mid)
+    np.subtract(mid, Wp[1:-1], out=mid)
+    np.add(mid, S[1:-1], out=mid)
+    out[:, 0] = 0.0
+    out[:, -1] = 0.0
     return out
 
 
-def _kg_update(W_prev, W_cur, denom, cs, S, r, dx, inv_dt2, half_c2, out,
-               A, lap):
+def _kg_update(W_prev, W_cur, denom, cs, S, lam2, hc, out, A, B):
     """Klein-Gordon leapfrog step with the mass term averaged over the
-    stencil ends: out = (denom (2 W_cur - W_prev) / dt^2 + cs d2 W_cur
-    - c^2/2 W_prev + r S) / (denom / dt^2 + c^2/2), pinned at both ends.
-    cs None skips that multiply and S None the source; A and lap are
-    scratch."""
-    np.multiply(denom, inv_dt2, out=A)
-    np.add(A, half_c2, out=A)
-    np.multiply(W_cur, 2.0, out=out)
-    np.subtract(out, W_prev, out=out)
-    np.multiply(denom, out, out=out)
-    np.multiply(out, inv_dt2, out=out)
-    _d2_odd(W_cur, dx, lap)
-    if cs is not None:
-        np.multiply(cs, lap, out=lap)
-    np.add(out, lap, out=out)
-    np.multiply(W_prev, half_c2, out=lap)
-    np.subtract(out, lap, out=out)
-    if S is not None:
-        np.multiply(r, S, out=lap)
-        np.add(out, lap, out=out)
-    np.divide(out, A, out=out)
-    out[..., 0] = 0.0
-    out[..., -1] = 0.0
+    stencil ends: out = [2 (denom - cs lam2) W_cur + cs lam2 (W_cur[j+1]
+    + W_cur[j-1]) + S] / (denom + hc) - W_prev on the interior, pinned to
+    zero at both ends.  S is the weighted source dt^2 r f, only read,
+    (R, n) or one (n,) row for every run; cs None stands for cs = 1 and
+    S None for no source.  The rest are (R, n), A and B scratch."""
+    o, Wp, Wc, denom, A, B = _flat(out, W_prev, W_cur, denom, A, B)
+    mid = o[1:-1]
+    np.add(denom, hc, out=A)
+    np.add(Wc[2:], Wc[:-2], out=mid)
+    if cs is None:
+        csl = lam2
+        np.multiply(mid, csl, out=mid)
+    else:
+        csl = np.multiply(_flat(cs)[0], lam2, out=B)
+        np.multiply(mid, csl[1:-1], out=mid)
+    np.subtract(denom, csl, out=B)
+    np.multiply(B, Wc, out=B)
+    np.multiply(B, 2.0, out=B)
+    np.add(B[1:-1], mid, out=mid)
+    if S is not None:                 # S may be one row for the stack
+        np.add(out[:, 1:-1], S[..., 1:-1], out=out[:, 1:-1])
+    np.divide(mid, A[1:-1], out=mid)
+    np.subtract(mid, Wp[1:-1], out=mid)
+    out[:, 0] = 0.0
+    out[:, -1] = 0.0
     return out
 
 
@@ -386,10 +425,8 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
 
     starts = ((Wu[None], (Wu + dt * dWu + 0.5 * dt * dt * ddWu)[None]),
               (Wv[None], (Wv + dt * dWv + 0.5 * dt * dt * ddWv)[None]))
-    denom, cs, A, dtv, drv, N, lap, work = (buf()[None] for _ in range(8))
-    inv_dt2 = 1.0 / (dt * dt)
-    dt2 = dt * dt
-    half_c2 = 0.5 * c2
+    denom, cs, A, B, dtv, drv, N, work = (buf()[None] for _ in range(8))
+    lam2, c0, hc, w = _folded(dt, dx, r, c2)
 
     def check(t, step, lvl):
         _coefficient_guard("quasilinear coefficient guard tripped", t, step,
@@ -411,8 +448,8 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
 
         # Klein-Gordon first, mass term averaged over the stencil ends
         _kg_update(Wv_prev, Wv_cur, denom, cs,
-                   None if fv is None else fv(t_k, r), r, dx, inv_dt2,
-                   half_c2, Wv_next, A, lap)
+                   None if fv is None else fv(t_k, r) * w, lam2, hc,
+                   Wv_next, A, B)
 
         # wave source at level k with a centered time derivative of v
         np.subtract(Wv_next, Wv_prev, out=work)
@@ -426,7 +463,8 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
         np.add(N, work, out=N)
         if fu is not None:
             np.add(N, fu(t_k, r), out=N)
-        _wave_update(Wu_prev, Wu_cur, N, r, dx, dt2, Wu_next, lap, work)
+        np.multiply(N, w, out=N)
+        _wave_update(Wu_prev, Wu_cur, N, c0, lam2, Wu_next, work)
 
     return _march(grid, ("u", "v"), starts, t0, t_end, dt, advance,
                   (None,), (observers,), check)
@@ -440,9 +478,11 @@ def solve_linear_wave_sourced(grid: RadialGrid, source, observers: Sequence,
     """-box u = f_i(t, r) from rest, for a stack of R sources stepped
     together.
 
-    source labels its rows in ``tags`` and has a ``fill(t, r, out)``
-    that writes row i's f_i(t, r) into out[i] of an (R, n) buffer, for
-    the ascending grid r (:class:`hfoil.bounds.WaveSourceStack`);
+    source labels its rows in ``tags`` and has a ``fill(t, r, weight,
+    out)`` that writes row i's f_i(t, r) * weight into out[i] of an
+    (R, n) buffer, for the ascending grid r and a per-cell weight
+    (:class:`hfoil.bounds.WaveSourceStack`); the run asks for the
+    weight r at the start and dt^2 r at every step.
     observers holds one sequence of observers per row.  The rows step as
     one (R, n) level, and every row gets the levels of its own one-row
     run bit for bit.
@@ -461,15 +501,14 @@ def solve_linear_wave_sourced(grid: RadialGrid, source, observers: Sequence,
     shape = (len(source.tags), n)
     S = np.zeros(shape)
 
-    W = np.zeros(shape)
-    ddW = _d2_odd(W, dx, np.empty(shape)) + r * source.fill(t0, r, S)
-    starts = ((W, W + 0.5 * dt * dt * ddW),)
-    lap, work = np.empty(shape), np.empty(shape)
-    dt2 = dt * dt
+    # from rest: the Taylor start is W1 = dt^2 r f(t0) / 2
+    starts = ((np.zeros(shape), 0.5 * dt * dt * source.fill(t0, r, r, S)),)
+    work = np.empty(shape)
+    lam2, c0, _, w = _folded(dt, dx, r)
 
     def advance(k, t_k, prev, cur, nxt, lvl):
-        _wave_update(prev[0], cur[0], source.fill(t_k, r, S), r, dx, dt2,
-                     nxt[0], lap, work)
+        _wave_update(prev[0], cur[0], source.fill(t_k, r, w, S), c0, lam2,
+                     nxt[0], work)
 
     return _march(grid, ("u",), starts, t0, t_end, dt, advance,
                   source.tags, observers)
@@ -497,7 +536,7 @@ def solve_linear_kg_curved(grid: RadialGrid, metrics: Sequence, mass: float,
     dt = cfl * dx
     c2 = mass ** 2
     shape = (len(metrics), n)
-    denom, A, lap = np.empty(shape), np.empty(shape), np.empty(shape)
+    denom, A, B = np.empty(shape), np.empty(shape), np.empty(shape)
 
     def metric(t, step):
         """Each row's 1 + h00 at t into its row of denom, held above the
@@ -517,14 +556,13 @@ def solve_linear_kg_curved(grid: RadialGrid, metrics: Sequence, mass: float,
         rhs0 = rhs0 + r * source(t0, r)
     starts = ((np.repeat(W[None], len(metrics), axis=0),
                W + dt * dW + 0.5 * dt * dt * rhs0 / metric(t0, 0)),)
-    inv_dt2 = 1.0 / (dt * dt)
-    half_c2 = 0.5 * c2
+    lam2, _, hc, w = _folded(dt, dx, r, c2)
 
     def advance(k, t_k, prev, cur, nxt, lvl):
         metric(t_k, k)
         _kg_update(prev[0], cur[0], denom, None,
-                   None if source is None else source(t_k, r), r, dx,
-                   inv_dt2, half_c2, nxt[0], A, lap)
+                   None if source is None else source(t_k, r) * w, lam2, hc,
+                   nxt[0], A, B)
 
     return _march(grid, ("v",), starts, t0, t_end, dt, advance,
                   [tag for tag, _ in metrics], observers)

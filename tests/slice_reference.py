@@ -70,33 +70,37 @@ class LevelCopies:
 
 class CallableSource:
     """Plain callables f_i(t, r) as the rows of a source stack for
-    solve_linear_wave_sourced: row i gets f_i on the whole grid, and
-    tags (None by default) label the rows in guard reports."""
+    solve_linear_wave_sourced: row i gets f_i times the weight on the
+    whole grid, and tags (None by default) label the rows in guard
+    reports."""
 
     def __init__(self, fs, tags=None):
         self.fs = list(fs)
         self.tags = tuple(tags) if tags is not None else (None,) * len(self.fs)
 
-    def fill(self, t, r, out):
+    def fill(self, t, r, weight, out):
         for row, f in zip(out, self.fs):
-            row[:] = f(t, r)
+            row[:] = f(t, r) * weight
         return out
 
 
 def full_grid_wave_source(mu, nu, amp=1.0):
-    """wave_source(mu, nu, amp) as a callable f(t, r) evaluated on every
-    point, in the operation order of WaveSourceStack.fill."""
+    """wave_source(mu, nu, amp) as a callable f(t, r, weight=1.0)
+    evaluated on every point, in the operation order of
+    WaveSourceStack.fill: the formula times weight on the support, +0.0
+    off it.  A weight of 1.0 leaves every bit of the formula as it is."""
     lo, wid = SWITCH_ON[0], SWITCH_ON[1] - SWITCH_ON[0]
 
-    def f(t, r):
+    def f(t, r, weight=1.0):
         t = np.asarray(t, dtype=float)
         r = np.asarray(r, dtype=float)
         q = t - r
         cut = smoothstep((q - lo) / wid)
         on = cut > 0.0
         qq = np.where(on, q, 1.0)
-        return np.where(on, amp * cut * t ** (-(2.0 + nu)) * qq ** (mu - 1.0),
-                        0.0)
+        return np.where(
+            on, amp * cut * t ** (-(2.0 + nu)) * qq ** (mu - 1.0) * weight,
+            0.0)
 
     return f
 

@@ -697,19 +697,21 @@ def support_probe_points(band):
 PROBE_BANDS = [SWITCH_ON, (0.25, 2.0)]
 
 
-def stack_at(stack, t, r):
-    """Every row of stack at the points (t, r), shape (R,) + the
-    broadcast shape: one fill per distinct t, over its points' r in
-    ascending order."""
-    t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
-                               np.asarray(r, dtype=float))
+def stack_at(stack, t, r, weight=1.0):
+    """Every row of stack at the points (t, r) with their weights, shape
+    (R,) + the broadcast shape: one fill per distinct t, over its
+    points' r in ascending order."""
+    t, r, weight = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                       np.asarray(r, dtype=float),
+                                       np.asarray(weight, dtype=float))
     rows = len(stack.rows)
     got = np.full((rows,) + t.shape, np.nan)
     flat_t, flat_r, flat = t.ravel(), r.ravel(), got.reshape(rows, -1)
+    flat_w = weight.ravel()
     for tv in np.unique(flat_t):
         idx = np.nonzero(flat_t == tv)[0]
         idx = idx[np.argsort(flat_r[idx], kind="stable")]
-        flat[:, idx] = stack.fill(float(tv), flat_r[idx],
+        flat[:, idx] = stack.fill(float(tv), flat_r[idx], flat_w[idx],
                                   np.empty((rows, idx.size)))
     return got
 
@@ -721,7 +723,11 @@ def test_wave_source_matches_full_grid_formula(band, mu, nu, amp):
     stack = WaveSourceStack((wave_source(mu, nu, amp),))
     want_f = full_grid_wave_source(mu, nu, amp)
     for t, r in support_probe_points(band):
+        # a weight of one leaves the formula's bits, and the weight 0.5 + r
+        # moves them as the formula times that weight does
         assert bits_equal(stack_at(stack, t, r)[0], want_f(t, r))
+        w = 0.5 + np.asarray(r)
+        assert bits_equal(stack_at(stack, t, r, w)[0], want_f(t, r, w))
 
 
 @pytest.mark.parametrize("band", PROBE_BANDS)
@@ -749,8 +755,8 @@ def test_metric_pull_derivatives_match_full_grid_formula(band, amp):
 # === the grid route of the wave source ===
 #
 # WaveSourceStack.fill is the route solve_linear_wave_sourced takes;
-# every row must equal its full-grid formula bit for bit on every cell
-# of the buffer.
+# every row must equal its full-grid formula times the same weight, bit
+# for bit on every cell of the buffer.
 
 def bits_equal(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -768,8 +774,9 @@ STACK_CASES = {"same-mu": (0.5, 0.5, wave_source(0.5, -0.25, 0.9)),
 @pytest.mark.parametrize("dx", [0.01, 0.02])
 @pytest.mark.parametrize("case", list(STACK_CASES))
 def test_wave_source_fill_matches_full_grid_formula_at_every_step(dx, case):
-    # the step times of the wave-march grids: t0 = 2, t_end = 60, cfl 0.5;
-    # a one-row stack and every row of a two-row stack
+    # the step times and the weight dt^2 r of the wave-march grids: t0 =
+    # 2, t_end = 60, cfl 0.5; a one-row stack and every row of a two-row
+    # stack
     mu, nu, partner = STACK_CASES[case]
     f = wave_source(mu, nu, 1.03)
     solo, stack = WaveSourceStack((f,)), WaveSourceStack([f, partner])
@@ -778,6 +785,7 @@ def test_wave_source_fill_matches_full_grid_formula_at_every_step(dx, case):
     g = grid_for_run(dx, 2.0, 60.0)
     r = g.r(0, g.n)
     dt = 0.5 * dx
+    w = dt * dt * r
     n_steps = int(np.ceil((60.0 - 2.0) / dt - 1e-9))
     times = [2.0] + [2.0 + k * dt for k in range(1, n_steps)]
     out = np.full((1, g.n), np.nan)
@@ -787,10 +795,10 @@ def test_wave_source_fill_matches_full_grid_formula_at_every_step(dx, case):
     for b in range(0, len(times), block):
         ts = times[b:b + block]
         for i, t in enumerate(ts):
-            got[:1, i] = solo.fill(t, r, out)
-            got[1:, i] = stack.fill(t, r, rows)
-            want[0, i] = want[1, i] = want_f(t, r)
-            want[2, i] = want_p(t, r)
+            got[:1, i] = solo.fill(t, r, w, out)
+            got[1:, i] = stack.fill(t, r, w, rows)
+            want[0, i] = want[1, i] = want_f(t, r, w)
+            want[2, i] = want_p(t, r, w)
         assert bits_equal(got[:, :len(ts)], want[:, :len(ts)]), ts[0]
 
 
@@ -835,21 +843,24 @@ def fill_cases():
 @pytest.mark.parametrize("case", fill_cases(), ids=lambda c: c[0])
 def test_wave_source_fill_edges_and_garbage_buffer(case):
     # a negative amp gives -0.0, not the +0.0 of the formula, on any cell
-    # the route takes past the support edge
+    # the route takes past the support edge; the weight r is zero on the
+    # axis, where a negative row must read -0.0 as its formula does
     _, t, r = case
     garbage = np.array([np.nan, -0.0, 1e300, -np.inf, 5e-324])
     for amp in (2.0, -2.0):
         f = wave_source(0.5, 0.5, amp)
         out = np.resize(garbage, (1, r.size))
-        assert WaveSourceStack((f,)).fill(t, r, out) is out
-        assert bits_equal(out[0], full_grid_wave_source(0.5, 0.5, amp)(t, r))
+        assert WaveSourceStack((f,)).fill(t, r, r, out) is out
+        assert bits_equal(out[0],
+                          full_grid_wave_source(0.5, 0.5, amp)(t, r, r))
     # a stack with rows of both signs, two powers and a repeated pair
     fs = [wave_source(0.5, 0.5, 2.0), wave_source(0.5, -0.25, -2.0),
           wave_source(0.3, 0.2, -2.0), wave_source(0.5, 0.5, 0.5)]
     out = np.resize(garbage, (len(fs), r.size))
-    assert WaveSourceStack(fs).fill(t, r, out) is out
+    assert WaveSourceStack(fs).fill(t, r, r, out) is out
     for f, row in zip(fs, out):
-        assert bits_equal(row, full_grid_wave_source(f.mu, f.nu, f.amp)(t, r))
+        assert bits_equal(row,
+                          full_grid_wave_source(f.mu, f.nu, f.amp)(t, r, r))
 
 
 def test_wave_source_fill_does_not_rely_on_rising_t():
@@ -859,10 +870,11 @@ def test_wave_source_fill_does_not_rely_on_rising_t():
     solo = WaveSourceStack((f,))
     g = grid_for_run(0.02, 2.0, 20.0)
     r = g.r(0, g.n)
+    w = 0.01 * 0.01 * r
     out = np.zeros((1, g.n))
     ts = 2.0 + 0.01 * np.random.default_rng(4).permutation(1800)
     for t in np.concatenate([ts, [0.5, 19.0, 1.1, 3.0]]):
-        assert bits_equal(solo.fill(t, r, out)[0], want_f(t, r))
+        assert bits_equal(solo.fill(t, r, w, out)[0], want_f(t, r, w))
 
 
 # === ray lattices ===
@@ -905,6 +917,18 @@ def test_lattice_points_lie_on_their_levels_and_rays(kind):
     assert np.all(lat.ts - reach >= 2.0)
     assert np.all(lat.rs + reach <= lat.grid.r_max - 16 * lat.grid.dx)
     assert lat.t_end > lat.ts.max() + reach and lat.skipped >= 0
+
+
+def test_kg_lattice_keeps_the_outermost_ray_on_the_last_slice():
+    # the ray fan ends on the last slice's t - r = tr_min, so that point
+    # is kept by construction; rounding in exp(log(s_max / tr_min)) once
+    # dropped it for 1,028 of these 3,770 s_max, 2.53 among them
+    for s_max in np.arange(230, 4000) / 100:
+        lat = kg_lattice(P, dx=0.05, s_max=float(s_max), cfl=0.5)
+        last = (lat.row == len(lat.levels) - 1) & \
+            (lat.ray == bounds._N_RAYS - 1)
+        assert last.sum() == 1, s_max
+        assert lat.ts[last] - lat.rs[last] == pytest.approx(1.25, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", sorted(LATTICES))

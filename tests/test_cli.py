@@ -251,6 +251,23 @@ def test_model_evolution_edge_configs(tmp_path, capsys):
         assert err.startswith(f"config error: line {line}: {key} = ")
 
 
+def test_hierarchy_lines_criterion_carries_each_fit_width(tmp_path):
+    # report.json holds every hierarchy line's fit width (the rms of its
+    # power-law fit), the width column of hierarchy.csv, line for line
+    out = tmp_path / "out"
+    assert cli.main(["model-evolution", "--until-s", "8", "--resolution",
+                     "0.1", "--out", str(out), "--deterministic"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    [c] = [c for c in report["criteria"] if c["id"] == "hierarchy-lines"]
+    rows = [ln.split(",") for ln in
+            (out / "hierarchy.csv").read_text().splitlines()[1:]]
+    assert len(rows) == c["details"]["lines"] > 0
+    assert list(c["details"]["widths"]) == [row[0] for row in rows]
+    assert list(c["details"]["widths"].values()) == [float(row[3])
+                                                     for row in rows]
+    assert any(w > 0 for w in c["details"]["widths"].values())
+
+
 def test_config_error_in_a_scenario_leaves_no_tree(tmp_path, capsys):
     # until_t is checked against the ladder plan inside the scenario, after
     # the echo is written; the error must not leave that echo behind
