@@ -19,7 +19,12 @@ backgrounds.
 
 The wave sources (wave_source records, evaluated only as the rows of a
 WaveSourceStack) and the metric pull both switch on over one band of
-t - r, SWITCH_ON, and each is evaluated only on its support.
+t - r, SWITCH_ON.  Both are functions of t - r and t + r times a scalar
+of t, and both solvers step at Courant number 1/M for an integer M (M =
+2 here, _CFL), so every grid point of a run has t_k -/+ r_j = t0 + (k
+-/+ M j) dt: each profile binds to a run as tables on that lattice,
+built once per run on the support t - r > SWITCH_ON[0] and read at
+every step as stride-M views (_NullLattice).
 """
 import math
 from dataclasses import dataclass, replace
@@ -101,27 +106,104 @@ class RayCoords:
 
 
 class MetricPerturb:
-    """A scalar perturbation profile h(t, r) with its analytic t- and
-    r-derivatives, from which the ray derivative is assembled exactly."""
+    """A scalar perturbation profile h00(t, r) as the curved Klein-Gordon
+    solver and the envelopes read it.
 
-    def __init__(self, value: Callable, dt: Callable, dr: Callable):
-        self.value = value
+    on_run(grid, t0, dt, steps) binds its values to a run on grid from
+    t0 at step dt: it returns the run's row, whose fill(k, t_k, out)
+    writes h00 at the step's time t_k = t0 + k dt on the grid into the
+    (n,) out, for k in [0, steps), and whose steady is true when h00
+    does not depend on t, so that the solver fills it once per run.  dt
+    and dr are the analytic t- and r-derivatives, from which the
+    envelopes assemble the ray derivative exactly.
+    """
+
+    def __init__(self, on_run: Callable, dt: Callable, dr: Callable):
+        self.on_run = on_run
         self.dt = dt
         self.dr = dr
 
-    def __call__(self, t, r):
-        return self.value(t, r)
+
+class _FlatRow:
+    """The run row of h00 = 0: steady, so its solver fills it once."""
+    steady = True
+
+    def fill(self, k, t_k, out):
+        out[:] = 0.0
+        return out
 
 
-ZERO_METRIC = MetricPerturb(lambda t, r: np.zeros_like(np.asarray(r, float)),
-                            dt=lambda t, r: np.zeros_like(np.asarray(r, float)),
-                            dr=lambda t, r: np.zeros_like(np.asarray(r, float)))
+def _zeros(t, r):
+    return np.zeros_like(np.asarray(r, float))
+
+
+ZERO_METRIC = MetricPerturb(lambda grid, t0, dt, steps: _FlatRow(),
+                            dt=_zeros, dr=_zeros)
 
 
 # the band of t - r over which wave_source and metric_pull switch on:
 # zero up to its start, the C^2 smoothstep ramp across it, one past it
 SWITCH_ON = (1.0, 1.5)
 _LO, _WID = SWITCH_ON[0], SWITCH_ON[1] - SWITCH_ON[0]
+
+# the Courant number of both envelope checks' runs; its inverse, the M
+# of _NullLattice, is an integer
+_CFL = 0.5
+
+
+class _NullLattice:
+    """t - r and t + r of a run's grid points as indices of one lattice.
+
+    A run on grid (r_j = j dx) from t0 at step dt = dx/M, M an integer,
+    has t_k -/+ r_j = t0 + (k -/+ M j) dt at step k, for the steps k in
+    [0, steps).  So a profile of t - r or t + r is one table per run,
+    over lattice indices from lo on, read at step k as a stride-M view:
+    minus at t_k - r_j, plus at t_k + r_j.  lo is the first index whose
+    t0 + lo dt exceeds SWITCH_ON[0]: the support of both profiles, which
+    at step k is the prefix of the support(k) points j with k - M j >=
+    lo.  A run whose dx/dt is not an integer is a ValueError.
+    """
+
+    def __init__(self, grid, t0: float, dt: float, steps: int):
+        ratio = grid.dx / dt
+        M = round(ratio)
+        if M < 1 or abs(ratio - M) > 1e-9 * M:
+            raise ValueError(f"a profile table needs an integer dx/dt, "
+                             f"got {ratio:.9g}")
+        # a run's start fills step 0 even when it takes no step
+        steps = max(steps, 1)
+        self.M, self.n, self.t0, self.dt, self.steps = M, grid.n, t0, dt, steps
+        first = math.floor((_LO - t0) / dt) - 1   # before the support
+        self.lo = first + int(np.searchsorted(self._values(first, steps),
+                                              _LO, side="right"))
+
+    def _values(self, a: int, b: int) -> np.ndarray:
+        """t0 + i dt for the lattice indices i in [a, b)."""
+        return self.t0 + np.arange(a, b) * self.dt
+
+    def support(self, k: int) -> int:
+        """The length of step k's support prefix."""
+        return 0 if k < self.lo else min(self.n, (k - self.lo) // self.M + 1)
+
+    def differences(self) -> np.ndarray:
+        """The lattice's t - r at every support point of the run, from
+        index lo on."""
+        return self._values(self.lo, self.steps)
+
+    def sums(self) -> np.ndarray:
+        """The lattice's t + r at every support point of the run, from
+        index lo on."""
+        last = self.steps - 1
+        return self._values(self.lo,
+                            last + self.M * (self.support(last) - 1) + 1)
+
+    def minus(self, table, k: int, m: int):
+        """table, indexed from lo, at t_k - r_j for j < m."""
+        return table[k - self.lo::-self.M][:m]
+
+    def plus(self, table, k: int, m: int):
+        """table, indexed from lo, at t_k + r_j for j < m."""
+        return table[k - self.lo::self.M][:m]
 
 
 def _restrict(a, on):
@@ -131,13 +213,36 @@ def _restrict(a, on):
     return (a if a.shape == on.shape else np.broadcast_to(a, on.shape))[on]
 
 
+class _PullRow:
+    """metric_pull(amp)'s row on a run: h00 = (amp/t_k) A[k - M j]
+    B[k + M j], with the tables A = cut(t - r) sqrt(t - r) on the support
+    and B = sqrt(t + r), since s/t = sqrt((t - r)(t + r))/t; +0.0 off the
+    support."""
+    steady = False
+
+    def __init__(self, amp: float, lattice: _NullLattice):
+        q = lattice.differences()
+        self.amp, self.lattice = amp, lattice
+        self.A = smoothstep((q - _LO) / _WID) * np.sqrt(q)
+        self.B = np.sqrt(lattice.sums())
+
+    def fill(self, k, t_k, out):
+        lat = self.lattice
+        m = lat.support(k)
+        np.multiply(self.amp / t_k, lat.minus(self.A, k, m), out=out[:m])
+        np.multiply(out[:m], lat.plus(self.B, k, m), out=out[:m])
+        out[m:] = 0.0
+        return out
+
+
 def metric_pull(amp: float = 0.1) -> MetricPerturb:
     """h = amp*(s/t) switched on over SWITCH_ON in t-r.
 
     s/t is constant along rays, so the ray derivative comes entirely
-    from the switch; the ramp is C^2 so perp h exists classically.  h,
-    d_t h and d_r h are evaluated only on the support t - r >
-    SWITCH_ON[0], where s/t and the switch are positive, and are zero
+    from the switch; the ramp is C^2 so perp h exists classically.  A
+    run reads h from its tables (_PullRow), and the envelopes read d_t h
+    and d_r h in closed form, evaluated only on the support t - r >
+    SWITCH_ON[0], where s/t and the switch are positive, and zero
     elsewhere.
     """
     def on_support(profile):
@@ -155,19 +260,18 @@ def metric_pull(amp: float = 0.1) -> MetricPerturb:
             return out
         return evaluate
 
-    def value(t, r, g, x):
-        return amp * g * smoothstep(x)
-
-    def dt(t, r, g, x):
+    def h_t(t, r, g, x):
         return amp * (r * r / (g * t ** 3) * smoothstep(x)
                       + g * (smoothstep_d(x) / _WID))
 
-    def dr(t, r, g, x):
+    def h_r(t, r, g, x):
         return amp * (-r / (g * t ** 2) * smoothstep(x)
                       + g * (-smoothstep_d(x) / _WID))
 
-    return MetricPerturb(on_support(value), dt=on_support(dt),
-                         dr=on_support(dr))
+    return MetricPerturb(
+        lambda grid, t0, dt, steps: _PullRow(
+            amp, _NullLattice(grid, t0, dt, steps)),
+        dt=on_support(h_t), dr=on_support(h_r))
 
 
 def pair_tag(mu: float, nu: float) -> str:
@@ -199,11 +303,11 @@ class wave_source:
 class WaveSourceStack:
     """wave_source profiles as the rows of one (R, n) source buffer.
 
-    The sourced wave solver steps the rows as one stack; tags label
-    them in guard reports.  :meth:`fill` groups the rows by mu, which
-    fixes the (t-r) power, so each power, like the support and the
-    switch, is computed once per step for the rows that share it; a
-    group's runs of adjacent rows are filled as one block each.
+    The sourced wave solver steps the rows as one stack, bound to its
+    run by :meth:`on_run`; tags label them in guard reports.  The rows
+    are grouped by mu, which fixes the profile of t - r, G = cut(t - r)
+    (t - r)^(mu-1); a group's runs of adjacent rows are filled as one
+    block each.
     """
 
     def __init__(self, rows):
@@ -224,51 +328,48 @@ class WaveSourceStack:
                  for run in runs])
             for e, runs in powers.items()]
 
-    def fill(self, t: float, r: np.ndarray, weight: np.ndarray,
-             out: np.ndarray) -> np.ndarray:
-        """Row i of the (R, n) buffer out gets rows[i]'s f(t, r) * weight
-        in every cell, for a scalar t, ascending r and a per-cell weight
-        (the solver's dt^2 r), and is zero off the support t - r >
-        SWITCH_ON[0].
+    def on_run(self, grid, t0: float, dt: float,
+               steps: int) -> "_SourceRun":
+        """The stack bound to a run on grid from t0 at step dt, for the
+        steps k in [0, steps): one table G per mu group on the run's
+        _NullLattice (ValueError unless dx/dt is an integer)."""
+        lattice = _NullLattice(grid, t0, dt, steps)
+        q = lattice.differences()
+        cut = smoothstep((q - _LO) / _WID)
+        return _SourceRun(lattice, [(cut * q ** e, runs)
+                                    for e, runs in self._powers])
 
-        The support is a prefix [0, m) of r, and the ramp (t - r -
-        lo)/wid < 1 is its tail [k, m); the plateau [0, k) has cut = 1,
-        so amp * cut is amp there.  Only the support takes the (t-r)
-        power and only the ramp the smoothstep, each in the operation
-        order amp * cut * t^-(2+nu) * (t-r)^(mu-1), and every row takes
-        the weight last, on the support alone, so a row is its f times
-        weight bit for bit.  m and k are estimated by binary search and
-        settled with the scalar form of the same IEEE operations.
+
+class _SourceRun:
+    """A WaveSourceStack bound to one run (WaveSourceStack.on_run)."""
+
+    def __init__(self, lattice: _NullLattice, tables):
+        self.lattice = lattice
+        self.tables = tables
+
+    def fill(self, k: int, t_k: float, weight: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+        """Row i of the (R, n) buffer out gets rows[i]'s f * weight at
+        step k, time t_k, for a per-cell weight (the solver's dt^2 r),
+        and +0.0 off the support t - r > SWITCH_ON[0].
+
+        f is amp t_k^-(2+nu) G(t - r), and the support is a prefix [0,
+        m) of the grid, so a row is (amp * t_k^-(2+nu)) * G[k - M j] on
+        it, times the weight last.
         """
         # t's powers through the array ufunc, as an array t takes them:
         # scalar float64 ** uses libm pow, which can differ by one ulp
-        t_arr = np.asarray(t, dtype=float)
-        m = _prefix_end(lambda i: t - r[i] > _LO,
-                        r.searchsorted(t - _LO), r.size)
-        k = _prefix_end(lambda i: (t - r[i] - _LO) / _WID >= 1.0,
-                        r.searchsorted(t - _LO - _WID), m)
-        q = t - r[:m]
-        cut = smoothstep((q[k:] - _LO) / _WID)
+        t_arr = np.asarray(t_k, dtype=float)
+        lattice = self.lattice
+        m = lattice.support(k)
         out[:, m:] = 0.0
-        for e, runs in self._powers:
-            qp = q ** e
+        for table, runs in self.tables:
+            G = lattice.minus(table, k, m)
             for rows, amp, pw in runs:
-                tp = (t_arr ** pw)[:, None]
-                np.multiply(amp * tp, qp[:k], out=out[rows, :k])
-                np.multiply(amp * cut * tp, qp[k:], out=out[rows, k:m])
+                np.multiply(amp * (t_arr ** pw)[:, None], G,
+                            out=out[rows, :m])
         np.multiply(out[:, :m], weight[:m], out=out[:, :m])
         return out
-
-
-def _prefix_end(holds, guess, n: int) -> int:
-    """First i in [0, n) where holds(i) fails (n if none), for a test
-    that holds on a prefix; guess is any nearby index."""
-    i = min(int(guess), n)
-    while i > 0 and not holds(i - 1):
-        i -= 1
-    while i < n and holds(i):
-        i += 1
-    return i
 
 
 # === ray integrals ===
@@ -414,7 +515,7 @@ class RayLattice:
     """The sample points of an envelope check, and the run that covers
     them; two lattices compare equal only when they are one object.
 
-    The run goes from _T0 to t_end on grid at Courant number cfl.
+    The run goes from _T0 to t_end on grid at Courant number _CFL.
     levels are the lattice's slices s or times t, one row each; ts and
     rs are the covered points in row-major order, and row and ray give
     each point's level and ray.  skipped counts the points inside the
@@ -422,7 +523,6 @@ class RayLattice:
     of a report's params.
     """
     grid: RadialGrid
-    cfl: float
     t_end: float
     levels: np.ndarray
     ts: np.ndarray
@@ -442,9 +542,8 @@ class RayLattice:
                 for i in np.unique(self.row[keep])]
 
 
-def _ray_lattice(levels, T, R, inside, *, dx: float, cfl: float,
-                 t_end: float, reach: float, geometry: dict,
-                 span: str) -> RayLattice:
+def _ray_lattice(levels, T, R, inside, *, dx: float, t_end: float,
+                 reach: float, geometry: dict, span: str) -> RayLattice:
     """The points (T, R) of rays crossed with levels that lie inside the
     cone (t - r >= geometry["tr_min"]) and on the run from _T0 to t_end
     at step dx.  A point's queries reach reach past it in t and r, so
@@ -459,13 +558,13 @@ def _ray_lattice(levels, T, R, inside, *, dx: float, cfl: float,
             f"no lattice point {span} lies in the run: each needs t - r >= "
             f"{geometry['tr_min']:g}, t >= {_T0 + reach:g} and room on the "
             f"grid")
-    return RayLattice(grid, cfl, t_end, levels, T[covered], R[covered],
+    return RayLattice(grid, t_end, levels, T[covered], R[covered],
                       *np.nonzero(covered), int(inside.sum() - covered.sum()),
                       geometry)
 
 
-def kg_lattice(params: BoundParams, *, dx: float, s_max: float,
-               cfl: float) -> RayLattice:
+def kg_lattice(params: BoundParams, *, dx: float,
+               s_max: float) -> RayLattice:
     """The lattice of kg_bound_margin at step dx: _N_LEVELS slices s from
     KG_LATTICE_LEAD s0 to s_max, each crossed with _N_RAYS rays from
     the axis to the ray through t - r = _KG_TR_MIN on the last slice,
@@ -485,8 +584,8 @@ def kg_lattice(params: BoundParams, *, dx: float, s_max: float,
     inside[-1] = True
     t_max = float(np.max(T[inside])) if inside.any() else _T0
     return _ray_lattice(
-        s, T, R, inside, dx=dx, cfl=cfl, reach=_KG_DELTA,
-        t_end=t_max + _KG_DELTA + _POOL_TAIL_STEPS * (cfl * dx),
+        s, T, R, inside, dx=dx, reach=_KG_DELTA,
+        t_end=t_max + _KG_DELTA + _POOL_TAIL_STEPS * (_CFL * dx),
         geometry={"dx": dx, "s_max": s_max, "tr_min": _KG_TR_MIN,
                   "delta": _KG_DELTA}, span=f"up to s_max = {s_max:g}")
 
@@ -519,7 +618,7 @@ def kg_bound_margin(lattice: RayLattice, metrics, data: InitialData,
     crosses = [[pool.add("v", t, r) for t, r in probes] for pool in pools]
     solve_linear_kg_curved(grid, metrics, params.mass, data,
                            [(pool,) for pool in pools], t0=_T0,
-                           t_end=lattice.t_end, cfl=lattice.cfl, source=f)
+                           t_end=lattice.t_end, cfl=_CFL, source=f)
 
     ss = np.sqrt(ts * ts - rs * rs)
     rr = grid.r(0, grid.n)
@@ -603,14 +702,13 @@ def format_c(c: float) -> str:
     return str(int(c)) if float(c).is_integer() else repr(float(c))
 
 
-def wave_lattice(*, dx: float, t_lo: float, t_end: float,
-                 cfl: float) -> RayLattice:
+def wave_lattice(*, dx: float, t_lo: float, t_end: float) -> RayLattice:
     """The lattice of wave_bound_margin on the run from _T0 to t_end at
     step dx: _N_LEVELS times t from t_lo up to t_end less
     _POOL_TAIL_STEPS steps, each crossed with _N_RAYS rays, kept where
     t - r >= _WAVE_TR_MIN.  A t_end that leaves no lattice time past
     t_lo is an EmptyLatticeError."""
-    t_hi = t_end - _POOL_TAIL_STEPS * (cfl * dx)
+    t_hi = t_end - _POOL_TAIL_STEPS * (_CFL * dx)
     if t_hi < t_lo:
         raise EmptyLatticeError(
             f"no lattice time lies in the run: the lattice would run from "
@@ -622,7 +720,7 @@ def wave_lattice(*, dx: float, t_lo: float, t_end: float,
     T = np.repeat(t_vals[:, None], _N_RAYS, axis=1)
     R = T * np.tanh(chi)
     return _ray_lattice(
-        t_vals, T, R, T - R >= _WAVE_TR_MIN, dx=dx, cfl=cfl, t_end=t_end,
+        t_vals, T, R, T - R >= _WAVE_TR_MIN, dx=dx, t_end=t_end,
         reach=0.0,
         geometry={"dx": dx, "t_range": [t_lo, t_end],
                   "tr_min": _WAVE_TR_MIN},
@@ -645,7 +743,7 @@ def wave_bound_margin(lattice: RayLattice, pairs, *, amp: float) -> list:
     pools = [QueryPool(lattice.grid) for _ in stack.rows]
     handles = [pool.add("u", ts, rs) for pool in pools]
     solve_linear_wave_sourced(lattice.grid, stack, t0=_T0,
-                              t_end=lattice.t_end, cfl=lattice.cfl,
+                              t_end=lattice.t_end, cfl=_CFL,
                               observers=[(pool,) for pool in pools])
     decade = np.floor(np.log10(ts)).astype(int)
     reports = []

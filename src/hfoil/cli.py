@@ -45,13 +45,16 @@ reads only these keys (a whole section where one is named):
 
 - model-evolution: until_s, until_t, resolution, cfl, pad_cells, s0,
   ``[model]``, ``[data]``, ``[hierarchy]``
-- linear-kg-bound: until_s, resolution, cfl, mass, epsilon, eps_v,
-  radius, C, dlam, s0, metric, metric_amp
-- linear-wave-bound: until_t, resolution, cfl, mu, nu, source_amp
+- linear-kg-bound: until_s, resolution, mass, epsilon, eps_v, radius,
+  C, dlam, s0, metric, metric_amp
+- linear-wave-bound: until_t, resolution, mu, nu, source_amp
 - sobolev-suite: until_s, s0
 - frame-identity-suite: resolution
 - convergence-suite: resolution, cfl, pad_cells, ``[model]``, epsilon,
   eps_u
+
+The two envelope scenarios read no cfl: they run at the Courant number
+1/2, since their profile tables need dx/dt to be an integer.
 
 Command line flags override config fields (``--resolution``,
 ``--epsilon``, ``--until-s``, ``--deterministic``, ``--out``); a flag's
@@ -301,10 +304,10 @@ _READS = {
     "model-evolution": {"until_s", "until_t", "resolution", "cfl",
                         "pad_cells", "s0"} | _attrs("model", "data",
                                                     "hierarchy"),
-    "linear-kg-bound": {"until_s", "resolution", "cfl", "mass", "epsilon",
+    "linear-kg-bound": {"until_s", "resolution", "mass", "epsilon",
                         "eps_v", "radius", "C", "dlam", "s0", "metric",
                         "metric_amp"},
-    "linear-wave-bound": {"until_t", "resolution", "cfl", "mu", "nu",
+    "linear-wave-bound": {"until_t", "resolution", "mu", "nu",
                           "source_amp"},
     "sobolev-suite": {"until_s", "s0"},
     "frame-identity-suite": {"resolution"},
@@ -840,7 +843,7 @@ def _scn_linear_kg_bound(cfg: RunConfig, out: Path):
     # row's report is bit for bit that of a run of its metric alone
     fines, coarses = _refined(
         cfg, "until_s",
-        lambda h: kg_lattice(params, dx=h, s_max=s_max, cfl=cfg.cfl),
+        lambda h: kg_lattice(params, dx=h, s_max=s_max),
         kg_bound_margin, metrics, data, params)
     criteria, exponents = [], {}
     for (name, _), fine, coarse in zip(metrics, fines, coarses):
@@ -888,7 +891,7 @@ def _scn_linear_wave_bound(cfg: RunConfig, out: Path):
     # row's report is bit for bit that of a run of its pair alone
     fines, _ = _refined(
         cfg, "until_t",
-        lambda h: wave_lattice(dx=h, t_lo=10.0, t_end=t_hi, cfl=cfg.cfl),
+        lambda h: wave_lattice(dx=h, t_lo=10.0, t_end=t_hi),
         wave_bound_margin, pairs, amp=cfg.source_amp)
     criteria, exponents = [], {}
     for (mu, nu), fine in zip(pairs, fines):

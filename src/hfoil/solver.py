@@ -28,8 +28,10 @@ Every run is a stack: a field's levels are (R, n) arrays whose R rows
 share the grid, dt and step count, each row bit for bit its own run,
 with its own guards, tag and observers.  The sourced wave solver stacks
 its sources, the Klein-Gordon solver its metrics (one set of data on R
-backgrounds), and the coupled model is a one-row stack.  The radial
-helpers work on the last axis, and observers get (n,) row views.
+backgrounds), and the coupled model is a one-row stack.  Sources and
+metrics bind to their run once, before the first step (``on_run``), and
+are then filled at each step k.  The radial helpers work on the last
+axis, and observers get (n,) row views.
 """
 from __future__ import annotations
 
@@ -121,6 +123,9 @@ def grid_for_run(dx: float, t0: float, t_end: float,
 # so the radial loops step in preallocated buffers.  They act on the last
 # axis, so an (R, n) stack steps every row at once; the step kernels run
 # over flat views of the whole stack and pin every row's ends after.
+# Every flat view is built once per run (`_flat`): `_march` rotates the
+# level buffers' views with the buffers, and each solver views its own
+# scratch buffers once.
 #
 # The step kernels are the leapfrog updates multiplied through by dt^2,
 # with each run's constants folded into scalars once: lam2 = dt^2/dx^2
@@ -176,7 +181,8 @@ def _flat(*arrays):
     """One-axis views of C-contiguous (R, n) arrays (never copies).  The
     cells that sit between two rows' interiors are row ends, so a
     stencil step over a flat view is every row's step, plus garbage in
-    the row ends that the kernels then pin to zero."""
+    the row ends that the kernels then pin to zero.  Called once per run
+    for each buffer, never per step."""
     views = []
     for a in arrays:
         v = a.view()
@@ -185,11 +191,18 @@ def _flat(*arrays):
     return views
 
 
-def _wave_update(W_prev, W_cur, S, c0, lam2, out, work):
-    """out = c0 W_cur + lam2 (W_cur[j+1] + W_cur[j-1]) - W_prev + S on the
-    interior, pinned to zero at both ends; S is the weighted source
-    dt^2 r f, only read.  All are (R, n) and work is scratch."""
-    o, tmp, Wp, Wc, S = _flat(out, work, W_prev, W_cur, S)
+def _pin_ends(o, n):
+    """Zero both ends of every row of the flat view o of rows of n."""
+    o[::n] = 0.0
+    o[n - 1::n] = 0.0
+    return o
+
+
+def _wave_update(Wp, Wc, S, c0, lam2, o, tmp, n):
+    """o = c0 Wc + lam2 (Wc[j+1] + Wc[j-1]) - Wp + S on the interior of
+    every row, pinned to zero at both ends; S is the weighted source
+    dt^2 r f, only read.  All are flat views (`_flat`) of (R, n) stacks
+    with rows of n, and tmp is scratch."""
     mid, tmp = o[1:-1], tmp[1:-1]
     np.add(Wc[2:], Wc[:-2], out=mid)
     np.multiply(mid, lam2, out=mid)
@@ -197,19 +210,17 @@ def _wave_update(W_prev, W_cur, S, c0, lam2, out, work):
     np.add(tmp, mid, out=mid)
     np.subtract(mid, Wp[1:-1], out=mid)
     np.add(mid, S[1:-1], out=mid)
-    out[:, 0] = 0.0
-    out[:, -1] = 0.0
-    return out
+    return _pin_ends(o, n)
 
 
-def _kg_update(W_prev, W_cur, denom, cs, S, lam2, hc, out, A, B):
+def _kg_update(Wp, Wc, denom, cs, S, lam2, hc, o, A, B, n):
     """Klein-Gordon leapfrog step with the mass term averaged over the
-    stencil ends: out = [2 (denom - cs lam2) W_cur + cs lam2 (W_cur[j+1]
-    + W_cur[j-1]) + S] / (denom + hc) - W_prev on the interior, pinned to
-    zero at both ends.  S is the weighted source dt^2 r f, only read,
-    (R, n) or one (n,) row for every run; cs None stands for cs = 1 and
-    S None for no source.  The rest are (R, n), A and B scratch."""
-    o, Wp, Wc, denom, A, B = _flat(out, W_prev, W_cur, denom, A, B)
+    stencil ends: o = [2 (denom - cs lam2) Wc + cs lam2 (Wc[j+1] +
+    Wc[j-1]) + S] / (denom + hc) - Wp on the interior of every row,
+    pinned to zero at both ends.  S is the weighted source dt^2 r f,
+    only read; cs None stands for cs = 1 and S None for no source.  All
+    are flat views (`_flat`) of (R, n) stacks with rows of n, A and B
+    scratch."""
     mid = o[1:-1]
     np.add(denom, hc, out=A)
     np.add(Wc[2:], Wc[:-2], out=mid)
@@ -217,19 +228,17 @@ def _kg_update(W_prev, W_cur, denom, cs, S, lam2, hc, out, A, B):
         csl = lam2
         np.multiply(mid, csl, out=mid)
     else:
-        csl = np.multiply(_flat(cs)[0], lam2, out=B)
+        csl = np.multiply(cs, lam2, out=B)
         np.multiply(mid, csl[1:-1], out=mid)
     np.subtract(denom, csl, out=B)
     np.multiply(B, Wc, out=B)
     np.multiply(B, 2.0, out=B)
     np.add(B[1:-1], mid, out=mid)
-    if S is not None:                 # S may be one row for the stack
-        np.add(out[:, 1:-1], S[..., 1:-1], out=out[:, 1:-1])
+    if S is not None:
+        np.add(mid, S[1:-1], out=mid)
     np.divide(mid, A[1:-1], out=mid)
     np.subtract(mid, Wp[1:-1], out=mid)
-    out[:, 0] = 0.0
-    out[:, -1] = 0.0
-    return out
+    return _pin_ends(o, n)
 
 
 def _coefficient_guard(detail, t, step, r, u, peak, hn):
@@ -284,6 +293,13 @@ def _trip(detail, kind, t, step, location, value, tag=None):
     raise StabilityError(detail, report=report)
 
 
+def _step_count(t0: float, t_end: float, dt: float) -> int:
+    """The number of steps of a run from t0 to t_end at step dt: its
+    levels are t0 + k dt for k in [0, steps], and step k (in [0,
+    steps)) reads the level at t0 + k dt."""
+    return int(np.ceil((t_end - t0) / dt - 1e-9))
+
+
 def _march(grid, fields, starts, t0, t_end, dt, advance, tags, observers,
            check=None) -> RunResult:
     """The leapfrog loop shared by the radial solvers.
@@ -295,10 +311,12 @@ def _march(grid, fields, starts, t0, t_end, dt, advance, tags, observers,
     sequence of observers per run (ValueError if the counts differ).
     Step k calls advance(k, t_k, prev, cur, nxt, lvl), which writes
     level k + 1 of every field into nxt from levels k - 1 and k (prev,
-    cur); lvl holds the u or v of level k only when check is given, so
-    an advance that reads it needs one.  The loop then trips the blow-up
-    and boundary guards of each run (the first run to trip stops them
-    all, its report tagged), rotates the buffers and emits the new level.
+    cur), each a flat view (`_flat`) of a field's (R, n) level, built
+    once per run and rotated with the levels; lvl holds the (R, n) u or
+    v of level k only when check is given, so an advance that reads it
+    needs one.  The loop then trips the blow-up and boundary guards of
+    each run (the first run to trip stops them all, its report tagged),
+    rotates the buffers and emits the new level.
 
     Observers are the only way levels leave the loop, and this is the
     one statement of what they see.  An observer of run i gets
@@ -324,6 +342,7 @@ def _march(grid, fields, starts, t0, t_end, dt, advance, tags, observers,
     prev = [W0 for W0, _ in starts]
     cur = [W1 for _, W1 in starts]
     nxt = [np.empty(W.shape) for W in prev]
+    fprev, fcur, fnxt = _flat(*prev), _flat(*cur), _flat(*nxt)
     lvl = [np.empty(W.shape) for W in prev]
     work = np.empty((len(tags), n))
 
@@ -352,14 +371,15 @@ def _march(grid, fields, starts, t0, t_end, dt, advance, tags, observers,
         for on_level, u, v in due:
             on_level(t, step, u, v)
 
-    n_steps = int(np.ceil((t_end - t0) / dt - 1e-9))
+    n_steps = _step_count(t0, t_end, dt)
     emit(t0, 0, prev, False)
     emit(t0 + dt, 1, cur, n_steps <= 1)
     for k in range(1, n_steps):
         t_k = t0 + k * dt
-        advance(k, t_k, prev, cur, nxt, lvl)
+        advance(k, t_k, fprev, fcur, fnxt, lvl)
         _guard_level(t_k + dt, k + 1, r, nxt, work, scale, tags)
         prev, cur, nxt = cur, nxt, prev
+        fprev, fcur, fnxt = fcur, fnxt, fprev
         emit(t0 + (k + 1) * dt, k + 1, cur, k + 1 == n_steps)
 
     return RunResult(grid=grid, t0=t0, dt=dt, steps=n_steps,
@@ -426,6 +446,7 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
     starts = ((Wu[None], (Wu + dt * dWu + 0.5 * dt * dt * ddWu)[None]),
               (Wv[None], (Wv + dt * dWv + 0.5 * dt * dt * ddWv)[None]))
     denom, cs, A, B, dtv, drv, N, work = (buf()[None] for _ in range(8))
+    fdenom, fcs, fA, fB, fN, fwork = _flat(denom, cs, A, B, N, work)
     lam2, c0, hc, w = _folded(dt, dx, r, c2)
 
     def check(t, step, lvl):
@@ -447,12 +468,12 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
                   "cfl", t_k, k, r[int(np.argmax(work))], np.sqrt(sp2))
 
         # Klein-Gordon first, mass term averaged over the stencil ends
-        _kg_update(Wv_prev, Wv_cur, denom, cs,
+        _kg_update(Wv_prev, Wv_cur, fdenom, fcs,
                    None if fv is None else fv(t_k, r) * w, lam2, hc,
-                   Wv_next, A, B)
+                   Wv_next, fA, fB, n)
 
         # wave source at level k with a centered time derivative of v
-        np.subtract(Wv_next, Wv_prev, out=work)
+        np.subtract(Wv_next, Wv_prev, out=fwork)
         np.divide(work, 2.0 * dt, out=work)
         _over_r(work, r, dx, dtv)
         _ddr_even(v_lvl, dx, drv)
@@ -464,7 +485,7 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
         if fu is not None:
             np.add(N, fu(t_k, r), out=N)
         np.multiply(N, w, out=N)
-        _wave_update(Wu_prev, Wu_cur, N, c0, lam2, Wu_next, work)
+        _wave_update(Wu_prev, Wu_cur, fN, c0, lam2, Wu_next, fwork, n)
 
     return _march(grid, ("u", "v"), starts, t0, t_end, dt, advance,
                   (None,), (observers,), check)
@@ -478,11 +499,15 @@ def solve_linear_wave_sourced(grid: RadialGrid, source, observers: Sequence,
     """-box u = f_i(t, r) from rest, for a stack of R sources stepped
     together.
 
-    source labels its rows in ``tags`` and has a ``fill(t, r, weight,
-    out)`` that writes row i's f_i(t, r) * weight into out[i] of an
-    (R, n) buffer, for the ascending grid r and a per-cell weight
-    (:class:`hfoil.bounds.WaveSourceStack`); the run asks for the
-    weight r at the start and dt^2 r at every step.
+    source labels its rows in ``tags`` and binds to the run once, before
+    the first step: ``source.on_run(grid, t0, dt, steps)`` returns the
+    run's source, whose ``fill(k, t_k, weight, out)`` writes row i's
+    f_i(t_k, r) * weight into out[i] of an (R, n) buffer at step k, time
+    t_k = t0 + k dt, for k in [0, steps), with a per-cell weight on the
+    grid r.  The run asks for the weight r at the start and dt^2 r at
+    every step.  :class:`hfoil.bounds.WaveSourceStack` tabulates its
+    profiles when it binds, and raises ValueError there unless dx/dt is
+    an integer; this solver checks no ratio.
     observers holds one sequence of observers per row.  The rows step as
     one (R, n) level, and every row gets the levels of its own one-row
     run bit for bit.
@@ -498,17 +523,19 @@ def solve_linear_wave_sourced(grid: RadialGrid, source, observers: Sequence,
     n = grid.n
     r = grid.r(0, n)
     dt = cfl * dx
+    run = source.on_run(grid, t0, dt, _step_count(t0, t_end, dt))
     shape = (len(source.tags), n)
     S = np.zeros(shape)
 
     # from rest: the Taylor start is W1 = dt^2 r f(t0) / 2
-    starts = ((np.zeros(shape), 0.5 * dt * dt * source.fill(t0, r, r, S)),)
+    starts = ((np.zeros(shape), 0.5 * dt * dt * run.fill(0, t0, r, S)),)
     work = np.empty(shape)
+    fS, fwork = _flat(S, work)
     lam2, c0, _, w = _folded(dt, dx, r)
 
     def advance(k, t_k, prev, cur, nxt, lvl):
-        _wave_update(prev[0], cur[0], source.fill(t_k, r, w, S), c0, lam2,
-                     nxt[0], work)
+        run.fill(k, t_k, w, S)
+        _wave_update(prev[0], cur[0], fS, c0, lam2, nxt[0], fwork, n)
 
     return _march(grid, ("u",), starts, t0, t_end, dt, advance,
                   source.tags, observers)
@@ -521,12 +548,20 @@ def solve_linear_kg_curved(grid: RadialGrid, metrics: Sequence, mass: float,
                            source: Optional[Callable] = None) -> RunResult:
     """(1 + h00_i(t, r)) d_t^2 v = Lap v - mass^2 v + f on a radial grid,
     for a stack of R metrics stepped together from one set of data and
-    one source f.
+    one source f(t, r).
 
-    metrics holds one (tag, h00) pair per row, h00(t, r) a prescribed
-    profile (array or scalar).  Tags, observers (one sequence per row),
-    guards and reports work as in :func:`solve_linear_wave_sourced`, and
-    row i's observers get on_level(t, step, None, v_i), bit for bit the
+    metrics holds one (tag, h00) pair per row, h00 a prescribed profile
+    that binds to the run once, before the first step:
+    ``h00.on_run(grid, t0, dt, steps)`` returns the run's row, whose
+    ``fill(k, t_k, out)`` writes h00 at step k, time t_k = t0 + k dt, on
+    the grid into the (n,) out, for k in [0, steps), and whose
+    ``steady`` is true when h00 does not depend on t; a steady row is
+    filled, and its floor checked, once per run
+    (:class:`hfoil.bounds.MetricPerturb`; ``metric_pull`` raises
+    ValueError when it binds unless dx/dt is an integer, and this solver
+    checks no ratio).  Tags, observers (one sequence per row), guards
+    and reports work as in :func:`solve_linear_wave_sourced`, and row
+    i's observers get on_level(t, step, None, v_i), bit for bit the
     levels of its own one-row run.  Each row's 1 + h00 is also held
     above the floor 0.1.
     """
@@ -535,18 +570,25 @@ def solve_linear_kg_curved(grid: RadialGrid, metrics: Sequence, mass: float,
     r = grid.r(0, n)
     dt = cfl * dx
     c2 = mass ** 2
+    steps = _step_count(t0, t_end, dt)
+    rows = [h00.on_run(grid, t0, dt, steps) for _, h00 in metrics]
     shape = (len(metrics), n)
-    denom, A, B = np.empty(shape), np.empty(shape), np.empty(shape)
+    denom, A, B = (np.empty(shape) for _ in range(3))
+    fdenom, fA, fB = _flat(denom, A, B)
+    S = None if source is None else np.empty(shape)
+    fS = None if source is None else _flat(S)[0]
 
     def metric(t, step):
-        """Each row's 1 + h00 at t into its row of denom, held above the
-        floor 0.1."""
-        for (tag, h00), row in zip(metrics, denom):
-            np.add(np.asarray(h00(t, r), dtype=float), 1.0, out=row)
-            if row.min() <= 0.1:
-                i = int(np.argmin(row))
+        """Each row's 1 + h00 at step's time t into its row of denom,
+        held above the floor 0.1; a steady row only at step 0."""
+        for (tag, _), row, out in zip(metrics, rows, denom):
+            if step and row.steady:
+                continue
+            np.add(row.fill(step, t, out), 1.0, out=out)
+            if out.min() <= 0.1:
+                i = int(np.argmin(out))
                 _trip("metric perturbation too large", "coefficient", t,
-                      step, r[i], row[i], tag)
+                      step, r[i], out[i], tag)
         return denom
 
     W = r * np.asarray(data.v0(r), dtype=float)
@@ -560,9 +602,10 @@ def solve_linear_kg_curved(grid: RadialGrid, metrics: Sequence, mass: float,
 
     def advance(k, t_k, prev, cur, nxt, lvl):
         metric(t_k, k)
-        _kg_update(prev[0], cur[0], denom, None,
-                   None if source is None else source(t_k, r) * w, lam2, hc,
-                   nxt[0], A, B)
+        if source is not None:        # one row of f for the whole stack
+            np.multiply(source(t_k, r), w, out=S)
+        _kg_update(prev[0], cur[0], fdenom, None, fS, lam2, hc, nxt[0], fA,
+                   fB, n)
 
     return _march(grid, ("v",), starts, t0, t_end, dt, advance,
                   [tag for tag, _ in metrics], observers)

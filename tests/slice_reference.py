@@ -18,10 +18,17 @@ independent second route the tests compare them with:
 * the solvers hand out their levels to observers only; the tests
   that compare a run's levels, or build a radial history from them,
   keep copies with :class:`LevelCopies`;
-* the sourced wave solver steps a source stack; :class:`CallableSource`
-  makes one of plain callables, and :func:`full_grid_wave_source` is the
-  whole-grid formula of a ``wave_source`` profile that tests compare
-  ``WaveSourceStack.fill`` with and hand to the callable-source solvers;
+* the linear solvers bind their profiles to each run; the package's
+  profiles are tables on the run's null lattice, and
+  :class:`CallableSource` and :class:`CallableMetric` bind plain
+  callables instead, evaluated at (t_k, r) at every step;
+  :func:`wave_source_formula` and :func:`pull_formula` are the closed
+  forms of a ``wave_source`` and of ``metric_pull``'s h in the table
+  route's operation order, :func:`full_grid_wave_source` and
+  :func:`full_grid_metric` the textbook forms at (t, r) on every
+  point, and :func:`lattice_wave_source` and :func:`lattice_pull` the
+  closed forms at the lattice's t - r and t + r, which the tables match
+  bit for bit;
 * :func:`eval_combo` contracts one expansion with a derivative table,
   one key at a time, and :func:`reference_rows` applies it to a key
   list: the per-combo route the blocked ``combo_evaluator`` must match
@@ -41,9 +48,10 @@ import numpy as np
 
 from hfoil.analysis import (combo_expansion, hierarchy_combos,
                             is_low_order, slice_cone_margin)
-from hfoil.bounds import SWITCH_ON
+from hfoil.bounds import SWITCH_ON, MetricPerturb
 from hfoil.util import (SliceCoverageError, StencilRangeError, _basis_coeffs,
-                        fd_weights, smoothstep, trapezoid_weights)
+                        fd_weights, smoothstep, smoothstep_d,
+                        trapezoid_weights)
 
 DEFAULT_CHI_STEP = 0.005
 
@@ -66,43 +74,166 @@ class LevelCopies:
                             None if v is None else v.copy()))
 
 
-# === sources of sourced wave runs ===
+# === profiles of the linear solvers' runs ===
+
+class _CallableSourceRun:
+    """A CallableSource bound to a run on the grid r."""
+
+    def __init__(self, fs, r):
+        self.fs, self.r = fs, r
+
+    def fill(self, k, t_k, weight, out):
+        for row, f in zip(out, self.fs):
+            row[:] = f(t_k, self.r) * weight
+        return out
+
+
+class _CallableRow:
+    """A CallableMetric bound to a run on the grid r."""
+    steady = False
+
+    def __init__(self, h00, r):
+        self.h00, self.r = h00, r
+
+    def fill(self, k, t_k, out):
+        out[:] = self.h00(t_k, self.r)
+        return out
+
 
 class CallableSource:
     """Plain callables f_i(t, r) as the rows of a source stack for
-    solve_linear_wave_sourced: row i gets f_i times the weight on the
-    whole grid, and tags (None by default) label the rows in guard
-    reports."""
+    solve_linear_wave_sourced, at any Courant number: bound to a run,
+    row i gets f_i(t_k, r) times the weight on the whole grid at every
+    step.  tags (None by default) label the rows in guard reports."""
 
     def __init__(self, fs, tags=None):
         self.fs = list(fs)
         self.tags = tuple(tags) if tags is not None else (None,) * len(self.fs)
 
-    def fill(self, t, r, weight, out):
-        for row, f in zip(out, self.fs):
-            row[:] = f(t, r) * weight
-        return out
+    def on_run(self, grid, t0, dt, steps):
+        return _CallableSourceRun(self.fs, grid.r(0, grid.n))
 
 
-def full_grid_wave_source(mu, nu, amp=1.0):
-    """wave_source(mu, nu, amp) as a callable f(t, r, weight=1.0)
-    evaluated on every point, in the operation order of
-    WaveSourceStack.fill: the formula times weight on the support, +0.0
-    off it.  A weight of 1.0 leaves every bit of the formula as it is."""
-    lo, wid = SWITCH_ON[0], SWITCH_ON[1] - SWITCH_ON[0]
+class CallableMetric(MetricPerturb):
+    """A plain callable h00(t, r) as a metric row of
+    solve_linear_kg_curved, at any Courant number: bound to a run, it is
+    evaluated at (t_k, r) on the whole grid at every step, never steady.
+    dt and dr are its derivatives for the envelopes, if any; calling it
+    evaluates h00."""
 
-    def f(t, r, weight=1.0):
+    def __init__(self, value, dt=None, dr=None):
+        super().__init__(lambda grid, t0, dt_, steps: _CallableRow(
+            value, grid.r(0, grid.n)), dt=dt, dr=dr)
+        self.value = value
+
+    def __call__(self, t, r):
+        return self.value(t, r)
+
+
+_LO, _WID = SWITCH_ON[0], SWITCH_ON[1] - SWITCH_ON[0]
+
+
+def wave_source_formula(mu, nu, amp=1.0):
+    """wave_source(mu, nu, amp) as f(t, q, weight=1.0) of t and q = t -
+    r, in the operation order of the table route: (amp t^-(2+nu)) (cut(q)
+    q^(mu-1)) weight on the support q > SWITCH_ON[0], +0.0 off it."""
+    def f(t, q, weight=1.0):
         t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
-        q = t - r
-        cut = smoothstep((q - lo) / wid)
+        q = np.ascontiguousarray(q, dtype=float)
+        cut = smoothstep((q - _LO) / _WID)
         on = cut > 0.0
         qq = np.where(on, q, 1.0)
         return np.where(
-            on, amp * cut * t ** (-(2.0 + nu)) * qq ** (mu - 1.0) * weight,
+            on, amp * t ** (-(2.0 + nu)) * (cut * qq ** (mu - 1.0)) * weight,
             0.0)
 
     return f
+
+
+def pull_formula(amp=0.1):
+    """metric_pull(amp)'s h as h(t, q, p) of t, q = t - r and p = t + r,
+    in the operation order of the table route: (amp/t) (cut(q) sqrt(q))
+    sqrt(p) on the support q > SWITCH_ON[0], +0.0 off it."""
+    def h(t, q, p):
+        q = np.asarray(q, dtype=float)
+        cut = smoothstep((q - _LO) / _WID)
+        on = cut > 0.0
+        return np.where(on, (amp / np.asarray(t, dtype=float))
+                        * (cut * np.sqrt(np.where(on, q, 1.0)))
+                        * np.sqrt(p), 0.0)
+
+    return h
+
+
+def full_grid_wave_source(mu, nu, amp=1.0):
+    """wave_source(mu, nu, amp) as a callable f(t, r, weight=1.0) in its
+    textbook form: wave_source_formula at q = t - r on every point."""
+    f = wave_source_formula(mu, nu, amp)
+    return lambda t, r, weight=1.0: f(
+        t, np.asarray(t, dtype=float) - np.asarray(r, dtype=float), weight)
+
+
+def full_grid_metric(amp=0.1):
+    """(value, dt, dr) of metric_pull(amp) in their textbook form on
+    every point: h = amp sqrt(1 - (r/t)^2) cut(t - r) and its analytic
+    derivatives."""
+    def parts(t, r):
+        t = np.asarray(t, dtype=float)
+        r = np.asarray(r, dtype=float)
+        cut = smoothstep((t - r - _LO) / _WID)
+        with np.errstate(invalid="ignore"):
+            g = np.sqrt(np.maximum(1.0 - (r / t) ** 2, 0.0))
+        return t, r, g, cut
+
+    def value(t, r):
+        t, r, g, cut = parts(t, r)
+        return amp * g * cut
+
+    def dt(t, r):
+        t, r, g, cut = parts(t, r)
+        dcut = smoothstep_d((t - r - _LO) / _WID) / _WID
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dg = np.where(g > 0, r * r / (np.maximum(g, 1e-300) * t ** 3), 0.0)
+        return amp * np.where(cut > 0, dg * cut + g * dcut, 0.0)
+
+    def dr(t, r):
+        t, r, g, cut = parts(t, r)
+        dcut = -smoothstep_d((t - r - _LO) / _WID) / _WID
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dg = np.where(g > 0, -r / (np.maximum(g, 1e-300) * t ** 2), 0.0)
+        return amp * np.where(cut > 0, dg * cut + g * dcut, 0.0)
+
+    return value, dt, dr
+
+
+def lattice_sides(grid, t0, dt):
+    """(t, r) -> (t - r, t + r) on the null lattice of a run on grid from
+    t0 at step dt = dx/M: t0 + (k -/+ M j) dt, with k = (t - t0)/dt and j
+    = r/dx rounded, the values the package's tables hold bit for bit."""
+    M = round(grid.dx / dt)
+
+    def sides(t, r):
+        k = np.rint((np.asarray(t, dtype=float) - t0) / dt).astype(np.int64)
+        j = np.rint(np.asarray(r, dtype=float) / grid.dx).astype(np.int64)
+        return t0 + (k - M * j) * dt, t0 + (k + M * j) * dt
+
+    return sides
+
+
+def lattice_wave_source(mu, nu, amp, grid, t0, dt):
+    """wave_source(mu, nu, amp) as f(t, r, weight=1.0) at the lattice's t
+    - r (lattice_sides): WaveSourceStack's run fill, bit for bit, at the
+    grid points and step times of that run."""
+    f, sides = wave_source_formula(mu, nu, amp), lattice_sides(grid, t0, dt)
+    return lambda t, r, weight=1.0: f(t, sides(t, r)[0], weight)
+
+
+def lattice_pull(amp, grid, t0, dt):
+    """metric_pull(amp)'s h as h(t, r) at the lattice's t - r and t + r
+    (lattice_sides): its run row's fill, bit for bit, at the grid points
+    and step times of that run."""
+    h, sides = pull_formula(amp), lattice_sides(grid, t0, dt)
+    return lambda t, r: h(t, *sides(t, r))
 
 
 # === per-combo contraction of the chain-rule expansions ===

@@ -11,13 +11,18 @@ from hfoil.bounds import (SWITCH_ON, BoundParams, MetricPerturb, RayCoords,
                           WaveSourceStack, metric_pull, wave_bound_margin,
                           wave_bound_value, wave_lattice, wave_source)
 from hfoil.cli import _refined, parse_config, relative_change
+from hfoil.fields import RadialGrid
 from hfoil.util import ConfigError, EmptyLatticeError
 from hfoil.solver import InitialData, grid_for_run
-from hfoil.util import smoothstep, smoothstep_d
-from slice_reference import full_grid_wave_source
+from slice_reference import (CallableMetric, full_grid_metric,
+                             full_grid_wave_source, lattice_pull,
+                             lattice_wave_source)
 
 
 P = BoundParams(C=10.0, mass=1.0, dlam=0.01, s0=2.0)
+
+# metric_pull(0.1)'s h in closed form at any (t, r)
+PULL_VALUE = full_grid_metric(0.1)[0]
 
 
 # === ray geometry and regimes ===
@@ -64,24 +69,25 @@ def test_h_ray_derivative_zero_metric():
 
 def test_h_ray_derivative_quadratic_oracle():
     # h = t^2 - r^2 restricted to the ray is lam^2, so h' = 2 lam
-    h = MetricPerturb(lambda t, r: t * t - r * r,
-                      dt=lambda t, r: 2.0 * t,
-                      dr=lambda t, r: -2.0 * r)
+    h = CallableMetric(lambda t, r: t * t - r * r,
+                       dt=lambda t, r: 2.0 * t,
+                       dr=lambda t, r: -2.0 * r)
     ray = RayCoords(7.0, 4.0, P)
     lam = np.linspace(ray.lam_min, ray.s, 23)
     assert h_ray_derivative(h, ray, lam) == pytest.approx(2 * lam, rel=1e-13)
 
 
 def test_h_ray_derivative_formula_matches_numeric():
-    # the analytic derivatives against a centered difference of h itself
-    h = metric_pull(0.1)
+    # the analytic derivatives against a centered difference of h itself,
+    # in closed form
+    h, value = metric_pull(0.1), PULL_VALUE
     for (t, r) in ((6.0, 3.0), (12.0, 9.0), (9.0, 7.4)):
         ray = RayCoords(t, r, P)
         lam = np.linspace(ray.lam_min + 0.01, ray.s - 0.01, 29)
         exact = h_ray_derivative(h, ray, lam)
         dl = 1e-5 * np.maximum(lam, 1.0)
-        nume = (h.value(*ray.points(lam + dl))
-                - h.value(*ray.points(lam - dl))) / (2 * dl)
+        nume = (value(*ray.points(lam + dl))
+                - value(*ray.points(lam - dl))) / (2 * dl)
         assert np.max(np.abs(exact - nume)) < 1e-6
 
 
@@ -304,15 +310,15 @@ FSRC = lambda t, r: 1.0 / (1.0 + (t - r) ** 2)       # noqa: E731
 
 # h' != 0 along the whole ray, so every quadrature term is nonzero and a
 # sum taken in another order or over another length moves its last bits
-WAVY = MetricPerturb(lambda t, r: 0.02 * np.sin(t - 0.5 * r),
-                     dt=lambda t, r: 0.02 * np.cos(t - 0.5 * r),
-                     dr=lambda t, r: -0.01 * np.cos(t - 0.5 * r))
+WAVY = CallableMetric(lambda t, r: 0.02 * np.sin(t - 0.5 * r),
+                      dt=lambda t, r: 0.02 * np.cos(t - 0.5 * r),
+                      dr=lambda t, r: -0.01 * np.cos(t - 0.5 * r))
 
 
 def kg_lattice_rays(params, s_max=8.0):
     """The base points of kg_lattice at dx 0.1, one list per lattice ray,
     each in rising s."""
-    lat = kg_lattice(params, dx=0.1, s_max=s_max, cfl=0.5)
+    lat = kg_lattice(params, dx=0.1, s_max=s_max)
     return [[RayCoords(t, r, params) for t, r in
              zip(lat.ts[lat.ray == j], lat.rs[lat.ray == j])]
             for j in np.unique(lat.ray)]
@@ -402,8 +408,8 @@ def test_far_envelope_matches_closed_form_oracle():
                              bounds.C_SWEEP)
             for k, C in enumerate(bounds.C_SWEEP):
                 for ray, v in zip(rays, got[k]):
-                    H = float(h(*ray.points(ray.s))
-                              - h(*ray.points(ray.lam_min)))
+                    H = float(PULL_VALUE(*ray.points(ray.s))
+                              - PULL_VALUE(*ray.points(ray.lam_min)))
                     exact = 0.7 * (1.0 + math.expm1(C * H) / C)
                     if H == 0.0:
                         assert v == exact
@@ -443,7 +449,7 @@ def spied_metric(h, calls):
             calls[name] += 1
             return fn(t, r)
         return wrapped
-    return MetricPerturb(h.value, dt=spy("dt", h.dt), dr=spy("dr", h.dr))
+    return MetricPerturb(h.on_run, dt=spy("dt", h.dt), dr=spy("dr", h.dr))
 
 
 @pytest.mark.parametrize("chunk,per_ray", [(10 ** 9, True), (1, False)])
@@ -468,7 +474,7 @@ def test_envelope_work_count(chunk, per_ray, monkeypatch):
     # a margin run: one call per lattice ray and quadrature step, not one
     # per lattice point and C
     calls.update(dt=0, dr=0)
-    [rep] = kg_bound_margin(kg_lattice(P, dx=0.1, s_max=4.0, cfl=0.5),
+    [rep] = kg_bound_margin(kg_lattice(P, dx=0.1, s_max=4.0),
                             [("pull", h)], InitialData.bump(0.0, 0.1), P)
     counts = rep["regime_counts"]
     points = counts["far"] + counts["near"]
@@ -504,7 +510,7 @@ def test_kg_margin_report_matches_per_point_route(name, f, params,
     # every ratio within ENVELOPE_REL_TOL, the refinement delta (a
     # difference of two envelopes) within twice it, the rest exact; the
     # zero metric's report is exact throughout
-    args = (kg_lattice(params, dx=0.1, s_max=5.0, cfl=0.5),
+    args = (kg_lattice(params, dx=0.1, s_max=5.0),
             [(name, margin_metric(name))], InitialData.bump(0.0, 0.1),
             params, f)
     [got] = kg_bound_margin(*args)
@@ -536,7 +542,7 @@ def test_kg_margin_report_matches_per_point_route(name, f, params,
 def test_kg_margin_counts_c_dependent_points(monkeypatch):
     # unsourced, V moves with C exactly at the far points with H(s) > 0;
     # metric_pull is monotone along rays, so H(s) = h(s) - h(lam_min)
-    lat = kg_lattice(P, dx=0.1, s_max=5.0, cfl=0.5)
+    lat = kg_lattice(P, dx=0.1, s_max=5.0)
     data = InitialData.bump(0.0, 0.1)
     [flat] = kg_bound_margin(lat, [("flat", ZERO_METRIC)], data, P)
     assert flat["c_dependent_points"] == 0
@@ -548,11 +554,10 @@ def test_kg_margin_counts_c_dependent_points(monkeypatch):
         return inner(h, f, params, ts, rs, ci, norms)
 
     monkeypatch.setattr(bounds, "_lattice_envelopes", spy)
-    h = metric_pull(0.1)
-    [rep] = kg_bound_margin(lat, [("pull", h)], data, P)
+    [rep] = kg_bound_margin(lat, [("pull", metric_pull(0.1))], data, P)
     rays = [RayCoords(t, r, P) for t, r in zip(seen["ts"], seen["rs"])]
-    want = sum(ray.far and float(h(*ray.points(ray.s))
-                                 - h(*ray.points(ray.lam_min))) > 0
+    want = sum(ray.far and float(PULL_VALUE(*ray.points(ray.s))
+                                 - PULL_VALUE(*ray.points(ray.lam_min))) > 0
                for ray in rays)
     assert 0 < rep["c_dependent_points"] == want < len(rays)
 
@@ -560,7 +565,7 @@ def test_kg_margin_counts_c_dependent_points(monkeypatch):
 def test_margin_looks_up_envelope_V_on_the_module(monkeypatch):
     """A tracer that wraps hfoil.bounds.envelope_V by name sees every
     envelope evaluation of a margin run, and changes nothing."""
-    args = (kg_lattice(P, dx=0.1, s_max=4.0, cfl=0.5),
+    args = (kg_lattice(P, dx=0.1, s_max=4.0),
             [("pull", metric_pull(0.1))], InitialData.bump(0.0, 0.1), P)
     [plain] = kg_bound_margin(*args)
     seen = []
@@ -616,57 +621,32 @@ def test_wave_bound_value_continuity_and_blowup():
 
 
 def test_wave_source_profile():
+    # at t = 10 (step 32 of a run from t0 = 2 at dt = 0.25), weight one
     f = wave_source(0.5, 0.5, amp=2.0)
     assert f.tag == "mup05_nup05"
-    r = np.array([0.0, 5.0, 9.5])
-    t = 10.0
-    out = stack_at(WaveSourceStack((f,)), t, r)[0]
-    assert out[2] == 0.0                       # outside the cone band
-    assert out[1] == pytest.approx(2.0 * 10.0 ** -2.5 * 5.0 ** -0.5)
+    g = RadialGrid(dx=0.5, n=21)
+    run = WaveSourceStack((f,)).on_run(g, 2.0, 0.25, 40)
+    one = np.ones(g.n)
+    out = run.fill(32, 2.0 + 32 * 0.25, one, np.empty((1, g.n)))[0]
+    r = g.r(0, g.n)
+    assert out[r == 9.5] == 0.0                 # outside the cone band
+    assert out[r == 5.0] == pytest.approx(2.0 * 10.0 ** -2.5 * 5.0 ** -0.5)
     assert out[0] == pytest.approx(2.0 * 10.0 ** -2.5 * 10.0 ** -0.5)
-    assert np.all(stack_at(WaveSourceStack((f,)), 2.0,
-                           np.linspace(0.0, 3.0, 7)) >= 0.0)
+    assert np.all(run.fill(0, 2.0, one, np.empty((1, g.n))) >= 0.0)
 
 
-# === support-limited profiles against the full-grid formulas ===
+# === the profiles' run tables against their closed forms ===
 #
-# The profiles evaluate only where t - r > SWITCH_ON[0]; the reference
-# formulas evaluate everywhere, in the same operation order.  The wave
-# source's is full_grid_wave_source (slice_reference.py), the formula
-# the callable-source tests also run on.
-
-
-def full_grid_metric(amp=0.1):
-    """(value, dt, dr) of metric_pull(amp) on every point."""
-    lo, wid = SWITCH_ON[0], SWITCH_ON[1] - SWITCH_ON[0]
-
-    def parts(t, r):
-        t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
-        cut = smoothstep((t - r - lo) / wid)
-        with np.errstate(invalid="ignore"):
-            g = np.sqrt(np.maximum(1.0 - (r / t) ** 2, 0.0))
-        return t, r, g, cut
-
-    def value(t, r):
-        t, r, g, cut = parts(t, r)
-        return amp * g * cut
-
-    def dt(t, r):
-        t, r, g, cut = parts(t, r)
-        dcut = smoothstep_d((t - r - lo) / wid) / wid
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dg = np.where(g > 0, r * r / (np.maximum(g, 1e-300) * t ** 3), 0.0)
-        return amp * np.where(cut > 0, dg * cut + g * dcut, 0.0)
-
-    def dr(t, r):
-        t, r, g, cut = parts(t, r)
-        dcut = -smoothstep_d((t - r - lo) / wid) / wid
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dg = np.where(g > 0, -r / (np.maximum(g, 1e-300) * t ** 2), 0.0)
-        return amp * np.where(cut > 0, dg * cut + g * dcut, 0.0)
-
-    return value, dt, dr
+# A profile bound to a run reads tables on the run's null lattice,
+# where t_k -/+ r_j = t0 + (k -/+ M j) dt.  Bit for bit, every fill
+# equals the closed form evaluated at those lattice values
+# (lattice_wave_source, lattice_pull in slice_reference.py, in the
+# tables' operation order); within PROFILE_REL it equals the textbook
+# form at t_k - r_j and t_k + r_j themselves (full_grid_wave_source,
+# full_grid_metric).  PROFILE_REL is stated before measuring: the two
+# round t - r apart by an ulp of t, about 1e-14 at t = 60, which moves a
+# value by at most a few times that relative to the row's largest one.
+PROFILE_REL = 1e-12
 
 
 def support_probe_points(band):
@@ -693,27 +673,33 @@ def support_probe_points(band):
     return cases
 
 
+def support_probe_runs(band):
+    """(grid, t0, dt, steps) of runs whose lattice's t - r sweeps from
+    below band[0] through band and past it, at Courant numbers 1, 1/2
+    and 1/3: runs that start below, at, inside and past band, one with
+    band[0] on a lattice node and one whose support switches on at the
+    axis mid-run."""
+    lo, hi = band
+    g = RadialGrid(dx=0.04, n=61)              # r up to 2.4
+    return [(g, t0, dt, int(np.ceil(3.0 / dt)))
+            for dt in (g.dx, g.dx / 2, g.dx / 3)
+            for t0 in (0.7 * lo, lo, 0.5 * (lo + hi), hi, hi + 0.7,
+                       lo + 7 * dt)]
+
+
 # the probe bands: the switch-on band itself and a wider one around it
 PROBE_BANDS = [SWITCH_ON, (0.25, 2.0)]
 
 
-def stack_at(stack, t, r, weight=1.0):
-    """Every row of stack at the points (t, r) with their weights, shape
-    (R,) + the broadcast shape: one fill per distinct t, over its
-    points' r in ascending order."""
-    t, r, weight = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                       np.asarray(r, dtype=float),
-                                       np.asarray(weight, dtype=float))
-    rows = len(stack.rows)
-    got = np.full((rows,) + t.shape, np.nan)
-    flat_t, flat_r, flat = t.ravel(), r.ravel(), got.reshape(rows, -1)
-    flat_w = weight.ravel()
-    for tv in np.unique(flat_t):
-        idx = np.nonzero(flat_t == tv)[0]
-        idx = idx[np.argsort(flat_r[idx], kind="stable")]
-        flat[:, idx] = stack.fill(float(tv), flat_r[idx], flat_w[idx],
-                                  np.empty((rows, idx.size)))
-    return got
+def run_times(t0, dt, steps):
+    """Each step k's time t_k, as the solvers take it: t0 + k dt."""
+    return [t0] + [t0 + k * dt for k in range(1, steps)]
+
+
+def bits_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
 
 
 @pytest.mark.parametrize("band", PROBE_BANDS)
@@ -721,25 +707,32 @@ def stack_at(stack, t, r, weight=1.0):
                                        (0.3, 0.2, 2.5)])
 def test_wave_source_matches_full_grid_formula(band, mu, nu, amp):
     stack = WaveSourceStack((wave_source(mu, nu, amp),))
-    want_f = full_grid_wave_source(mu, nu, amp)
-    for t, r in support_probe_points(band):
-        # a weight of one leaves the formula's bits, and the weight 0.5 + r
-        # moves them as the formula times that weight does
-        assert bits_equal(stack_at(stack, t, r)[0], want_f(t, r))
-        w = 0.5 + np.asarray(r)
-        assert bits_equal(stack_at(stack, t, r, w)[0], want_f(t, r, w))
+    for g, t0, dt, steps in support_probe_runs(band):
+        run = stack.on_run(g, t0, dt, steps)
+        want_f = lattice_wave_source(mu, nu, amp, g, t0, dt)
+        r = g.r(0, g.n)
+        out = np.empty((1, g.n))
+        for k, t in enumerate(run_times(t0, dt, steps)):
+            # a weight of one leaves the formula's bits, and the weight
+            # 0.5 + r moves them as the formula times that weight does
+            assert bits_equal(run.fill(k, t, np.ones(g.n), out)[0],
+                              want_f(t, r)), (t0, dt, k)
+            w = 0.5 + r
+            assert bits_equal(run.fill(k, t, w, out)[0], want_f(t, r, w))
 
 
 @pytest.mark.parametrize("band", PROBE_BANDS)
 @pytest.mark.parametrize("amp", [0.1, 0.45])
 def test_metric_pull_value_matches_full_grid_formula(band, amp):
-    got_h = metric_pull(amp)
-    want_h, _, _ = full_grid_metric(amp)
-    for t, r in support_probe_points(band):
-        got, want = got_h(t, r), want_h(t, r)
-        assert np.shape(got) == np.shape(want)
-        assert np.array_equal(got, want)
-        assert np.array_equal(got_h.value(t, r), want)
+    for g, t0, dt, steps in support_probe_runs(band):
+        row = metric_pull(amp).on_run(g, t0, dt, steps)
+        want_h = lattice_pull(amp, g, t0, dt)
+        r = g.r(0, g.n)
+        out = np.empty(g.n)
+        assert not row.steady
+        for k, t in enumerate(run_times(t0, dt, steps)):
+            assert row.fill(k, t, out) is out
+            assert bits_equal(out, want_h(t, r)), (t0, dt, k)
 
 
 @pytest.mark.parametrize("band", PROBE_BANDS)
@@ -752,42 +745,43 @@ def test_metric_pull_derivatives_match_full_grid_formula(band, amp):
         assert bits_equal(got_h.dr(t, r), want_dr(t, r))
 
 
-# === the grid route of the wave source ===
+# === the run route of the wave source ===
 #
-# WaveSourceStack.fill is the route solve_linear_wave_sourced takes;
-# every row must equal its full-grid formula times the same weight, bit
-# for bit on every cell of the buffer.
+# WaveSourceStack's run fill is the route solve_linear_wave_sourced
+# takes; every row must equal its closed form at the lattice points
+# times the same weight, bit for bit on every cell of the buffer.
 
-def bits_equal(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
-                                                 b.view(np.uint64))
-
-
-# each case's second row of the stack: the same mu (one power table),
-# another mu, and the same pair with another amp
+# each case's second row of the stack: the same mu (one table), another
+# mu, and the same pair with another amp
 STACK_CASES = {"same-mu": (0.5, 0.5, wave_source(0.5, -0.25, 0.9)),
                "other-mu": (0.5, -0.25, wave_source(0.3, 0.2, 1.1)),
                "same-pair": (0.5, 0.5, wave_source(0.5, 0.5, 0.8))}
 
 
+def wave_march_run(dx):
+    """(grid, t0, dt, steps) of the wave-march runs: t0 = 2, t_end = 60,
+    Courant number 1/2."""
+    g = grid_for_run(dx, 2.0, 60.0)
+    dt = 0.5 * dx
+    return g, 2.0, dt, int(np.ceil((60.0 - 2.0) / dt - 1e-9))
+
+
 @pytest.mark.parametrize("dx", [0.01, 0.02])
 @pytest.mark.parametrize("case", list(STACK_CASES))
 def test_wave_source_fill_matches_full_grid_formula_at_every_step(dx, case):
-    # the step times and the weight dt^2 r of the wave-march grids: t0 =
-    # 2, t_end = 60, cfl 0.5; a one-row stack and every row of a two-row
-    # stack
+    # the step times and the weight dt^2 r of the wave-march grids; a
+    # one-row stack and every row of a two-row stack
     mu, nu, partner = STACK_CASES[case]
     f = wave_source(mu, nu, 1.03)
-    solo, stack = WaveSourceStack((f,)), WaveSourceStack([f, partner])
-    want_f = full_grid_wave_source(mu, nu, 1.03)
-    want_p = full_grid_wave_source(partner.mu, partner.nu, partner.amp)
-    g = grid_for_run(dx, 2.0, 60.0)
+    g, t0, dt, steps = wave_march_run(dx)
+    solo = WaveSourceStack((f,)).on_run(g, t0, dt, steps)
+    stack = WaveSourceStack([f, partner]).on_run(g, t0, dt, steps)
+    want_f = lattice_wave_source(mu, nu, 1.03, g, t0, dt)
+    want_p = lattice_wave_source(partner.mu, partner.nu, partner.amp, g, t0,
+                                 dt)
     r = g.r(0, g.n)
-    dt = 0.5 * dx
     w = dt * dt * r
-    n_steps = int(np.ceil((60.0 - 2.0) / dt - 1e-9))
-    times = [2.0] + [2.0 + k * dt for k in range(1, n_steps)]
+    times = run_times(t0, dt, steps)
     out = np.full((1, g.n), np.nan)
     rows = np.full((2, g.n), np.nan)
     block = 128
@@ -795,48 +789,82 @@ def test_wave_source_fill_matches_full_grid_formula_at_every_step(dx, case):
     for b in range(0, len(times), block):
         ts = times[b:b + block]
         for i, t in enumerate(ts):
-            got[:1, i] = solo.fill(t, r, w, out)
-            got[1:, i] = stack.fill(t, r, w, rows)
+            got[:1, i] = solo.fill(b + i, t, w, out)
+            got[1:, i] = stack.fill(b + i, t, w, rows)
             want[0, i] = want[1, i] = want_f(t, r, w)
             want[2, i] = want_p(t, r, w)
         assert bits_equal(got[:, :len(ts)], want[:, :len(ts)]), ts[0]
 
 
+def assert_within_textbook(got, want, rel=PROFILE_REL):
+    """Each row of got within rel of its largest |want|; True when some
+    value is not want's bit for bit."""
+    for a, b in zip(np.atleast_2d(got), np.atleast_2d(want)):
+        assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+    return not bits_equal(got, want)
+
+
+@pytest.mark.parametrize("dx", [0.01, 0.02])
+def test_wave_source_run_stays_within_a_bound_of_the_textbook_form(dx):
+    # linear-wave-bound's two pairs at every step of the wave-march grids
+    pairs = [(0.5, 0.5), (0.5, -0.25)]
+    g, t0, dt, steps = wave_march_run(dx)
+    run = WaveSourceStack(wave_source(mu, nu) for mu, nu in pairs).on_run(
+        g, t0, dt, steps)
+    textbook = [full_grid_wave_source(mu, nu) for mu, nu in pairs]
+    r = g.r(0, g.n)
+    one = np.ones(g.n)
+    out = np.empty((2, g.n))
+    moved = False
+    for k, t in enumerate(run_times(t0, dt, steps)):
+        moved |= assert_within_textbook(run.fill(k, t, one, out),
+                                        [f(t, r) for f in textbook])
+    assert moved
+
+
+def kg_envelope_run(dx):
+    """(grid, t0, dt, steps) of the kg-envelope runs: linear-kg-bound's
+    lattice at its default s_max = 8."""
+    lat = kg_lattice(BoundParams(), dx=dx, s_max=8.0)
+    dt = 0.5 * dx
+    return lat.grid, 2.0, dt, int(np.ceil((lat.t_end - 2.0) / dt - 1e-9))
+
+
+@pytest.mark.parametrize("dx", [0.01, 0.02])
+def test_metric_pull_run_stays_within_a_bound_of_the_textbook_form(dx):
+    g, t0, dt, steps = kg_envelope_run(dx)
+    row = metric_pull(0.1).on_run(g, t0, dt, steps)
+    r = g.r(0, g.n)
+    out = np.empty(g.n)
+    moved = False
+    for k, t in enumerate(run_times(t0, dt, steps)):
+        moved |= assert_within_textbook(row.fill(k, t, out),
+                                        PULL_VALUE(t, r))
+    assert moved
+
+
 def fill_cases():
-    """(name, t, r): the edges of the support prefix and ramp."""
-    r = 0.01 * np.arange(300)
-    rng = np.random.default_rng(9)
-    uneven = np.sort(rng.uniform(0.0, 3.0, 257))
+    """(name, grid, t0, dt, k): runs and steps at the edges of the
+    support prefix and the ramp."""
+    g = RadialGrid(dx=0.01, n=300)
     lo, hi = SWITCH_ON
-
-    def ulps(t):
-        # the ulp neighbours of both support edges, where the estimate
-        # from np.searchsorted can land past the true edge (t = 1.088)
-        v = np.array([t - lo, t - hi])
-        below, above = v.copy(), v.copy()
-        out = [v]
-        for _ in range(4):
-            below, above = np.nextafter(below, -1.0), np.nextafter(above, 9.0)
-            out += [below, above]
-        return np.unique(np.concatenate(out))
-
-    # t - r = lo + wid on a node (r[75]) while t - r = lo falls between
-    # nodes: the ramp's far edge alone sits on the grid
-    r3 = 0.03 * np.arange(100)
     return [
-        ("empty support", 0.5, r),
-        ("support edge at t = lo", 1.0, r),
-        ("support r = 0 only", 1.0 + 0.005, r),
-        ("support past grid end", 30.0, r),
-        ("ramp starts at r = 0", 1.2, r),
-        ("ramp ends at grid end", 1.0 + 2.99 + 0.25, r),
-        ("ramp longer than grid", 1.495, r[:49]),
-        ("t - r hits lo on a node", 2.5, r),
-        ("t - r hits lo + wid on a node", hi + r3[75], r3),
-        ("uneven ascending grid", 2.7, uneven),
-        ("uneven grid, ramp inside", 1.6, uneven),
-        ("ulps of the edges", 1.088, ulps(1.088)),
-        ("ulps of the edges, far", 37.3, ulps(37.3)),
+        ("empty support", g, 0.5, 0.01, 10),
+        ("support edge at t = lo", g, 1.0, 0.01, 0),
+        ("support r = 0 only", g, 1.0, 0.005, 1),
+        ("support past grid end", g, 2.0, 0.005, 6000),
+        ("ramp starts at r = 0", g, 1.2, 0.005, 0),
+        # t - r = lo + wid at the grid's last point
+        ("ramp ends at grid end", g, hi + 2.99, 0.01, 0),
+        ("ramp longer than grid", RadialGrid(dx=0.01, n=49), 1.495, 0.01,
+         0),
+        ("t - r hits lo on a node", g, 2.5, 0.005, 0),
+        ("t - r hits lo + wid on a node", g, 2.0, 0.005, 100),
+        ("Courant number 1/3", g, 1.7, 0.01 / 3, 40),
+        # t0 + i dt an ulp below lo (i = -13) and an ulp above it (i =
+        # -103): the lattice's first support index is decided by rounding
+        ("ulps of the edges", g, lo + 13 * 0.01, 0.01, 3),
+        ("ulps of the edges, far", g, lo + 103 * 0.01, 0.01, 210),
     ]
 
 
@@ -845,43 +873,81 @@ def test_wave_source_fill_edges_and_garbage_buffer(case):
     # a negative amp gives -0.0, not the +0.0 of the formula, on any cell
     # the route takes past the support edge; the weight r is zero on the
     # axis, where a negative row must read -0.0 as its formula does
-    _, t, r = case
+    _, g, t0, dt, k = case
+    steps = k + 1
+    t = t0 + k * dt if k else t0
+    r = g.r(0, g.n)
     garbage = np.array([np.nan, -0.0, 1e300, -np.inf, 5e-324])
     for amp in (2.0, -2.0):
         f = wave_source(0.5, 0.5, amp)
         out = np.resize(garbage, (1, r.size))
-        assert WaveSourceStack((f,)).fill(t, r, r, out) is out
-        assert bits_equal(out[0],
-                          full_grid_wave_source(0.5, 0.5, amp)(t, r, r))
+        run = WaveSourceStack((f,)).on_run(g, t0, dt, steps)
+        assert run.fill(k, t, r, out) is out
+        assert bits_equal(out[0], lattice_wave_source(0.5, 0.5, amp, g, t0,
+                                                      dt)(t, r, r))
     # a stack with rows of both signs, two powers and a repeated pair
     fs = [wave_source(0.5, 0.5, 2.0), wave_source(0.5, -0.25, -2.0),
           wave_source(0.3, 0.2, -2.0), wave_source(0.5, 0.5, 0.5)]
     out = np.resize(garbage, (len(fs), r.size))
-    assert WaveSourceStack(fs).fill(t, r, r, out) is out
+    assert WaveSourceStack(fs).on_run(g, t0, dt, steps).fill(
+        k, t, r, out) is out
     for f, row in zip(fs, out):
-        assert bits_equal(row,
-                          full_grid_wave_source(f.mu, f.nu, f.amp)(t, r, r))
+        assert bits_equal(row, lattice_wave_source(f.mu, f.nu, f.amp, g, t0,
+                                                   dt)(t, r, r))
+
+
+def test_wave_source_fill_cases_reach_their_edges():
+    # each edge case's support prefix is what its name says
+    for name, g, t0, dt, k in fill_cases():
+        m = bounds._NullLattice(g, t0, dt, k + 1).support(k)
+        q = t0 + k * dt - g.r(0, g.n)
+        want = {"empty support": 0, "support edge at t = lo": 0,
+                "support r = 0 only": 1, "support past grid end": g.n,
+                "ramp longer than grid": g.n}.get(name)
+        if want is not None:
+            assert m == want, name
+        lo = {"ulps of the edges": -12,
+              "ulps of the edges, far": -103}.get(name)
+        if lo is not None:
+            assert bounds._NullLattice(g, t0, dt, k + 1).lo == lo, name
+        assert 0 <= m <= g.n and np.all(q[:m] > 1.0 - 1e-9), name
 
 
 def test_wave_source_fill_does_not_rely_on_rising_t():
-    # one buffer, step times out of order: every call writes every cell
+    # one buffer, steps out of order: every call writes every cell
     f = wave_source(0.5, -0.25)
-    want_f = full_grid_wave_source(0.5, -0.25)
-    solo = WaveSourceStack((f,))
     g = grid_for_run(0.02, 2.0, 20.0)
+    steps = 1800
+    run = WaveSourceStack((f,)).on_run(g, 2.0, 0.01, steps)
+    want_f = lattice_wave_source(0.5, -0.25, 1.0, g, 2.0, 0.01)
     r = g.r(0, g.n)
     w = 0.01 * 0.01 * r
     out = np.zeros((1, g.n))
-    ts = 2.0 + 0.01 * np.random.default_rng(4).permutation(1800)
-    for t in np.concatenate([ts, [0.5, 19.0, 1.1, 3.0]]):
-        assert bits_equal(solo.fill(t, r, w, out)[0], want_f(t, r, w))
+    ks = np.random.default_rng(4).permutation(steps)
+    for k in np.concatenate([ks, [0, steps - 1, 1, 100]]).tolist():
+        t = 2.0 + k * 0.01 if k else 2.0
+        assert bits_equal(run.fill(k, t, w, out)[0], want_f(t, r, w))
+
+
+@pytest.mark.parametrize("profile", ["wave", "pull"])
+def test_profiles_bind_only_to_an_integer_dx_over_dt(profile):
+    # the table needs t -/+ r on one lattice, so dx/dt must be an
+    # integer: 2.5 is refused when the profile binds; 1, 2 and 3 bind
+    g = RadialGrid(dx=0.04, n=50)
+    bind = (WaveSourceStack([wave_source(0.5, 0.5)]).on_run
+            if profile == "wave" else metric_pull(0.1).on_run)
+    with pytest.raises(ValueError, match="integer dx/dt"):
+        bind(g, 2.0, 0.4 * g.dx, 10)
+    for M in (1, 2, 3):
+        assert bounds._NullLattice(g, 2.0, g.dx / M, 10).M == M
+        bind(g, 2.0, g.dx / M, 10)
 
 
 # === ray lattices ===
 
 LATTICES = {
-    "kg": lambda: kg_lattice(P, dx=0.1, s_max=5.0, cfl=0.5),
-    "wave": lambda: wave_lattice(dx=0.1, t_lo=6.0, t_end=20.0, cfl=0.5),
+    "kg": lambda: kg_lattice(P, dx=0.1, s_max=5.0),
+    "wave": lambda: wave_lattice(dx=0.1, t_lo=6.0, t_end=20.0),
 }
 
 
@@ -924,7 +990,7 @@ def test_kg_lattice_keeps_the_outermost_ray_on_the_last_slice():
     # is kept by construction; rounding in exp(log(s_max / tr_min)) once
     # dropped it for 1,028 of these 3,770 s_max, 2.53 among them
     for s_max in np.arange(230, 4000) / 100:
-        lat = kg_lattice(P, dx=0.05, s_max=float(s_max), cfl=0.5)
+        lat = kg_lattice(P, dx=0.05, s_max=float(s_max))
         last = (lat.row == len(lat.levels) - 1) & \
             (lat.ray == bounds._N_RAYS - 1)
         assert last.sum() == 1, s_max
@@ -954,13 +1020,13 @@ def test_level_max_reads_each_level_row(kind):
 def test_wave_lattice_before_the_run_start_is_empty():
     # every lattice time precedes the run's start t0 = 2
     with pytest.raises(EmptyLatticeError, match="no lattice point"):
-        wave_lattice(dx=0.1, t_lo=0.5, t_end=1.9, cfl=0.5)
+        wave_lattice(dx=0.1, t_lo=0.5, t_end=1.9)
 
 
 # === margin checks on tiny runs ===
 
 def test_kg_margin_zero_field_and_report_shape():
-    [rep] = kg_bound_margin(kg_lattice(P, dx=0.1, s_max=3.0, cfl=0.5),
+    [rep] = kg_bound_margin(kg_lattice(P, dx=0.1, s_max=3.0),
                             [("flat", ZERO_METRIC)],
                             InitialData.bump(0.0, 0.0), P)
     assert rep["proposition"] == "kg-envelope"
@@ -975,11 +1041,11 @@ def test_kg_margin_lattice_starts_before_s_max():
     # that slice would run it backwards, and is refused before any solve
     for s_max in (2.0, bounds.KG_LATTICE_LEAD * P.s0):
         with pytest.raises(ValueError, match="first slice"):
-            kg_lattice(P, dx=0.1, s_max=s_max, cfl=0.5)
+            kg_lattice(P, dx=0.1, s_max=s_max)
 
 
 def test_kg_margin_flat_bump():
-    [rep] = kg_bound_margin(kg_lattice(P, dx=0.05, s_max=4.0, cfl=0.5),
+    [rep] = kg_bound_margin(kg_lattice(P, dx=0.05, s_max=4.0),
                             [("flat", ZERO_METRIC)],
                             InitialData.bump(0.0, 0.1), P)
     assert 0.0 < rep["max_ratio"] < 50.0
@@ -995,7 +1061,7 @@ def test_kg_margin_flat_bump():
 
 
 def test_kg_margin_curved_metric_runs():
-    [rep] = kg_bound_margin(kg_lattice(P, dx=0.05, s_max=4.0, cfl=0.5),
+    [rep] = kg_bound_margin(kg_lattice(P, dx=0.05, s_max=4.0),
                             [("pull", metric_pull(0.1))],
                             InitialData.bump(0.0, 0.1), P)
     assert np.isfinite(rep["max_ratio"])
@@ -1008,7 +1074,7 @@ def test_kg_margin_stacked_metrics_match_their_solo_reports(f):
     # a metric's report does not depend on the metrics stacked beside it
     metrics = [("flat", ZERO_METRIC), ("pull", metric_pull(0.1)),
                ("wavy", WAVY)]
-    lat = kg_lattice(P, dx=0.1, s_max=4.0, cfl=0.5)
+    lat = kg_lattice(P, dx=0.1, s_max=4.0)
     args = (InitialData.bump(0.0, 0.1), P, f)
     stacked = kg_bound_margin(lat, metrics, *args)
     assert len(stacked) == len(metrics)
@@ -1019,14 +1085,14 @@ def test_kg_margin_stacked_metrics_match_their_solo_reports(f):
 
 def test_wave_margin_zero_source():
     [rep] = wave_bound_margin(
-        wave_lattice(dx=0.1, t_lo=6.0, t_end=16.0, cfl=0.5), [(0.5, 0.5)],
+        wave_lattice(dx=0.1, t_lo=6.0, t_end=16.0), [(0.5, 0.5)],
         amp=0.0)
     assert rep["max_ratio"] == 0.0
     json.dumps(rep)
 
 
 def test_wave_margin_small_run_both_branches():
-    lat = wave_lattice(dx=0.1, t_lo=6.0, t_end=20.0, cfl=0.5)
+    lat = wave_lattice(dx=0.1, t_lo=6.0, t_end=20.0)
     stacked = wave_bound_margin(lat, [(0.5, 0.5), (0.5, -0.25)], amp=1.0)
     for nu, both in zip((0.5, -0.25), stacked):
         [rep] = wave_bound_margin(lat, [(0.5, nu)], amp=1.0)

@@ -177,6 +177,10 @@ def test_flag_conflict_reports_field_without_line():
     ("frame-identity-suite", "[model]\nmass = 2\n", 2, "mass"),
     ("convergence-suite", "[data]\nepsilon = 0.02\neps_v = 0.1\n", 3,
      "eps_v"),
+    # the envelope scenarios run at the fixed Courant number 1/2
+    ("linear-kg-bound", "[grid]\ncfl = 0.5\n", 2, "cfl"),
+    ("linear-wave-bound", "[grid]\nresolution = 0.04\ncfl = 0.25\n", 3,
+     "cfl"),
 ])
 def test_unread_key_reports_line_and_field(tmp_path, scenario, text, line,
                                            field):

@@ -3,14 +3,22 @@ import pytest
 
 from hfoil import solver
 from hfoil.analysis import QueryPool
-from hfoil.bounds import (ZERO_METRIC, WaveSourceStack, metric_pull,
-                          wave_source)
+from hfoil.bounds import (ZERO_METRIC, MetricPerturb, WaveSourceStack,
+                          metric_pull, wave_source)
 from hfoil.fields import RadialGrid
 from hfoil.solver import (BLOWUP_GUARD, COEFF_GUARD, InitialData,
                           ModelParams, evolve_model, grid_for_run,
                           solve_linear_kg_curved, solve_linear_wave_sourced)
 from hfoil.util import StabilityError
-from slice_reference import CallableSource, LevelCopies, full_grid_wave_source
+from slice_reference import (CallableMetric, CallableSource, LevelCopies,
+                             full_grid_metric, full_grid_wave_source,
+                             lattice_wave_source)
+
+
+# a metric h00 that depends on t alone, bound through CallableMetric, and
+# h00 = 0 as a callable, evaluated at every step
+SCALAR_H00 = lambda t, r: 0.05 * np.sin(t)       # noqa: E731
+ZERO_H00 = CallableMetric(lambda t, r: 0.0 * r)
 
 
 def smooth_data(amp_u, amp_v, width=4.0):
@@ -139,7 +147,7 @@ def test_kg_energy_drift_is_small():
             if step in want:
                 collected[step] = v.copy()
 
-    res = solve_linear_kg_curved(g, [(None, lambda t, r: 0.0 * r)], 1.0,
+    res = solve_linear_kg_curved(g, [(None, ZERO_H00)], 1.0,
                                  smooth_data(0.0, 0.3), [[LevelProbe()]],
                                  t0=2.0, t_end=12.0)
 
@@ -164,7 +172,7 @@ def test_linear_kg_matches_free_model_evolution():
     g = grid_for_run(0.05, 2.0, 6.0)
     data = InitialData.bump(0.0, 0.2)
     a, b = LevelCopies(), LevelCopies()
-    solve_linear_kg_curved(g, [(None, lambda t, r: 0.0 * r)], 1.0, data,
+    solve_linear_kg_curved(g, [(None, ZERO_H00)], 1.0, data,
                            [[a]], t0=2.0, t_end=6.0)
     evolve_model(ModelParams.free(), g, data, t0=2.0, t_end=6.0,
                  observers=[b])
@@ -172,14 +180,15 @@ def test_linear_kg_matches_free_model_evolution():
 
 
 def test_linear_wave_matches_free_model_evolution():
-    # both from rest; the free model takes the profile's full-grid formula
+    # both from rest; the free model takes the profile's formula at the
+    # stack's lattice points
     g = grid_for_run(0.05, 2.0, 12.0)
     a, b = LevelCopies(), LevelCopies()
     solve_linear_wave_sourced(g, WaveSourceStack([wave_source(0.5, -0.25)]),
                               t0=2.0, t_end=12.0, observers=[(a,)])
     evolve_model(ModelParams.free(), g, InitialData.bump(0.0, 0.0), t0=2.0,
                  t_end=12.0, observers=[b],
-                 sources=(full_grid_wave_source(0.5, -0.25), None))
+                 sources=(formula(wave_source(0.5, -0.25), g), None))
     assert np.array_equal(field_levels(a, 1), field_levels(b, 1))
 
 
@@ -345,7 +354,7 @@ def run_radial(solver, grid, t_end, source):
         return solve_linear_wave_sourced(grid, CallableSource([source]),
                                          t0=2.0, t_end=t_end,
                                          observers=[()])
-    return solve_linear_kg_curved(grid, [(None, lambda t, r: 0.0 * r)], 1.0,
+    return solve_linear_kg_curved(grid, [(None, ZERO_H00)], 1.0,
                                   rest, [()], t0=2.0, t_end=t_end,
                                   source=source)
 
@@ -382,7 +391,7 @@ def _metric_dip(t_on):
     def h00(t, r):
         dip = -0.95 * np.exp(-(r - 2.0) ** 2 / 0.05)
         return dip if t_on is None or t > t_on else 0.0 * r
-    return h00
+    return CallableMetric(h00)
 
 
 @pytest.mark.parametrize("t_on", [None, 2.3])
@@ -400,6 +409,105 @@ def test_kg_metric_floor_guards_report_location(t_on):
     assert rep["location"] == pytest.approx(2.0, abs=0.05)
 
 
+def test_kg_pull_row_floor_guard_reports_location():
+    # a table-backed row trips the floor at the step, place and value of
+    # the closed form: with amp = -0.95, 1 + h00 = 0.05 on the axis from
+    # the start at t0 = 2; from t0 = 1.2 the switch turns on at the axis
+    # and trips step 9
+    data = InitialData.bump(0.0, 0.01)
+    for t0, t, step, value in ((2.0, 2.0, 0, 0.050000000000000044),
+                               (1.2, 1.425, 9, 0.07528128124999933)):
+        with pytest.raises(StabilityError) as ei:
+            solve_linear_kg_curved(grid_for_run(0.05, t0, 3.0),
+                                   [("pull", metric_pull(-0.95))], 1.0, data,
+                                   [()], t0=t0, t_end=3.0)
+        rep = ei.value.report
+        assert (rep["kind"], rep["step"], rep["location"], rep["row"]) == \
+            ("coefficient", step, 0.0, "pull")
+        assert rep["t"] == pytest.approx(t, abs=1e-12)
+        assert rep["value"] == pytest.approx(value, rel=1e-12)
+
+
+def spied_rows(h, fills):
+    """h with the step k of every fill of its run rows appended to
+    fills."""
+    def on_run(*args):
+        row = h.on_run(*args)
+        inner = row.fill
+
+        def fill(k, t_k, out):
+            fills.append(k)
+            return inner(k, t_k, out)
+        row.fill = fill
+        return row
+    return MetricPerturb(on_run, dt=h.dt, dr=h.dr)
+
+
+def test_steady_metric_row_is_filled_once_per_run():
+    # the flat row's 1 + h00 does not depend on t: one fill (and one
+    # floor check) per run, at step 0; the pull row fills every step
+    flat, pull = [], []
+    rows = [("flat", spied_rows(ZERO_METRIC, flat)),
+            ("pull", spied_rows(metric_pull(0.1), pull))]
+    g = grid_for_run(0.05, 2.0, 8.0)
+    obs = [LevelCopies(), LevelCopies()]
+    for runs in (1, 2):
+        res = solve_linear_kg_curved(g, rows, 1.3, InitialData.bump(0.0, 0.2),
+                                     [(o,) for o in obs] if runs == 1
+                                     else [(), ()], t0=2.0, t_end=8.0)
+        assert flat == [0] * runs
+        assert pull == list(range(res.steps)) * runs
+    for h00, o in zip([ZERO_METRIC, metric_pull(0.1)], obs):
+        assert_levels_equal(o.levels, _ref_solve_linear_kg_curved(
+            g, h00, 1.3, InitialData.bump(0.0, 0.2), 2.0, 8.0))
+
+
+@pytest.mark.parametrize("profile", ["wave", "pull"])
+def test_one_row_run_of_each_profile_equals_its_row_of_two(profile):
+    # the profile alone, and as the second row beside another profile
+    g = grid_for_run(0.05, 2.0, 8.0)
+    if profile == "wave":
+        f, other = wave_source(0.5, -0.25, 0.7), wave_source(0.3, 0.2, 1.3)
+
+        def run(rows, obs):
+            solve_linear_wave_sourced(g, WaveSourceStack(rows), obs,
+                                      t0=2.0, t_end=8.0)
+    else:
+        f, other = ("pull", metric_pull(0.1)), ("flat", ZERO_METRIC)
+
+        def run(rows, obs):
+            solve_linear_kg_curved(g, rows, 1.3, InitialData.bump(0.0, 0.2),
+                                   obs, t0=2.0, t_end=8.0)
+    solo, pair = LevelCopies(), [LevelCopies(), LevelCopies()]
+    run([f], [(solo,)])
+    run([other, f], [(o,) for o in pair])
+    assert_levels_equal(pair[1].levels, solo.levels)
+
+
+@pytest.mark.parametrize("profile", ["wave", "pull"])
+def test_solvers_leave_the_integer_dx_over_dt_check_to_the_profile(
+        profile):
+    # dx/dt = 2.5 at cfl 0.4: the table-backed profiles refuse to bind,
+    # the callable adapters bind and run
+    g = grid_for_run(0.05, 2.0, 3.0)
+    data = InitialData.bump(0.0, 0.01)
+    if profile == "wave":
+        def run(source):
+            return solve_linear_wave_sourced(g, source, [()], t0=2.0,
+                                             t_end=3.0, cfl=0.4)
+        table, adapter = (WaveSourceStack([wave_source(0.5, 0.5)]),
+                          CallableSource([full_grid_wave_source(0.5, 0.5)]))
+    else:
+        def run(h00):
+            return solve_linear_kg_curved(g, [(None, h00)], 1.0, data, [()],
+                                          t0=2.0, t_end=3.0, cfl=0.4)
+        table, adapter = metric_pull(0.1), CallableMetric(
+            full_grid_metric(0.1)[0])
+    with pytest.raises(ValueError, match="integer dx/dt"):
+        run(table)
+    assert run(adapter).dt == 0.4 * 0.05
+
+
 # the rows "calm" (flat) and "hot" of a Klein-Gordon stack from one set of
 # data; per guard kind, the hot row's metric that trips it, with the grid
 # and end time.  1 + h00 = 0.15 lifts the Courant number to 0.5 /
@@ -409,9 +517,10 @@ KG_DATA = InitialData.bump(0.0, 0.01)
 KG_HOT = {
     "coefficient": (_metric_dip(2.3), lambda: grid_for_run(0.05, 2.0, 3.0),
                     3.0),
-    "blowup": (lambda t, r: -0.85, lambda: grid_for_run(0.05, 2.0, 12.0),
-               12.0),
-    "boundary": (lambda t, r: -0.5, lambda: RadialGrid(dx=0.05, n=60), 12.0),
+    "blowup": (CallableMetric(lambda t, r: -0.85),
+               lambda: grid_for_run(0.05, 2.0, 12.0), 12.0),
+    "boundary": (CallableMetric(lambda t, r: -0.5),
+                 lambda: RadialGrid(dx=0.05, n=60), 12.0),
 }
 
 
@@ -522,7 +631,7 @@ def _run(kind, t_end, observers):
         return solve_linear_wave_sourced(
             g, WaveSourceStack([wave_source(0.5, 0.5)]), t0=2.0,
             t_end=t_end, observers=[observers])
-    return solve_linear_kg_curved(g, [(None, lambda t, r: 0.05 * np.sin(t))],
+    return solve_linear_kg_curved(g, [(None, CallableMetric(SCALAR_H00))],
                                   1.3, InitialData.bump(0.0, 0.2),
                                   [observers], t0=2.0, t_end=t_end)
 
@@ -557,7 +666,7 @@ def test_stack_row_skipping_levels_leaves_the_other_row_exact(other):
     obs = LevelCopies() if other == "every" else _Picky(lambda k: k % 5 == 0)
     solve_linear_wave_sourced(g, WaveSourceStack(rows), t0=2.0, t_end=12.0,
                               observers=[(pool,), (obs,)])
-    want = _ref_solve_linear_wave_sourced(g, formula(rows[1]), 2.0, 12.0)
+    want = _ref_solve_linear_wave_sourced(g, formula(rows[1], g), 2.0, 12.0)
     if other == "some":
         steps = sorted(obs.levels)
         assert steps[-1] == len(want) - 1 and len(steps) < len(want) // 4
@@ -723,9 +832,11 @@ def _ref_evolve_model(params, grid, data, t0, t_end, cfl=0.5, sources=None,
     return levels
 
 
-def formula(f):
-    """The full-grid formula of the wave_source record f."""
-    return full_grid_wave_source(f.mu, f.nu, f.amp)
+def formula(f, grid, t0=2.0, cfl=0.5):
+    """The wave_source record f at the lattice points of a run on grid
+    from t0 at Courant number cfl: WaveSourceStack's fill there, bit for
+    bit."""
+    return lattice_wave_source(f.mu, f.nu, f.amp, grid, t0, cfl * grid.dx)
 
 
 def _ref_solve_linear_wave_sourced(grid, source, t0, t_end, cfl=0.5,
@@ -750,23 +861,26 @@ def _ref_solve_linear_wave_sourced(grid, source, t0, t_end, cfl=0.5,
 
 def _ref_solve_linear_kg_curved(grid, h00, mass, data, t0, t_end, cfl=0.5,
                                 source=None, textbook=False):
+    """Levels of the curved Klein-Gordon run on the metric h00, bound to
+    the run as the solver binds it but read at every step."""
     dx, r = grid.dx, grid.r(0, grid.n)
     dt = cfl * dx
     c2 = mass ** 2
+    n_steps = int(np.ceil((t_end - t0) / dt - 1e-9))
+    row = h00.on_run(grid, t0, dt, n_steps)
     W = r * np.asarray(data.v0(r), dtype=float)
     dW = r * np.asarray(data.v1(r), dtype=float)
-    h0 = np.asarray(h00(t0, r), dtype=float)
+    h0 = row.fill(0, t0, np.empty(grid.n))
     rhs0 = _ref_d2_odd(W, dx) - c2 * W
     if source is not None:
         rhs0 = rhs0 + r * source(t0, r)
     W_prev, W_cur = W, W + dt * dW + 0.5 * dt * dt * rhs0 / (1.0 + h0)
     levels = [(t0, None, _ref_over_r(W_prev, r, dx)),
               (t0 + dt, None, _ref_over_r(W_cur, r, dx))]
-    n_steps = int(np.ceil((t_end - t0) / dt - 1e-9))
     for k in range(1, n_steps):
         t_k = t0 + k * dt
         W_next = _ref_kg_step(
-            W_prev, W_cur, 1.0 + np.asarray(h00(t_k, r), dtype=float), None,
+            W_prev, W_cur, 1.0 + row.fill(k, t_k, np.empty(grid.n)), None,
             None if source is None else source(t_k, r), c2, r, dx, dt,
             textbook)
         W_prev, W_cur = W_cur, W_next
@@ -805,7 +919,7 @@ def test_linear_wave_matches_allocating_reference():
     # reference run on its full-grid formula bit for bit
     g = grid_for_run(0.05, 2.0, 12.0)
     f = wave_source(0.5, -0.25, 1.0)
-    want = _ref_solve_linear_wave_sourced(g, formula(f), 2.0, 12.0)
+    want = _ref_solve_linear_wave_sourced(g, formula(f, g), 2.0, 12.0)
     obs = LevelCopies()
     solve_linear_wave_sourced(g, WaveSourceStack((f,)), t0=2.0, t_end=12.0,
                               observers=[(obs,)])
@@ -823,7 +937,7 @@ def test_stacked_wave_rows_match_their_solo_references():
                                     t_end=12.0, observers=[(o,) for o in obs])
     for f, o in zip(rows, obs):
         assert_levels_equal(o.levels, _ref_solve_linear_wave_sourced(
-            g, formula(f), 2.0, 12.0))
+            g, formula(f, g), 2.0, 12.0))
     solo = solve_linear_wave_sourced(g, WaveSourceStack(rows[:1]), t0=2.0,
                                      t_end=12.0, observers=[()])
     assert (res.grid, res.t0, res.dt, res.steps, res.t_final) == \
@@ -879,7 +993,7 @@ def test_linear_kg_matches_allocating_reference(case):
     g = grid_for_run(0.05, 2.0, 8.0)
     data = InitialData.bump(0.0, 0.2)
     if case == "scalar-h00":
-        h00, source = (lambda t, r: 0.05 * np.sin(t)), None
+        h00, source = CallableMetric(SCALAR_H00), None
     else:
         h00 = metric_pull(0.1)
         source = lambda t, r: 0.1 * np.exp(-(t - 4.0) ** 2 - r * r)
@@ -891,9 +1005,12 @@ def test_linear_kg_matches_allocating_reference(case):
     assert_levels_equal(obs.levels, want)
 
 
-# scalar, pull and flat rows of one Klein-Gordon stack
-KG_ROWS = [("scalar", lambda t, r: 0.05 * np.sin(t)),
+# scalar, pull and flat rows of one Klein-Gordon stack, and each row's
+# h00 in its textbook form at (t, r)
+KG_ROWS = [("scalar", CallableMetric(SCALAR_H00)),
            ("pull", metric_pull(0.1)), ("flat", ZERO_METRIC)]
+KG_TEXTBOOK = [CallableMetric(SCALAR_H00),
+               CallableMetric(full_grid_metric(0.1)[0]), ZERO_H00]
 
 
 @pytest.mark.parametrize("sourced", [False, True])
@@ -989,7 +1106,8 @@ def _wave_stack_runs():
     solve_linear_wave_sourced(g, WaveSourceStack(rows), t0=2.0, t_end=12.0,
                               observers=[(o,) for o in obs])
     return [(o.levels, _ref_solve_linear_wave_sourced(
-        g, formula(f), 2.0, 12.0, textbook=True)) for f, o in zip(rows, obs)]
+        g, full_grid_wave_source(f.mu, f.nu, f.amp), 2.0, 12.0,
+        textbook=True)) for f, o in zip(rows, obs)]
 
 
 def _kg_stack_runs(sourced):
@@ -1003,7 +1121,7 @@ def _kg_stack_runs(sourced):
                            t0=2.0, t_end=8.0, source=source)
     return [(o.levels, _ref_solve_linear_kg_curved(
         g, h00, 1.3, data, 2.0, 8.0, source=source, textbook=True))
-        for (_, h00), o in zip(KG_ROWS, obs)]
+        for h00, o in zip(KG_TEXTBOOK, obs)]
 
 
 def _model_runs(mms):
