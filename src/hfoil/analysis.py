@@ -286,9 +286,9 @@ class QueryPool:
     and assert_resolved() flush whatever is still pending up to the
     last streamed level.
 
-    wants() names the levels the pool reads, for the solver's `_march`
-    (which states the observer rule): the levels inside some query
-    window and the flush steps that answer a query.  A level it declines
+    next_level() names the levels the pool reads, for the solver's
+    `_march` (which states the observer rule): the levels inside some
+    query window and the flush steps that answer a query.  A level it declines
     would write nothing and answer nothing, so the answers are those of
     a pool shown every level, bit for bit.  Levels must arrive in step
     order.
@@ -392,12 +392,23 @@ class QueryPool:
         if (step + 1) % self.npts == 0:
             self._flush(step)
 
-    def wants(self, step: int) -> bool:
-        """Every level until the plan exists (levels 0 and 1), then the
+    def next_level(self, step: int) -> int:
+        """The first step at or after step whose level the pool reads:
+        every level until the plan exists (levels 0 and 1), then the
         levels some query window reads and the flush steps that answer
-        a query."""
-        return (self._plan is None or self._want_level(step)
-                or ((step + 1) % self.npts == 0 and self._answers(step)))
+        a query, or a step no run reaches when none is left.  Steps
+        must not go back."""
+        if self._plan is None or self._want_level(step):
+            return step
+        # the next window [T - npts + 1, T] starts past step, so only a
+        # flush before it can answer a query, and only the first one, at
+        # flush, for a target in (flush - npts, flush] below step
+        ends, i, npts = self._targets, self._next, self.npts
+        start = int(ends[i]) - npts + 1
+        flush = step + (npts - 1 - step) % npts
+        if flush < start and i > 0 and ends[i - 1] > flush - npts:
+            return flush
+        return start
 
     def _want_level(self, step: int) -> bool:
         """Whether step lies in some query window [T - npts + 1, T]: a
@@ -408,14 +419,6 @@ class QueryPool:
             i += 1
         self._next = i
         return ends[i] < step + self.npts
-
-    def _answers(self, step: int) -> bool:
-        """Whether some target T lies in (step - npts, step], i.e. a
-        flush at step answers a query (a flush answers every T <= step,
-        and the one npts steps earlier took every T <= step - npts).
-        Reads the cursor _want_level(step) left."""
-        ends, i = self._targets, self._next
-        return ends[i] == step or (i > 0 and ends[i - 1] > step - self.npts)
 
     def _open_ring(self):
         """The rings of the queried fields, with a mirror pad wide enough
@@ -641,7 +644,7 @@ class SliceEnergySuite:
     I runs over (d_t, d_r) pairs, L is the radial boost, and all
     combinations with |I| + |J| <= order are tabulated on every listed
     slice.  Pass the suite to the solver as an observer (it forwards
-    on_level and wants to its pool), then read energies() /
+    on_level and next_level to its pool), then read energies() /
     stage_sups() once the run is past the last slice.
     h_s defaults to, and the level filter follows, :func:`ladder_s_step`
     of the order.
@@ -720,8 +723,8 @@ class SliceEnergySuite:
     def on_level(self, t, step, u, v):
         self.pool.on_level(t, step, u, v)
 
-    def wants(self, step):
-        return self.pool.wants(step)
+    def next_level(self, step):
+        return self.pool.next_level(step)
 
     # -- consumers --
 
@@ -807,14 +810,17 @@ class SupTracker:
         self.field = field
         self.t = []
         self.sup = []
+        self._abs = None              # |w| of the level, reused
 
     def on_level(self, t, step, u, v):
         w = u if self.field == "u" else v
         if w is None:
             raise FoliationError(
                 f"sup tracker for field {self.field!r} got no data")
+        if self._abs is None or self._abs.shape != w.shape:
+            self._abs = np.empty(w.shape)
         self.t.append(float(t))
-        self.sup.append(float(np.abs(w).max()))
+        self.sup.append(float(np.abs(w, out=self._abs).max()))
 
     def series(self):
         return np.asarray(self.t), np.asarray(self.sup)

@@ -347,6 +347,11 @@ class _SourceRun:
         self.lattice = lattice
         self.tables = tables
 
+    def support(self, k: int) -> int:
+        """The length of the prefix [0, m) of the grid outside which step
+        k's fill writes +0.0."""
+        return self.lattice.support(k)
+
     def fill(self, k: int, t_k: float, weight: np.ndarray,
              out: np.ndarray) -> np.ndarray:
         """Row i of the (R, n) buffer out gets rows[i]'s f * weight at

@@ -82,6 +82,9 @@ class _CallableSourceRun:
     def __init__(self, fs, r):
         self.fs, self.r = fs, r
 
+    def support(self, k):
+        return len(self.r)
+
     def fill(self, k, t_k, weight, out):
         for row, f in zip(out, self.fs):
             row[:] = f(t_k, self.r) * weight

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -611,10 +613,12 @@ class _Picky:
         self.asked = []
         self.levels = {}
 
-    def wants(self, step):
-        assert step not in self.levels      # asked before it is shown
+    def next_level(self, step):
+        # asked forward only, and never about a level it was shown
+        assert step > max(self.levels, default=-1)
         self.asked.append(step)
-        return self.rule(step)
+        return next((k for k in range(step, step + 1000) if self.rule(k)),
+                    sys.maxsize)
 
     def on_level(self, t, step, u, v):
         self.levels[step] = (t, None if u is None else u.copy(),
@@ -642,11 +646,15 @@ def test_observer_declining_every_level_sees_the_last(kind, t_end):
     never, some = _Picky(lambda step: False), _Picky(lambda k: k % 7 == 3)
     every = LevelCopies()
     res = _run(kind, t_end, [never, some, every])
-    # every observer is asked once per level, in order
-    assert never.asked == some.asked == list(range(res.steps + 1))
+    # an observer is asked before the first level and after each level
+    # it is shown but the last, so one that declines them all is asked
+    # once
+    assert never.asked == [0]
     assert list(never.levels) == [res.steps]
-    assert sorted(some.levels) == sorted(
-        {k for k in never.asked if k % 7 == 3} | {res.steps})
+    shown = sorted(some.levels)
+    assert shown == sorted(
+        {k for k in range(res.steps + 1) if k % 7 == 3} | {res.steps})
+    assert some.asked == [0] + [k + 1 for k in shown[:-1]]
     assert_levels_equal([never.levels[res.steps]], every.levels[-1:])
     assert_levels_equal([some.levels[k] for k in sorted(some.levels)],
                         [every.levels[k] for k in sorted(some.levels)])
@@ -778,6 +786,37 @@ def _ref_kg_step(W_prev, W_cur, denom, cs, S, c2, r, dx, dt, textbook):
     return out
 
 
+def _ref_model_step(params, Wu_prev, Wu_cur, Wv_prev, Wv_cur, u, v, fu, fv,
+                    r, dx, dt):
+    """The coupled model's folded step, (Wv_next, Wu_next): Klein-Gordon
+    o = (e (Wc[j+1] + Wc[j-1]) + g Wc + dt^2 r fv) / A - Wp with e = lam2
+    - (hs lam2) u, g = u 2 (h00 + hs lam2) + c0 and A = u h00 + (1 + hc),
+    then the wave step with the source S = a (Wv_next - Wv_prev)^2 + b
+    (v[j+1] - v[j-1])^2 + c Wv_cur^2 + dt^2 r fu, a = p00 / (4 r), b =
+    ps dt^2 r / (4 dx^2) and c = rcoef dt^2 / r; fu and fv are None for
+    no source."""
+    p = params
+    lam2 = (dt / dx) * (dt / dx)
+    c0, hc, w = 2.0 - 2.0 * lam2, 0.5 * p.mass ** 2 * dt * dt, dt * dt * r
+    e = lam2 - (p.hs * lam2) * u
+    g = u * (2.0 * (p.h00 + p.hs * lam2)) + c0
+    A = u * p.h00 + (1.0 + hc)
+    Wv_next = np.zeros_like(Wv_cur)
+    num = (Wv_cur[2:] + Wv_cur[:-2]) * e[1:-1] + g[1:-1] * Wv_cur[1:-1]
+    if fv is not None:
+        num = num + (fv * w)[1:-1]
+    Wv_next[1:-1] = num / A[1:-1] - Wv_prev[1:-1]
+    S = (p.p00 / (4.0 * r[1:-1]) * (Wv_next - Wv_prev)[1:-1] ** 2
+         + p.ps * dt * dt / (4.0 * dx * dx) * r[1:-1] * (v[2:] - v[:-2]) ** 2
+         + p.rcoef * dt * dt / r[1:-1] * Wv_cur[1:-1] ** 2)
+    if fu is not None:
+        S = S + (fu * w)[1:-1]
+    Wu_next = np.zeros_like(Wu_cur)
+    Wu_next[1:-1] = (c0 * Wu_cur[1:-1] + lam2 * (Wu_cur[2:] + Wu_cur[:-2])
+                     - Wu_prev[1:-1] + S)
+    return Wv_next, Wu_next
+
+
 def _ref_evolve_model(params, grid, data, t0, t_end, cfl=0.5, sources=None,
                       textbook=False):
     p00, ps, rcoef = params.p00, params.ps, params.rcoef
@@ -813,18 +852,23 @@ def _ref_evolve_model(params, grid, data, t0, t_end, cfl=0.5, sources=None,
     n_steps = int(np.ceil((t_end - t0) / dt - 1e-9))
     for k in range(1, n_steps):
         t_k = t0 + k * dt
-        u_cur = levels[-1][1]
-        Wv_next = _ref_kg_step(Wv_prev, Wv_cur, 1.0 + u_cur * h00,
-                               1.0 - u_cur * hs,
-                               None if fv is None else fv(t_k, r), c2, r,
-                               dx, dt, textbook)
-        v_cur = _ref_over_r(Wv_cur, r, dx)
-        dtv = _ref_over_r((Wv_next - Wv_prev) / (2.0 * dt), r, dx)
-        drv = _ref_ddr_even(v_cur, dx)
-        N = p00 * dtv ** 2 + ps * drv ** 2 + rcoef * v_cur ** 2
-        if fu is not None:
-            N = N + fu(t_k, r)
-        Wu_next = _ref_wave_step(Wu_prev, Wu_cur, N, r, dx, dt, textbook)
+        _, u_cur, v_cur = levels[-1]
+        if textbook:
+            Wv_next = _ref_kg_step(Wv_prev, Wv_cur, 1.0 + u_cur * h00,
+                                   1.0 - u_cur * hs,
+                                   None if fv is None else fv(t_k, r), c2,
+                                   r, dx, dt, textbook)
+            dtv = _ref_over_r((Wv_next - Wv_prev) / (2.0 * dt), r, dx)
+            drv = _ref_ddr_even(v_cur, dx)
+            N = p00 * dtv ** 2 + ps * drv ** 2 + rcoef * v_cur ** 2
+            if fu is not None:
+                N = N + fu(t_k, r)
+            Wu_next = _ref_wave_step(Wu_prev, Wu_cur, N, r, dx, dt, textbook)
+        else:
+            Wv_next, Wu_next = _ref_model_step(
+                params, Wu_prev, Wu_cur, Wv_prev, Wv_cur, u_cur, v_cur,
+                None if fu is None else fu(t_k, r),
+                None if fv is None else fv(t_k, r), r, dx, dt)
         Wu_prev, Wu_cur = Wu_cur, Wu_next
         Wv_prev, Wv_cur = Wv_cur, Wv_next
         levels.append((t0 + (k + 1) * dt, _ref_over_r(Wu_cur, r, dx),
@@ -889,13 +933,15 @@ def _ref_solve_linear_kg_curved(grid, h00, mass, data, t0, t_end, cfl=0.5,
 
 
 def assert_levels_equal(got, want):
+    # bit for bit, the sign of every zero included
     assert len(got) == len(want)
     for (tg, ug, vg), (tw, uw, vw) in zip(got, want):
         assert tg == tw
         for a, b in ((ug, uw), (vg, vw)):
             assert (a is None) == (b is None)
             if a is not None:
-                assert np.array_equal(a, b)
+                assert a.shape == b.shape
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @pytest.mark.parametrize("sourced", [False, True])
@@ -912,6 +958,103 @@ def test_evolve_model_matches_allocating_reference(sourced):
                  sources=sources)
     want = _ref_evolve_model(params, g, data, 2.0, 5.0, sources=sources)
     assert_levels_equal(obs.levels, want)
+
+
+def _spy_ends(monkeypatch, *kernels):
+    """The flat prefix end of every call of the named step kernels."""
+    ends = []
+    for name in kernels:
+        def spy(*args, kernel=getattr(solver, name)):
+            ends.append(args[-1])
+            return kernel(*args)
+        monkeypatch.setattr(solver, name, spy)
+    return ends
+
+
+@pytest.mark.parametrize("eps", [(0.05, 0.08), (-0.05, -0.08), (0.05, -0.08)])
+def test_evolve_model_window_keeps_every_bit(monkeypatch, eps):
+    # the live window against the full-width reference, the sign of every
+    # zero included: bump data are +0.0 past their support, and a negative
+    # amplitude makes that -0.0, which counts as live, so such a run steps
+    # the whole grid
+    params = ModelParams(1.0, 0.8, 1.2, 0.7, 0.9, 1.1)
+    g = grid_for_run(0.05, 2.0, 5.0)
+    data = InitialData.bump(*eps)
+    ends = _spy_ends(monkeypatch, "_model_kg_update", "_wave_update")
+    obs = LevelCopies()
+    evolve_model(params, g, data, t0=2.0, t_end=5.0, observers=[obs])
+    assert_levels_equal(obs.levels, _ref_evolve_model(params, g, data, 2.0,
+                                                      5.0))
+    if min(eps) > 0:
+        # the window starts just past the bump and grows with the signal
+        assert ends[0] == 23 and ends[-1] < g.n
+        assert ends == sorted(ends)
+    else:
+        assert set(ends) == {g.n}
+    zero = obs.levels[-1][1][-1]
+    assert zero == 0.0 and not np.signbit(zero)
+
+
+@pytest.mark.parametrize("kind", ["model", "wave", "kg"])
+def test_window_reaching_the_grid_end_trips_as_the_full_width(monkeypatch,
+                                                              kind):
+    # runs without a callable source, so the window starts short and
+    # grows to the whole grid; the boundary guard must trip at the step,
+    # place and value of a run that steps the whole grid from the start
+    g = RadialGrid(dx=0.05, n=60)
+
+    def run(observers):
+        if kind == "model":
+            return evolve_model(ModelParams.free(), g,
+                                InitialData.bump(0.1, 0.0), t0=2.0,
+                                t_end=12.0, observers=observers)
+        if kind == "wave":
+            return solve_linear_wave_sourced(
+                g, WaveSourceStack([wave_source(0.5, 0.5)]), [observers],
+                t0=2.0, t_end=12.0)
+        return solve_linear_kg_curved(g, [(None, ZERO_METRIC)], 1.0,
+                                      InitialData.bump(0.0, 0.1),
+                                      [observers], t0=2.0, t_end=12.0)
+
+    reports, seen = [], []
+    for whole in (False, True):
+        with monkeypatch.context() as m:
+            if whole:
+                m.setattr(solver, "_live_end", lambda levels: g.n)
+            ends = _spy_ends(m, "_model_kg_update", "_wave_update",
+                             "_kg_update")
+            obs = LevelCopies()
+            with pytest.raises(StabilityError) as ei:
+                run([obs])
+        if whole:
+            assert set(ends) == {g.n}
+        else:
+            assert ends[0] < g.n // 2 and ends[-1] == g.n
+        reports.append(ei.value.report)
+        seen.append(obs.levels)
+    assert reports[0] == reports[1] and reports[0]["kind"] == "boundary"
+    assert_levels_equal(seen[0], seen[1])
+
+
+def test_cfl_bound_that_does_not_clear_runs_the_exact_check():
+    # at cfl 0.8, lam2 = 0.64, and the scalar bound (1 + q) / (1 - q) lam2,
+    # q = |H| max|u|, clears the step only for q below 0.22; u starts
+    # at q = 0.27 and decays past that, so the early steps take the
+    # exact check and the later ones skip it.  hs = -h00 holds the
+    # squared speed (1 - hs u) / (1 + h00 u) at exactly 1, so the exact
+    # check passes at every step
+    params = ModelParams(1.0, 0.8, 1.2, 0.9, -0.9, 1.1)
+    g = grid_for_run(0.05, 2.0, 5.0)
+    data = InitialData.bump(0.3, 0.08)
+    obs = LevelCopies()
+    res = evolve_model(params, g, data, t0=2.0, t_end=5.0, cfl=0.8,
+                       observers=[obs])
+    assert_levels_equal(obs.levels, _ref_evolve_model(params, g, data, 2.0,
+                                                      5.0, cfl=0.8))
+    lam2 = (res.dt / g.dx) ** 2
+    q = [params.h_norm() * np.abs(u).max() for _, u, _ in obs.levels[1:-1]]
+    clears = [(1.0 + x) / (1.0 - x) * lam2 < 1.0 for x in q]
+    assert not clears[0] and clears[-1]
 
 
 def test_linear_wave_matches_allocating_reference():
