@@ -21,10 +21,11 @@ The wave sources (wave_source records, evaluated only as the rows of a
 WaveSourceStack) and the metric pull both switch on over one band of
 t - r, SWITCH_ON.  Both are functions of t - r and t + r times a scalar
 of t, and both solvers step at Courant number 1/M for an integer M (M =
-2 here, _CFL), so every grid point of a run has t_k -/+ r_j = t0 + (k
--/+ M j) dt: each profile binds to a run as tables on that lattice,
-built once per run on the support t - r > SWITCH_ON[0] and read at
-every step as stride-M views (_NullLattice).
+1 for the wave check, _WAVE_CFL, and M = 2 for the Klein-Gordon check,
+_KG_CFL), so every grid point of a run has t_k -/+ r_j = t0 + (k -/+ M
+j) dt: each profile binds to a run as tables on that lattice, built
+once per run on the support t - r > SWITCH_ON[0] and read at every step
+as stride-M views (_NullLattice).
 """
 import math
 from dataclasses import dataclass, replace
@@ -146,9 +147,16 @@ ZERO_METRIC = MetricPerturb(lambda grid, t0, dt, steps: _FlatRow(),
 SWITCH_ON = (1.0, 1.5)
 _LO, _WID = SWITCH_ON[0], SWITCH_ON[1] - SWITCH_ON[0]
 
-# the Courant number of both envelope checks' runs; its inverse, the M
-# of _NullLattice, is an integer
-_CFL = 0.5
+# the Courant numbers of the envelope checks' runs; each inverse, the M
+# of _NullLattice, is an integer.  The wave check runs at exactly 1:
+# there the leapfrog of W = r u is the characteristic update W(k+1, j) =
+# W(k, j+1) + W(k, j-1) - W(k-1, j) (lam2 = 1, c0 = 0), which carries
+# the source-free part exactly (every amplification factor has |g| =
+# 1), so only the sourced part errs, at O(dx^2).  The Klein-Gordon
+# check keeps 1/2: at 1 its ratios move by percents, to be judged
+# against an exact oracle first
+_WAVE_CFL = 1.0
+_KG_CFL = 0.5
 
 
 class _NullLattice:
@@ -506,9 +514,10 @@ _WAVE_TR_MIN = 2.0
 # QueryPool coverage margins of the lattices: a query's 10-point window
 # of radial columns and levels must lie on the run, so lattice points
 # stay _POOL_EDGE_CELLS cells inside the outer edge and the run goes on
-# _POOL_TAIL_STEPS steps past the last query time
+# _POOL_TAIL_CELLS dx past the last query time: 12 steps at Courant
+# number 1/2, and 6 at 1, of which a window needs 5
 _POOL_EDGE_CELLS = 16
-_POOL_TAIL_STEPS = 12
+_POOL_TAIL_CELLS = 6
 
 # kg_lattice starts on the slice KG_LATTICE_LEAD * s0, a tenth past the
 # first hyperboloid of the envelopes
@@ -520,7 +529,8 @@ class RayLattice:
     """The sample points of an envelope check, and the run that covers
     them; two lattices compare equal only when they are one object.
 
-    The run goes from _T0 to t_end on grid at Courant number _CFL.
+    The run goes from _T0 to t_end on grid at its check's Courant
+    number (_KG_CFL or _WAVE_CFL).
     levels are the lattice's slices s or times t, one row each; ts and
     rs are the covered points in row-major order, and row and ray give
     each point's level and ray.  skipped counts the points inside the
@@ -573,9 +583,9 @@ def kg_lattice(params: BoundParams, *, dx: float,
     """The lattice of kg_bound_margin at step dx: _N_LEVELS slices s from
     KG_LATTICE_LEAD s0 to s_max, each crossed with _N_RAYS rays from
     the axis to the ray through t - r = _KG_TR_MIN on the last slice,
-    kept where t - r >= _KG_TR_MIN.  The run ends _POOL_TAIL_STEPS
-    steps past the cross of the latest point.  A first slice at or past
-    s_max is a ValueError."""
+    kept where t - r >= _KG_TR_MIN.  The run ends _POOL_TAIL_CELLS dx
+    past the cross of the latest point.  A first slice at or past s_max
+    is a ValueError."""
     s_first = KG_LATTICE_LEAD * params.s0
     if not s_first < s_max:
         raise ValueError(f"the lattice's first slice {KG_LATTICE_LEAD:g} s0 "
@@ -590,7 +600,7 @@ def kg_lattice(params: BoundParams, *, dx: float,
     t_max = float(np.max(T[inside])) if inside.any() else _T0
     return _ray_lattice(
         s, T, R, inside, dx=dx, reach=_KG_DELTA,
-        t_end=t_max + _KG_DELTA + _POOL_TAIL_STEPS * (_CFL * dx),
+        t_end=t_max + _KG_DELTA + _POOL_TAIL_CELLS * dx,
         geometry={"dx": dx, "s_max": s_max, "tr_min": _KG_TR_MIN,
                   "delta": _KG_DELTA}, span=f"up to s_max = {s_max:g}")
 
@@ -623,7 +633,7 @@ def kg_bound_margin(lattice: RayLattice, metrics, data: InitialData,
     crosses = [[pool.add("v", t, r) for t, r in probes] for pool in pools]
     solve_linear_kg_curved(grid, metrics, params.mass, data,
                            [(pool,) for pool in pools], t0=_T0,
-                           t_end=lattice.t_end, cfl=_CFL, source=f)
+                           t_end=lattice.t_end, cfl=_KG_CFL, source=f)
 
     ss = np.sqrt(ts * ts - rs * rs)
     rr = grid.r(0, grid.n)
@@ -708,17 +718,19 @@ def format_c(c: float) -> str:
 
 
 def wave_lattice(*, dx: float, t_lo: float, t_end: float) -> RayLattice:
-    """The lattice of wave_bound_margin on the run from _T0 to t_end at
-    step dx: _N_LEVELS times t from t_lo up to t_end less
-    _POOL_TAIL_STEPS steps, each crossed with _N_RAYS rays, kept where
-    t - r >= _WAVE_TR_MIN.  A t_end that leaves no lattice time past
-    t_lo is an EmptyLatticeError."""
-    t_hi = t_end - _POOL_TAIL_STEPS * (_CFL * dx)
+    """The lattice of wave_bound_margin on the run from _T0 to t_end on
+    the grid of step dx, stepped at Courant number _WAVE_CFL (dt = dx):
+    _N_LEVELS times t from t_lo up to t_end less _POOL_TAIL_CELLS dx,
+    each crossed with _N_RAYS rays, kept where t - r >= _WAVE_TR_MIN.  A
+    t_end that leaves no lattice time past t_lo is an
+    EmptyLatticeError."""
+    tail = _POOL_TAIL_CELLS * dx
+    t_hi = t_end - tail
     if t_hi < t_lo:
         raise EmptyLatticeError(
             f"no lattice time lies in the run: the lattice would run from "
             f"t_lo = {t_lo:g} to {t_hi:g}, t_end = {t_end:g} less "
-            f"{_POOL_TAIL_STEPS} steps")
+            f"{_POOL_TAIL_CELLS} dx = {tail:g}")
     t_vals = np.geomspace(t_lo, t_hi, _N_LEVELS)
     chi = np.linspace(0.0, 0.5 * math.log(2.0 * t_hi / _WAVE_TR_MIN),
                       _N_RAYS)
@@ -748,7 +760,7 @@ def wave_bound_margin(lattice: RayLattice, pairs, *, amp: float) -> list:
     pools = [QueryPool(lattice.grid) for _ in stack.rows]
     handles = [pool.add("u", ts, rs) for pool in pools]
     solve_linear_wave_sourced(lattice.grid, stack, t0=_T0,
-                              t_end=lattice.t_end, cfl=_CFL,
+                              t_end=lattice.t_end, cfl=_WAVE_CFL,
                               observers=[(pool,) for pool in pools])
     decade = np.floor(np.log10(ts)).astype(int)
     reports = []

@@ -53,8 +53,11 @@ reads only these keys (a whole section where one is named):
 - convergence-suite: resolution, cfl, pad_cells, ``[model]``, epsilon,
   eps_u
 
-The two envelope scenarios read no cfl: they run at the Courant number
-1/2, since their profile tables need dx/dt to be an integer.
+The two envelope scenarios read no cfl, since their profile tables need
+dx/dt to be an integer: linear-wave-bound runs at the Courant number 1,
+where its leapfrog is the exact characteristic update of the radial
+wave (``bounds._WAVE_CFL``), and linear-kg-bound at 1/2
+(``bounds._KG_CFL``).
 
 Command line flags override config fields (``--resolution``,
 ``--epsilon``, ``--until-s``, ``--deterministic``, ``--out``); a flag's
@@ -127,7 +130,12 @@ SERIES_SCHEMAS = {
     "drift/v1": ("resolution", "s", "energy"),
 }
 
-CFL_CAP = 0.9   # the radial leapfrog is stable for Courant numbers below 1
+# the largest cfl a config may set.  The coupled model's signal speed
+# moves with u, so it keeps a margin below 1.  The linear wave is stable
+# at exactly 1: its step is then the characteristic update W(k+1, j) =
+# W(k, j+1) + W(k, j-1) - W(k-1, j), every amplification factor of which
+# has |g| = 1 (linear-wave-bound runs there, with no cfl key)
+CFL_CAP = 0.9
 _T0 = 2.0       # the first time level of a model-evolution run
 
 

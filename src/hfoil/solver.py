@@ -134,9 +134,10 @@ def grid_for_run(dx: float, t0: float, t_end: float,
 #
 # The step kernels are the leapfrog updates multiplied through by dt^2,
 # with each run's constants folded into scalars once: lam2 = dt^2/dx^2
-# (exactly 0.25 at Courant number 0.5), c0 = 2 - 2 lam2 and hc = c^2
-# dt^2 / 2 (`_folded`).  Sources arrive already weighted by w = dt^2 r,
-# one (n,) weight each run builds once.  Passes over the stack per step:
+# (exactly 0.25 at Courant number 0.5, and 1 at 1, where c0 = 0), c0 =
+# 2 - 2 lam2 and hc = c^2 dt^2 / 2 (`_folded`).  Sources arrive already
+# weighted by w = dt^2 r, one (n,) weight each run builds once.  Passes
+# over the stack per step:
 #
 # * the wave step (`_wave_update`): six;
 # * the linear Klein-Gordon step (`_kg_update`): nine, ten with a source;
@@ -637,6 +638,10 @@ def solve_linear_wave_sourced(grid: RadialGrid, source, observers: Sequence,
     every step.  :class:`hfoil.bounds.WaveSourceStack` tabulates its
     profiles when it binds, and raises ValueError there unless dx/dt is
     an integer; this solver checks no ratio.
+    cfl may be 1 exactly (the wave envelope check runs there): the step
+    is then the characteristic update W(k+1, j) = W(k, j+1) + W(k, j-1)
+    - W(k-1, j) + dt^2 r f, exact for the source-free part, so only the
+    sourced part errs, at O(dx^2), in half the steps of cfl 1/2.
     observers holds one sequence of observers per row.  The rows step as
     one (R, n) level, and every row gets the levels of its own one-row
     run bit for bit.

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -13,7 +14,9 @@ from hfoil.bounds import (SWITCH_ON, BoundParams, MetricPerturb, RayCoords,
 from hfoil.cli import _refined, parse_config, relative_change
 from hfoil.fields import RadialGrid
 from hfoil.util import ConfigError, EmptyLatticeError
-from hfoil.solver import InitialData, grid_for_run
+from hfoil.analysis import QueryPool
+from hfoil.solver import (InitialData, grid_for_run,
+                          solve_linear_wave_sourced)
 from slice_reference import (CallableMetric, full_grid_metric,
                              full_grid_wave_source, lattice_pull,
                              lattice_wave_source)
@@ -758,22 +761,30 @@ STACK_CASES = {"same-mu": (0.5, 0.5, wave_source(0.5, -0.25, 0.9)),
                "same-pair": (0.5, 0.5, wave_source(0.5, 0.5, 0.8))}
 
 
-def wave_march_run(dx):
+def wave_march_run(dx, cfl):
     """(grid, t0, dt, steps) of the wave-march runs: t0 = 2, t_end = 60,
-    Courant number 1/2."""
+    at Courant number cfl."""
     g = grid_for_run(dx, 2.0, 60.0)
-    dt = 0.5 * dx
+    dt = cfl * dx
     return g, 2.0, dt, int(np.ceil((60.0 - 2.0) / dt - 1e-9))
 
 
-@pytest.mark.parametrize("dx", [0.01, 0.02])
+# the wave-march grids, and the coarse one at Courant number 1/2, whose
+# tables are read as stride-2 views
+WAVE_MARCH_RUNS = dict(argvalues=[(0.01, bounds._WAVE_CFL),
+                                  (0.02, bounds._WAVE_CFL), (0.02, 0.5)],
+                       ids=["0.01", "0.02", "0.02-courant-half"])
+
+
+@pytest.mark.parametrize("dx, cfl", **WAVE_MARCH_RUNS)
 @pytest.mark.parametrize("case", list(STACK_CASES))
-def test_wave_source_fill_matches_full_grid_formula_at_every_step(dx, case):
-    # the step times and the weight dt^2 r of the wave-march grids; a
-    # one-row stack and every row of a two-row stack
+def test_wave_source_fill_matches_full_grid_formula_at_every_step(dx, cfl,
+                                                                   case):
+    # the step times and the weight dt^2 r of each run; a one-row stack
+    # and every row of a two-row stack
     mu, nu, partner = STACK_CASES[case]
     f = wave_source(mu, nu, 1.03)
-    g, t0, dt, steps = wave_march_run(dx)
+    g, t0, dt, steps = wave_march_run(dx, cfl)
     solo = WaveSourceStack((f,)).on_run(g, t0, dt, steps)
     stack = WaveSourceStack([f, partner]).on_run(g, t0, dt, steps)
     want_f = lattice_wave_source(mu, nu, 1.03, g, t0, dt)
@@ -804,11 +815,11 @@ def assert_within_textbook(got, want, rel=PROFILE_REL):
     return not bits_equal(got, want)
 
 
-@pytest.mark.parametrize("dx", [0.01, 0.02])
-def test_wave_source_run_stays_within_a_bound_of_the_textbook_form(dx):
-    # linear-wave-bound's two pairs at every step of the wave-march grids
+@pytest.mark.parametrize("dx, cfl", **WAVE_MARCH_RUNS)
+def test_wave_source_run_stays_within_a_bound_of_the_textbook_form(dx, cfl):
+    # linear-wave-bound's two pairs at every step of each run
     pairs = [(0.5, 0.5), (0.5, -0.25)]
-    g, t0, dt, steps = wave_march_run(dx)
+    g, t0, dt, steps = wave_march_run(dx, cfl)
     run = WaveSourceStack(wave_source(mu, nu) for mu, nu in pairs).on_run(
         g, t0, dt, steps)
     textbook = [full_grid_wave_source(mu, nu) for mu, nu in pairs]
@@ -1102,6 +1113,121 @@ def test_wave_margin_small_run_both_branches():
         json.dumps(rep)
         # a pair's report does not depend on the pairs stacked beside it
         assert json.dumps(both) == json.dumps(rep)
+
+
+# === the wave check at Courant number 1 ===
+
+# (points, grid cells, last level, sum of t, sum of r) of the default
+# lattices, as they were when the wave check stepped at Courant number
+# 1/2 with a tail of 12 steps: the tail is now 6 dx, the same length
+@pytest.mark.parametrize("dx, n, last, t_sum, r_sum", [
+    (0.04, 1561, 59.76, 7376.4733598037665, 4370.218928797611),
+    (0.01, 6061, 59.94, 7391.899417073709, 4381.2960917029),
+])
+def test_wave_lattice_keeps_its_points(dx, n, last, t_sum, r_sum):
+    lat = wave_lattice(dx=dx, t_lo=10.0, t_end=60.0)
+    assert np.array_equal(lat.levels,
+                          np.geomspace(10.0, 60.0 - 12 * (0.5 * dx), 20))
+    assert lat.levels[-1] == last and lat.t_end == 60.0
+    assert (lat.ts.size, lat.skipped, lat.grid.n) == (241, 0, n)
+    assert math.fsum(lat.ts) == pytest.approx(t_sum, rel=1e-14)
+    assert math.fsum(lat.rs) == pytest.approx(r_sum, rel=1e-14)
+
+
+def test_kg_lattice_keeps_its_points():
+    # the run still ends 12 steps of Courant number 1/2 past the latest
+    # cross, and the lattice is the one of every earlier dx
+    for dx, n in ((0.01, 2697), (0.04, 725)):
+        lat = kg_lattice(BoundParams(), dx=dx, s_max=8.0)
+        assert lat.t_end == lat.ts.max() + 0.08 + 12 * (0.5 * dx)
+        assert (lat.ts.size, lat.skipped, lat.grid.n) == (206, 0, n)
+        assert math.fsum(lat.ts) == pytest.approx(1472.940910009601,
+                                                  rel=1e-14)
+        assert math.fsum(lat.rs) == pytest.approx(897.1307562529796,
+                                                  rel=1e-14)
+    assert bounds._KG_CFL == 0.5
+
+
+def test_wave_pool_answers_the_last_lattice_time_at_courant_1():
+    # the run steps dt = dx and goes 6 steps past the last lattice time;
+    # a query's 10-level window needs 5 of them, so a point 3.5 steps
+    # before the end is not answered
+    lat = wave_lattice(dx=0.1, t_lo=6.0, t_end=20.0)
+    last = lat.row == len(lat.levels) - 1
+    pool, late = QueryPool(lat.grid), QueryPool(lat.grid)
+    pool.add("u", lat.ts[last], lat.rs[last])
+    late.add("u", [lat.t_end - 0.35], [0.0])
+    res = solve_linear_wave_sourced(
+        lat.grid, WaveSourceStack([wave_source(0.5, 0.5)]),
+        [(pool, late)], t0=2.0, t_end=lat.t_end, cfl=bounds._WAVE_CFL)
+    assert bounds._WAVE_CFL == 1.0 and res.dt == lat.grid.dx
+    assert res.steps == 180
+    assert (res.t_final - lat.levels[-1]) / res.dt == pytest.approx(6.0)
+    pool.assert_resolved()
+    assert late.unresolved() == 1
+
+
+def test_wave_lattice_error_names_its_tail_in_dx():
+    # the coarse lattice of until_t = 10.3 at resolution 0.04
+    with pytest.raises(EmptyLatticeError) as ei:
+        wave_lattice(dx=0.08, t_lo=10.0, t_end=10.3)
+    assert str(ei.value) == (
+        "no lattice time lies in the run: the lattice would run from "
+        "t_lo = 10 to 9.82, t_end = 10.3 less 6 dx = 0.48")
+
+
+# the axis route: u(t, 0) = int_t0^t (t - tau) f(tau, t - tau) dtau
+AXIS_TS = (5.0, 10.0, 20.0, 40.0, 58.0)
+AXIS_PAIRS = ((0.5, 0.5), (0.5, -0.25))
+
+
+@functools.lru_cache(maxsize=None)
+def axis_duhamel(mu, nu, t):
+    """u(t, 0) of the sourced wave from rest at t0 = 2 by quadrature of
+    the closed-form source, which is zero until 2 tau - t passes
+    SWITCH_ON[0]."""
+    integrate = pytest.importorskip("scipy.integrate")
+    f = full_grid_wave_source(mu, nu)
+    lo = max(2.0, 0.5 * (t + SWITCH_ON[0]))
+    val, _ = integrate.quad(lambda tau: (t - tau) * f(tau, t - tau).item(),
+                            lo, t, points=[0.5 * (t + SWITCH_ON[1])],
+                            epsabs=0.0, epsrel=1e-12, limit=200)
+    return val
+
+
+@pytest.mark.parametrize("dx", [0.04, 0.02, 0.01])
+def test_wave_axis_matches_the_duhamel_integral(dx):
+    """The solver's r = 0 value through a QueryPool against the axis
+    Duhamel integral, for both default pairs at t = 5, 10, 20, 40 and
+    58, at Courant number 1 (the wave check's) and 1/2.
+
+    The gate, stated before the run: per pair, the largest relative
+    error over the five times is at most 0.025 dx^2 at Courant number 1,
+    and no larger than at 1/2.  Measured, Courant 1 against 1/2: 1.97e-5
+    against 2.26e-5 (0.5, 0.5) and 1.89e-5 against 3.02e-5 (0.5, -0.25)
+    at dx 0.04; 2.13e-6 against 5.80e-6 and 4.11e-6 against 7.64e-6 at
+    0.02; 1.34e-6 against 1.45e-6 and 1.76e-6 against 1.91e-6 at 0.01.
+    The largest errors sit at early times.  Late errors at coarse dx are
+    larger at Courant number 1: at t = 58 and dx 0.04 they read 4.75e-6
+    for (0.5, 0.5), against 9.5e-8 at 1/2.
+    """
+    ts = np.array(AXIS_TS)
+    exact = {p: np.array([axis_duhamel(*p, t) for t in AXIS_TS])
+             for p in AXIS_PAIRS}
+    worst = {}
+    for cfl in (1.0, 0.5):
+        grid = grid_for_run(dx, 2.0, 59.0)
+        pools = [QueryPool(grid) for _ in AXIS_PAIRS]
+        handles = [pool.add("u", ts, np.zeros_like(ts)) for pool in pools]
+        solve_linear_wave_sourced(
+            grid, WaveSourceStack(wave_source(*p) for p in AXIS_PAIRS),
+            [(pool,) for pool in pools], t0=2.0, t_end=59.0, cfl=cfl)
+        for p, pool, handle in zip(AXIS_PAIRS, pools, handles):
+            worst[p, cfl] = float(np.max(np.abs(
+                pool.result(handle) / exact[p] - 1.0)))
+    for p in AXIS_PAIRS:
+        assert worst[p, 1.0] <= 0.025 * dx * dx, (p, worst)
+        assert worst[p, 1.0] <= worst[p, 0.5], (p, worst)
 
 
 def test_refinement_helpers():

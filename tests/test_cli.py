@@ -177,7 +177,7 @@ def test_flag_conflict_reports_field_without_line():
     ("frame-identity-suite", "[model]\nmass = 2\n", 2, "mass"),
     ("convergence-suite", "[data]\nepsilon = 0.02\neps_v = 0.1\n", 3,
      "eps_v"),
-    # the envelope scenarios run at the fixed Courant number 1/2
+    # the envelope scenarios run at fixed Courant numbers (1 and 1/2)
     ("linear-kg-bound", "[grid]\ncfl = 0.5\n", 2, "cfl"),
     ("linear-wave-bound", "[grid]\nresolution = 0.04\ncfl = 0.25\n", 3,
      "cfl"),
@@ -330,7 +330,9 @@ def test_empty_window_is_a_config_error_at_its_key(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: line {line}: {key}")
     if "until_t = 10.3" in text:
-        assert "to 9.82" in err
+        assert err.rstrip().endswith(
+            "the lattice would run from t_lo = 10 to 9.82, t_end = 10.3 "
+            "less 6 dx = 0.48")
     assert calls == []
     assert not out.exists()
 
