@@ -114,7 +114,8 @@ class MetricPerturb:
     t0 at step dt: it returns the run's row, whose fill(k, t_k, out)
     writes h00 at the step's time t_k = t0 + k dt on the grid into the
     (n,) out, for k in [0, steps), and whose steady is true when h00
-    does not depend on t, so that the solver fills it once per run.  dt
+    does not depend on t, so that the solver fills it and builds its
+    step weights from it once per run.  dt
     and dr are the analytic t- and r-derivatives, from which the
     envelopes assemble the ray derivative exactly.
     """
@@ -126,7 +127,8 @@ class MetricPerturb:
 
 
 class _FlatRow:
-    """The run row of h00 = 0: steady, so its solver fills it once."""
+    """The run row of h00 = 0: steady, so its solver fills it and builds
+    its step weights once."""
     steady = True
 
     def fill(self, k, t_k, out):
@@ -535,7 +537,7 @@ class RayLattice:
     rs are the covered points in row-major order, and row and ray give
     each point's level and ray.  skipped counts the points inside the
     cone that the run cannot cover; geometry holds the lattice's entries
-    of a report's params.
+    of a report's params, the run's Courant number ("cfl") among them.
     """
     grid: RadialGrid
     t_end: float
@@ -601,8 +603,9 @@ def kg_lattice(params: BoundParams, *, dx: float,
     return _ray_lattice(
         s, T, R, inside, dx=dx, reach=_KG_DELTA,
         t_end=t_max + _KG_DELTA + _POOL_TAIL_CELLS * dx,
-        geometry={"dx": dx, "s_max": s_max, "tr_min": _KG_TR_MIN,
-                  "delta": _KG_DELTA}, span=f"up to s_max = {s_max:g}")
+        geometry={"dx": dx, "cfl": _KG_CFL, "s_max": s_max,
+                  "tr_min": _KG_TR_MIN, "delta": _KG_DELTA},
+        span=f"up to s_max = {s_max:g}")
 
 
 def kg_bound_margin(lattice: RayLattice, metrics, data: InitialData,
@@ -739,7 +742,7 @@ def wave_lattice(*, dx: float, t_lo: float, t_end: float) -> RayLattice:
     return _ray_lattice(
         t_vals, T, R, T - R >= _WAVE_TR_MIN, dx=dx, t_end=t_end,
         reach=0.0,
-        geometry={"dx": dx, "t_range": [t_lo, t_end],
+        geometry={"dx": dx, "cfl": _WAVE_CFL, "t_range": [t_lo, t_end],
                   "tr_min": _WAVE_TR_MIN},
         span=f"from t = {t_lo:g} to {t_hi:g}")
 

@@ -67,18 +67,20 @@ subcommand always wins over the ``scenario`` key.  Once the subcommand
 has set the scenario, a key or flag that it does not read is a
 ConfigError (with the key's line, or no line for a flag), and so is a
 zero data amplitude (eps_v, eps_u or the epsilon that fills them) for
-linear-kg-bound and convergence-suite, an s0 below t0 = 2 for
-model-evolution, and a first slice at or past the last slice, until_s
-or the scenario's default (the first slice is s0, and KG_LATTICE_LEAD
-s0 for linear-kg-bound, whose lattice starts there).  until_t can only
-lengthen a model-evolution run; one that would cut it short is a
-ConfigError, raised once the scenario has planned its ladder, and so is
-an until_s or until_t that leaves a margin lattice of linear-kg-bound or
-linear-wave-bound no point to measure; a ConfigError raised inside a
-scenario leaves no partial tree (the echo is removed, and so is the
-output directory if the run made it).  Every run
-writes ``config.echo.txt`` (the fully resolved config), ``report.json``
-and a human-readable ``report.txt`` next to its data tables, all through
+linear-kg-bound and convergence-suite, a zero source_amp for
+linear-wave-bound, an s0 below t0 = 2 for model-evolution, and a first
+slice at or past the last slice, until_s or the scenario's default (the
+first slice is s0, and KG_LATTICE_LEAD s0 for linear-kg-bound, whose
+lattice starts there).  until_t can only lengthen a model-evolution
+run; one that would cut it short is a ConfigError, raised once the
+scenario has planned its ladder, and so is an until_s or until_t that
+leaves a margin lattice of linear-kg-bound or linear-wave-bound no point
+to measure; a ConfigError raised inside a scenario leaves no partial
+tree (the echo is removed, and so is the output directory if the run
+made it).  Every run writes ``config.echo.txt`` (scenario,
+deterministic and the resolved keys the scenario reads: a config that
+``--config`` takes back to rebuild the tree), ``report.json`` and a
+human-readable ``report.txt`` next to its data tables, all through
 this module: it is the one owner of the output formats.  With
 ``--deterministic`` the wall-time field is omitted, so two runs of the
 same config produce byte-identical trees.
@@ -323,12 +325,11 @@ _READS = {
                           "eps_u"} | _attrs("model"),
 }
 
-# resolution default depends on the scenario budget
+# resolution default of the scenarios that read it, set by their budget
 _DEFAULT_RESOLUTION = {
     "model-evolution": 0.05,
     "linear-kg-bound": 0.01,   # refinement vs 2dx passes the 10% bar here
     "linear-wave-bound": 0.04,
-    "sobolev-suite": 0.05,
     "frame-identity-suite": 0.05,
     "convergence-suite": 0.02,
 }
@@ -431,9 +432,10 @@ def _check_read(cfg: RunConfig) -> None:
                               line=line, field=attr)
 
 
-# the amplitude key of the scenarios whose data is that amplitude times
-# a fixed profile, so that 0 leaves nothing to measure
-_AMPLITUDE_KEY = {"linear-kg-bound": "eps_v", "convergence-suite": "eps_u"}
+# the amplitude key of the scenarios whose data or source is that
+# amplitude times a fixed profile, so that 0 leaves nothing to measure
+_AMPLITUDE_KEY = {"linear-kg-bound": "eps_v", "convergence-suite": "eps_u",
+                  "linear-wave-bound": "source_amp"}
 
 
 def _check_amplitude(cfg: RunConfig) -> None:
@@ -445,7 +447,7 @@ def _check_amplitude(cfg: RunConfig) -> None:
     if getattr(cfg, key) is None:
         key = "epsilon"
     if getattr(cfg, key) == 0.0:
-        raise ConfigError(f"{key} = 0 leaves {cfg.scenario} no data to "
+        raise ConfigError(f"{key} = 0 leaves {cfg.scenario} nothing to "
                           f"measure", line=cfg.explicit.get(key), field=key)
 
 
@@ -473,18 +475,21 @@ def _check_first_slice(cfg: RunConfig) -> None:
 
 
 def config_text(cfg: RunConfig) -> str:
-    """Canonical echo of the resolved config, schema order, one key per
-    line; unset optional keys are omitted.
+    """Canonical echo of the resolved config: scenario, deterministic and
+    the keys cfg.scenario reads, in schema order, one key per line;
+    unset optional keys are omitted.  The echo is itself a config that
+    the scenario accepts, and it resolves to the same echo.
 
     The output directory is deliberately left out: it names where the
     provenance lands, not what ran, and two runs of one config into two
     directories must stay byte-identical.
     """
+    reads = _READS[cfg.scenario] | {"scenario", "deterministic"}
     out = []
     for section, opts in _SCHEMA.items():
         body = []
         for key, f in opts.items():
-            if f.name == "out_dir":
+            if f.name not in reads:
                 continue
             value = getattr(cfg, f.name)
             if f.name == "resolution" and value is None:

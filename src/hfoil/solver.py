@@ -16,17 +16,19 @@ Klein-Gordon field updated first so the wave source can use a centered
 time derivative of v.  Each step kernel is its update multiplied
 through by dt^2, with the run's constants folded into scalars once
 (lam2 = dt^2/dx^2, c0 = 2 - 2 lam2, hc = mass^2 dt^2 / 2) and the
-source weighted by dt^2 r; the coupled model also folds its
-quasilinear coefficients and its wave source into per-cell weights, so
-every step takes fewer array passes than the textbook form.  The two
-agree algebraically and differ only in rounding (see `# === radial
-helpers ===`).  Everything is second order; starts are built from a
-Taylor step using the equations at the initial time.  The coupled model
-and the two linear solvers share one leapfrog loop, `_march`, which
-steps each run only out to the front of its nonzero cells (the live
-window: a cell that is +0.0 with its stencil and source stays +0.0),
-and they hand out their levels only by streaming them to observers;
-`_march` states the window and which levels an observer gets.
+source weighted by dt^2 r; the Klein-Gordon step reads per-cell
+weights, which the coupled model builds from u and the curved linear
+solver from its metric, and the coupled model folds its wave source
+into per-cell weights too, so every step takes fewer array passes than
+the textbook form.  The two forms agree algebraically and differ only
+in rounding (see `# === radial helpers ===`).  Everything is second
+order; starts are built from a Taylor step using the equations at the
+initial time.  The coupled model and the two linear solvers share one
+leapfrog loop, `_march`, which steps each run only out to the front of
+its nonzero cells (the live window: a cell that is +0.0 with its
+stencil and source stays +0.0), and they hand out their levels only by
+streaming them to observers; `_march` states the window and which
+levels an observer gets.
 
 Every run is a stack: a field's levels are (R, n) arrays whose R rows
 share the grid, dt and step count, each row bit for bit its own run,
@@ -140,9 +142,15 @@ def grid_for_run(dx: float, t0: float, t_end: float,
 # over the stack per step:
 #
 # * the wave step (`_wave_update`): six;
-# * the linear Klein-Gordon step (`_kg_update`): nine, ten with a source;
+# * the Klein-Gordon step (`_kg_update`, one kernel for both solvers
+#   that step v): six, seven with a source;
+# * the curved linear solver (`solve_linear_kg_curved`): the six of
+#   `_kg_update` plus three per non-steady row, whose weights g = 2 (1 +
+#   h00 - lam2) and A = 1 + h00 + hc it rebuilds beside each refill of
+#   1 + h00 (e = lam2 is a zero-stride constant); a steady row builds
+#   its weights once per run;
 # * the coupled model (`evolve_model`): twelve for its Klein-Gordon step
-#   (the weights e, g and A from u, then `_model_kg_update`), ten for its
+#   (the weights e, g and A from u, then `_kg_update`), ten for its
 #   wave source S = a (Wv+ - Wv-)^2 + b (v[j+1] - v[j-1])^2 + c Wv^2 on
 #   per-run weights a, b and c that are 0 at the axis, and six for the
 #   wave step, 28 in all (36 before the fold), one more per callable
@@ -151,13 +159,14 @@ def grid_for_run(dx: float, t0: float, t_end: float,
 #   exact check only where that bound does not clear the step, which at
 #   Courant number 0.5 it always does.
 #
-# Every pass runs on the live window of `_march` only: the cells [0, L)
-# of every row, L = min(n, front + 3), where front is the last cell of
-# any row of the two levels a step reads, or of its source, that may be
-# other than +0.0 (the flat prefix of an (R, n) stack ends at (R - 1) n
-# + L, so the other rows' tails are stepped and stay +0.0).  So do the
-# level guards' peaks, emit's W/r and the coefficient guard; the
-# boundary guard's three outer cells read 0 until L reaches them.
+# Every pass but the metric rows' runs on the live window of `_march`
+# only: the cells [0, L) of every row, L = min(n, front + 3), where
+# front is the last cell of any row of the two levels a step reads, or
+# of its source, that may be other than +0.0 (the flat prefix of an (R,
+# n) stack ends at (R - 1) n + L, so the other rows' tails are stepped
+# and stay +0.0).  So do the level guards' peaks, emit's W/r and the
+# coefficient guard; the boundary guard's three outer cells read 0
+# until L reaches them.
 # tests/test_solver.py pins the kernels' expressions, in their operation
 # order, bit for bit with allocating reference loops over the whole
 # grid, and keeps the textbook updates as a second reference that every
@@ -239,35 +248,13 @@ def _wave_update(Wp, Wc, S, c0, lam2, o, tmp, n, end):
     return _pin_ends(o, n)
 
 
-def _kg_update(Wp, Wc, denom, S, lam2, hc, o, A, B, n, end):
-    """Klein-Gordon leapfrog step on the metric denom = 1 + h00, with the
-    mass term averaged over the stencil ends: o = [2 (denom - lam2) Wc +
-    lam2 (Wc[j+1] + Wc[j-1]) + S] / (denom + hc) - Wp on the interior of
-    the flat prefix [0, end), with every row's ends pinned to zero.  S
-    is the weighted source dt^2 r f, only read, or None for no source.
-    All are flat views (`_flat`) of (R, n) stacks with rows of n, A and
-    B scratch."""
-    mid, A, B = o[1:end - 1], A[:end], B[:end]
-    np.add(denom[:end], hc, out=A)
-    np.add(Wc[2:end], Wc[:end - 2], out=mid)
-    np.multiply(mid, lam2, out=mid)
-    np.subtract(denom[:end], lam2, out=B)
-    np.multiply(B, Wc[:end], out=B)
-    np.multiply(B, 2.0, out=B)
-    np.add(B[1:-1], mid, out=mid)
-    if S is not None:
-        np.add(mid, S[1:end - 1], out=mid)
-    np.divide(mid, A[1:-1], out=mid)
-    np.subtract(mid, Wp[1:end - 1], out=mid)
-    return _pin_ends(o, n)
-
-
-def _model_kg_update(Wp, Wc, e, g, A, S, o, tmp, n, end):
-    """The coupled model's Klein-Gordon step, o = (e (Wc[j+1] + Wc[j-1])
-    + g Wc + S) / A - Wp on the interior of the flat prefix [0, end),
-    with every row's ends pinned to zero: e, g and A are the step's
-    per-cell weights (`evolve_model`), S the weighted source dt^2 r f or
-    None, all only read; tmp is scratch."""
+def _kg_update(Wp, Wc, e, g, A, S, o, tmp, n, end):
+    """The Klein-Gordon step, o = (e (Wc[j+1] + Wc[j-1]) + g Wc + S) / A
+    - Wp on the interior of the flat prefix [0, end), with every row's
+    ends pinned to zero: e, g and A are the step's per-cell weights
+    (`evolve_model` builds them from u, `solve_linear_kg_curved` from
+    its metric), S the weighted source dt^2 r f or None, all only read;
+    tmp is scratch."""
     mid, tmp = o[1:end - 1], tmp[1:end - 1]
     np.add(Wc[2:end], Wc[:end - 2], out=mid)
     np.multiply(mid, e[1:end - 1], out=mid)
@@ -595,9 +582,9 @@ def evolve_model(params: ModelParams, grid: RadialGrid, data: InitialData,
         np.add(gg, c0, out=gg)
         np.multiply(u, h00, out=AA)
         np.add(AA, a0, out=AA)
-        _model_kg_update(Wv_prev, Wv_cur, e, g, A,
-                         None if fv is None else fv(t_k, r) * w, Wv_next,
-                         tmp, n, end)
+        _kg_update(Wv_prev, Wv_cur, e, g, A,
+                   None if fv is None else fv(t_k, r) * w, Wv_next, tmp, n,
+                   end)
 
         # wave source at level k with a centered time derivative of v
         i = slice(1, end - 1)
@@ -682,7 +669,10 @@ def solve_linear_kg_curved(grid: RadialGrid, metrics: Sequence, mass: float,
                            source: Optional[Callable] = None) -> RunResult:
     """(1 + h00_i(t, r)) d_t^2 v = Lap v - mass^2 v + f on a radial grid,
     for a stack of R metrics stepped together from one set of data and
-    one source f(t, r).
+    one source f(t, r).  This is the coupled model's Klein-Gordon
+    equation with u H^00 replaced by the prescribed h00 and H^ss = 0,
+    and it steps on the same kernel, `_kg_update`, with the weights e =
+    lam2, g = 2 (1 + h00 - lam2) and A = 1 + h00 + hc.
 
     metrics holds one (tag, h00) pair per row, h00 a prescribed profile
     that binds to the run once, before the first step:
@@ -690,7 +680,7 @@ def solve_linear_kg_curved(grid: RadialGrid, metrics: Sequence, mass: float,
     ``fill(k, t_k, out)`` writes h00 at step k, time t_k = t0 + k dt, on
     the grid into the (n,) out, for k in [0, steps), and whose
     ``steady`` is true when h00 does not depend on t; a steady row is
-    filled, and its floor checked, once per run
+    filled, its floor checked and its weights built once per run
     (:class:`hfoil.bounds.MetricPerturb`; ``metric_pull`` raises
     ValueError when it binds unless dx/dt is an integer, and this solver
     checks no ratio).  Tags, observers (one sequence per row), guards
@@ -707,15 +697,19 @@ def solve_linear_kg_curved(grid: RadialGrid, metrics: Sequence, mass: float,
     steps = _step_count(t0, t_end, dt)
     rows = [h00.on_run(grid, t0, dt, steps) for _, h00 in metrics]
     shape = (len(metrics), n)
-    denom, A, B = (np.empty(shape) for _ in range(3))
-    fdenom, fA, fB = _flat(denom, A, B)
+    g, A, tmp = (np.empty(shape) for _ in range(3))
+    fg, fA, ftmp = _flat(g, A, tmp)
     S = None if source is None else np.empty(shape)
     fS = None if source is None else _flat(S)[0]
+    lam2, _, hc, w = _folded(dt, dx, r, c2)
+    e = np.broadcast_to(lam2, (g.size,))    # one constant, no memory
 
     def metric(t, step):
-        """Each row's 1 + h00 at step's time t into its row of denom,
-        held above the floor 0.1; a steady row only at step 0."""
-        for (tag, _), row, out in zip(metrics, rows, denom):
+        """Each row's 1 + h00 at step's time t into its row of tmp, held
+        above the floor 0.1, and the step's weights g = 2 (1 + h00 -
+        lam2) and A = 1 + h00 + hc from it; a steady row only at step 0.
+        Returns tmp, valid until the step overwrites it."""
+        for (tag, _), row, out, gr, ar in zip(metrics, rows, tmp, g, A):
             if step and row.steady:
                 continue
             np.add(row.fill(step, t, out), 1.0, out=out)
@@ -723,7 +717,10 @@ def solve_linear_kg_curved(grid: RadialGrid, metrics: Sequence, mass: float,
                 i = int(np.argmin(out))
                 _trip("metric perturbation too large", "coefficient", t,
                       step, r[i], out[i], tag)
-        return denom
+            np.subtract(out, lam2, out=gr)
+            np.multiply(gr, 2.0, out=gr)
+            np.add(out, hc, out=ar)
+        return tmp
 
     W = r * np.asarray(data.v0(r), dtype=float)
     dW = r * np.asarray(data.v1(r), dtype=float)
@@ -732,14 +729,12 @@ def solve_linear_kg_curved(grid: RadialGrid, metrics: Sequence, mass: float,
         rhs0 = rhs0 + r * source(t0, r)
     starts = ((np.repeat(W[None], len(metrics), axis=0),
                W + dt * dW + 0.5 * dt * dt * rhs0 / metric(t0, 0)),)
-    lam2, _, hc, w = _folded(dt, dx, r, c2)
 
     def advance(k, t_k, prev, cur, nxt, lvl, end):
         metric(t_k, k)
         if source is not None:        # one row of f for the whole stack
             np.multiply(source(t_k, r), w, out=S)
-        _kg_update(prev[0], cur[0], fdenom, fS, lam2, hc, nxt[0], fA, fB, n,
-                   end)
+        _kg_update(prev[0], cur[0], e, fg, fA, fS, nxt[0], ftmp, n, end)
 
     return _march(grid, ("v",), starts, t0, t_end, dt, advance,
                   [tag for tag, _ in metrics], observers,

@@ -974,14 +974,14 @@ def test_lattice_points_lie_on_their_levels_and_rays(kind):
         ch, sh = lat.ts / level, lat.rs / level
         assert ch * ch - sh * sh == pytest.approx(1.0, rel=1e-12)
         chi = np.arccosh(ch)
-        assert lat.geometry == {"dx": 0.1, "s_max": 5.0, "tr_min": 1.25,
-                                "delta": 0.08}
+        assert lat.geometry == {"dx": 0.1, "cfl": 0.5, "s_max": 5.0,
+                                "tr_min": 1.25, "delta": 0.08}
         reach, tr_min = 0.08, 1.25
     else:
         assert np.array_equal(lat.ts, level)
         chi = np.arctanh(lat.rs / lat.ts)
-        assert lat.geometry == {"dx": 0.1, "t_range": [6.0, 20.0],
-                                "tr_min": 2.0}
+        assert lat.geometry == {"dx": 0.1, "cfl": 1.0,
+                                "t_range": [6.0, 20.0], "tr_min": 2.0}
         reach, tr_min = 0.0, 2.0
     angle = [chi[lat.ray == j] for j in rays]
     for a in angle:

@@ -210,6 +210,7 @@ def test_unread_flag_reports_field_without_line(argv, field):
     ("linear-kg-bound", "[data]\n\nepsilon = 0\n", 3, "epsilon"),
     ("convergence-suite", "[data]\neps_u = 0.0\n", 2, "eps_u"),
     ("convergence-suite", "[data]\nepsilon = 0\n", 2, "epsilon"),
+    ("linear-wave-bound", "[bounds]\nsource_amp = -0.0\n", 2, "source_amp"),
 ])
 def test_zero_amplitude_reports_line_and_field(tmp_path, scenario, text,
                                                line, field):
@@ -430,7 +431,9 @@ def test_field_strategies_cover_the_schema():
 
 
 # the echo feeds config_sha256 and the default run directory names, so
-# its text is pinned: the all-defaults config and one that sets every key
+# its text is pinned: the all-defaults config and one that sets every
+# key, of which the echo keeps scenario, deterministic and the keys its
+# scenario reads
 DEFAULT_ECHO = (
     "[run]\nscenario = model-evolution\ndeterministic = false\n\n"
     "[grid]\nresolution = 0.05\ncfl = 0.5\npad_cells = 60\n\n"
@@ -438,8 +441,7 @@ DEFAULT_ECHO = (
     "hs = 1.0\n\n"
     "[data]\nepsilon = 0.01\nradius = 1.0\n\n"
     "[hierarchy]\norder = 8\ndelta = 0.02\n\n"
-    "[bounds]\nC = 10.0\ndlam = 0.01\ns0 = 2.0\nmetric = both\n"
-    "metric_amp = 0.1\nsource_amp = 1.0\n")
+    "[bounds]\ns0 = 2.0\n")
 
 EVERY_KEY = """\
 [run]
@@ -481,20 +483,15 @@ dir = runs/every
 
 EVERY_KEY_ECHO = (
     "[run]\nscenario = linear-wave-bound\ndeterministic = true\n"
-    "until_s = 12.0\nuntil_t = 40.0\n\n"
-    "[grid]\nresolution = 0.03\ncfl = 0.9\npad_cells = 7\n\n"
-    "[model]\nmass = 2.0\np00 = -1.0\nps = 0.5\nrcoef = 0.0\n"
-    "h00 = 0.001\nhs = -0.25\n\n"
-    "[data]\nepsilon = 0.02\neps_u = 0.0\neps_v = 0.125\nradius = 1.5\n\n"
-    "[hierarchy]\norder = 3\ndelta = 0.05\n\n"
-    "[bounds]\nC = 100.0\ndlam = 0.005\ns0 = 3.0\nmu = 0.25\n"
-    "nu = -0.5\nmetric = pull\nmetric_amp = 0.2\nsource_amp = -2.0\n")
+    "until_t = 40.0\n\n"
+    "[grid]\nresolution = 0.03\n\n"
+    "[bounds]\nmu = 0.25\nnu = -0.5\nsource_amp = -2.0\n")
 
 
 def test_config_echo_golden():
     assert cli.config_text(cli.RunConfig()) == DEFAULT_ECHO
     assert cli.config_sha256(cli.RunConfig()) == (
-        "13881d3cfd6c84732da6f33a6cb344045d1770b90d63f63e81ad4ef3dd00d7cb")
+        "ae0ae6ec9bd9d2d60ce45883a252670b0636dfffd11f77cc206c8c9f372b0fe2")
     cfg = cli.parse_config(EVERY_KEY)
     assert cli.config_text(cfg) == EVERY_KEY_ECHO
     assert cfg.out_dir == "runs/every"
@@ -504,14 +501,28 @@ def test_config_echo_golden():
 @settings(max_examples=200, deadline=None)
 @given(run_configs())
 def test_config_text_round_trips(cfg):
+    # every field the echo keeps parses back to its value; the others
+    # are left out, so they come back at their defaults
     text = cli.config_text(cfg)
     back = cli.parse_config(text)
     assert cli.config_text(back) == text
-    for f in dataclasses.fields(cli.RunConfig):
-        if f.name in ("explicit", "resolution"):
-            continue
-        assert getattr(back, f.name) == getattr(cfg, f.name), f.name
-    assert back.dx() == cfg.dx()
+    kept = cli._READS[cfg.scenario] | {"scenario", "deterministic"}
+    for attr in kept - {"resolution"}:
+        assert getattr(back, attr) == getattr(cfg, attr), attr
+    if "resolution" in kept:
+        assert back.dx() == cfg.dx()
+    assert set(back.explicit) <= kept
+
+
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_default_echo_reruns_its_scenario(tmp_path, scenario):
+    # a run's config.echo.txt is a config its scenario accepts back, and
+    # it resolves to the same echo
+    echo = cli.config_text(cli.build_config([scenario]))
+    path = tmp_path / "config.echo.txt"
+    path.write_text(echo)
+    assert cli.config_text(cli.build_config([scenario, "--config",
+                                             str(path)])) == echo
 
 
 # --- table round trip ---

@@ -980,7 +980,7 @@ def test_evolve_model_window_keeps_every_bit(monkeypatch, eps):
     params = ModelParams(1.0, 0.8, 1.2, 0.7, 0.9, 1.1)
     g = grid_for_run(0.05, 2.0, 5.0)
     data = InitialData.bump(*eps)
-    ends = _spy_ends(monkeypatch, "_model_kg_update", "_wave_update")
+    ends = _spy_ends(monkeypatch, "_kg_update", "_wave_update")
     obs = LevelCopies()
     evolve_model(params, g, data, t0=2.0, t_end=5.0, observers=[obs])
     assert_levels_equal(obs.levels, _ref_evolve_model(params, g, data, 2.0,
@@ -1021,8 +1021,7 @@ def test_window_reaching_the_grid_end_trips_as_the_full_width(monkeypatch,
         with monkeypatch.context() as m:
             if whole:
                 m.setattr(solver, "_live_end", lambda levels: g.n)
-            ends = _spy_ends(m, "_model_kg_update", "_wave_update",
-                             "_kg_update")
+            ends = _spy_ends(m, "_kg_update", "_wave_update")
             obs = LevelCopies()
             with pytest.raises(StabilityError) as ei:
                 run([obs])
